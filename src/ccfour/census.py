@@ -13,8 +13,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .dziobek import DziobekState, MassVector
-from .geometry import CanonicalFrame, canonicalize, realize
+from .dziobek import DziobekState, MassVector, scale_sq_many
+from .geometry import (CanonicalFrame, canonicalize, canonicalize_many,
+                       frame_points_many, oriented_areas_many, realize,
+                       realize_many, reconstruct_many, squared_distances_many,
+                       triangle_areas_many, unit_inertia_many)
 from .solver import (CONVERGED, SolveOptions, _batch_geometry,
                      _lsq_multipliers, _newton_batch, _residual_factory,
                      _state_from_vector)
@@ -66,38 +69,27 @@ def seed_grid(resolution: int,
     whose smallest sub-triangle area falls below the degeneracy margin are
     dropped.
     """
+    return [CanonicalFrame(*row)
+            for row in _seed_lattice(resolution, m).tolist()]
+
+
+def _seed_lattice(resolution: int, m: MassVector | None) -> np.ndarray:
+    """The frames of seed_grid as (n, 5) rows (u, v, t, s, theta), in the
+    same order, built in whole-lattice array passes."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     if m is None:
         m = MassVector(alpha=1.0, beta=1.0)
-    v_vals = np.geomspace(0.5, 2.0, resolution)
-    t_vals = np.geomspace(0.35, 2.8, resolution)
-    s_vals = np.geomspace(0.35, 2.8, resolution)
-    th_vals = np.linspace(0.3 * math.pi, 0.7 * math.pi, resolution)
-    frames = []
-    for v in v_vals:
-        for t in t_vals:
-            for s in s_vals:
-                for th in th_vals:
-                    frame = CanonicalFrame(u=1.0, v=float(v), t=float(t),
-                                           s=float(s), theta=float(th))
-                    pts = frame.raw_points()
-                    scale_sq = sum(
-                        float(np.sum((pts[i] - pts[j]) ** 2))
-                        for i in range(4) for j in range(i + 1, 4)) / 6.0
-                    min_area = min(
-                        _triangle_area(pts, i) for i in range(4))
-                    if min_area < SEED_AREA_MARGIN * scale_sq:
-                        continue
-                    frames.append(frame.rescaled_to_unit_inertia(m))
-    return frames
-
-
-def _triangle_area(pts: np.ndarray, omit: int) -> float:
-    keep = [i for i in range(4) if i != omit]
-    p, q, r = pts[keep]
-    return 0.5 * abs((q[0] - p[0]) * (r[1] - p[1])
-                     - (q[1] - p[1]) * (r[0] - p[0]))
+    axes = (np.geomspace(0.5, 2.0, resolution),
+            np.geomspace(0.35, 2.8, resolution),
+            np.geomspace(0.35, 2.8, resolution),
+            np.linspace(0.3 * math.pi, 0.7 * math.pi, resolution))
+    v, t, s, th = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
+    frames = np.stack([np.ones_like(v), v, t, s, th], axis=1)
+    pts = frame_points_many(frames)
+    scale_sq = scale_sq_many(squared_distances_many(pts))
+    keep = triangle_areas_many(pts).min(axis=1) >= SEED_AREA_MARGIN * scale_sq
+    return unit_inertia_many(frames[keep], m)[0]
 
 
 @dataclass(frozen=True)
@@ -139,13 +131,41 @@ class CensusReport:
 
 def _seed_vectors(frames: Sequence[CanonicalFrame],
                   m: MassVector) -> np.ndarray:
-    from .geometry import squared_distances
-
-    sq = np.array([squared_distances(f.reconstruct(m))
-                   for f in frames], dtype=float)
+    """Newton start vectors (a..f, nu, xi) of unit-inertia frames."""
+    rows = np.array([(f.u, f.v, f.t, f.s, f.theta) for f in frames])
+    sq = squared_distances_many(reconstruct_many(rows, m))
     _, areas = _batch_geometry(sq)
     nu_xi = _lsq_multipliers(sq, areas, m)
     return np.concatenate([sq, nu_xi], axis=1)
+
+
+def _accept(x: np.ndarray, m: MassVector):
+    """Indices of the rows of converged vectors x that are genuine convex
+    central configurations, and their unit-inertia canonical frames.
+
+    A row is kept iff nu > 0 and every check of realize, oriented_areas and
+    canonicalize passes on it, so exactly the rows on which the scalar
+    _state_from_vector and canonicalize(realize(...)) succeed.
+    """
+    points, ok = realize_many(x[:, :6], m)
+    ok &= oriented_areas_many(points)[1]
+    frames, frame_ok = canonicalize_many(points, m)
+    keep = np.flatnonzero(ok & frame_ok & (x[:, 6] > 0))
+    return keep, frames[keep]
+
+
+def _dedupe(frames: np.ndarray) -> list[np.ndarray]:
+    """Group frame rows into classes: the first remaining row takes every
+    remaining row within DEDUPE_TOL of it, until none remain.  This is the
+    grouping of matching each row, in order, against the classes so far."""
+    groups = []
+    rest = np.arange(frames.shape[0])
+    while rest.size:
+        near = (np.linalg.norm(frames[rest] - frames[rest[0]], axis=1)
+                < DEDUPE_TOL)
+        groups.append(rest[near])
+        rest = rest[~near]
+    return groups
 
 
 def census(m: MassVector, resolution: int = 8,
@@ -153,8 +173,7 @@ def census(m: MassVector, resolution: int = 8,
            threads: int = 1) -> CensusReport:
     """Polish every seed, keep converged convex states with nu > 0, and
     group them by canonical-frame distance (dedupe tolerance 1e-6)."""
-    frames = seed_grid(resolution, m)
-    x0 = _seed_vectors(frames, m)
+    x0 = _seed_vectors(seed_grid(resolution, m), m)
     fun = _residual_factory(m, opts.normalization)
     if threads > 1 and x0.shape[0] > threads:
         from concurrent.futures import ThreadPoolExecutor
@@ -168,30 +187,16 @@ def census(m: MassVector, resolution: int = 8,
     else:
         x, status, _, _ = _newton_batch(fun, x0, opts)
 
-    converged = np.flatnonzero(status == CONVERGED)
-    reps: list[tuple[np.ndarray, CanonicalFrame, DziobekState, int]] = []
-    n_converged = 0
-    for i in converged:
-        if x[i, 6] <= 0:  # nu must be positive at a genuine c.c.
-            continue
-        try:
-            state = _state_from_vector(x[i], m)
-            frame = canonicalize(realize(state.sq, m))
-        except Exception:
-            continue
-        n_converged += 1
-        vec = frame.as_vector()
-        for k, (rvec, rframe, rstate, count) in enumerate(reps):
-            if np.linalg.norm(vec - rvec) < DEDUPE_TOL:
-                reps[k] = (rvec, rframe, rstate, count + 1)
-                break
-        else:
-            reps.append((vec, frame, state, 1))
-
-    classes = [CensusClass(frame=fr, state=st,
-                           symmetry=classify_symmetry(st), basin=count)
-               for _, fr, st, count in reps]
+    x = x[status == CONVERGED]
+    keep, frames = _accept(x, m)
+    classes = []
+    for members in _dedupe(frames):
+        state = _state_from_vector(x[keep[members[0]]], m)
+        frame = canonicalize(realize(state.sq, m))
+        classes.append(CensusClass(frame=frame, state=state,
+                                   symmetry=classify_symmetry(state),
+                                   basin=int(members.size)))
     classes.sort(key=lambda c: -c.basin)
     return CensusReport(masses=m, classes=classes,
-                        seeds_total=len(frames),
-                        seeds_converged=n_converged)
+                        seeds_total=x0.shape[0],
+                        seeds_converged=int(keep.size))

@@ -38,6 +38,20 @@ def positive_float(text: str) -> float:
     return value
 
 
+def int_at_least(low: int):
+    """argparse type for an integer no smaller than `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {text!r}")
+        return value
+    return parse
+
+
 def parse_grid(text: str) -> list[float]:
     """Either comma-separated values or start:stop:step (inclusive)."""
     if ":" in text:
@@ -58,6 +72,19 @@ def parse_grid(text: str) -> list[float]:
     return values
 
 
+def parse_pairs(text: str) -> list[tuple[float, float]]:
+    """Semicolon-separated alpha,beta pairs of positive masses."""
+    pairs = []
+    for chunk in text.split(";"):
+        parts = chunk.split(",")
+        if len(parts) != 2:
+            raise argparse.ArgumentTypeError(
+                f"expected alpha,beta pairs separated by ';', got {text!r}")
+        alpha, beta = (positive_float(p) for p in parts)
+        pairs.append((alpha, beta))
+    return pairs
+
+
 def parse_sq(text: str) -> SquaredDistances:
     parts = [float(p) for p in text.split(",")]
     if len(parts) != 6:
@@ -71,7 +98,7 @@ def parse_sq(text: str) -> SquaredDistances:
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=positive_float, default=1e-12,
                    help="residual tolerance (default 1e-12)")
-    p.add_argument("--max-iterations", type=int, default=100,
+    p.add_argument("--max-iterations", type=int_at_least(1), default=100,
                    help="Newton iteration budget (default 100)")
     p.add_argument("--normalization", choices=["fix_inertia_one", "fix_a_one"],
                    default="fix_inertia_one",
@@ -87,8 +114,15 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
                    help="also write plot-ready CSV to this path")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flag errors print one line on stderr and exit with status 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ccfour",
         description="Convex four-body central configurations in "
                     "squared-distance coordinates: solvers, census and "
@@ -115,9 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
                               help="count solution classes for fixed masses")
     p_census.add_argument("--alpha", type=positive_float, required=True)
     p_census.add_argument("--beta", type=positive_float, required=True)
-    p_census.add_argument("--resolution", type=int, default=8)
-    p_census.add_argument("--threads", type=int,
-                          default=int(os.environ.get("CCFOUR_THREADS", "1")),
+    p_census.add_argument("--resolution", type=int_at_least(2), default=8)
+    p_census.add_argument("--threads", type=int_at_least(1),
+                          default=os.environ.get("CCFOUR_THREADS", "1"),
                           help="worker threads for seed batches "
                                "(default $CCFOUR_THREADS or 1)")
     _add_solver_flags(p_census)
@@ -125,10 +159,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the verification suites")
     p_verify.add_argument("--trials", type=int, default=1000)
-    p_verify.add_argument("--rng-seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--resolution", type=int, default=6,
+    p_verify.add_argument("--rng-seed", type=int_at_least(0),
+                          default=DEFAULT_SEED)
+    p_verify.add_argument("--resolution", type=int_at_least(2), default=6,
                           help="census resolution for the theorem suites")
-    p_verify.add_argument("--theorem1-grid", default=None,
+    p_verify.add_argument("--theorem1-grid", type=parse_pairs, default=None,
                           help="semicolon-separated alpha,beta pairs; "
                                "omit to skip the theorem 1 census suite")
     p_verify.add_argument("--theorem2-grid", type=parse_grid, default=None,
@@ -315,11 +350,8 @@ def _cmd_verify(args) -> int:
     for st, m in pairs:
         results.append(check_theorem_identities(st, m))
     if args.theorem1_grid:
-        grid = []
-        for chunk in args.theorem1_grid.split(";"):
-            alpha, beta = (float(x) for x in chunk.split(","))
-            grid.append((alpha, beta))
-        results.append(run_theorem1_suite(grid, args.resolution))
+        results.append(run_theorem1_suite(args.theorem1_grid,
+                                          args.resolution))
     if args.theorem2_grid:
         results.append(run_theorem2_suite(args.theorem2_grid,
                                           args.resolution))

@@ -63,6 +63,15 @@ class SquaredDistances(NamedTuple):
         return sum(self) / 6.0
 
 
+def scale_sq_many(sq: np.ndarray) -> np.ndarray:
+    """SquaredDistances.scale_sq along the last axis, summed left to right
+    in the same order."""
+    total = sq[..., 0]
+    for k in range(1, 6):
+        total = total + sq[..., k]
+    return total / 6.0
+
+
 class PsiValues(NamedTuple):
     """psi'(s) evaluated at each of the six squared distances."""
 

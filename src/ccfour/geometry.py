@@ -1,4 +1,11 @@
-"""Planar configurations, oriented areas and the distance <-> point maps."""
+"""Planar configurations, oriented areas and the distance <-> point maps.
+
+The ``*_many`` functions work on whole batches: squared distances as (n, 6)
+arrays, points as (n, 4, 2) and canonical frames as (n, 5) rows
+(u, v, t, s, theta).  They return a validity mask where the scalar function
+would raise.  The scalar functions share their code, so each formula exists
+once and both paths give the same bits.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +15,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dziobek import MassVector, SquaredDistances, cayley
+from .dziobek import (PAIRS, MassVector, SquaredDistances, cayley,
+                      cayley_many, scale_sq_many)
 from .errors import Degenerate, NotConvex, NotPlanar, NotRealizable
 
 COINCIDENCE_TOL = 1e-12
@@ -38,36 +46,27 @@ class PlanarConfig:
         if pts.shape != (4, 2):
             raise ValueError(f"points must have shape (4, 2), got {pts.shape}")
         object.__setattr__(self, "points", pts)
-        scale = self.scale
-        w = np.asarray(self.masses.masses)
-        com = (w[:, None] * pts).sum(axis=0) / w.sum()
-        if np.linalg.norm(com) > CENTROID_TOL * max(scale, 1e-300):
+        centered, apart = _config_checks(pts, self.masses)
+        if not centered:
             raise ValueError("weighted centroid is not at the origin")
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if np.linalg.norm(pts[i] - pts[j]) <= COINCIDENCE_TOL * scale:
-                    raise ValueError(f"points {i + 1} and {j + 1} coincide")
+        if not apart.all():
+            i, j = PAIRS[int(np.argmin(apart))]
+            raise ValueError(f"points {i + 1} and {j + 1} coincide")
 
     @classmethod
     def from_points(cls, points, masses: MassVector) -> "PlanarConfig":
         """Translate arbitrary points to the weighted centroid frame."""
         pts = np.asarray(points, dtype=float).reshape(4, 2)
-        w = np.asarray(masses.masses)
-        com = (w[:, None] * pts).sum(axis=0) / w.sum()
-        return cls(points=pts - com, masses=masses)
+        return cls(points=_recenter(pts, masses), masses=masses)
 
     @property
     def scale(self) -> float:
         """RMS mutual distance."""
-        pts = np.asarray(self.points, dtype=float)
-        sq = [float(np.sum((pts[i] - pts[j]) ** 2))
-              for i in range(4) for j in range(i + 1, 4)]
-        return math.sqrt(sum(sq) / 6.0)
+        return math.sqrt(scale_sq_many(squared_distances_many(self.points)))
 
     def moment_of_inertia(self) -> float:
         """I = (1/m') sum m_i m_j r_ij^2 = sum m_i |q_i|^2 (centroid at 0)."""
-        w = np.asarray(self.masses.masses)
-        return float((w * (self.points ** 2).sum(axis=1)).sum())
+        return float(_inertia(self.points, self.masses))
 
     def to_json_dict(self) -> dict:
         return {
@@ -76,23 +75,74 @@ class PlanarConfig:
         }
 
 
-def _signed_area(p, q, r) -> float:
-    return 0.5 * ((q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]))
+def _centroid(points: np.ndarray, masses: MassVector) -> np.ndarray:
+    w = np.asarray(masses.masses)
+    return (w[:, None] * points).sum(axis=-2) / w.sum()
 
 
-def _segments_cross(p1, p2, p3, p4) -> bool:
-    """Strict proper intersection of open segments p1-p2 and p3-p4."""
-    d1 = _signed_area(p3, p4, p1)
-    d2 = _signed_area(p3, p4, p2)
-    d3 = _signed_area(p1, p2, p3)
-    d4 = _signed_area(p1, p2, p4)
-    return (d1 * d2 < 0) and (d3 * d4 < 0)
+def _recenter(points: np.ndarray, masses: MassVector) -> np.ndarray:
+    """(..., 4, 2) points translated to their weighted centroid."""
+    return points - _centroid(points, masses)[..., None, :]
+
+
+def _inertia(points: np.ndarray, masses: MassVector) -> np.ndarray:
+    w = np.asarray(masses.masses)
+    return (w * (points ** 2).sum(axis=-1)).sum(axis=-1)
+
+
+def _config_checks(points: np.ndarray, masses: MassVector):
+    """PlanarConfig's checks on (..., 4, 2) points: whether the weighted
+    centroid is at the origin, and which of the six pairs are apart."""
+    sq = squared_distances_many(points)
+    scale = np.sqrt(scale_sq_many(sq))
+    centered = (np.linalg.norm(_centroid(points, masses), axis=-1)
+               <= CENTROID_TOL * np.maximum(scale, 1e-300))
+    apart = np.sqrt(sq) > COINCIDENCE_TOL * scale[..., None]
+    return centered, apart
+
+
+def _signed_area(p, q, r):
+    """Signed area of the triangle pqr; p, q, r are (..., 2) arrays."""
+    return 0.5 * ((q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1])
+                  - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0]))
+
+
+def convex_many(points: np.ndarray) -> np.ndarray:
+    """True where the open diagonals q1-q2 and q3-q4 properly intersect."""
+    q1, q2, q3, q4 = (points[..., i, :] for i in range(4))
+    d1 = _signed_area(q3, q4, q1)
+    d2 = _signed_area(q3, q4, q2)
+    d3 = _signed_area(q1, q2, q3)
+    d4 = _signed_area(q1, q2, q4)
+    return (d1 * d2 < 0) & (d3 * d4 < 0)
 
 
 def _check_convex(p: PlanarConfig) -> None:
-    q = p.points
-    if not _segments_cross(q[0], q[1], q[2], q[3]):
+    if not convex_many(p.points):
         raise NotConvex("diagonals q1-q2 and q3-q4 do not properly intersect")
+
+
+def triangle_areas_many(points: np.ndarray) -> np.ndarray:
+    """|Delta_i|, the area of the triangle on the three vertices other than
+    i, for (..., 4, 2) points; shape (..., 4)."""
+    q1, q2, q3, q4 = (points[..., i, :] for i in range(4))
+    return np.abs(np.stack([_signed_area(q2, q3, q4),
+                            _signed_area(q1, q3, q4),
+                            _signed_area(q1, q2, q4),
+                            _signed_area(q1, q2, q3)], axis=-1))
+
+
+def _nondegenerate(points: np.ndarray, mags: np.ndarray) -> np.ndarray:
+    scale_sq = scale_sq_many(squared_distances_many(points))
+    return mags.min(axis=-1) >= AREA_TOL * scale_sq
+
+
+def oriented_areas_many(points: np.ndarray):
+    """Signed (-, -, +, +) areas of (n, 4, 2) points, and the mask of rows
+    that oriented_areas accepts (no degenerate sub-triangle, convex)."""
+    mags = triangle_areas_many(points)
+    ok = _nondegenerate(points, mags) & convex_many(points)
+    return mags * np.array([-1.0, -1.0, 1.0, 1.0]), ok
 
 
 def oriented_areas(p: PlanarConfig) -> OrientedAreas:
@@ -100,26 +150,43 @@ def oriented_areas(p: PlanarConfig) -> OrientedAreas:
 
     |Delta_i| is the area of the triangle on the three vertices other than i.
     """
-    q = p.points
-    scale_sq = p.scale ** 2
-    mags = [
-        abs(_signed_area(q[1], q[2], q[3])),
-        abs(_signed_area(q[0], q[2], q[3])),
-        abs(_signed_area(q[0], q[1], q[3])),
-        abs(_signed_area(q[0], q[1], q[2])),
-    ]
-    if min(mags) < AREA_TOL * scale_sq:
+    mags = triangle_areas_many(p.points)
+    if not _nondegenerate(p.points, mags):
         raise Degenerate("a sub-triangle has numerically zero area")
     _check_convex(p)
     return OrientedAreas(-mags[0], -mags[1], mags[2], mags[3])
 
 
+def squared_distances_many(points: np.ndarray) -> np.ndarray:
+    """(..., 4, 2) points -> (..., 6) squared distances (a, ..., f)."""
+    diffs = [points[..., i, :] - points[..., j, :] for i, j in PAIRS]
+    return np.stack([(d ** 2).sum(axis=-1) for d in diffs], axis=-1)
+
+
 def squared_distances(p: PlanarConfig) -> SquaredDistances:
-    q = p.points
-    def d2(i, j):
-        return float(np.sum((q[i] - q[j]) ** 2))
-    return SquaredDistances(a=d2(0, 1), b=d2(0, 2), c=d2(0, 3),
-                            d=d2(1, 2), e=d2(1, 3), f=d2(2, 3))
+    return SquaredDistances(*(float(x)
+                              for x in squared_distances_many(p.points)))
+
+
+def trilaterate_many(sq: np.ndarray):
+    """Points of (n, 6) squared distances placed as trilaterate places them,
+    and the mask of rows it accepts."""
+    a, b, c, d, e = (sq[..., k] for k in range(5))
+    ok = np.all(sq > 0, axis=-1)
+    pts = np.zeros(sq.shape[:-1] + (4, 2))
+    with np.errstate(all="ignore"):
+        r12 = np.sqrt(a)
+        x3 = (a + b - d) / (2.0 * r12)
+        y3_sq = b - x3 * x3
+        x4 = (a + c - e) / (2.0 * r12)
+        y4_sq = c - x4 * x4
+        ok &= (y3_sq > 0) & (y4_sq > 0)
+        pts[..., 1, 0] = r12
+        pts[..., 2, 0] = x3
+        pts[..., 2, 1] = np.sqrt(y3_sq)
+        pts[..., 3, 0] = x4
+        pts[..., 3, 1] = -np.sqrt(y4_sq)
+    return pts, ok
 
 
 def trilaterate(sq: Sequence[float]) -> np.ndarray:
@@ -128,22 +195,13 @@ def trilaterate(sq: Sequence[float]) -> np.ndarray:
 
     Raises NotRealizable when a face triangle inequality fails.
     """
-    a, b, c, d, e, f = sq
-    if min(a, b, c, d, e, f) <= 0:
+    sq = np.asarray(sq, dtype=float)
+    if sq.min() <= 0:
         raise NotRealizable("squared distances must be positive")
-    r12 = math.sqrt(a)
-    x3 = (a + b - d) / (2.0 * r12)
-    y3_sq = b - x3 * x3
-    x4 = (a + c - e) / (2.0 * r12)
-    y4_sq = c - x4 * x4
-    if y3_sq <= 0 or y4_sq <= 0:
+    pts, ok = trilaterate_many(sq)
+    if not ok:
         raise NotRealizable("a face triangle inequality is violated")
-    return np.array([
-        [0.0, 0.0],
-        [r12, 0.0],
-        [x3, math.sqrt(y3_sq)],
-        [x4, -math.sqrt(y4_sq)],
-    ])
+    return pts
 
 
 def realize(sq: Sequence[float], m: MassVector) -> PlanarConfig:
@@ -159,6 +217,19 @@ def realize(sq: Sequence[float], m: MassVector) -> PlanarConfig:
         raise NotPlanar(f"Cayley determinant {s_val:.3e} exceeds tolerance")
     pts = trilaterate(sqt)
     return PlanarConfig.from_points(pts, m)
+
+
+def realize_many(sq: np.ndarray, m: MassVector):
+    """Recentered points of (n, 6) squared distances, and the mask of rows
+    that realize accepts: planar, trilaterable, and passing PlanarConfig's
+    centroid and coincidence checks."""
+    pts, ok = trilaterate_many(sq)
+    with np.errstate(all="ignore"):
+        ok &= (np.abs(cayley_many(sq))
+               <= PLANARITY_TOL * scale_sq_many(sq) ** 2)
+        pts = _recenter(pts, m)
+        centered, apart = _config_checks(pts, m)
+    return pts, ok & centered & apart.all(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -187,54 +258,112 @@ class CanonicalFrame:
         return np.array([self.u, self.v, self.t, self.s, self.theta])
 
     def raw_points(self) -> np.ndarray:
-        ct, st_ = math.cos(self.theta), math.sin(self.theta)
-        return np.array([
-            [-self.u, 0.0],
-            [self.v, 0.0],
-            [self.t * ct, self.t * st_],
-            [-self.s * ct, -self.s * st_],
-        ])
+        return frame_points_many(self.as_vector())
 
     def reconstruct(self, m: MassVector) -> PlanarConfig:
         return PlanarConfig.from_points(self.raw_points(), m)
 
     def rescaled_to_unit_inertia(self, m: MassVector) -> "CanonicalFrame":
-        inertia = self.reconstruct(m).moment_of_inertia()
-        k = 1.0 / math.sqrt(inertia)
-        return CanonicalFrame(u=self.u * k, v=self.v * k, t=self.t * k,
-                              s=self.s * k, theta=self.theta)
+        row, ok = unit_inertia_many(self.as_vector(), m)
+        if not ok:
+            raise ValueError("frame does not reconstruct to four distinct "
+                             "centered points")
+        return CanonicalFrame(*(float(x) for x in row))
 
     def to_json_dict(self) -> dict:
         return {"u": self.u, "v": self.v, "t": self.t, "s": self.s,
                 "theta": self.theta}
 
 
+def frame_points_many(frames: np.ndarray) -> np.ndarray:
+    """Uncentered points of (..., 5) frame rows (u, v, t, s, theta)."""
+    u, v, t, s, theta = (frames[..., k] for k in range(5))
+    ct, st = np.cos(theta), np.sin(theta)
+    pts = np.zeros(frames.shape[:-1] + (4, 2))
+    pts[..., 0, 0] = -u
+    pts[..., 1, 0] = v
+    pts[..., 2, 0] = t * ct
+    pts[..., 2, 1] = t * st
+    pts[..., 3, 0] = -s * ct
+    pts[..., 3, 1] = -s * st
+    return pts
+
+
+def reconstruct_many(frames: np.ndarray, m: MassVector) -> np.ndarray:
+    """Points of (..., 5) frame rows, recentered as CanonicalFrame.reconstruct
+    does."""
+    return _recenter(frame_points_many(frames), m)
+
+
+def unit_inertia_many(frames: np.ndarray, m: MassVector):
+    """(..., 5) frame rows dilated to moment of inertia one, and the mask of
+    rows whose reconstruction passes PlanarConfig's checks."""
+    pts = reconstruct_many(frames, m)
+    centered, apart = _config_checks(pts, m)
+    k = 1.0 / np.sqrt(_inertia(pts, m))
+    out = np.array(frames, dtype=float)
+    out[..., :4] *= k[..., None]
+    return out, centered & apart.all(axis=-1)
+
+
+def _atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Elementwise math.atan2.  numpy's SIMD arctan2 can differ from the C
+    library in the last bit; frames keep the C library's bits."""
+    y, x = np.broadcast_arrays(y, x)
+    out = map(math.atan2, y.ravel().tolist(), x.ravel().tolist())
+    return np.fromiter(out, dtype=float, count=y.size).reshape(y.shape)
+
+
+def _frames_from_points(points: np.ndarray) -> np.ndarray:
+    """Canonical frames of (..., 4, 2) convex points, before the inertia
+    rescale."""
+    q1, q2, q3, q4 = (points[..., i, :] for i in range(4))
+    # diagonal crossing: q1 + lam (q2 - q1) on segment q3-q4
+    d12 = q2 - q1
+    d34 = q4 - q3
+    denom = d12[..., 0] * d34[..., 1] - d12[..., 1] * d34[..., 0]
+    rhs = q3 - q1
+    lam = (rhs[..., 0] * d34[..., 1] - rhs[..., 1] * d34[..., 0]) / denom
+    cross = q1 + lam[..., None] * d12
+    shifted = points - cross[..., None, :]
+    # rotate q1-q2 onto the x-axis, q1 negative side
+    phi = _atan2(shifted[..., 1, 1], shifted[..., 1, 0])
+    c, s = np.cos(-phi), np.sin(-phi)
+    rot = np.stack([np.stack([c, -s], axis=-1),
+                    np.stack([s, c], axis=-1)], axis=-2)
+    aligned = shifted @ np.swapaxes(rot, -1, -2)
+    # reflect so q3 is in the upper half-plane
+    aligned[..., 1] *= np.where(aligned[..., 2, 1] < 0, -1.0, 1.0)[..., None]
+    return np.stack([-aligned[..., 0, 0], aligned[..., 1, 0],
+                     np.hypot(aligned[..., 2, 0], aligned[..., 2, 1]),
+                     np.hypot(aligned[..., 3, 0], aligned[..., 3, 1]),
+                     _atan2(aligned[..., 2, 1], aligned[..., 2, 0])], axis=-1)
+
+
+def _valid_frames(frames: np.ndarray) -> np.ndarray:
+    """CanonicalFrame's checks on (..., 5) rows, which must also be finite."""
+    theta = frames[..., 4]
+    return (np.isfinite(frames).all(axis=-1)
+            & (frames[..., :4] > 0).all(axis=-1)
+            & (0.0 < theta) & (theta < math.pi))
+
+
+def canonicalize_many(points: np.ndarray, m: MassVector):
+    """Unit-inertia canonical frames of (n, 4, 2) centered points, and the
+    mask of rows that canonicalize accepts: convex, with a valid frame whose
+    reconstruction passes PlanarConfig's checks."""
+    with np.errstate(all="ignore"):
+        raw = _frames_from_points(points)
+        frames, ok = unit_inertia_many(raw, m)
+    ok &= convex_many(points) & _valid_frames(raw) & _valid_frames(frames)
+    return frames, ok
+
+
 def canonicalize(p: PlanarConfig) -> CanonicalFrame:
     """Map a convex configuration (1, 2 opposite) to its canonical frame."""
     _check_convex(p)
-    q = p.points
-    # diagonal crossing: q1 + lam (q2 - q1) on segment q3-q4
-    d12 = q[1] - q[0]
-    d34 = q[3] - q[2]
-    denom = d12[0] * d34[1] - d12[1] * d34[0]
-    rhs = q[2] - q[0]
-    lam = (rhs[0] * d34[1] - rhs[1] * d34[0]) / denom
-    cross = q[0] + lam * d12
-    shifted = q - cross
-    # rotate q1-q2 onto the x-axis, q1 negative side
-    phi = math.atan2(shifted[1][1], shifted[1][0])
-    rot = np.array([[math.cos(-phi), -math.sin(-phi)],
-                    [math.sin(-phi), math.cos(-phi)]])
-    aligned = shifted @ rot.T
-    if aligned[2][1] < 0:  # reflect so q3 is in the upper half-plane
-        aligned[:, 1] = -aligned[:, 1]
-    frame = CanonicalFrame(
-        u=float(-aligned[0][0]),
-        v=float(aligned[1][0]),
-        t=float(np.hypot(*aligned[2])),
-        s=float(np.hypot(*aligned[3])),
-        theta=float(math.atan2(aligned[2][1], aligned[2][0])),
-    )
+    raw = _frames_from_points(p.points)
+    frame = CanonicalFrame(*(float(x) for x in raw))
     return frame.rescaled_to_unit_inertia(p.masses)
 
 

@@ -1,9 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
-from ccfour import (DziobekState, MassVector, OrientedAreas, SquaredDistances,
-                    census, classify_symmetry, seed_grid, solve_kite)
-from ccfour.census import SEED_AREA_MARGIN
+from ccfour import (CCFourError, Degenerate, DziobekState, MassVector,
+                    NotConvex, NotPlanar, NotRealizable, OrientedAreas,
+                    PlanarConfig, SquaredDistances, canonicalize, census,
+                    classify_symmetry, realize, seed_grid, solve_kite,
+                    squared_distances)
+from ccfour.census import (DEDUPE_TOL, SEED_AREA_MARGIN, _accept, _dedupe,
+                           _seed_vectors)
+from ccfour.solver import _state_from_vector
+from conftest import random_convex_config
 
 
 def state_from_sq(sq):
@@ -117,3 +125,123 @@ def test_census_report_json_shape():
     assert d["masses"] == [1.0, 1.0, 1.0, 1.0]
     cls = d["classes"][0]
     assert set(cls) == {"frame", "state", "symmetry", "basin"}
+
+
+def reference_seed_grid(resolution, m):
+    """The lattice frame by frame: raw points, the area margin on them, then
+    the unit-inertia rescale about the weighted centroid."""
+    w = np.asarray(m.masses)
+    frames = []
+    radii = np.geomspace(0.35, 2.8, resolution).tolist()
+    angles = np.linspace(0.3 * math.pi, 0.7 * math.pi, resolution).tolist()
+    for v in np.geomspace(0.5, 2.0, resolution).tolist():
+        for t in radii:
+            for s in radii:
+                for th in angles:
+                    ct, st = math.cos(th), math.sin(th)
+                    pts = np.array([[-1.0, 0.0], [v, 0.0], [t * ct, t * st],
+                                    [-s * ct, -s * st]])
+                    sq = [float(np.sum((pts[i] - pts[j]) ** 2))
+                          for i in range(4) for j in range(i + 1, 4)]
+                    areas = [0.5 * abs((q[0] - p[0]) * (r[1] - p[1])
+                                       - (q[1] - p[1]) * (r[0] - p[0]))
+                             for p, q, r in (pts[[1, 2, 3]], pts[[0, 2, 3]],
+                                             pts[[0, 1, 3]], pts[[0, 1, 2]])]
+                    if min(areas) < SEED_AREA_MARGIN * (sum(sq) / 6.0):
+                        continue
+                    centered = pts - (w[:, None] * pts).sum(axis=0) / w.sum()
+                    inertia = float((w * (centered ** 2).sum(axis=1)).sum())
+                    k = 1.0 / math.sqrt(inertia)
+                    frames.append((1.0 * k, v * k, t * k, s * k, th))
+    return frames
+
+
+def reference_seed_sq(frame, m):
+    """Squared distances of one frame's points about the weighted centroid."""
+    u, v, t, s, th = frame
+    ct, st = math.cos(th), math.sin(th)
+    pts = np.array([[-u, 0.0], [v, 0.0], [t * ct, t * st], [-s * ct, -s * st]])
+    w = np.asarray(m.masses)
+    pts = pts - (w[:, None] * pts).sum(axis=0) / w.sum()
+    return [float(np.sum((pts[i] - pts[j]) ** 2))
+            for i in range(4) for j in range(i + 1, 4)]
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 5])
+@pytest.mark.parametrize("masses", [(1.0, 1.0), (0.5, 0.8)])
+def test_seed_lattice_matches_per_frame_recipe_bitwise(resolution, masses):
+    m = MassVector(*masses)
+    expected = reference_seed_grid(resolution, m)
+    frames = seed_grid(resolution, m)
+    assert [(f.u, f.v, f.t, f.s, f.theta) for f in frames] == expected
+    x0 = _seed_vectors(frames, m)
+    assert x0[:, :6].tolist() == [reference_seed_sq(f, m) for f in expected]
+
+
+def sq_row(points, m, nu=1.0, xi=-1.0):
+    sq = squared_distances(PlanarConfig.from_points(points, m))
+    return [*sq, nu, xi]
+
+
+def test_accept_keeps_exactly_the_rows_scalar_postprocessing_keeps(rng):
+    m = MassVector(alpha=0.5, beta=0.8)
+    good = solve_kite(m).state
+    base = [*good.sq, good.nu, good.xi]
+    rows = [base]
+    rows += [sq_row(random_convex_config(rng, m).points, m)
+             for _ in range(5)]
+    nonplanar = list(base)
+    nonplanar[5] *= 1.01
+    rows.append(nonplanar)
+    for nu in (0.0, -good.nu):  # nu <= 0 is not a central configuration
+        rows.append([*good.sq, nu, good.xi])
+    # diagonal q3-q4 misses the segment q1-q2
+    rows.append(sq_row([[-1.0, 0.0], [1.0, 0.0], [2.0, 1.0], [2.0, -1.0]], m))
+    # q2 almost on the diagonal q3-q4: triangle (q2, q3, q4) has no area
+    rows.append(sq_row([[-1.0, 0.0], [1e-13, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                       m))
+    # four collinear points: planar, but no face triangle has area
+    rows.append([1.0, 4.0, 9.0, 1.0, 4.0, 1.0, 1.0, -1.0])
+    rows.append([-1.0, *base[1:]])
+    x = np.array(rows)
+
+    expected, frames, errors = [], [], set()
+    for i, row in enumerate(x):
+        try:
+            state = _state_from_vector(row, m)
+            frame = canonicalize(realize(state.sq, m))
+        except CCFourError as exc:
+            errors.add(type(exc))
+            continue
+        if row[6] > 0:
+            expected.append(i)
+            frames.append(tuple(frame.as_vector()))
+    assert {NotPlanar, NotConvex, Degenerate, NotRealizable} <= errors
+    keep, got = _accept(x, m)
+    assert keep.tolist() == expected
+    assert [tuple(f) for f in got] == frames
+
+
+def test_dedupe_matches_sequential_matching(rng):
+    centres = rng.uniform(0.5, 2.0, (4, 5))
+    labels = rng.integers(0, 4, 300)
+    jitter = rng.uniform(-1, 1, (300, 5)) * DEDUPE_TOL / 5
+    frames = centres[labels] + jitter
+    reps, members = [], []
+    for i, vec in enumerate(frames):
+        for k, rep in enumerate(reps):
+            if np.linalg.norm(vec - rep) < DEDUPE_TOL:
+                members[k].append(i)
+                break
+        else:
+            reps.append(vec)
+            members.append([i])
+    assert [g.tolist() for g in _dedupe(frames)] == members
+
+
+def test_census_pinned_counts_at_kite_masses():
+    report = census(MassVector(alpha=0.5, beta=0.8), resolution=8)
+    assert report.seeds_total == 4096
+    assert report.seeds_converged == 2710
+    assert [(c.symmetry.label, c.basin) for c in report.classes] == \
+        [("kite_axis_34", 2710)]

@@ -54,6 +54,31 @@ def test_bad_flag_exits_2(capsys):
     assert "--alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--alpha", "0.5", "--beta", "0.8", "--max-iterations", "0"],
+    ["census", "--alpha", "0.5", "--beta", "0.8", "--resolution", "1"],
+    ["census", "--alpha", "0.5", "--beta", "0.8", "--threads", "0"],
+    ["verify", "--theorem1-grid", "0.5"],
+    ["verify", "--rng-seed", "-1"],
+    ["verify", "--resolution", "1"],
+], ids=lambda argv: argv[-2])
+def test_bad_flag_value_exits_2_with_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"argument {argv[-2]}" in err
+
+
+def test_bad_threads_environment_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("CCFOUR_THREADS", "0")
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--alpha", "0.5", "--beta", "0.8"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_solve_kite_json(capsys):
     code, doc = run_json(capsys, ["solve", "--alpha", "0.5", "--beta", "0.8"])
     assert code == 0

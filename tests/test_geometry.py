@@ -6,6 +6,8 @@ import pytest
 from ccfour import (Degenerate, MassVector, NotConvex, NotPlanar,
                     PlanarConfig, canonicalize, congruent, oriented_areas,
                     realize, squared_distances)
+from ccfour.geometry import (canonicalize_many, oriented_areas_many,
+                             realize_many)
 from conftest import random_convex_config, unit_square_config
 
 EQUAL = MassVector(alpha=1.0, beta=1.0)
@@ -139,3 +141,52 @@ def test_congruent_examples(rng):
     square = unit_square_config()
     rhombus = realize((3, 1, 1, 1, 1, 1.0), EQUAL)  # theta = pi/3 rhombus
     assert not congruent(square, rhombus)
+
+
+def reference_frame(q, m):
+    """Canonical frame of one convex configuration, written out point by
+    point: crossing, rotation, reflection, then the unit-inertia rescale."""
+    d12, d34, rhs = q[1] - q[0], q[3] - q[2], q[2] - q[0]
+    lam = ((rhs[0] * d34[1] - rhs[1] * d34[0])
+           / (d12[0] * d34[1] - d12[1] * d34[0]))
+    shifted = q - (q[0] + lam * d12)
+    phi = math.atan2(shifted[1][1], shifted[1][0])
+    rot = np.array([[math.cos(-phi), -math.sin(-phi)],
+                    [math.sin(-phi), math.cos(-phi)]])
+    aligned = shifted @ rot.T
+    if aligned[2][1] < 0:
+        aligned[:, 1] = -aligned[:, 1]
+    u, v = float(-aligned[0][0]), float(aligned[1][0])
+    t, s = float(np.hypot(*aligned[2])), float(np.hypot(*aligned[3]))
+    theta = math.atan2(aligned[2][1], aligned[2][0])
+    ct, st = math.cos(theta), math.sin(theta)
+    pts = np.array([[-u, 0.0], [v, 0.0], [t * ct, t * st], [-s * ct, -s * st]])
+    w = np.asarray(m.masses)
+    pts = pts - (w[:, None] * pts).sum(axis=0) / w.sum()
+    k = 1.0 / math.sqrt(float((w * (pts ** 2).sum(axis=1)).sum()))
+    return (u * k, v * k, t * k, s * k, theta)
+
+
+def test_canonicalize_many_equals_canonicalize_bitwise(rng):
+    for m in (EQUAL, MassVector(alpha=0.5, beta=0.8)):
+        configs = [rotated(random_convex_config(rng, m),
+                           rng.uniform(0, 2 * math.pi)) for _ in range(200)]
+        frames, ok = canonicalize_many(
+            np.stack([p.points for p in configs]), m)
+        assert ok.all()
+        for p, row in zip(configs, frames):
+            assert tuple(row) == reference_frame(p.points, m)
+            assert tuple(canonicalize(p).as_vector()) == tuple(row)
+
+
+def test_realize_many_equals_realize_bitwise(rng):
+    m = MassVector(alpha=0.7, beta=1.3)
+    sq = np.array([squared_distances(random_convex_config(rng, m))
+                   for _ in range(100)])
+    points, ok = realize_many(sq, m)
+    areas, areas_ok = oriented_areas_many(points)
+    assert ok.all() and areas_ok.all()
+    for row, pts, signed in zip(sq, points, areas):
+        p = realize(row, m)
+        assert (p.points == pts).all()
+        assert tuple(oriented_areas(p)) == tuple(signed)

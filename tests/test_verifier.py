@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from ccfour import (CollisionError, DziobekState, MassVector, OrientedAreas,
-                    PlanarConfig, SquaredDistances, check_lemma1_nu_positive,
+                    PlanarConfig, PsiValues, SquaredDistances,
+                    balanced_residuals, check_lemma1_nu_positive,
                     check_lemma2_albouy, check_lemma3_sign,
                     check_lemma4_orderings, check_theorem_identities,
-                    newtonian_oracle, realize, run_theorem1_suite,
-                    run_theorem2_suite, solve_kite, solve_rhombus)
+                    newtonian_oracle, psi_prime, realize,
+                    run_theorem1_suite, run_theorem2_suite, solve_kite,
+                    solve_rhombus)
 from ccfour.verifier import (lemma4_product_chain_violation, potential)
 from conftest import unit_square_config
 
@@ -139,6 +141,25 @@ def test_theorem_identities_at_solutions():
         result = check_theorem_identities(st, m)
         assert result.passed, result.witnesses
         assert result.worst_violation < 1e-9
+
+
+def test_theorem_identities_report_closed_form_error():
+    m = MassVector(alpha=0.5, beta=0.8)
+    st = solve_kite(m).state
+    sq = list(st.sq)
+    sq[3] = sq[1] * (1 + 1e-11)  # near-kite: bB - dD cancels to a few ulps
+    doctored = DziobekState(sq=SquaredDistances(*sq), areas=st.areas,
+                            nu=st.nu, xi=st.xi)
+    b, d = sq[1], sq[3]
+    want = 0.5 * (math.sqrt(b) - math.sqrt(d)) / math.sqrt(b * d)
+    closed_err = abs(b * psi_prime(b) - d * psi_prime(d) - want) / abs(want)
+    rearranged = balanced_residuals(sq, PsiValues.from_sq(sq), m,
+                                    form="appendix2")[2:4]
+    rearranged_err = np.max(np.abs(rearranged)) / math.sqrt(np.mean(sq))
+    assert closed_err > rearranged_err
+    result = check_theorem_identities(doctored, m)
+    assert not result.passed
+    assert result.worst_violation >= closed_err
 
 
 def test_theorem1_suite_small_grid():
