@@ -4,19 +4,16 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-
-import numpy as np
 
 from . import __version__
 from .census import census
-from .dziobek import MassVector, SquaredDistances
+from .dziobek import MassVector, SquaredDistances, unit_inertia_sq
 from .errors import CCFourError
 from .geometry import canonicalize, realize
 from .jsonio import csv_lines, dumps, format_float
-from .solver import (SolveOptions, newton_solve, seed_vector, solve_kite,
-                     solve_rhombus, sweep, _state_from_vector)
+from .solver import (SolveOptions, SweepCell, newton_solve, seed_state,
+                     solve_kite, solve_rhombus, sweep)
 from .verifier import (DEFAULT_SEED, check_lemma1_nu_positive,
                        check_lemma2_albouy, check_lemma3_sign,
                        check_lemma4_orderings, check_theorem_identities,
@@ -150,10 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_census.add_argument("--alpha", type=positive_float, required=True)
     p_census.add_argument("--beta", type=positive_float, required=True)
     p_census.add_argument("--resolution", type=int_at_least(2), default=8)
-    p_census.add_argument("--threads", type=int_at_least(1),
-                          default=os.environ.get("CCFOUR_THREADS", "1"),
-                          help="worker threads for seed batches "
-                               "(default $CCFOUR_THREADS or 1)")
     _add_solver_flags(p_census)
     _add_output_flags(p_census)
 
@@ -239,9 +232,8 @@ def _cmd_solve(args) -> int:
     elif args.ansatz == "kite":
         report = solve_kite(m, opts)
     else:
-        seed = _state_from_vector(
-            seed_vector(_square_seed_sq(m), m), m)
-        report = newton_solve(seed, m, opts)
+        square = unit_inertia_sq([2.0, 1.0, 1.0, 1.0, 1.0, 2.0], m)
+        report = newton_solve(seed_state(square, m), m, opts)
     config = realize(report.state.sq, m)
     lam, resid = newtonian_oracle(config, m)
     doc = {
@@ -256,25 +248,12 @@ def _cmd_solve(args) -> int:
     if args.format == "json":
         _emit(dumps(doc), args.output)
     else:
-        row = {"alpha": args.alpha, "beta": args.beta}
-        row.update(dict(zip("abcdef", report.state.sq)))
-        row.update({"nu": report.state.nu, "xi": report.state.xi,
-                    "lambda_cc": lam, "symmetry": report.symmetry,
-                    "iterations": report.iterations,
-                    "residual": report.final_residual})
+        row = SweepCell(args.alpha, args.beta, report).to_row()
         _emit("\n".join(csv_lines(SWEEP_COLUMNS, [row])) + "\n", args.output)
     if args.plot_data:
         emit_plot_data({"kind": "solve",
                         "configs": [config.to_json_dict()]}, args.plot_data)
     return 0
-
-
-def _square_seed_sq(m: MassVector) -> SquaredDistances:
-    sq = np.array([2.0, 1.0, 1.0, 1.0, 1.0, 2.0])
-    m1, m2, m3, m4 = m.masses
-    w = np.array([m1 * m2, m1 * m3, m1 * m4,
-                  m2 * m3, m2 * m4, m3 * m4]) / m.mprime
-    return SquaredDistances(*(sq / float(sq @ w)))
 
 
 def _cmd_sweep(args) -> int:
@@ -306,12 +285,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_census(args) -> int:
     m = MassVector(alpha=args.alpha, beta=args.beta)
-    report = census(m, args.resolution, _opts(args), threads=args.threads)
+    report = census(m, args.resolution, _opts(args))
     doc = {
         "command": "census",
         "config": {"alpha": args.alpha, "beta": args.beta,
-                   "resolution": args.resolution,
-                   "threads": args.threads, **_solver_config(args)},
+                   "resolution": args.resolution, **_solver_config(args)},
         **report.to_json_dict(),
     }
     if args.format == "json":

@@ -13,7 +13,7 @@ from typing import Iterable, NamedTuple, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NotPlanar
 
 if TYPE_CHECKING:  # pragma: no cover
     from .geometry import OrientedAreas
@@ -43,6 +43,12 @@ class MassVector:
     def mprime(self) -> float:
         return 2.0 * self.delta + self.alpha + self.beta
 
+    @property
+    def pair_weights(self) -> np.ndarray:
+        """The six products m_i m_j, in PAIRS order."""
+        w = self.masses
+        return np.array([w[i] * w[j] for i, j in PAIRS], dtype=float)
+
 
 class SquaredDistances(NamedTuple):
     """a=r12^2, b=r13^2, c=r14^2, d=r23^2, e=r24^2, f=r34^2."""
@@ -53,9 +59,6 @@ class SquaredDistances(NamedTuple):
     d: float
     e: float
     f: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self, dtype=float)
 
     @property
     def scale_sq(self) -> float:
@@ -89,6 +92,7 @@ class PsiValues(NamedTuple):
 
 # index pairs for (a, b, c, d, e, f), zero-based vertex labels
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+PAIR_I, PAIR_J = np.array(PAIRS).T
 
 
 @dataclass(frozen=True)
@@ -169,35 +173,51 @@ def cayley_gradient(sq: Sequence[float], step_rel: float = 1e-6) -> np.ndarray:
     the input does not (numerically) embed in the plane, since the Dziobek
     identity dS/dr_ij^2 = 32 Delta_i Delta_j is only meaningful there.
     """
-    from .errors import NotPlanar
-
     x = np.asarray(sq, dtype=float)
     scale_sq = float(np.mean(x))
     if abs(cayley(x)) > 1e-8 * scale_sq ** 2:
         raise NotPlanar("cayley_gradient requires planar squared distances")
     h = step_rel * scale_sq
-    grad = np.empty(6)
-    for k in range(6):
-        up = x.copy()
-        dn = x.copy()
-        up[k] += h
-        dn[k] -= h
-        grad[k] = (cayley(up) - cayley(dn)) / (2.0 * h)
-    return grad
+    steps = h * np.eye(6)
+    return (cayley_many(x + steps) - cayley_many(x - steps)) / (2.0 * h)
 
 
-def cc_residuals(st: DziobekState, m: MassVector) -> np.ndarray:
-    """The six central-configuration equations, left minus right.
+def psi_prime_many(sq: np.ndarray) -> np.ndarray:
+    """psi' elementwise; NaN where s <= 0."""
+    return -0.5 * np.where(sq > 0, sq, np.nan) ** -1.5
+
+
+def pair_residuals_many(x: np.ndarray, areas: np.ndarray,
+                        inv_mm: np.ndarray) -> np.ndarray:
+    """The six central-configuration equations of (n, 8) vectors
+    (a..f, nu, xi) with (n, 4) oriented areas; inv_mm is 1 / pair_weights.
 
     Entry for pair (i, j):  psi'(r_ij^2) - nu * Delta_i Delta_j / (m_i m_j) - xi.
     """
-    masses = m.masses
-    areas = list(st.areas)
-    res = np.empty(6)
-    for k, (i, j) in enumerate(PAIRS):
-        g = areas[i] * areas[j] / (masses[i] * masses[j])
-        res[k] = psi_prime(st.sq[k]) - st.nu * g - st.xi
-    return res
+    return (psi_prime_many(x[:, :6])
+            - x[:, 6:7] * inv_mm * areas[:, PAIR_I] * areas[:, PAIR_J]
+            - x[:, 7:8])
+
+
+def cc_residuals(st: DziobekState, m: MassVector) -> np.ndarray:
+    """The six central-configuration equations, left minus right."""
+    if min(st.sq) <= 0:
+        raise DomainError(f"psi_prime requires s > 0, got {min(st.sq)}")
+    x = np.array([[*st.sq, st.nu, st.xi]], dtype=float)
+    areas = np.array([st.areas], dtype=float)
+    return pair_residuals_many(x, areas, 1.0 / m.pair_weights)[0]
+
+
+def sq_inertia(sq: Sequence[float], m: MassVector) -> float:
+    """Moment of inertia (1/m') sum m_i m_j r_ij^2 of six squared
+    distances."""
+    return float(np.asarray(sq, dtype=float) @ (m.pair_weights / m.mprime))
+
+
+def unit_inertia_sq(sq: Sequence[float], m: MassVector) -> np.ndarray:
+    """Six squared distances dilated to moment of inertia one."""
+    sq = np.asarray(sq, dtype=float)
+    return sq / sq_inertia(sq, m)
 
 
 def t_values(sq: Sequence[float], areas: Iterable[float]) -> np.ndarray:
@@ -240,12 +260,9 @@ def q_residuals(t: Sequence[float], areas: Iterable[float],
                 m: MassVector) -> np.ndarray:
     """The four determinants Q_234, Q_134, Q_124, Q_123."""
     ar = list(areas)
-    return np.array([
-        q_identity(2, 3, 4, t, ar, m),
-        q_identity(1, 3, 4, t, ar, m),
-        q_identity(1, 2, 4, t, ar, m),
-        q_identity(1, 2, 3, t, ar, m),
-    ])
+    return np.array([q_identity(i, j, k, t, ar, m)
+                     for i, j, k in ((2, 3, 4), (1, 3, 4), (1, 2, 4),
+                                     (1, 2, 3))])
 
 
 def balanced_residuals(sq: Sequence[float], psiv: PsiValues, m: MassVector,

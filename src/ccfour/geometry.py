@@ -168,25 +168,54 @@ def squared_distances(p: PlanarConfig) -> SquaredDistances:
                               for x in squared_distances_many(p.points)))
 
 
+def _trilateration(sq: np.ndarray):
+    """The mask of (..., 6) rows with positive entries and both face
+    triangles proper, and the coordinates r12, x3, y3, x4, -y4 of
+    trilaterate's q2 = (r12, 0), q3 = (x3, y3) and q4 = (x4, -y4).  Rows
+    outside the mask get finite placeholders.  Call under np.errstate."""
+    a, b, c, d, e = (sq[..., k] for k in range(5))
+    ok = np.all(sq > 0, axis=-1)
+    r12 = np.sqrt(np.where(ok, a, 1.0))
+    x3 = (a + b - d) / (2.0 * r12)
+    y3_sq = b - x3 * x3
+    x4 = (a + c - e) / (2.0 * r12)
+    y4_sq = c - x4 * x4
+    ok &= (y3_sq > 0) & (y4_sq > 0)
+    return (ok, r12, x3, np.sqrt(np.where(ok, y3_sq, 1.0)), x4,
+            np.sqrt(np.where(ok, y4_sq, 1.0)))
+
+
 def trilaterate_many(sq: np.ndarray):
     """Points of (n, 6) squared distances placed as trilaterate places them,
     and the mask of rows it accepts."""
-    a, b, c, d, e = (sq[..., k] for k in range(5))
-    ok = np.all(sq > 0, axis=-1)
     pts = np.zeros(sq.shape[:-1] + (4, 2))
     with np.errstate(all="ignore"):
-        r12 = np.sqrt(a)
-        x3 = (a + b - d) / (2.0 * r12)
-        y3_sq = b - x3 * x3
-        x4 = (a + c - e) / (2.0 * r12)
-        y4_sq = c - x4 * x4
-        ok &= (y3_sq > 0) & (y4_sq > 0)
+        ok, r12, x3, y3, x4, y4m = _trilateration(sq)
         pts[..., 1, 0] = r12
         pts[..., 2, 0] = x3
-        pts[..., 2, 1] = np.sqrt(y3_sq)
+        pts[..., 2, 1] = y3
         pts[..., 3, 0] = x4
-        pts[..., 3, 1] = -np.sqrt(y4_sq)
+        pts[..., 3, 1] = -y4m
     return pts, ok
+
+
+def trilaterated_areas_many(sq: np.ndarray):
+    """Oriented (-, -, +, +) areas of (n, 6) squared distances placed as
+    trilaterate places them, and the mask of rows that trilaterate with the
+    diagonal q3-q4 crossing the open segment q1-q2.  f is not used.
+
+    This is the geometry of every Newton iterate, so it works on the
+    trilateration coordinates directly rather than on (n, 4, 2) points.
+    """
+    with np.errstate(all="ignore"):
+        valid, r12, x3, y3, x4, y4m = _trilateration(sq)
+        xc = x3 + (x4 - x3) * y3 / (y3 + y4m)
+        valid &= (xc > 0) & (xc < r12)
+        mag1 = 0.5 * np.abs((x3 - r12) * (-y4m) - y3 * (x4 - r12))
+        mag2 = 0.5 * np.abs(x3 * (-y4m) - y3 * x4)
+        mag3 = 0.5 * r12 * y4m
+        mag4 = 0.5 * r12 * y3
+    return valid, np.stack([-mag1, -mag2, mag3, mag4], axis=1)
 
 
 def trilaterate(sq: Sequence[float]) -> np.ndarray:

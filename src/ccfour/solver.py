@@ -6,6 +6,7 @@ census grids run at numpy speed; the public solvers wrap batches of size 1.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -13,11 +14,14 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .dziobek import (DziobekState, MassVector, SquaredDistances, cayley_many,
-                      dilate_state, psi_prime, t_spread)
+from .dziobek import (PAIR_I, PAIR_J, DziobekState, MassVector,
+                      SquaredDistances, cayley_many, dilate_state,
+                      pair_residuals_many, psi_prime, psi_prime_many,
+                      sq_inertia, unit_inertia_sq)
 from .errors import (DomainError, LeftConvexRegion, NoConvergence,
                      SingularJacobian)
-from .geometry import OrientedAreas, oriented_areas, realize
+from .geometry import (OrientedAreas, oriented_areas, realize,
+                       trilaterated_areas_many)
 
 # batch status codes
 RUNNING = 0
@@ -66,30 +70,6 @@ class SolveReport:
         }
 
 
-def _batch_geometry(sq: np.ndarray):
-    """Trilateration, convexity mask and oriented areas for (n, 6) inputs."""
-    a, b, c, d, e, f = (sq[:, k] for k in range(6))
-    valid = np.all(sq > 0, axis=1)
-    with np.errstate(all="ignore"):
-        r12 = np.sqrt(np.where(valid, a, 1.0))
-        x3 = (a + b - d) / (2.0 * r12)
-        y3_sq = b - x3 * x3
-        x4 = (a + c - e) / (2.0 * r12)
-        y4_sq = c - x4 * x4
-        valid &= (y3_sq > 0) & (y4_sq > 0)
-        y3 = np.sqrt(np.where(valid, y3_sq, 1.0))
-        y4m = np.sqrt(np.where(valid, y4_sq, 1.0))
-        # diagonal q3-q4 must cross the open segment q1-q2
-        xc = x3 + (x4 - x3) * y3 / (y3 + y4m)
-        valid &= (xc > 0) & (xc < r12)
-        mag1 = 0.5 * np.abs((x3 - r12) * (-y4m) - y3 * (x4 - r12))
-        mag2 = 0.5 * np.abs(x3 * (-y4m) - y3 * x4)
-        mag3 = 0.5 * r12 * y4m
-        mag4 = 0.5 * r12 * y3
-    areas = np.stack([-mag1, -mag2, mag3, mag4], axis=1)
-    return valid, areas
-
-
 def _residual_factory(m: MassVector, normalization: str,
                       eq_indices: Sequence[int] | None = None,
                       embed: Callable[[np.ndarray], np.ndarray] | None = None):
@@ -98,28 +78,17 @@ def _residual_factory(m: MassVector, normalization: str,
     The unreduced unknown vector is (a, b, c, d, e, f, nu, xi); `embed` maps
     a reduced vector onto it and `eq_indices` selects the equations kept.
     """
-    m1, m2, m3, m4 = m.masses
-    mp = m.mprime
-    inv_mm = np.array([1.0 / (m1 * m2), 1.0 / (m1 * m3), 1.0 / (m1 * m4),
-                       1.0 / (m2 * m3), 1.0 / (m2 * m4), 1.0 / (m3 * m4)])
-    w_inertia = np.array([m1 * m2, m1 * m3, m1 * m4,
-                          m2 * m3, m2 * m4, m3 * m4]) / mp
-    pair_idx = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+    inv_mm = 1.0 / m.pair_weights
+    w_inertia = m.pair_weights / m.mprime
     sel = None if eq_indices is None else np.asarray(eq_indices)
 
     def fun(x: np.ndarray):
         xf = x if embed is None else embed(x)
         sq = xf[:, :6]
-        nu = xf[:, 6]
-        xi = xf[:, 7]
-        valid, areas = _batch_geometry(sq)
+        valid, areas = trilaterated_areas_many(sq)
         with np.errstate(all="ignore"):
-            psiv = -0.5 * np.where(sq > 0, sq, 1.0) ** -1.5
             res = np.empty((x.shape[0], 8))
-            for k, (i, j) in enumerate(pair_idx):
-                res[:, k] = (psiv[:, k]
-                             - nu * inv_mm[k] * areas[:, i] * areas[:, j]
-                             - xi)
+            res[:, :6] = pair_residuals_many(xf, areas, inv_mm)
             res[:, 6] = cayley_many(sq) / 32.0
             if normalization == "fix_inertia_one":
                 res[:, 7] = sq @ w_inertia - 1.0
@@ -149,25 +118,19 @@ def _fd_jacobian(fun, x: np.ndarray) -> np.ndarray:
 
 
 def _solve_linear(jac: np.ndarray, rhs: np.ndarray):
-    """Batched solve with per-item fallback; returns (dx, singular mask)."""
-    n = jac.shape[0]
-    singular = np.zeros(n, dtype=bool)
+    """Batched solve with per-item fallback; returns dx and the mask of
+    singular rows, those left without a finite dx."""
     dx = np.full_like(rhs, np.nan)
     finite = np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
-    singular |= ~finite
     idx = np.flatnonzero(finite)
     if idx.size:
         try:
             dx[idx] = np.linalg.solve(jac[idx], rhs[idx, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             for i in idx:
-                try:
+                with contextlib.suppress(np.linalg.LinAlgError):
                     dx[i] = np.linalg.solve(jac[i], rhs[i])
-                except np.linalg.LinAlgError:
-                    singular[i] = True
-    bad = ~np.isfinite(dx).all(axis=1)
-    singular |= bad
-    return dx, singular
+    return dx, ~np.isfinite(dx).all(axis=1)
 
 
 def _newton_batch(fun, x0: np.ndarray, opts: SolveOptions):
@@ -241,13 +204,9 @@ def _newton_batch(fun, x0: np.ndarray, opts: SolveOptions):
 def _lsq_multipliers(sq: np.ndarray, areas: np.ndarray,
                      m: MassVector) -> np.ndarray:
     """Least-squares (nu, xi) from the six c.c. equations at fixed geometry."""
-    m1, m2, m3, m4 = m.masses
-    inv_mm = np.array([1.0 / (m1 * m2), 1.0 / (m1 * m3), 1.0 / (m1 * m4),
-                       1.0 / (m2 * m3), 1.0 / (m2 * m4), 1.0 / (m3 * m4)])
-    pair_idx = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-    g = np.stack([inv_mm[k] * areas[:, i] * areas[:, j]
-                  for k, (i, j) in enumerate(pair_idx)], axis=1)
-    y = -0.5 * sq ** -1.5
+    inv_mm = 1.0 / m.pair_weights
+    g = inv_mm * areas[:, PAIR_I] * areas[:, PAIR_J]
+    y = psi_prime_many(sq)
     n = 6.0
     sg = g.sum(axis=1)
     sy = y.sum(axis=1)
@@ -259,7 +218,9 @@ def _lsq_multipliers(sq: np.ndarray, areas: np.ndarray,
     return np.stack([nu, xi], axis=1)
 
 
-def _state_from_vector(xf: np.ndarray, m: MassVector) -> DziobekState:
+def state_from_vector(xf: np.ndarray, m: MassVector) -> DziobekState:
+    """The realized state of an unknown vector (a..f, nu, xi); raises where
+    realize or oriented_areas does."""
     sq = SquaredDistances(*(float(v) for v in xf[:6]))
     config = realize(sq, m)
     areas = oriented_areas(config)
@@ -272,16 +233,6 @@ def _classify(st: DziobekState) -> str:
     return classify_symmetry(st).label
 
 
-def _raise_for_status(code: int, norm: float, opts: SolveOptions):
-    if code == LEFT_CONVEX:
-        raise LeftConvexRegion("iterate left the convex region")
-    if code == SINGULAR:
-        raise SingularJacobian("Newton correction could not be computed")
-    raise NoConvergence(
-        f"residual {norm:.3e} after {opts.max_iterations} iterations "
-        f"(tol {opts.residual_tol:.1e})")
-
-
 def seed_state(sq: Sequence[float], m: MassVector) -> DziobekState:
     """Seed for newton_solve from squared distances alone.
 
@@ -290,7 +241,7 @@ def seed_state(sq: Sequence[float], m: MassVector) -> DziobekState:
     uses f, and the multipliers from a least-squares fit.
     """
     x = seed_vector(sq, m)
-    valid, areas = _batch_geometry(x[None, :6])
+    valid, areas = trilaterated_areas_many(x[None, :6])
     if not valid[0]:
         raise LeftConvexRegion("seed does not trilaterate to a convex "
                                "quadrilateral")
@@ -299,12 +250,37 @@ def seed_state(sq: Sequence[float], m: MassVector) -> DziobekState:
                         nu=float(x[6]), xi=float(x[7]))
 
 
+def seed_vectors(sq: np.ndarray, m: MassVector) -> np.ndarray:
+    """Unknown vectors (a..f, nu, xi) of (n, 6) squared distances, with the
+    multipliers fitted by least squares at the trilaterated areas."""
+    _, areas = trilaterated_areas_many(sq)
+    return np.concatenate([sq, _lsq_multipliers(sq, areas, m)], axis=1)
+
+
 def seed_vector(sq: Sequence[float], m: MassVector) -> np.ndarray:
     """Full unknown vector (a..f, nu, xi) from squared distances alone."""
-    sq_arr = np.asarray(sq, dtype=float)[None, :]
-    _, areas = _batch_geometry(sq_arr)
-    nu_xi = _lsq_multipliers(sq_arr, areas, m)
-    return np.concatenate([sq_arr[0], nu_xi[0]])
+    return seed_vectors(np.asarray(sq, dtype=float)[None, :], m)[0]
+
+
+def _polish(x0: np.ndarray, m: MassVector, opts: SolveOptions) -> SolveReport:
+    """Full Newton from one start vector (a..f, nu, xi); raises unless it
+    converges to a state with nu > 0."""
+    fun = _residual_factory(m, opts.normalization)
+    x, status, iters, norm = _newton_batch(fun, x0[None, :], opts)
+    if status[0] == LEFT_CONVEX:
+        raise LeftConvexRegion("iterate left the convex region")
+    if status[0] == SINGULAR:
+        raise SingularJacobian("Newton correction could not be computed")
+    if status[0] != CONVERGED:
+        raise NoConvergence(
+            f"residual {norm[0]:.3e} after {opts.max_iterations} iterations "
+            f"(tol {opts.residual_tol:.1e})")
+    state = state_from_vector(x[0], m)
+    if state.nu <= 0:
+        raise NoConvergence("converged to a state with nu <= 0 (not a c.c.)")
+    return SolveReport(state=state, iterations=int(iters[0]),
+                       final_residual=float(norm[0]), converged=True,
+                       symmetry=_classify(state))
 
 
 def newton_solve(seed: DziobekState, m: MassVector,
@@ -312,17 +288,8 @@ def newton_solve(seed: DziobekState, m: MassVector,
     """Damped Newton on (a..f, nu, xi) with the six c.c. equations, S = 0
     and the chosen normalization; areas recomputed from trilateration at
     every iterate."""
-    fun = _residual_factory(m, opts.normalization)
-    x0 = np.array([[*seed.sq, seed.nu, seed.xi]], dtype=float)
-    x, status, iters, norm = _newton_batch(fun, x0, opts)
-    if status[0] != CONVERGED:
-        _raise_for_status(int(status[0]), float(norm[0]), opts)
-    state = _state_from_vector(x[0], m)
-    if state.nu <= 0:
-        raise NoConvergence("converged to a state with nu <= 0 (not a c.c.)")
-    return SolveReport(state=state, iterations=int(iters[0]),
-                       final_residual=float(norm[0]), converged=True,
-                       symmetry=_classify(state))
+    return _polish(np.array([*seed.sq, seed.nu, seed.xi], dtype=float),
+                   m, opts)
 
 
 def _kite_embed(x: np.ndarray) -> np.ndarray:
@@ -335,18 +302,10 @@ _KITE_EQS = (0, 1, 2, 5, 6, 7)  # cc12, cc13, cc14, cc34, S, normalization
 
 def _kite_seed_vectors(m: MassVector) -> np.ndarray:
     """Deterministic family of symmetric seeds, inertia-normalized."""
-    seeds = []
-    for t in (0.6, 1.0, 1.6):
-        for s in (0.6, 1.0, 1.6):
-            u = 1.0
-            sq = np.array([4 * u * u, u * u + t * t, u * u + s * s,
-                           u * u + t * t, u * u + s * s, (t + s) ** 2])
-            m1, m2, m3, m4 = m.masses
-            w = np.array([m1 * m2, m1 * m3, m1 * m4,
-                          m2 * m3, m2 * m4, m3 * m4]) / m.mprime
-            sq = sq / float(sq @ w)
-            seeds.append(seed_vector(sq, m)[[0, 1, 2, 5, 6, 7]])
-    return np.array(seeds)
+    sq = [unit_inertia_sq([4.0, 1.0 + t * t, 1.0 + s * s,
+                           1.0 + t * t, 1.0 + s * s, (t + s) ** 2], m)
+          for t in (0.6, 1.0, 1.6) for s in (0.6, 1.0, 1.6)]
+    return seed_vectors(np.array(sq), m)[:, [0, 1, 2, 5, 6, 7]]
 
 
 def solve_kite(m: MassVector,
@@ -359,7 +318,7 @@ def solve_kite(m: MassVector,
     for i in range(seeds.shape[0]):
         if status[i] != CONVERGED:
             continue
-        state = _state_from_vector(_kite_embed(x[i:i + 1])[0], m)
+        state = state_from_vector(_kite_embed(x[i:i + 1])[0], m)
         if state.nu <= 0:
             continue
         return SolveReport(state=state, iterations=int(iters[i]),
@@ -388,7 +347,10 @@ def rhombus_ratio(alpha: float) -> float:
 
 def solve_rhombus(alpha: float,
                   opts: SolveOptions = SolveOptions()) -> SolveReport:
-    """Rhombus ansatz b = c = d = e; independent of the Newton machinery."""
+    """Rhombus ansatz b = c = d = e; independent of the Newton machinery.
+
+    Solved at half-diagonal p = 1 (a = 4), then dilated to the chosen gauge.
+    """
     x = rhombus_ratio(alpha)
     side = 1.0 + x * x
     sq = SquaredDistances(a=4.0, b=side, c=side, d=side, e=side,
@@ -400,11 +362,11 @@ def solve_rhombus(alpha: float,
     areas = OrientedAreas(-x, -x, x, x)
     state = DziobekState(sq=sq, areas=areas, nu=nu, xi=xi)
     if opts.normalization == "fix_inertia_one":
-        m = MassVector(alpha=alpha, beta=alpha)
-        w = np.array([1.0, alpha, alpha, alpha, alpha,
-                      alpha * alpha]) / m.mprime
-        inertia = float(np.asarray(sq) @ w)
-        state = dilate_state(state, 1.0 / math.sqrt(inertia))
+        k = 1.0 / math.sqrt(sq_inertia(sq, MassVector(alpha=alpha,
+                                                      beta=alpha)))
+    else:
+        k = 0.5  # a = 4 k^2 = 1
+    state = dilate_state(state, k)
     return SolveReport(state=state, iterations=0,
                        final_residual=0.0, converged=True,
                        symmetry=_classify(state))
@@ -443,8 +405,9 @@ def sweep(alpha_grid: Sequence[float], beta_grid: Sequence[float],
           opts: SolveOptions = SolveOptions()) -> list[SweepCell]:
     """Mass-parameter sweep with warm starts along each alpha row.
 
-    Each cell is polished by the full (unreduced) Newton solve; failures are
-    recorded per cell and do not abort the sweep.
+    Each cell is polished by the full (unreduced) Newton solve, as in
+    newton_solve; failures are recorded per cell and do not abort the
+    sweep.
     """
     if not len(alpha_grid) or not len(beta_grid):
         raise ValueError("grids must be non-empty")
@@ -457,22 +420,11 @@ def sweep(alpha_grid: Sequence[float], beta_grid: Sequence[float],
             m = MassVector(alpha=float(alpha), beta=float(beta))
             try:
                 if prev is None:
-                    seed_state = solve_kite(m, opts).state
-                    x0 = np.array([*seed_state.sq, seed_state.nu,
-                                   seed_state.xi])
+                    report = newton_solve(solve_kite(m, opts).state, m, opts)
                 else:
-                    x0 = seed_vector(prev.sq, m)
-                fun = _residual_factory(m, opts.normalization)
-                x, status, iters, norm = _newton_batch(fun, x0[None, :], opts)
-                if status[0] != CONVERGED:
-                    _raise_for_status(int(status[0]), float(norm[0]), opts)
-                state = _state_from_vector(x[0], m)
-                report = SolveReport(state=state, iterations=int(iters[0]),
-                                     final_residual=float(norm[0]),
-                                     converged=True,
-                                     symmetry=_classify(state))
+                    report = _polish(seed_vector(prev.sq, m), m, opts)
                 cells.append(SweepCell(float(alpha), float(beta), report))
-                prev = state
+                prev = report.state
             except (NoConvergence, LeftConvexRegion, SingularJacobian) as exc:
                 cells.append(SweepCell(float(alpha), float(beta), None,
                                        error=str(exc)))

@@ -11,8 +11,9 @@ import numpy as np
 
 from .dziobek import (DziobekState, MassVector, PsiValues,
                       balanced_residuals, chord_value, psi_prime, sign_det)
+from .census import census
 from .errors import CollisionError
-from .geometry import PlanarConfig, realize
+from .geometry import PlanarConfig, canonicalize, realize
 from .solver import SolveOptions, rhombus_ratio
 
 DEFAULT_SEED = 1405
@@ -98,16 +99,15 @@ def check_lemma2_albouy(
         scale_sq = float(np.mean(st.sq))
         for i in range(4):
             for j in range(i + 1, 4):
-                prod = ((areas[i] / masses[i] - areas[j] / masses[j])
-                        * (areas[i] - areas[j]))
+                d_plain = areas[i] - areas[j]
+                d_scaled = areas[i] / masses[i] - areas[j] / masses[j]
+                prod = d_scaled * d_plain
                 worst = min(worst, prod)
                 if prod < -tol * scale_sq ** 2:
                     witnesses.append({"pair": [i + 1, j + 1],
                                       "product": prod,
                                       "state": st.to_json_dict()})
                 # the equivalence: strict orderings must agree in sign
-                d_plain = areas[i] - areas[j]
-                d_scaled = areas[i] / masses[i] - areas[j] / masses[j]
                 if (abs(d_plain) > tol * scale_sq
                         and abs(d_scaled) > tol * scale_sq
                         and d_plain * d_scaled < 0):
@@ -292,15 +292,12 @@ def check_theorem_identities(st: DziobekState, m: MassVector,
     A, B, C, D, E, F = psiv
     if A >= 0:
         witnesses.append({"A_not_negative": A})
-    bb_dd = b * B - d * D
-    bb_dd_closed = 0.5 * (math.sqrt(b) - math.sqrt(d)) / math.sqrt(b * d)
-    ee_cc = e * E - c * C
-    ee_cc_closed = 0.5 * (math.sqrt(e) - math.sqrt(c)) / math.sqrt(e * c)
-    for got, want, nm in ((bb_dd, bb_dd_closed, "bB-dD"),
-                          (ee_cc, ee_cc_closed, "eE-cC")):
-        if abs(want) <= 1e-13:
-            continue  # symmetric pair: no relative error to speak of
-        err = abs(got - want) / abs(want)
+    # xX - yY = (sqrt(x) - sqrt(y)) / (2 sqrt(xy)), with the error taken
+    # relative to |xX| + |yY|: the difference cancels near kites
+    for x, X, y, Y, nm in ((b, B, d, D, "bB-dD"), (e, E, c, C, "eE-cC")):
+        got = x * X - y * Y
+        want = 0.5 * (math.sqrt(x) - math.sqrt(y)) / math.sqrt(x * y)
+        err = abs(got - want) / (abs(x * X) + abs(y * Y))
         worst = max(worst, err)
         if err > 1e-13:
             witnesses.append({nm: got, "closed_form": want})
@@ -314,8 +311,6 @@ def run_theorem1_suite(mass_grid: Sequence[tuple[float, float]],
                        oracle_tol: float = 1e-8) -> CheckResult:
     """Census at every grid point: exactly one class, kite-symmetric about
     the 3-4 axis, Delta_1 = Delta_2, and the Newtonian oracle agrees."""
-    from .census import census
-
     witnesses = []
     worst = 0.0
     kite_labels = {"kite_axis_34", "rhombus", "square"}
@@ -351,9 +346,6 @@ def run_theorem2_suite(alpha_grid: Sequence[float],
                        opts: SolveOptions = SolveOptions()) -> CheckResult:
     """Census with both off-axis masses equal: one rhombus class whose
     diagonal ratio matches the independent 1-D root-find."""
-    from .census import census
-    from .geometry import canonicalize
-
     witnesses = []
     worst = 0.0
     for alpha in alpha_grid:

@@ -8,10 +8,16 @@ from ccfour import (CCFourError, Degenerate, DziobekState, MassVector,
                     PlanarConfig, SquaredDistances, canonicalize, census,
                     classify_symmetry, realize, seed_grid, solve_kite,
                     squared_distances)
-from ccfour.census import (DEDUPE_TOL, SEED_AREA_MARGIN, _accept, _dedupe,
-                           _seed_vectors)
-from ccfour.solver import _state_from_vector
+from ccfour.census import DEDUPE_TOL, _accept, _dedupe, _seed_vectors
+from ccfour.dziobek import scale_sq_many
+from ccfour.geometry import (frame_points_many, squared_distances_many,
+                             triangle_areas_many)
+from ccfour.solver import state_from_vector
 from conftest import random_convex_config
+
+# smallest sub-triangle area over mean squared distance that a seed frame
+# must clear; the lattice clears it by a factor of 40
+AREA_MARGIN = 1e-3
 
 
 def state_from_sq(sq):
@@ -61,7 +67,20 @@ def test_seed_grid_counts_and_margin():
         p = frame.reconstruct(m)
         assert p.moment_of_inertia() == pytest.approx(1.0, abs=1e-10)
         areas = np.abs(np.asarray(oriented_areas(p)))
-        assert areas.min() > 0.5 * SEED_AREA_MARGIN * p.scale ** 2
+        assert areas.min() > 0.5 * AREA_MARGIN * p.scale ** 2
+
+
+@pytest.mark.parametrize("resolution", [2, 3, 4, 5, 6])
+def test_seed_grid_has_every_lattice_point(resolution):
+    assert len(seed_grid(resolution)) == resolution ** 4
+
+
+def test_seed_lattice_is_far_from_degenerate():
+    rows = np.array([f.as_vector() for f in seed_grid(8)])
+    pts = frame_points_many(rows)
+    ratio = (triangle_areas_many(pts).min(axis=1)
+             / scale_sq_many(squared_distances_many(pts)))
+    assert ratio.min() >= 0.0397
 
 
 def test_seed_grid_rejects_small_resolution():
@@ -95,17 +114,6 @@ def test_census_kite_masses_single_class():
 def test_census_outside_hypothesis_flag():
     report = census(MassVector(alpha=1.5, beta=2.0), resolution=3)
     assert report.outside_theorem_hypothesis
-
-
-def test_census_threads_agree():
-    m = MassVector(alpha=0.4, beta=1.3)
-    serial = census(m, resolution=4)
-    threaded = census(m, resolution=4, threads=4)
-    assert serial.seeds_converged == threaded.seeds_converged
-    assert len(serial.classes) == len(threaded.classes)
-    for c1, c2 in zip(serial.classes, threaded.classes):
-        assert np.allclose(c1.state.sq, c2.state.sq, atol=1e-12)
-        assert c1.basin == c2.basin
 
 
 def test_census_deterministic_json():
@@ -147,7 +155,7 @@ def reference_seed_grid(resolution, m):
                                        - (q[1] - p[1]) * (r[0] - p[0]))
                              for p, q, r in (pts[[1, 2, 3]], pts[[0, 2, 3]],
                                              pts[[0, 1, 3]], pts[[0, 1, 2]])]
-                    if min(areas) < SEED_AREA_MARGIN * (sum(sq) / 6.0):
+                    if min(areas) < AREA_MARGIN * (sum(sq) / 6.0):
                         continue
                     centered = pts - (w[:, None] * pts).sum(axis=0) / w.sum()
                     inertia = float((w * (centered ** 2).sum(axis=1)).sum())
@@ -208,7 +216,7 @@ def test_accept_keeps_exactly_the_rows_scalar_postprocessing_keeps(rng):
     expected, frames, errors = [], [], set()
     for i, row in enumerate(x):
         try:
-            state = _state_from_vector(row, m)
+            state = state_from_vector(row, m)
             frame = canonicalize(realize(state.sq, m))
         except CCFourError as exc:
             errors.add(type(exc))

@@ -57,7 +57,6 @@ def test_bad_flag_exits_2(capsys):
 @pytest.mark.parametrize("argv", [
     ["solve", "--alpha", "0.5", "--beta", "0.8", "--max-iterations", "0"],
     ["census", "--alpha", "0.5", "--beta", "0.8", "--resolution", "1"],
-    ["census", "--alpha", "0.5", "--beta", "0.8", "--threads", "0"],
     ["verify", "--theorem1-grid", "0.5"],
     ["verify", "--rng-seed", "-1"],
     ["verify", "--resolution", "1"],
@@ -71,12 +70,13 @@ def test_bad_flag_value_exits_2_with_one_line(capsys, argv):
     assert f"argument {argv[-2]}" in err
 
 
-def test_bad_threads_environment_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("CCFOUR_THREADS", "0")
+def test_census_has_no_threads_flag(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["census", "--alpha", "0.5", "--beta", "0.8"])
+        main(["census", "--alpha", "0.5", "--beta", "0.8", "--threads", "2"])
     assert exc.value.code == 2
-    assert "--threads" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "--threads" in err
 
 
 def test_solve_kite_json(capsys):
@@ -165,6 +165,7 @@ def test_census_json(capsys):
                                   "0.8", "--resolution", "4"])
     assert code == 0
     assert doc["command"] == "census"
+    assert "threads" not in doc["config"]
     assert len(doc["classes"]) == 1
     assert doc["classes"][0]["symmetry"] == "kite_axis_34"
     assert doc["outside_theorem_hypothesis"] is False
@@ -178,15 +179,6 @@ def test_census_csv(capsys):
     assert lines[0].split(",")[:3] == ["class", "symmetry", "basin"]
     assert len(lines) == 2
     assert "square" in lines[1]
-
-
-def test_census_threads_flag(capsys):
-    code, doc = run_json(capsys, ["census", "--alpha", "1.0", "--beta",
-                                  "1.0", "--resolution", "3",
-                                  "--threads", "2"])
-    assert code == 0
-    assert doc["config"]["threads"] == 2
-    assert len(doc["classes"]) == 1
 
 
 def test_verify_passes(capsys):

@@ -23,6 +23,13 @@ def square_state(nu=SQUARE_NU, xi=SQUARE_XI):
     return DziobekState(sq=SQUARE_SQ, areas=SQUARE_AREAS, nu=nu, xi=xi)
 
 
+def test_pair_weights_are_the_mass_products_in_pair_order():
+    m = MassVector(alpha=0.3, beta=1.7, delta=1.1)
+    m1, m2, m3, m4 = m.masses
+    assert m.pair_weights.tolist() == [m1 * m2, m1 * m3, m1 * m4,
+                                       m2 * m3, m2 * m4, m3 * m4]
+
+
 def test_psi_values():
     assert psi(1.0) == 1.0
     assert psi(4.0) == 0.5

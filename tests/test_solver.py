@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from ccfour import (DomainError, LeftConvexRegion, MassVector, NoConvergence,
-                    SolveOptions, cc_residuals, cayley, newton_solve,
+from ccfour import (DomainError, DziobekState, LeftConvexRegion, MassVector,
+                    NoConvergence, OrientedAreas, SolveOptions,
+                    SquaredDistances, cc_residuals, cayley, newton_solve,
                     newtonian_oracle, realize, rhombus_ratio, seed_state,
-                    solve_kite, solve_rhombus, sweep)
-from ccfour.solver import SweepCell, seed_vector
+                    solve_kite, solve_rhombus, squared_distances, sweep)
+from ccfour.dziobek import pair_residuals_many
+from ccfour.geometry import trilaterated_areas_many
+from ccfour.solver import (SweepCell, _residual_factory, seed_vector,
+                           seed_vectors)
+from conftest import random_convex_config
 
 EQUAL = MassVector(alpha=1.0, beta=1.0)
 
@@ -164,7 +169,54 @@ def test_solve_rhombus_residuals(rng):
 
 def test_solve_rhombus_fix_a_one():
     st = solve_rhombus(0.7, SolveOptions(normalization="fix_a_one")).state
-    assert st.sq.a == pytest.approx(4.0)  # a stays at the p = 1 gauge
+    assert st.sq.a == 1.0
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.0])
+def test_solve_rhombus_and_kite_agree_at_fix_a_one(alpha):
+    opts = SolveOptions(normalization="fix_a_one")
+    rhombus = solve_rhombus(alpha, opts).state
+    kite = solve_kite(MassVector(alpha=alpha, beta=alpha), opts).state
+    assert np.allclose(rhombus.sq, kite.sq, rtol=1e-10)
+    assert np.allclose(rhombus.areas, kite.areas, rtol=1e-10)
+    assert rhombus.nu == pytest.approx(kite.nu, rel=1e-10)
+    assert rhombus.xi == pytest.approx(kite.xi, rel=1e-10)
+
+
+def random_sq(rng, m):
+    return list(squared_distances(random_convex_config(rng, m)))
+
+
+def test_seed_vector_is_a_row_of_seed_vectors(rng):
+    m = MassVector(alpha=0.5, beta=0.8)
+    sq = np.array([random_sq(rng, m) for _ in range(7)])
+    rows = seed_vectors(sq, m)
+    assert rows.shape == (7, 8)
+    for k in range(7):
+        assert seed_vector(sq[k], m).tolist() == rows[k].tolist()
+
+
+def test_cc_residuals_are_the_newton_pair_rows(rng):
+    """Scalar cc_residuals, the batched pair equations and the first six
+    rows of Newton's residual are one computation."""
+    m = MassVector(alpha=0.4, beta=1.3)
+    x = seed_vectors(np.array([random_sq(rng, m) for _ in range(5)]), m)
+    _, areas = trilaterated_areas_many(x[:, :6])
+    batched = pair_residuals_many(x, areas, 1.0 / m.pair_weights)
+    newton, valid = _residual_factory(m, "fix_inertia_one")(x)
+    assert valid.all()
+    assert newton[:, :6].tolist() == batched.tolist()
+    for row, area_row, want in zip(x, areas, batched):
+        state = DziobekState(SquaredDistances(*row[:6]),
+                             OrientedAreas(*area_row), row[6], row[7])
+        assert cc_residuals(state, m).tolist() == want.tolist()
+
+
+def test_cc_residuals_rejects_nonpositive_distance():
+    state = DziobekState(SquaredDistances(1, 1, 1, 1, 1, 0),
+                         OrientedAreas(-0.5, -0.5, 0.5, 0.5), 1.0, -1.0)
+    with pytest.raises(DomainError):
+        cc_residuals(state, EQUAL)
 
 
 def test_sweep_small_grid():

@@ -151,15 +151,17 @@ def test_theorem_identities_report_closed_form_error():
     doctored = DziobekState(sq=SquaredDistances(*sq), areas=st.areas,
                             nu=st.nu, xi=st.xi)
     b, d = sq[1], sq[3]
+    bb, dd = b * psi_prime(b), d * psi_prime(d)
     want = 0.5 * (math.sqrt(b) - math.sqrt(d)) / math.sqrt(b * d)
-    closed_err = abs(b * psi_prime(b) - d * psi_prime(d) - want) / abs(want)
+    # the identity holds exactly; its error is a rounding of |bB| + |dD|
+    closed_err = abs(bb - dd - want) / (abs(bb) + abs(dd))
+    assert closed_err < 1e-13
     rearranged = balanced_residuals(sq, PsiValues.from_sq(sq), m,
                                     form="appendix2")[2:4]
     rearranged_err = np.max(np.abs(rearranged)) / math.sqrt(np.mean(sq))
-    assert closed_err > rearranged_err
     result = check_theorem_identities(doctored, m)
-    assert not result.passed
-    assert result.worst_violation >= closed_err
+    assert result.passed, result.witnesses
+    assert result.worst_violation == max(rearranged_err, closed_err)
 
 
 def test_theorem1_suite_small_grid():
