@@ -5,11 +5,10 @@ __version__ = "0.1.0"
 
 from .census import (CensusClass, CensusReport, SymmetryLabel, census,
                      classify_symmetry, seed_grid)
-from .dziobek import (DziobekState, MassVector, PsiValues, ResidualVector,
-                      SquaredDistances, balanced_residuals, cayley,
-                      cayley_gradient, cc_residuals, dilate_state, psi,
-                      psi_prime, q_identity, q_residuals, scaling_transform,
-                      sign_det, t_values)
+from .dziobek import (DziobekState, MassVector, SquaredDistances,
+                      balanced_residuals, cayley, cayley_gradient,
+                      cc_residuals, dilate_state, psi, psi_prime, q_residuals,
+                      scaling_transform, sign_det, t_values)
 from .errors import (CCFourError, CollisionError, Degenerate, DomainError,
                      LeftConvexRegion, NoConvergence, NotConvex, NotPlanar,
                      NotRealizable, SingularJacobian)

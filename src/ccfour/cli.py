@@ -56,16 +56,15 @@ def parse_grid(text: str) -> list[float]:
         if len(parts) != 3:
             raise argparse.ArgumentTypeError(
                 f"grid ranges use start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
+        start, stop, step = (positive_float(p) for p in parts)
+        if stop < start:
             raise argparse.ArgumentTypeError(f"bad grid range {text!r}")
         n = int(round((stop - start) / step))
         values = [start + k * step for k in range(n + 1)]
     else:
-        values = [float(p) for p in text.split(",") if p]
-    if not values or min(values) <= 0:
-        raise argparse.ArgumentTypeError(
-            f"grid values must be strictly positive, got {text!r}")
+        values = [positive_float(p) for p in text.split(",") if p]
+    if not values:
+        raise argparse.ArgumentTypeError(f"grid has no values: {text!r}")
     return values
 
 
@@ -83,12 +82,10 @@ def parse_pairs(text: str) -> list[tuple[float, float]]:
 
 
 def parse_sq(text: str) -> SquaredDistances:
-    parts = [float(p) for p in text.split(",")]
+    parts = [positive_float(p) for p in text.split(",")]
     if len(parts) != 6:
         raise argparse.ArgumentTypeError(
             "expected six comma-separated squared distances a,b,c,d,e,f")
-    if min(parts) <= 0:
-        raise argparse.ArgumentTypeError("squared distances must be positive")
     return SquaredDistances(*parts)
 
 
@@ -151,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p_census)
 
     p_verify = sub.add_parser("verify", help="run the verification suites")
-    p_verify.add_argument("--trials", type=int, default=1000)
+    p_verify.add_argument("--trials", type=int_at_least(1), default=1000)
     p_verify.add_argument("--rng-seed", type=int_at_least(0),
                           default=DEFAULT_SEED)
     p_verify.add_argument("--resolution", type=int_at_least(2), default=6,

@@ -32,8 +32,13 @@ class MassVector:
     delta: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0 or self.delta <= 0:
-            raise DomainError("masses must be strictly positive")
+        with np.errstate(over="ignore", under="ignore"):
+            weights = np.array([*self.masses, *self.pair_weights,
+                                self.mprime])
+        # NaN fails both tests; an overflowing or underflowing product one
+        if not (np.isfinite(weights).all() and (weights > 0).all()):
+            raise DomainError("masses must be strictly positive and finite, "
+                              "and so must their pair products and sum")
 
     @property
     def masses(self) -> tuple[float, float, float, float]:
@@ -75,24 +80,12 @@ def scale_sq_many(sq: np.ndarray) -> np.ndarray:
     return total / 6.0
 
 
-class PsiValues(NamedTuple):
-    """psi'(s) evaluated at each of the six squared distances."""
-
-    A: float
-    B: float
-    C: float
-    D: float
-    E: float
-    F: float
-
-    @classmethod
-    def from_sq(cls, sq: Sequence[float]) -> "PsiValues":
-        return cls(*(psi_prime(s) for s in sq))
-
-
 # index pairs for (a, b, c, d, e, f), zero-based vertex labels
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 PAIR_I, PAIR_J = np.array(PAIRS).T
+
+# |S| may be at most this fraction of scale_sq**2 for planar squared distances
+PLANARITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -166,20 +159,39 @@ def cayley(sq: Sequence[float]) -> float:
     return float(cayley_many(np.asarray(sq, dtype=float)[None, :])[0])
 
 
-def cayley_gradient(sq: Sequence[float], step_rel: float = 1e-6) -> np.ndarray:
-    """Central finite differences of S with respect to (a, ..., f).
+def planar_many(sq: np.ndarray) -> np.ndarray:
+    """True where rows of (n, 6) squared distances are finite and embed in
+    the plane, |S| <= PLANARITY_TOL * scale_sq**2.  The test is taken as
+    |S| / scale_sq <= PLANARITY_TOL * scale_sq, so nothing overflows, and a
+    non-finite S fails it."""
+    sq = np.atleast_2d(np.asarray(sq, dtype=float))
+    with np.errstate(all="ignore"):
+        scale = np.abs(scale_sq_many(sq))
+        ratio = np.abs(cayley_many(sq)) / scale
+        return (np.isfinite(sq).all(axis=1) & np.isfinite(scale)
+                & (ratio <= PLANARITY_TOL * scale))
 
-    Step is step_rel times the mean squared distance.  Raises NotPlanar when
-    the input does not (numerically) embed in the plane, since the Dziobek
-    identity dS/dr_ij^2 = 32 Delta_i Delta_j is only meaningful there.
+
+# the bordered Cayley matrix without row i+1 and column j+1, for each pair
+_MINOR_ROWS = np.array([[k for k in range(5) if k != i + 1] for i in PAIR_I])
+_MINOR_COLS = np.array([[k for k in range(5) if k != j + 1] for j in PAIR_J])
+
+
+def cayley_gradient(sq: Sequence[float]) -> np.ndarray:
+    """Exact gradient of S with respect to (a, ..., f).
+
+    r_ij^2 sits at (i+1, j+1) and (j+1, i+1) of the symmetric bordered
+    matrix M and S = -det M, so dS/dr_ij^2 = 2 (-1)^(i+j+1) det of M without
+    row i+1 and column j+1.  Raises NotPlanar when the input does not
+    (numerically) embed in the plane, since the Dziobek identity
+    dS/dr_ij^2 = 32 Delta_i Delta_j is only meaningful there.
     """
     x = np.asarray(sq, dtype=float)
-    scale_sq = float(np.mean(x))
-    if abs(cayley(x)) > 1e-8 * scale_sq ** 2:
+    if not planar_many(x)[0]:
         raise NotPlanar("cayley_gradient requires planar squared distances")
-    h = step_rel * scale_sq
-    steps = h * np.eye(6)
-    return (cayley_many(x + steps) - cayley_many(x - steps)) / (2.0 * h)
+    M = _cayley_matrix_many(x[None, :])[0]
+    minors = M[_MINOR_ROWS[:, :, None], _MINOR_COLS[:, None, :]]
+    return 2.0 * (-1.0) ** (PAIR_I + PAIR_J + 1) * np.linalg.det(minors)
 
 
 def psi_prime_many(sq: np.ndarray) -> np.ndarray:
@@ -232,49 +244,33 @@ def t_values(sq: Sequence[float], areas: Iterable[float]) -> np.ndarray:
     ])
 
 
-def t_spread(sq: Sequence[float], areas: Iterable[float]) -> float:
-    t = t_values(sq, areas)
-    return float(t.max() - t.min())
-
-
 def _det3(r1, r2, r3) -> float:
     return float(np.linalg.det(np.array([r1, r2, r3], dtype=float)))
 
 
-def q_identity(i: int, j: int, k: int, t: Sequence[float],
-               areas: Iterable[float], m: MassVector) -> float:
-    """Determinant Q_ijk (1-based indices); zero whenever t_i = t_j = t_k."""
-    idx = (i - 1, j - 1, k - 1)
-    if len(set(idx)) != 3 or not all(0 <= p <= 3 for p in idx):
-        raise IndexError(f"indices must be distinct and in 1..4: {(i, j, k)}")
-    masses = m.masses
-    ar = list(areas)
-    return _det3(
-        [1.0, 1.0, 1.0],
-        [t[p] for p in idx],
-        [ar[p] / masses[p] for p in idx],
-    )
-
-
 def q_residuals(t: Sequence[float], areas: Iterable[float],
                 m: MassVector) -> np.ndarray:
-    """The four determinants Q_234, Q_134, Q_124, Q_123."""
-    ar = list(areas)
-    return np.array([q_identity(i, j, k, t, ar, m)
-                     for i, j, k in ((2, 3, 4), (1, 3, 4), (1, 2, 4),
-                                     (1, 2, 3))])
+    """The four determinants Q_234, Q_134, Q_124, Q_123, where Q_ijk has
+    rows 1, (t_i, t_j, t_k) and Delta/m at i, j, k; zero whenever
+    t_i = t_j = t_k."""
+    scaled = [x / w for x, w in zip(areas, m.masses)]
+    return np.array([_det3([1.0, 1.0, 1.0], [t[p] for p in idx],
+                           [scaled[p] for p in idx])
+                     for idx in ((1, 2, 3), (0, 2, 3), (0, 1, 3),
+                                 (0, 1, 2))])
 
 
-def balanced_residuals(sq: Sequence[float], psiv: PsiValues, m: MassVector,
+def balanced_residuals(sq: Sequence[float], m: MassVector,
                        form: str = "expanded") -> np.ndarray:
-    """Left minus right of the four balanced-configuration identities.
+    """Left minus right of the four balanced-configuration identities, with
+    A..F = psi'(a)..psi'(f).
 
     form="expanded" is the determinant system as printed (with the corrected
     third-equation entry a-e-c); "appendix1" and "appendix2" are the two
     rewritten families.  All vanish at states with equal t_k.
     """
     a, b, c, d, e, f = sq
-    A, B, C, D, E, F = psiv
+    A, B, C, D, E, F = (psi_prime(s) for s in sq)
     al, be = m.alpha / m.delta, m.beta / m.delta
     one = [1.0, 1.0, 1.0]
 
@@ -334,20 +330,6 @@ def balanced_residuals(sq: Sequence[float], psiv: PsiValues, m: MassVector,
     raise ValueError(f"unknown form {form!r}")
 
 
-def eqconf3_printed_residual(sq: Sequence[float], psiv: PsiValues,
-                             m: MassVector) -> float:
-    """The third expanded identity with the entry exactly as printed (a-e-e).
-
-    Kept for verbose cross-reporting against the corrected reading.
-    """
-    a, b, c, d, e, f = sq
-    A, B, C, D, E, F = psiv
-    al, be = m.alpha / m.delta, m.beta / m.delta
-    one = [1.0, 1.0, 1.0]
-    return (_det3(one, [be * (a - e - e), e - c - a, c - a - e], [A, E, C])
-            - al * _det3(one, [a + f, b + e, c + d], [F, B, D]))
-
-
 def sign_det(u: float, v: float, w: float,
              U: float, V: float, W: float) -> float:
     """det [[1,1,1],[u,v,w],[U,V,W]]: twice the oriented area of the triangle
@@ -393,25 +375,3 @@ def scaling_transform(st: DziobekState, m: MassVector,
     new_m = MassVector(alpha=m.alpha / eta, beta=m.beta / eta,
                        delta=m.delta / eta)
     return new_state, new_m
-
-
-@dataclass(frozen=True)
-class ResidualVector:
-    """Stacked diagnostics: the six c.c. residuals, planarity and t-spread."""
-
-    cc: np.ndarray
-    planarity: float
-    t_spread: float
-
-    @classmethod
-    def evaluate(cls, st: DziobekState, m: MassVector) -> "ResidualVector":
-        return cls(cc=cc_residuals(st, m),
-                   planarity=cayley(st.sq),
-                   t_spread=t_spread(st.sq, st.areas))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "cc": [float(x) for x in self.cc],
-            "planarity": self.planarity,
-            "t_spread": self.t_spread,
-        }

@@ -16,13 +16,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .dziobek import (PAIRS, MassVector, SquaredDistances, cayley,
-                      cayley_many, scale_sq_many)
+                      planar_many, scale_sq_many)
 from .errors import Degenerate, NotConvex, NotPlanar, NotRealizable
 
 COINCIDENCE_TOL = 1e-12
 CENTROID_TOL = 1e-12
 AREA_TOL = 1e-12
-PLANARITY_TOL = 1e-8
 
 
 class OrientedAreas(NamedTuple):
@@ -240,10 +239,11 @@ def realize(sq: Sequence[float], m: MassVector) -> PlanarConfig:
     recenters on the weighted centroid.
     """
     sqt = SquaredDistances(*sq)
-    scale_sq = sqt.scale_sq
-    s_val = cayley(sqt)
-    if abs(s_val) > PLANARITY_TOL * scale_sq ** 2:
-        raise NotPlanar(f"Cayley determinant {s_val:.3e} exceeds tolerance")
+    if not planar_many(sqt)[0]:
+        with np.errstate(all="ignore"):
+            s_val = cayley(sqt)
+        raise NotPlanar("squared distances do not embed in the plane "
+                        f"(Cayley determinant {s_val:.3e})")
     pts = trilaterate(sqt)
     return PlanarConfig.from_points(pts, m)
 
@@ -254,8 +254,7 @@ def realize_many(sq: np.ndarray, m: MassVector):
     centroid and coincidence checks."""
     pts, ok = trilaterate_many(sq)
     with np.errstate(all="ignore"):
-        ok &= (np.abs(cayley_many(sq))
-               <= PLANARITY_TOL * scale_sq_many(sq) ** 2)
+        ok &= planar_many(sq)
         pts = _recenter(pts, m)
         centered, apart = _config_checks(pts, m)
     return pts, ok & centered & apart.all(axis=-1)

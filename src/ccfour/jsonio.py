@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
+INDENT = 2
+
 
 def format_float(x: float) -> str:
     if math.isnan(x):
@@ -14,16 +16,16 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def dumps(obj, indent: int = 2) -> str:
+def dumps(obj) -> str:
     """JSON with lossless, diff-stable float formatting."""
     out: list[str] = []
-    _write(obj, out, indent, 0)
+    _write(obj, out, 0)
     return "".join(out) + "\n"
 
 
-def _write(obj, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    closing = " " * (indent * level)
+def _write(obj, out: list[str], level: int) -> None:
+    pad = " " * (INDENT * (level + 1))
+    closing = " " * (INDENT * level)
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -41,7 +43,7 @@ def _write(obj, out: list[str], indent: int, level: int) -> None:
         out.append("{\n")
         for k, (key, val) in enumerate(obj.items()):
             out.append(f'{pad}"{key}": ')
-            _write(val, out, indent, level + 1)
+            _write(val, out, level + 1)
             out.append(",\n" if k < len(obj) - 1 else "\n")
         out.append(closing + "}")
     elif isinstance(obj, (list, tuple)):
@@ -51,7 +53,7 @@ def _write(obj, out: list[str], indent: int, level: int) -> None:
         out.append("[\n")
         for k, val in enumerate(obj):
             out.append(pad)
-            _write(val, out, indent, level + 1)
+            _write(val, out, level + 1)
             out.append(",\n" if k < len(obj) - 1 else "\n")
         out.append(closing + "]")
     else:

@@ -38,7 +38,6 @@ _MAX_BACKTRACKS = 40
 class SolveOptions:
     max_iterations: int = 100
     residual_tol: float = 1e-12
-    damping: float = 1.0
     normalization: str = "fix_inertia_one"
 
     def __post_init__(self):
@@ -46,8 +45,6 @@ class SolveOptions:
             raise ValueError("residual_tol must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
         if self.normalization not in ("fix_inertia_one", "fix_a_one"):
             raise ValueError(f"unknown normalization {self.normalization!r}")
 
@@ -166,7 +163,7 @@ def _newton_batch(fun, x0: np.ndarray, opts: SolveOptions):
         xl = xa[live]
         dxl = dx[live]
         base2 = norm2[ids]
-        lam = np.full(live.size, opts.damping)
+        lam = np.ones(live.size)
         accepted = np.zeros(live.size, dtype=bool)
         last_invalid = np.zeros(live.size, dtype=bool)
         for _ in range(_MAX_BACKTRACKS):
@@ -241,10 +238,7 @@ def seed_state(sq: Sequence[float], m: MassVector) -> DziobekState:
     uses f, and the multipliers from a least-squares fit.
     """
     x = seed_vector(sq, m)
-    valid, areas = trilaterated_areas_many(x[None, :6])
-    if not valid[0]:
-        raise LeftConvexRegion("seed does not trilaterate to a convex "
-                               "quadrilateral")
+    _, areas = trilaterated_areas_many(x[None, :6])
     return DziobekState(sq=SquaredDistances(*(float(s) for s in x[:6])),
                         areas=OrientedAreas(*(float(v) for v in areas[0])),
                         nu=float(x[6]), xi=float(x[7]))
@@ -252,14 +246,22 @@ def seed_state(sq: Sequence[float], m: MassVector) -> DziobekState:
 
 def seed_vectors(sq: np.ndarray, m: MassVector) -> np.ndarray:
     """Unknown vectors (a..f, nu, xi) of (n, 6) squared distances, with the
-    multipliers fitted by least squares at the trilaterated areas."""
-    _, areas = trilaterated_areas_many(sq)
-    return np.concatenate([sq, _lsq_multipliers(sq, areas, m)], axis=1)
+    multipliers fitted by least squares at the trilaterated areas.  Rows
+    that do not trilaterate to a convex quadrilateral get NaN multipliers."""
+    valid, areas = trilaterated_areas_many(sq)
+    multipliers = _lsq_multipliers(sq, areas, m)
+    multipliers[~valid] = np.nan
+    return np.concatenate([sq, multipliers], axis=1)
 
 
 def seed_vector(sq: Sequence[float], m: MassVector) -> np.ndarray:
-    """Full unknown vector (a..f, nu, xi) from squared distances alone."""
-    return seed_vectors(np.asarray(sq, dtype=float)[None, :], m)[0]
+    """Full unknown vector (a..f, nu, xi) from squared distances alone;
+    raises LeftConvexRegion where seed_vectors gives NaN multipliers."""
+    x = seed_vectors(np.asarray(sq, dtype=float)[None, :], m)[0]
+    if np.isnan(x[6]):
+        raise LeftConvexRegion("seed does not trilaterate to a convex "
+                               "quadrilateral")
+    return x
 
 
 def _polish(x0: np.ndarray, m: MassVector, opts: SolveOptions) -> SolveReport:

@@ -9,14 +9,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dziobek import (DziobekState, MassVector, PsiValues,
-                      balanced_residuals, chord_value, psi_prime, sign_det)
+from .dziobek import (DziobekState, MassVector, balanced_residuals,
+                      chord_value, psi_prime, sign_det)
 from .census import census
 from .errors import CollisionError
-from .geometry import PlanarConfig, canonicalize, realize
-from .solver import SolveOptions, rhombus_ratio
+from .geometry import PlanarConfig, realize
+from .solver import rhombus_ratio
 
 DEFAULT_SEED = 1405
+ALBOUY_TOL = 1e-12  # Lemma 2 products and orderings, relative to scale_sq
+TIE_TOL = 1e-12  # Lemma 4: |Delta_1 + Delta_4| taken as a tie
+IDENTITY_TOL = 1e-9  # rearranged balanced identities, relative to scale
+ORACLE_TOL = 1e-8  # Newtonian oracle misfit at census solutions
 
 
 @dataclass(frozen=True)
@@ -87,8 +91,7 @@ def check_lemma1_nu_positive(
 
 
 def check_lemma2_albouy(
-        states: Iterable[tuple[DziobekState, MassVector]],
-        tol: float = 1e-12) -> CheckResult:
+        states: Iterable[tuple[DziobekState, MassVector]]) -> CheckResult:
     """(Delta_i/m_i - Delta_j/m_j)(Delta_i - Delta_j) >= 0 for all pairs,
     plus sign agreement of the two orderings."""
     witnesses = []
@@ -103,13 +106,13 @@ def check_lemma2_albouy(
                 d_scaled = areas[i] / masses[i] - areas[j] / masses[j]
                 prod = d_scaled * d_plain
                 worst = min(worst, prod)
-                if prod < -tol * scale_sq ** 2:
+                if prod < -ALBOUY_TOL * scale_sq ** 2:
                     witnesses.append({"pair": [i + 1, j + 1],
                                       "product": prod,
                                       "state": st.to_json_dict()})
                 # the equivalence: strict orderings must agree in sign
-                if (abs(d_plain) > tol * scale_sq
-                        and abs(d_scaled) > tol * scale_sq
+                if (abs(d_plain) > ALBOUY_TOL * scale_sq
+                        and abs(d_scaled) > ALBOUY_TOL * scale_sq
                         and d_plain * d_scaled < 0):
                     witnesses.append({"pair": [i + 1, j + 1],
                                       "sign_disagreement": True,
@@ -168,7 +171,7 @@ _CASE_PERMUTATION = {
 
 
 def lemma4_product_chain_violation(deltas: Sequence[float],
-                                   case: str, tie_tol: float = 1e-12) -> float:
+                                   case: str) -> float:
     """Largest violation of the pairwise-product ordering chain for the
     given Delta-ordering case; <= 0 means the chain holds.
 
@@ -183,11 +186,11 @@ def lemma4_product_chain_violation(deltas: Sequence[float],
     p12, p13, p14 = d1 * d2, d1 * d3, d1 * d4
     p23, p24, p34 = d2 * d3, d2 * d4, d3 * d4
     s = d1 + d4
-    if abs(s) <= tie_tol:
+    if abs(s) <= TIE_TOL:
         chain = [p14, p13, p24, p23, 0.0, p12, p34]
         # subcase 1 ties: p13 = p24 and p12 = p34
         return max(max(chain[k] - chain[k + 1] for k in range(len(chain) - 1)),
-                   abs(p13 - p24) - tie_tol, abs(p12 - p34) - tie_tol)
+                   abs(p13 - p24) - TIE_TOL, abs(p12 - p34) - TIE_TOL)
     if s < 0:
         chain = [p14, p13, p24, p23, 0.0, p12, p34]
     else:
@@ -277,19 +280,17 @@ def check_lemma4_orderings(trials: int = 1000,
                                 "distance_chain_vacuous": checked_states == 0})
 
 
-def check_theorem_identities(st: DziobekState, m: MassVector,
-                             tol_rel: float = 1e-9) -> CheckResult:
+def check_theorem_identities(st: DziobekState, m: MassVector) -> CheckResult:
     """The two rearranged balanced identities and the auxiliary closed
     forms used alongside them."""
     scale = math.sqrt(float(np.mean(st.sq)))
-    psiv = PsiValues.from_sq(st.sq)
-    rearranged = balanced_residuals(st.sq, psiv, m, form="appendix2")
+    rearranged = balanced_residuals(st.sq, m, form="appendix2")
     worst = float(np.max(np.abs(rearranged[2:4]))) / scale
     witnesses = []
-    if worst > tol_rel:
+    if worst > IDENTITY_TOL:
         witnesses.append({"rearranged_residuals": list(rearranged[2:4])})
     a, b, c, d, e, f = st.sq
-    A, B, C, D, E, F = psiv
+    A, B, C, D, E, F = (psi_prime(x) for x in st.sq)
     if A >= 0:
         witnesses.append({"A_not_negative": A})
     # xX - yY = (sqrt(x) - sqrt(y)) / (2 sqrt(xy)), with the error taken
@@ -306,9 +307,7 @@ def check_theorem_identities(st: DziobekState, m: MassVector,
 
 
 def run_theorem1_suite(mass_grid: Sequence[tuple[float, float]],
-                       resolution: int = 8,
-                       opts: SolveOptions = SolveOptions(),
-                       oracle_tol: float = 1e-8) -> CheckResult:
+                       resolution: int = 8) -> CheckResult:
     """Census at every grid point: exactly one class, kite-symmetric about
     the 3-4 axis, Delta_1 = Delta_2, and the Newtonian oracle agrees."""
     witnesses = []
@@ -316,7 +315,7 @@ def run_theorem1_suite(mass_grid: Sequence[tuple[float, float]],
     kite_labels = {"kite_axis_34", "rhombus", "square"}
     for alpha, beta in mass_grid:
         m = MassVector(alpha=float(alpha), beta=float(beta))
-        report = census(m, resolution, opts)
+        report = census(m, resolution)
         point = {"alpha": alpha, "beta": beta}
         if len(report.classes) != 1:
             witnesses.append({**point, "classes": len(report.classes)})
@@ -332,7 +331,7 @@ def run_theorem1_suite(mass_grid: Sequence[tuple[float, float]],
             witnesses.append({**point, "delta1_minus_delta2": delta_gap})
         lam, resid = newtonian_oracle(realize(st.sq, m), m)
         worst = max(worst, resid)
-        if resid > oracle_tol or lam >= 0:
+        if resid > ORACLE_TOL or lam >= 0:
             witnesses.append({**point, "oracle_residual": resid,
                               "lambda_cc": lam})
     return CheckResult(name="theorem1_unique_kite", passed=not witnesses,
@@ -342,15 +341,14 @@ def run_theorem1_suite(mass_grid: Sequence[tuple[float, float]],
 
 
 def run_theorem2_suite(alpha_grid: Sequence[float],
-                       resolution: int = 8,
-                       opts: SolveOptions = SolveOptions()) -> CheckResult:
+                       resolution: int = 8) -> CheckResult:
     """Census with both off-axis masses equal: one rhombus class whose
     diagonal ratio matches the independent 1-D root-find."""
     witnesses = []
     worst = 0.0
     for alpha in alpha_grid:
         m = MassVector(alpha=float(alpha), beta=float(alpha))
-        report = census(m, resolution, opts)
+        report = census(m, resolution)
         point = {"alpha": alpha}
         if len(report.classes) != 1:
             witnesses.append({**point, "classes": len(report.classes)})
@@ -366,8 +364,7 @@ def run_theorem2_suite(alpha_grid: Sequence[float],
         worst = max(worst, side_gap)
         if side_gap > 1e-9:
             witnesses.append({**point, "side_gap": side_gap})
-        frame = canonicalize(realize(st.sq, m))
-        ratio = frame.t / frame.u
+        ratio = cls.frame.t / cls.frame.u
         ratio_oracle = rhombus_ratio(float(alpha))
         gap = abs(ratio - ratio_oracle)
         worst = max(worst, gap)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from ccfour import (MassVector, PsiValues, balanced_residuals, cayley_gradient,
+from ccfour import (MassVector, balanced_residuals, cayley_gradient,
                     census, cc_residuals, check_lemma2_albouy,
                     check_lemma3_sign, check_lemma4_orderings, dilate_state,
                     newton_solve, newtonian_oracle, oriented_areas, psi_prime,
@@ -204,15 +204,12 @@ def test_criterion_7_balanced_identities(theorem1_census, theorem2_census,
     failures = []
     for st, m in all_states(theorem1_census, theorem2_census, square_report):
         scale = math.sqrt(float(np.mean(st.sq)))
-        psiv = PsiValues.from_sq(st.sq)
         q = np.max(np.abs(q_residuals(t_values(st.sq, st.areas),
                                       st.areas, m)))
-        ap1 = np.max(np.abs(balanced_residuals(st.sq, psiv, m,
-                                               form="appendix1")))
-        ap2 = np.max(np.abs(balanced_residuals(st.sq, psiv, m,
-                                               form="appendix2")))
+        ap1 = np.max(np.abs(balanced_residuals(st.sq, m, form="appendix1")))
+        ap2 = np.max(np.abs(balanced_residuals(st.sq, m, form="appendix2")))
         rearranged = np.max(np.abs(balanced_residuals(
-            st.sq, psiv, m, form="appendix2")[2:4]))
+            st.sq, m, form="appendix2")[2:4]))
         top = max(q, ap1, ap2, rearranged) / scale
         worst = max(worst, top)
         if top > 1e-9:

@@ -23,7 +23,7 @@ def test_version(capsys):
 def test_positive_float_validator():
     assert positive_float("1.5") == 1.5
     import argparse
-    for bad in ("0", "-2", "abc", "inf"):
+    for bad in ("0", "-2", "abc", "inf", "nan", "1e999"):
         with pytest.raises(argparse.ArgumentTypeError):
             positive_float(bad)
 
@@ -32,7 +32,8 @@ def test_parse_grid_forms():
     assert parse_grid("0.5,1.0,2.0") == [0.5, 1.0, 2.0]
     assert parse_grid("0.2:0.6:0.2") == pytest.approx([0.2, 0.4, 0.6])
     import argparse
-    for bad in ("0.5:0.1:0.2", "1:2", "0,-1"):
+    for bad in ("0.5:0.1:0.2", "1:2", "0,-1", "nan", "0.5,inf",
+                "0.1:inf:0.1", "0.1:1:nan", "0.1:1:0", ","):
         with pytest.raises(argparse.ArgumentTypeError):
             parse_grid(bad)
 
@@ -43,8 +44,9 @@ def test_parse_sq_validator():
     import argparse
     with pytest.raises(argparse.ArgumentTypeError):
         parse_sq("1,2,3")
-    with pytest.raises(argparse.ArgumentTypeError):
-        parse_sq("1,1,1,1,1,-1")
+    for bad in ("1,1,1,1,1,-1", "2,1,1,1,1,inf", "2,1,1,1,1,nan"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_sq(bad)
 
 
 def test_bad_flag_exits_2(capsys):
@@ -60,6 +62,12 @@ def test_bad_flag_exits_2(capsys):
     ["verify", "--theorem1-grid", "0.5"],
     ["verify", "--rng-seed", "-1"],
     ["verify", "--resolution", "1"],
+    ["sweep", "--beta-grid", "1", "--alpha-grid", "nan"],
+    ["sweep", "--alpha-grid", "1", "--beta-grid", "0.1:inf:0.1"],
+    ["verify", "--theorem2-grid", "nan"],
+    ["verify", "--trials", "0"],
+    ["verify", "--trials", "-5"],
+    ["realize", "--alpha", "1", "--beta", "1", "--sq", "2,1,1,1,1,inf"],
 ], ids=lambda argv: argv[-2])
 def test_bad_flag_value_exits_2_with_one_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -68,6 +76,19 @@ def test_bad_flag_value_exits_2_with_one_line(capsys, argv):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert f"argument {argv[-2]}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["realize", "--sq", "2,1,1,1,1,1e300", "--alpha", "1", "--beta", "1"],
+    ["solve", "--alpha", "1e308", "--beta", "1e308"],
+    ["census", "--alpha", "1e-200", "--beta", "1e-200"],
+], ids=["realize-overflow", "solve-mass-overflow", "census-mass-underflow"])
+def test_domain_and_planarity_errors_exit_1_with_one_line(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_census_has_no_threads_flag(capsys):

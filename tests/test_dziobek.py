@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from ccfour import (DomainError, DziobekState, MassVector, OrientedAreas,
-                    PsiValues, ResidualVector, SquaredDistances,
-                    balanced_residuals, cayley, cayley_gradient, cc_residuals,
-                    dilate_state, oriented_areas, psi, psi_prime, q_identity,
-                    q_residuals, scaling_transform, sign_det, solve_kite,
+from ccfour import (DomainError, DziobekState, MassVector, NotPlanar,
+                    OrientedAreas, SquaredDistances, balanced_residuals,
+                    cayley, cayley_gradient, cc_residuals, dilate_state,
+                    oriented_areas, psi, psi_prime, q_residuals,
+                    scaling_transform, sign_det, solve_kite,
                     squared_distances, t_values)
-from ccfour.dziobek import chord_value, eqconf3_printed_residual, t_spread
+from ccfour.dziobek import PAIRS, cayley_many, chord_value, planar_many
 from conftest import random_convex_config
 
 EQUAL = MassVector(alpha=1.0, beta=1.0)
@@ -28,6 +28,16 @@ def test_pair_weights_are_the_mass_products_in_pair_order():
     m1, m2, m3, m4 = m.masses
     assert m.pair_weights.tolist() == [m1 * m2, m1 * m3, m1 * m4,
                                        m2 * m3, m2 * m4, m3 * m4]
+
+
+@pytest.mark.parametrize("alpha, beta, delta", [
+    (math.nan, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, -math.inf),
+    (1e308, 1e308, 1.0), (1.0, 1e200, 1e200), (1e-200, 1e-200, 1.0),
+    (0.0, 1.0, 1.0)])
+def test_mass_vector_rejects_nonfinite_and_overflowing_masses(alpha, beta,
+                                                              delta):
+    with pytest.raises(DomainError):
+        MassVector(alpha=alpha, beta=beta, delta=delta)
 
 
 def test_psi_values():
@@ -73,25 +83,49 @@ def test_cayley_vanishes_on_planar_configs(rng):
         assert abs(cayley(sq)) < 1e-9 * scale_sq ** 2
 
 
+def dziobek_gradient(areas):
+    """32 Delta_i Delta_j in PAIRS order."""
+    return np.array([32.0 * areas[i] * areas[j] for i, j in PAIRS])
+
+
+def finite_difference_gradient(sq, step_rel=1e-6):
+    """Central differences of cayley_many, independent of the cofactors."""
+    x = np.asarray(sq, dtype=float)
+    h = step_rel * float(np.mean(x))
+    steps = h * np.eye(6)
+    return (cayley_many(x + steps) - cayley_many(x - steps)) / (2.0 * h)
+
+
 def test_cayley_gradient_square():
     grad = cayley_gradient(SQUARE_SQ)
-    areas = np.asarray(SQUARE_AREAS)
-    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    expected = [32 * areas[i] * areas[j] for i, j in pairs]
-    assert grad[0] == pytest.approx(8.0, rel=1e-7)
-    assert grad[1] == pytest.approx(-8.0, rel=1e-7)
-    assert np.allclose(grad, expected, rtol=1e-6)
+    assert grad[0] == pytest.approx(8.0, rel=1e-14)
+    assert grad[1] == pytest.approx(-8.0, rel=1e-14)
+    assert np.allclose(grad, dziobek_gradient(SQUARE_AREAS), rtol=1e-14,
+                       atol=0.0)
 
 
 def test_cayley_gradient_matches_dziobek_identity(rng):
     for _ in range(100):
         p = random_convex_config(rng)
-        sq = squared_distances(p)
-        areas = np.asarray(oriented_areas(p))
-        grad = cayley_gradient(sq)
-        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-        expected = np.array([32 * areas[i] * areas[j] for i, j in pairs])
-        assert np.allclose(grad, expected, rtol=1e-6)
+        expected = dziobek_gradient(np.asarray(oriented_areas(p)))
+        grad = cayley_gradient(squared_distances(p))
+        assert np.max(np.abs(grad - expected) / np.abs(expected)) < 1e-12
+
+
+def test_cayley_gradient_matches_finite_differences(rng):
+    for _ in range(100):
+        sq = squared_distances(random_convex_config(rng))
+        assert np.allclose(cayley_gradient(sq),
+                           finite_difference_gradient(sq), rtol=1e-6)
+
+
+@pytest.mark.parametrize("sq", [(1, 1, 1, 1, 1, 1), (2, 1, 1, 1, 1, math.inf),
+                                (2, 1, 1, 1, 1, math.nan),
+                                (2, 1, 1, 1, 1, 1e300)])
+def test_cayley_gradient_rejects_nonplanar_and_nonfinite(sq):
+    assert not planar_many(sq)[0]
+    with pytest.raises(NotPlanar):
+        cayley_gradient(sq)
 
 
 def test_cc_residuals_square_closed_form():
@@ -123,8 +157,8 @@ def test_t_values_equal_on_any_planar_config(rng):
 
 
 def test_t_spread_detects_nonplanar_sq():
-    spread = t_spread((1, 1, 1, 1, 1, 1), SQUARE_AREAS)
-    assert spread > 0.1
+    t = t_values((1, 1, 1, 1, 1, 1), SQUARE_AREAS)
+    assert t.max() - t.min() > 0.1
 
 
 def test_t_area_weighted_sum_vanishes_on_planar(rng):
@@ -146,32 +180,27 @@ def test_t_area_weighted_sum_vanishes_on_planar(rng):
 def test_q_identity_zero_for_equal_t():
     t = [1.3, 1.3, 1.3, 1.3]
     areas = [-0.4, -0.3, 0.35, 0.35]
-    assert q_identity(1, 2, 3, t, areas, EQUAL) == pytest.approx(0.0)
     assert np.allclose(q_residuals(t, areas, EQUAL), 0.0, atol=1e-15)
 
 
 def test_q_identity_square_zero():
     t = t_values(SQUARE_SQ, SQUARE_AREAS)
-    assert q_identity(2, 3, 4, t, SQUARE_AREAS, EQUAL) == pytest.approx(0.0)
+    assert np.allclose(q_residuals(t, SQUARE_AREAS, EQUAL), 0.0, atol=1e-15)
 
 
 def test_q_identity_generic_nonzero():
     t = [0.1, 0.7, -0.3, 0.4]
     areas = [-0.5, -0.2, 0.3, 0.4]
-    assert abs(q_identity(1, 2, 3, t, areas, EQUAL)) > 1e-3
-
-
-def test_q_identity_bad_indices():
-    with pytest.raises(IndexError):
-        q_identity(1, 1, 2, [0, 0, 0, 0], SQUARE_AREAS, EQUAL)
-    with pytest.raises(IndexError):
-        q_identity(0, 1, 2, [0, 0, 0, 0], SQUARE_AREAS, EQUAL)
+    # Q_123 = det [[1, 1, 1], [t_1, t_2, t_3], [Delta_1, Delta_2, Delta_3]]
+    q123 = np.linalg.det([[1, 1, 1], t[:3], areas[:3]])
+    q = q_residuals(t, areas, EQUAL)
+    assert q[3] == pytest.approx(q123, rel=1e-12)
+    assert abs(q[3]) > 1e-3
 
 
 @pytest.mark.parametrize("form", ["expanded", "appendix1", "appendix2"])
 def test_balanced_residuals_square(form):
-    psiv = PsiValues.from_sq(SQUARE_SQ)
-    res = balanced_residuals(SQUARE_SQ, psiv, EQUAL, form=form)
+    res = balanced_residuals(SQUARE_SQ, EQUAL, form=form)
     assert np.max(np.abs(res)) < 1e-10
 
 
@@ -180,30 +209,20 @@ def test_balanced_residuals_kite(form):
     m = MassVector(alpha=0.5, beta=0.8)
     st = solve_kite(m).state
     scale = math.sqrt(np.mean(st.sq))
-    res = balanced_residuals(st.sq, PsiValues.from_sq(st.sq), m, form=form)
+    res = balanced_residuals(st.sq, m, form=form)
     assert np.max(np.abs(res)) < 1e-9 * scale
 
 
 def test_balanced_residuals_generic_nonzero(rng):
     p = random_convex_config(rng)
     sq = squared_distances(p)
-    res = balanced_residuals(sq, PsiValues.from_sq(sq), EQUAL)
+    res = balanced_residuals(sq, EQUAL)
     assert np.max(np.abs(res)) > 1e-6
 
 
 def test_balanced_residuals_unknown_form():
     with pytest.raises(ValueError):
-        balanced_residuals(SQUARE_SQ, PsiValues.from_sq(SQUARE_SQ), EQUAL,
-                           form="nope")
-
-
-def test_eqconf3_printed_reading_available():
-    # verbose cross-report of the reading as printed; at a symmetric state
-    # (e appears twice) it coincides with the corrected one
-    m = MassVector(alpha=0.5, beta=0.8)
-    st = solve_kite(m).state
-    res = eqconf3_printed_residual(st.sq, PsiValues.from_sq(st.sq), m)
-    assert isinstance(res, float)
+        balanced_residuals(SQUARE_SQ, EQUAL, form="nope")
 
 
 def test_sign_det_collinear_zero():
@@ -294,10 +313,3 @@ def test_state_derived_quantities():
     assert st.lambda_dz == st.nu / 32.0
     assert st.mu(EQUAL) == st.xi * 4.0
 
-
-def test_residual_vector_square():
-    rv = ResidualVector.evaluate(square_state(), EQUAL)
-    assert np.max(np.abs(rv.cc)) < 1e-12
-    assert abs(rv.planarity) < 1e-12
-    assert rv.t_spread < 1e-15
-    assert t_spread(SQUARE_SQ, SQUARE_AREAS) == rv.t_spread

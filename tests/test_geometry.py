@@ -99,6 +99,17 @@ def test_realize_tetrahedron_not_planar():
         realize((1, 1, 1, 1, 1, 1), EQUAL)
 
 
+@pytest.mark.parametrize("sq", [(2, 1, 1, 1, 1, math.inf),
+                                (2, 1, 1, 1, 1, math.nan),
+                                (2, 1, 1, 1, 1, 1e300),
+                                (math.inf, 1, 1, 1, 1, 2)])
+def test_realize_rejects_nonfinite_and_overflowing_distances(sq):
+    with pytest.raises(NotPlanar):
+        realize(sq, EQUAL)
+    _, ok = realize_many(np.array([sq, (2, 1, 1, 1, 1, 2)]), EQUAL)
+    assert ok.tolist() == [False, True]
+
+
 def test_realize_round_trip(rng):
     for _ in range(100):
         p = random_convex_config(rng)

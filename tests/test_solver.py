@@ -36,8 +36,6 @@ def test_solve_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(max_iterations=0)
     with pytest.raises(ValueError):
-        SolveOptions(damping=1.5)
-    with pytest.raises(ValueError):
         SolveOptions(normalization="fix_b_two")
 
 
@@ -113,6 +111,18 @@ def test_newton_solve_fix_a_one():
 def test_seed_state_rejects_degenerate_distances():
     with pytest.raises(LeftConvexRegion):
         seed_state((4.0, 1.0, 1.0, 1.0, 1.0, 0.01), EQUAL)
+
+
+def test_seed_vectors_mark_rows_outside_the_convex_region():
+    # r12 = r13 + r23 = 2: the face triangle 1-2-3 is degenerate
+    bad = (4.0, 1.0, 1.0, 1.0, 1.0, 0.01)
+    good = (1, 0.5, 0.5, 0.5, 0.5, 1)
+    rows = seed_vectors(np.array([good, bad]), EQUAL)
+    assert np.isfinite(rows[0]).all()
+    assert np.isnan(rows[1, 6:]).all()
+    assert rows[1, :6].tolist() == list(bad)
+    with pytest.raises(LeftConvexRegion):
+        seed_vector(bad, EQUAL)
 
 
 def test_seed_vector_fits_multipliers():

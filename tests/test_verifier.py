@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ccfour import (CollisionError, DziobekState, MassVector, OrientedAreas,
-                    PlanarConfig, PsiValues, SquaredDistances,
+                    PlanarConfig, SquaredDistances,
                     balanced_residuals, check_lemma1_nu_positive,
                     check_lemma2_albouy, check_lemma3_sign,
                     check_lemma4_orderings, check_theorem_identities,
@@ -156,8 +156,7 @@ def test_theorem_identities_report_closed_form_error():
     # the identity holds exactly; its error is a rounding of |bB| + |dD|
     closed_err = abs(bb - dd - want) / (abs(bb) + abs(dd))
     assert closed_err < 1e-13
-    rearranged = balanced_residuals(sq, PsiValues.from_sq(sq), m,
-                                    form="appendix2")[2:4]
+    rearranged = balanced_residuals(sq, m, form="appendix2")[2:4]
     rearranged_err = np.max(np.abs(rearranged)) / math.sqrt(np.mean(sq))
     result = check_theorem_identities(doctored, m)
     assert result.passed, result.witnesses
