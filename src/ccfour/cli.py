@@ -49,6 +49,9 @@ def int_at_least(low: int):
     return parse
 
 
+MAX_GRID_VALUES = 10 ** 6
+
+
 def parse_grid(text: str) -> list[float]:
     """Either comma-separated values or start:stop:step (inclusive)."""
     if ":" in text:
@@ -59,8 +62,12 @@ def parse_grid(text: str) -> list[float]:
         start, stop, step = (positive_float(p) for p in parts)
         if stop < start:
             raise argparse.ArgumentTypeError(f"bad grid range {text!r}")
-        n = int(round((stop - start) / step))
-        values = [start + k * step for k in range(n + 1)]
+        steps = (stop - start) / step  # may be inf
+        if round(min(steps, MAX_GRID_VALUES)) >= MAX_GRID_VALUES:
+            raise argparse.ArgumentTypeError(
+                f"grid {text!r} has {steps + 1:.0f} values, more than "
+                f"{MAX_GRID_VALUES}")
+        values = [start + k * step for k in range(round(steps) + 1)]
     else:
         values = [positive_float(p) for p in text.split(",") if p]
     if not values:

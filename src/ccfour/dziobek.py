@@ -84,7 +84,7 @@ def scale_sq_many(sq: np.ndarray) -> np.ndarray:
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 PAIR_I, PAIR_J = np.array(PAIRS).T
 
-# |S| may be at most this fraction of scale_sq**2 for planar squared distances
+# |S| may be at most this fraction of scale_sq**3 for planar squared distances
 PLANARITY_TOL = 1e-8
 
 
@@ -161,13 +161,14 @@ def cayley(sq: Sequence[float]) -> float:
 
 def planar_many(sq: np.ndarray) -> np.ndarray:
     """True where rows of (n, 6) squared distances are finite and embed in
-    the plane, |S| <= PLANARITY_TOL * scale_sq**2.  The test is taken as
-    |S| / scale_sq <= PLANARITY_TOL * scale_sq, so nothing overflows, and a
-    non-finite S fails it."""
+    the plane, |S| <= PLANARITY_TOL * scale_sq**3.  S has degree 3 in the
+    squared distances, so the test is scale-invariant.  It is taken as
+    |S| / scale_sq / scale_sq <= PLANARITY_TOL * scale_sq, so nothing
+    overflows, and a non-finite S fails it."""
     sq = np.atleast_2d(np.asarray(sq, dtype=float))
     with np.errstate(all="ignore"):
         scale = np.abs(scale_sq_many(sq))
-        ratio = np.abs(cayley_many(sq)) / scale
+        ratio = np.abs(cayley_many(sq)) / scale / scale
         return (np.isfinite(sq).all(axis=1) & np.isfinite(scale)
                 & (ratio <= PLANARITY_TOL * scale))
 
@@ -175,28 +176,46 @@ def planar_many(sq: np.ndarray) -> np.ndarray:
 # the bordered Cayley matrix without row i+1 and column j+1, for each pair
 _MINOR_ROWS = np.array([[k for k in range(5) if k != i + 1] for i in PAIR_I])
 _MINOR_COLS = np.array([[k for k in range(5) if k != j + 1] for j in PAIR_J])
+# dS/dr_ij^2 = 2 (-1)^(i+j+1) det of M without row i+1 and column j+1
+_COFACTOR_SIGN = 2.0 * (-1.0) ** (PAIR_I + PAIR_J + 1)
 
 
-def cayley_gradient(sq: Sequence[float]) -> np.ndarray:
-    """Exact gradient of S with respect to (a, ..., f).
+def cayley_gradient_many(sq: np.ndarray) -> np.ndarray:
+    """Exact gradients of S with respect to (a, ..., f), over rows of a
+    (n, 6) array.
 
     r_ij^2 sits at (i+1, j+1) and (j+1, i+1) of the symmetric bordered
     matrix M and S = -det M, so dS/dr_ij^2 = 2 (-1)^(i+j+1) det of M without
-    row i+1 and column j+1.  Raises NotPlanar when the input does not
-    (numerically) embed in the plane, since the Dziobek identity
-    dS/dr_ij^2 = 32 Delta_i Delta_j is only meaningful there.
+    row i+1 and column j+1.  No planarity check: this is also the S row of
+    Newton's Jacobian, off the plane.
+    """
+    M = _cayley_matrix_many(np.atleast_2d(np.asarray(sq, dtype=float)))
+    minors = M[:, _MINOR_ROWS[:, :, None], _MINOR_COLS[:, None, :]]
+    return _COFACTOR_SIGN * np.linalg.det(minors)
+
+
+def cayley_gradient(sq: Sequence[float]) -> np.ndarray:
+    """Exact gradient of S with respect to (a, ..., f), a row of
+    cayley_gradient_many.
+
+    Raises NotPlanar when the input does not (numerically) embed in the
+    plane, since the Dziobek identity dS/dr_ij^2 = 32 Delta_i Delta_j is
+    only meaningful there.
     """
     x = np.asarray(sq, dtype=float)
     if not planar_many(x)[0]:
         raise NotPlanar("cayley_gradient requires planar squared distances")
-    M = _cayley_matrix_many(x[None, :])[0]
-    minors = M[_MINOR_ROWS[:, :, None], _MINOR_COLS[:, None, :]]
-    return 2.0 * (-1.0) ** (PAIR_I + PAIR_J + 1) * np.linalg.det(minors)
+    return cayley_gradient_many(x[None, :])[0]
 
 
 def psi_prime_many(sq: np.ndarray) -> np.ndarray:
     """psi' elementwise; NaN where s <= 0."""
     return -0.5 * np.where(sq > 0, sq, np.nan) ** -1.5
+
+
+def psi_double_prime_many(sq: np.ndarray) -> np.ndarray:
+    """psi'' = (3/4) s**(-5/2) elementwise; NaN where s <= 0."""
+    return 0.75 * np.where(sq > 0, sq, np.nan) ** -2.5
 
 
 def pair_residuals_many(x: np.ndarray, areas: np.ndarray,
@@ -209,6 +228,25 @@ def pair_residuals_many(x: np.ndarray, areas: np.ndarray,
     return (psi_prime_many(x[:, :6])
             - x[:, 6:7] * inv_mm * areas[:, PAIR_I] * areas[:, PAIR_J]
             - x[:, 7:8])
+
+
+_DIAG = np.arange(6)
+
+
+def pair_jacobian_many(x: np.ndarray, areas: np.ndarray,
+                       d_areas: np.ndarray, inv_mm: np.ndarray) -> np.ndarray:
+    """(n, 6, 8) derivatives of pair_residuals_many with respect to
+    (a..f, nu, xi), given the (n, 4, 6) derivatives of the areas with
+    respect to (a..f)."""
+    di, dj = areas[:, PAIR_I], areas[:, PAIR_J]
+    d_product = (d_areas[:, PAIR_I] * dj[:, :, None]
+                 + di[:, :, None] * d_areas[:, PAIR_J])
+    jac = np.empty((x.shape[0], 6, 8))
+    jac[:, :, :6] = -(x[:, 6, None] * inv_mm)[:, :, None] * d_product
+    jac[:, _DIAG, _DIAG] += psi_double_prime_many(x[:, :6])
+    jac[:, :, 6] = -inv_mm * di * dj
+    jac[:, :, 7] = -1.0
+    return jac
 
 
 def cc_residuals(st: DziobekState, m: MassVector) -> np.ndarray:

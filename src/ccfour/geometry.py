@@ -207,14 +207,49 @@ def trilaterated_areas_many(sq: np.ndarray):
     trilateration coordinates directly rather than on (n, 4, 2) points.
     """
     with np.errstate(all="ignore"):
-        valid, r12, x3, y3, x4, y4m = _trilateration(sq)
-        xc = x3 + (x4 - x3) * y3 / (y3 + y4m)
-        valid &= (xc > 0) & (xc < r12)
-        mag1 = 0.5 * np.abs((x3 - r12) * (-y4m) - y3 * (x4 - r12))
-        mag2 = 0.5 * np.abs(x3 * (-y4m) - y3 * x4)
-        mag3 = 0.5 * r12 * y4m
-        mag4 = 0.5 * r12 * y3
-    return valid, np.stack([-mag1, -mag2, mag3, mag4], axis=1)
+        valid, areas, _ = _trilaterated_areas(sq)
+    return valid, areas
+
+
+def _trilaterated_areas(sq: np.ndarray):
+    """trilaterated_areas_many, plus the coordinates (r12, x3, y3, x4, y4m)
+    the areas are taken from.  Call under np.errstate."""
+    valid, r12, x3, y3, x4, y4m = _trilateration(sq)
+    xc = x3 + (x4 - x3) * y3 / (y3 + y4m)
+    valid &= (xc > 0) & (xc < r12)
+    mag1 = 0.5 * np.abs((x3 - r12) * (-y4m) - y3 * (x4 - r12))
+    mag2 = 0.5 * np.abs(x3 * (-y4m) - y3 * x4)
+    mag3 = 0.5 * r12 * y4m
+    mag4 = 0.5 * r12 * y3
+    return (valid, np.stack([-mag1, -mag2, mag3, mag4], axis=1),
+            (r12, x3, y3, x4, y4m))
+
+
+def trilaterated_area_derivatives_many(sq: np.ndarray):
+    """trilaterated_areas_many, plus the (n, 4, 6) derivatives of the areas
+    with respect to (a, ..., f); the f column is zero.
+
+    On valid rows xc lies in (0, r12), so the magnitudes are
+    mag2 = (x3 y4m + x4 y3) / 2, mag3 = r12 y4m / 2, mag4 = r12 y3 / 2 and
+    mag1 = mag3 + mag4 - mag2, differentiated through r12 = sqrt(a),
+    x3 = (a + b - d) / (2 r12), y3 = sqrt(b - x3^2),
+    x4 = (a + c - e) / (2 r12) and y4m = sqrt(c - x4^2).
+    """
+    with np.errstate(all="ignore"):
+        valid, areas, (r12, x3, y3, x4, y4m) = _trilaterated_areas(sq)
+        r12, x3, y3, x4, y4m = (v[:, None] for v in (r12, x3, y3, x4, y4m))
+        half = 0.5 / r12
+        unit = np.eye(6)
+        dr12 = half * unit[0]
+        dx3 = half * (unit[0] + unit[1] - unit[3]) - (x3 / r12) * dr12
+        dx4 = half * (unit[0] + unit[2] - unit[4]) - (x4 / r12) * dr12
+        dy3 = (0.5 * unit[1] - x3 * dx3) / y3
+        dy4m = (0.5 * unit[2] - x4 * dx4) / y4m
+        dmag2 = 0.5 * (dx3 * y4m + x3 * dy4m + dx4 * y3 + x4 * dy3)
+        dmag3 = 0.5 * (dr12 * y4m + r12 * dy4m)
+        dmag4 = 0.5 * (dr12 * y3 + r12 * dy3)
+        dmag1 = dmag3 + dmag4 - dmag2
+    return valid, areas, np.stack([-dmag1, -dmag2, dmag3, dmag4], axis=1)
 
 
 def trilaterate(sq: Sequence[float]) -> np.ndarray:

@@ -9,18 +9,19 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .dziobek import (PAIR_I, PAIR_J, DziobekState, MassVector,
-                      SquaredDistances, cayley_many, dilate_state,
-                      pair_residuals_many, psi_prime, psi_prime_many,
-                      sq_inertia, unit_inertia_sq)
+                      SquaredDistances, cayley_gradient_many, cayley_many,
+                      dilate_state, pair_jacobian_many, pair_residuals_many,
+                      psi_prime, psi_prime_many, sq_inertia, unit_inertia_sq)
 from .errors import (DomainError, LeftConvexRegion, NoConvergence,
                      SingularJacobian)
 from .geometry import (OrientedAreas, oriented_areas, realize,
+                       trilaterated_area_derivatives_many,
                        trilaterated_areas_many)
 
 # batch status codes
@@ -29,8 +30,12 @@ CONVERGED = 1
 NO_CONVERGENCE = 2
 LEFT_CONVEX = 3
 SINGULAR = 4
+NEAR_BOUNDARY = 5
 
-_FD_STEP = 1e-7
+# relative step of the boundary probe: a row retires as NEAR_BOUNDARY when
+# moving one squared distance by this times max(1, |x_j|) leaves the convex
+# region
+_BOUNDARY_PROBE = 1e-7
 _MAX_BACKTRACKS = 40
 
 
@@ -67,51 +72,89 @@ class SolveReport:
         }
 
 
-def _residual_factory(m: MassVector, normalization: str,
-                      eq_indices: Sequence[int] | None = None,
-                      embed: Callable[[np.ndarray], np.ndarray] | None = None):
-    """Build fun(x) -> (residuals, valid) for the damped-Newton core.
+class _Residuals:
+    """The residual map of the damped-Newton core, its exact Jacobian and
+    the boundary probe.
 
-    The unreduced unknown vector is (a, b, c, d, e, f, nu, xi); `embed` maps
-    a reduced vector onto it and `eq_indices` selects the equations kept.
+    The unreduced unknown vector is (a, b, c, d, e, f, nu, xi); its column l
+    is column embed[l] of the reduced vector, and `eq_indices` selects the
+    equations kept.
     """
-    inv_mm = 1.0 / m.pair_weights
-    w_inertia = m.pair_weights / m.mprime
-    sel = None if eq_indices is None else np.asarray(eq_indices)
 
-    def fun(x: np.ndarray):
-        xf = x if embed is None else embed(x)
+    def __init__(self, m: MassVector, normalization: str,
+                 eq_indices: Sequence[int] | None = None,
+                 embed: Sequence[int] | None = None):
+        self.inv_mm = 1.0 / m.pair_weights
+        # the normalization residual is sq @ gauge - 1
+        self.gauge = (m.pair_weights / m.mprime
+                      if normalization == "fix_inertia_one"
+                      else np.eye(6)[0])
+        self.sel = None if eq_indices is None else np.asarray(eq_indices)
+        self.embed = None if embed is None else np.asarray(embed)
+        # the reduced columns that move a squared distance
+        self.sq_cols = (np.arange(6) if embed is None
+                        else np.unique(self.embed[:6]))
+
+    def _full(self, x: np.ndarray) -> np.ndarray:
+        return x if self.embed is None else x[:, self.embed]
+
+    def __call__(self, x: np.ndarray):
+        """(residuals, valid) of (n, k) vectors; invalid rows are NaN."""
+        xf = self._full(x)
         sq = xf[:, :6]
         valid, areas = trilaterated_areas_many(sq)
         with np.errstate(all="ignore"):
             res = np.empty((x.shape[0], 8))
-            res[:, :6] = pair_residuals_many(xf, areas, inv_mm)
+            res[:, :6] = pair_residuals_many(xf, areas, self.inv_mm)
             res[:, 6] = cayley_many(sq) / 32.0
-            if normalization == "fix_inertia_one":
-                res[:, 7] = sq @ w_inertia - 1.0
-            else:
-                res[:, 7] = sq[:, 0] - 1.0
-        if sel is not None:
-            res = res[:, sel]
+            res[:, 7] = sq @ self.gauge - 1.0
+        if self.sel is not None:
+            res = res[:, self.sel]
         res[~valid] = np.nan
         return res, valid
 
-    return fun
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        """(n, k, k) exact Jacobian of the residuals at rows inside the
+        convex region: the full (8, 8) one with the equations selected and
+        the columns of each reduced unknown summed."""
+        xf = self._full(x)
+        sq = xf[:, :6]
+        _, areas, d_areas = trilaterated_area_derivatives_many(sq)
+        with np.errstate(all="ignore"):
+            jac = np.zeros((x.shape[0], 8, 8))
+            jac[:, :6] = pair_jacobian_many(xf, areas, d_areas, self.inv_mm)
+            jac[:, 6, :6] = cayley_gradient_many(sq) / 32.0
+            jac[:, 7, :6] = self.gauge
+        if self.sel is not None:
+            jac = jac[:, self.sel]
+        if self.embed is None:
+            return jac
+        reduced = np.zeros(jac.shape[:2] + (x.shape[1],))
+        for full_col, col in enumerate(self.embed):
+            reduced[:, :, col] += jac[:, :, full_col]
+        return reduced
+
+    def near_boundary(self, x: np.ndarray) -> np.ndarray:
+        """Rows that leave the validity mask of trilaterated_areas_many when
+        one reduced unknown that moves a squared distance is moved by
+        +-_BOUNDARY_PROBE * max(1, |x_j|); all probes go in one call."""
+        n, k = x.shape
+        probes = np.repeat(x[None], 2 * self.sq_cols.size, axis=0)
+        for p, j in enumerate(self.sq_cols):
+            h = _BOUNDARY_PROBE * np.maximum(1.0, np.abs(x[:, j]))
+            probes[2 * p, :, j] += h
+            probes[2 * p + 1, :, j] -= h
+        valid, _ = trilaterated_areas_many(
+            self._full(probes.reshape(-1, k))[:, :6])
+        return ~valid.reshape(-1, n).all(axis=0)
 
 
-def _fd_jacobian(fun, x: np.ndarray) -> np.ndarray:
-    n, k = x.shape
-    jac = np.empty((n, k, k))
-    for j in range(k):
-        h = _FD_STEP * np.maximum(1.0, np.abs(x[:, j]))
-        up = x.copy()
-        dn = x.copy()
-        up[:, j] += h
-        dn[:, j] -= h
-        f_up, _ = fun(up)
-        f_dn, _ = fun(dn)
-        jac[:, :, j] = (f_up - f_dn) / (2.0 * h)[:, None]
-    return jac
+def _residual_factory(m: MassVector, normalization: str,
+                      eq_indices: Sequence[int] | None = None,
+                      embed: Sequence[int] | None = None) -> _Residuals:
+    """The residual map for _newton_batch: fun(x) -> (residuals, valid),
+    with fun.jacobian and fun.near_boundary."""
+    return _Residuals(m, normalization, eq_indices, embed)
 
 
 def _solve_linear(jac: np.ndarray, rhs: np.ndarray):
@@ -130,10 +173,57 @@ def _solve_linear(jac: np.ndarray, rhs: np.ndarray):
     return dx, ~np.isfinite(dx).all(axis=1)
 
 
-def _newton_batch(fun, x0: np.ndarray, opts: SolveOptions):
-    """Damped Newton with halving backtracking on the residual 2-norm.
+def _backtrack(fun, x: np.ndarray, dx: np.ndarray, base2: np.ndarray,
+               budget: int):
+    """Armijo line search along x + lam dx over lam = 1, 1/2, 1/4, ...,
+    at most _MAX_BACKTRACKS trials a row.
 
-    Returns (x, status, iterations, final inf-norm residual).
+    Every row tries lam = 1 first.  Rows that reject it try
+    max(1, budget // rows left) consecutive halvings in one call, so no call
+    has more than max(budget, len(x)) rows.  Each row takes the first lam in
+    order with nt2 <= (1 - 1e-4 lam) base2.  Returns the mask of rows that
+    took a step, their new x, residuals and residual 2-norms, and for the
+    other rows whether their last trial left the convex region.
+    """
+    n, k = x.shape
+    accepted = np.zeros(n, dtype=bool)
+    last_invalid = np.zeros(n, dtype=bool)
+    x_new = x.copy()
+    res_new = np.full((n, k), np.nan)  # the Newton system is square
+    norm_new = np.full(n, np.nan)
+    rem = np.arange(n)
+    tried = 0
+    while rem.size and tried < _MAX_BACKTRACKS:
+        c = min(max(1, budget // rem.size), _MAX_BACKTRACKS - tried)
+        lam = np.repeat(0.5 ** np.arange(tried, tried + c), rem.size)
+        xt = np.tile(x[rem], (c, 1)) + lam[:, None] * np.tile(dx[rem], (c, 1))
+        rt, vt = fun(xt)
+        with np.errstate(all="ignore"):
+            nt2 = np.sqrt(np.nansum(rt * rt, axis=1))
+        ok = (vt & (nt2 <= (1.0 - 1e-4 * lam) * np.tile(base2[rem], c))
+              ).reshape(c, rem.size)
+        hit = ok.any(axis=0)
+        pick = ok.argmax(axis=0)[hit] * rem.size + np.flatnonzero(hit)
+        take = rem[hit]
+        accepted[take] = True
+        x_new[take] = xt[pick]
+        res_new[take] = rt[pick]
+        norm_new[take] = nt2[pick]
+        last_invalid[rem] = ~hit & ~vt[(c - 1) * rem.size:]
+        rem = rem[~hit]
+        tried += c
+    return accepted, x_new, res_new, norm_new, last_invalid
+
+
+def _newton_batch(fun, x0: np.ndarray, opts: SolveOptions):
+    """Damped Newton with the exact Jacobian and halving backtracking on the
+    residual 2-norm.
+
+    Each iteration first retires the rows within the boundary probe of the
+    convex region's edge as NEAR_BOUNDARY; SINGULAR marks rows whose linear
+    solve gives no finite dx.  No line-search call has more rows than the
+    first residual evaluation.  Returns (x, status, iterations, final
+    inf-norm residual).
     """
     x = np.array(x0, dtype=float)
     n = x.shape[0]
@@ -151,46 +241,26 @@ def _newton_batch(fun, x0: np.ndarray, opts: SolveOptions):
         act = np.flatnonzero(status == RUNNING)
         if act.size == 0:
             break
-        xa = x[act]
-        ra = res[act]
-        jac = _fd_jacobian(fun, xa)
-        dx, singular = _solve_linear(jac, -ra)
-        status[act[singular]] = SINGULAR
-        live = np.flatnonzero(~singular)
-        if live.size == 0:
+        near = fun.near_boundary(x[act])
+        status[act[near]] = NEAR_BOUNDARY
+        act = act[~near]
+        if act.size == 0:
             continue
-        ids = act[live]
-        xl = xa[live]
-        dxl = dx[live]
-        base2 = norm2[ids]
-        lam = np.ones(live.size)
-        accepted = np.zeros(live.size, dtype=bool)
-        last_invalid = np.zeros(live.size, dtype=bool)
-        for _ in range(_MAX_BACKTRACKS):
-            rem = np.flatnonzero(~accepted)
-            if rem.size == 0:
-                break
-            xt = xl[rem] + lam[rem, None] * dxl[rem]
-            rt, vt = fun(xt)
-            with np.errstate(all="ignore"):
-                nt2 = np.sqrt(np.nansum(rt * rt, axis=1))
-            ok = vt & (nt2 <= (1.0 - 1e-4 * lam[rem]) * base2[rem])
-            take = rem[ok]
-            if take.size:
-                xl[take] = xt[ok]
-                x[ids[take]] = xt[ok]
-                res[ids[take]] = rt[ok]
-                norm2[ids[take]] = nt2[ok]
-                with np.errstate(all="ignore"):
-                    norm_inf[ids[take]] = np.max(np.abs(rt[ok]), axis=1)
-                accepted[take] = True
-            fail = rem[~ok]
-            lam[fail] *= 0.5
-            last_invalid[fail] = ~vt[~ok]
-        stuck = ~accepted
-        status[ids[stuck & last_invalid]] = LEFT_CONVEX
-        status[ids[stuck & ~last_invalid]] = NO_CONVERGENCE
+        dx, singular = _solve_linear(fun.jacobian(x[act]), -res[act])
+        status[act[singular]] = SINGULAR
+        ids = act[~singular]
+        if ids.size == 0:
+            continue
+        accepted, x_new, res_new, norm_new, last_invalid = _backtrack(
+            fun, x[ids], dx[~singular], norm2[ids], n)
+        status[ids[~accepted & last_invalid]] = LEFT_CONVEX
+        status[ids[~accepted & ~last_invalid]] = NO_CONVERGENCE
         moved = ids[accepted]
+        x[moved] = x_new[accepted]
+        res[moved] = res_new[accepted]
+        norm2[moved] = norm_new[accepted]
+        with np.errstate(all="ignore"):
+            norm_inf[moved] = np.max(np.abs(res_new[accepted]), axis=1)
         iters[moved] = it
         status[moved[norm_inf[moved] < opts.residual_tol]] = CONVERGED
 
@@ -202,16 +272,19 @@ def _lsq_multipliers(sq: np.ndarray, areas: np.ndarray,
                      m: MassVector) -> np.ndarray:
     """Least-squares (nu, xi) from the six c.c. equations at fixed geometry."""
     inv_mm = 1.0 / m.pair_weights
-    g = inv_mm * areas[:, PAIR_I] * areas[:, PAIR_J]
-    y = psi_prime_many(sq)
-    n = 6.0
-    sg = g.sum(axis=1)
-    sy = y.sum(axis=1)
-    sgg = (g * g).sum(axis=1)
-    sgy = (g * y).sum(axis=1)
-    denom = n * sgg - sg * sg
-    nu = np.where(np.abs(denom) > 0, (n * sgy - sg * sy) / denom, 0.0)
-    xi = (sy - nu * sg) / n
+    # extreme mass ratios overflow the sums; such a row gets nu = 0 (where
+    # denom is not a positive number) or a non-finite fit, and no warning
+    with np.errstate(all="ignore"):
+        g = inv_mm * areas[:, PAIR_I] * areas[:, PAIR_J]
+        y = psi_prime_many(sq)
+        n = 6.0
+        sg = g.sum(axis=1)
+        sy = y.sum(axis=1)
+        sgg = (g * g).sum(axis=1)
+        sgy = (g * y).sum(axis=1)
+        denom = n * sgg - sg * sg
+        nu = np.where(np.abs(denom) > 0, (n * sgy - sg * sy) / denom, 0.0)
+        xi = (sy - nu * sg) / n
     return np.stack([nu, xi], axis=1)
 
 
@@ -271,6 +344,9 @@ def _polish(x0: np.ndarray, m: MassVector, opts: SolveOptions) -> SolveReport:
     x, status, iters, norm = _newton_batch(fun, x0[None, :], opts)
     if status[0] == LEFT_CONVEX:
         raise LeftConvexRegion("iterate left the convex region")
+    if status[0] == NEAR_BOUNDARY:
+        raise LeftConvexRegion("iterate reached the boundary of the convex "
+                               "region")
     if status[0] == SINGULAR:
         raise SingularJacobian("Newton correction could not be computed")
     if status[0] != CONVERGED:
@@ -294,11 +370,8 @@ def newton_solve(seed: DziobekState, m: MassVector,
                    m, opts)
 
 
-def _kite_embed(x: np.ndarray) -> np.ndarray:
-    """(a, b, c, f, nu, xi) -> (a, b, c, d=b, e=c, f, nu, xi)."""
-    return x[:, [0, 1, 2, 1, 2, 3, 4, 5]]
-
-
+# (a, b, c, f, nu, xi) -> (a, b, c, d=b, e=c, f, nu, xi)
+_KITE_EMBED = (0, 1, 2, 1, 2, 3, 4, 5)
 _KITE_EQS = (0, 1, 2, 5, 6, 7)  # cc12, cc13, cc14, cc34, S, normalization
 
 
@@ -314,13 +387,13 @@ def solve_kite(m: MassVector,
                opts: SolveOptions = SolveOptions()) -> SolveReport:
     """Solve the kite-reduced system (b = d and c = e by construction)."""
     fun = _residual_factory(m, opts.normalization,
-                            eq_indices=_KITE_EQS, embed=_kite_embed)
+                            eq_indices=_KITE_EQS, embed=_KITE_EMBED)
     seeds = _kite_seed_vectors(m)
     x, status, iters, norm = _newton_batch(fun, seeds, opts)
     for i in range(seeds.shape[0]):
         if status[i] != CONVERGED:
             continue
-        state = state_from_vector(_kite_embed(x[i:i + 1])[0], m)
+        state = state_from_vector(x[i, _KITE_EMBED], m)
         if state.nu <= 0:
             continue
         return SolveReport(state=state, iterations=int(iters[i]),

@@ -63,7 +63,11 @@ def newtonian_oracle(p: PlanarConfig, m: MassVector) -> tuple[float, float]:
     gf = g.ravel()
     qf = q.ravel()
     lam = float(gf @ qf / (qf @ qf))
-    residual = float(np.linalg.norm(gf - lam * qf) / np.linalg.norm(gf))
+    # divide by a power of two near max |gf|: exact, and the squares in the
+    # norms cannot overflow when a mass is huge
+    k = -math.frexp(float(np.abs(gf).max()))[1]
+    residual = float(np.linalg.norm(np.ldexp(gf - lam * qf, k))
+                     / np.linalg.norm(np.ldexp(gf, k)))
     return lam, residual
 
 

@@ -12,7 +12,9 @@ from ccfour.census import DEDUPE_TOL, _accept, _dedupe, _seed_vectors
 from ccfour.dziobek import scale_sq_many
 from ccfour.geometry import (frame_points_many, squared_distances_many,
                              triangle_areas_many)
-from ccfour.solver import state_from_vector
+from ccfour.solver import (CONVERGED, NEAR_BOUNDARY, NO_CONVERGENCE,
+                           SolveOptions, _newton_batch, _residual_factory,
+                           state_from_vector)
 from conftest import random_convex_config
 
 # smallest sub-triangle area over mean squared distance that a seed frame
@@ -248,8 +250,15 @@ def test_dedupe_matches_sequential_matching(rng):
 
 
 def test_census_pinned_counts_at_kite_masses():
-    report = census(MassVector(alpha=0.5, beta=0.8), resolution=8)
+    m = MassVector(alpha=0.5, beta=0.8)
+    report = census(m, resolution=8)
     assert report.seeds_total == 4096
-    assert report.seeds_converged == 2710
+    assert report.seeds_converged == 2709
     assert [(c.symmetry.label, c.basin) for c in report.classes] == \
-        [("kite_axis_34", 2710)]
+        [("kite_axis_34", 2709)]
+    fun = _residual_factory(m, "fix_inertia_one")
+    _, status, _, _ = _newton_batch(fun, _seed_vectors(seed_grid(8, m), m),
+                                    SolveOptions())
+    codes, counts = np.unique(status, return_counts=True)
+    assert dict(zip(codes.tolist(), counts.tolist())) == {
+        CONVERGED: 2709, NEAR_BOUNDARY: 1362, NO_CONVERGENCE: 25}

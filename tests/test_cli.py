@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ccfour.cli import main, parse_grid, parse_sq, positive_float
+import ccfour
+from ccfour.cli import (MAX_GRID_VALUES, main, parse_grid, parse_sq,
+                        positive_float)
 
 
 def run_json(capsys, argv):
@@ -68,6 +74,10 @@ def test_bad_flag_exits_2(capsys):
     ["verify", "--trials", "0"],
     ["verify", "--trials", "-5"],
     ["realize", "--alpha", "1", "--beta", "1", "--sq", "2,1,1,1,1,inf"],
+    pytest.param(["sweep", "--beta-grid", "1", "--alpha-grid", "0.1:1:1e-12"],
+                 id="grid-of-9e11-values"),
+    pytest.param(["sweep", "--beta-grid", "1", "--alpha-grid",
+                  "0.1:1:1e-320"], id="grid-of-inf-values"),
 ], ids=lambda argv: argv[-2])
 def test_bad_flag_value_exits_2_with_one_line(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -89,6 +99,37 @@ def test_domain_and_planarity_errors_exit_1_with_one_line(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["solve", "--alpha", "1e200", "--beta", "1e-200"], 0),
+    (["solve", "--alpha", "1e150", "--beta", "1e150", "--ansatz", "full"], 1),
+], ids=["solve-extreme-ratio", "solve-full-huge-masses"])
+def test_extreme_masses_end_without_warnings(argv, code):
+    """Valid output or one error line, in a process that turns every
+    warning into an error."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(ccfour.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "ccfour.cli",
+                           *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stderr == ""
+        doc = json.loads(proc.stdout)
+        assert doc["report"]["converged"]
+        assert doc["oracle_residual"] < 1e-12
+    else:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+
+
+def test_grid_of_a_million_values_parses():
+    assert len(parse_grid("0.1:1:9.00001e-7")) == MAX_GRID_VALUES
+    import argparse
+    with pytest.raises(argparse.ArgumentTypeError):
+        parse_grid("0.1:1:9e-7")
 
 
 def test_census_has_no_threads_flag(capsys):

@@ -9,7 +9,8 @@ from ccfour import (DomainError, DziobekState, MassVector, NotPlanar,
                     oriented_areas, psi, psi_prime, q_residuals,
                     scaling_transform, sign_det, solve_kite,
                     squared_distances, t_values)
-from ccfour.dziobek import PAIRS, cayley_many, chord_value, planar_many
+from ccfour.dziobek import (PAIRS, cayley_gradient_many, cayley_many,
+                            chord_value, planar_many)
 from conftest import random_convex_config
 
 EQUAL = MassVector(alpha=1.0, beta=1.0)
@@ -117,6 +118,26 @@ def test_cayley_gradient_matches_finite_differences(rng):
         sq = squared_distances(random_convex_config(rng))
         assert np.allclose(cayley_gradient(sq),
                            finite_difference_gradient(sq), rtol=1e-6)
+
+
+def test_cayley_gradient_is_a_row_of_cayley_gradient_many(rng):
+    sq = np.array([squared_distances(random_convex_config(rng))
+                   for _ in range(20)])
+    rows = cayley_gradient_many(sq)
+    assert rows.shape == (20, 6)
+    for k in range(20):
+        assert cayley_gradient(sq[k]).tolist() == rows[k].tolist()
+
+
+@pytest.mark.parametrize("mean_sq", [1e-9, 1.0, 1e8, 1e90])
+def test_planarity_test_is_scale_invariant(rng, mean_sq):
+    """S has degree 3: rescaled planar rows stay planar and a rescaled
+    regular tetrahedron (S = -4 s^3 at squared edge s) stays non-planar."""
+    sq = np.array([squared_distances(random_convex_config(rng))
+                   for _ in range(20)])
+    sq *= mean_sq / sq.mean(axis=1, keepdims=True)
+    assert planar_many(sq).all()
+    assert not planar_many(np.full(6, mean_sq))[0]
 
 
 @pytest.mark.parametrize("sq", [(1, 1, 1, 1, 1, 1), (2, 1, 1, 1, 1, math.inf),

@@ -99,6 +99,18 @@ def test_realize_tetrahedron_not_planar():
         realize((1, 1, 1, 1, 1, 1), EQUAL)
 
 
+def test_realize_planarity_is_scale_invariant(rng):
+    """A convex configuration with mean squared distance 1e8 is planar, a
+    regular tetrahedron with squared edge 1e-9 is not."""
+    for _ in range(20):
+        sq = np.asarray(squared_distances(random_convex_config(rng)))
+        sq *= 1e8 / sq.mean()
+        assert np.allclose(squared_distances(realize(sq, EQUAL)), sq,
+                           rtol=1e-10, atol=0.0)
+    with pytest.raises(NotPlanar):
+        realize((1e-9,) * 6, EQUAL)
+
+
 @pytest.mark.parametrize("sq", [(2, 1, 1, 1, 1, math.inf),
                                 (2, 1, 1, 1, 1, math.nan),
                                 (2, 1, 1, 1, 1, 1e300),

@@ -10,8 +10,11 @@ from ccfour import (DomainError, DziobekState, LeftConvexRegion, MassVector,
                     solve_kite, solve_rhombus, squared_distances, sweep)
 from ccfour.dziobek import pair_residuals_many
 from ccfour.geometry import trilaterated_areas_many
-from ccfour.solver import (SweepCell, _residual_factory, seed_vector,
-                           seed_vectors)
+from ccfour.solver import (_KITE_EMBED, _KITE_EQS, _MAX_BACKTRACKS,
+                           CONVERGED, LEFT_CONVEX, NEAR_BOUNDARY,
+                           NO_CONVERGENCE, SINGULAR, SweepCell, _backtrack,
+                           _kite_seed_vectors, _newton_batch, _polish,
+                           _residual_factory, seed_vector, seed_vectors)
 from conftest import random_convex_config
 
 EQUAL = MassVector(alpha=1.0, beta=1.0)
@@ -258,3 +261,158 @@ def test_sweep_rejects_bad_grids():
         sweep([], [1.0])
     with pytest.raises(DomainError):
         sweep([0.5, -0.1], [1.0])
+
+
+def central_jacobian(fun, x, h_rel=1e-6):
+    """Central differences of fun's residuals, one column at a time."""
+    jac = np.empty(x.shape + (x.shape[1],))
+    for j in range(x.shape[1]):
+        h = h_rel * np.maximum(1.0, np.abs(x[:, j]))
+        up, dn = x.copy(), x.copy()
+        up[:, j] += h
+        dn[:, j] -= h
+        jac[:, :, j] = (fun(up)[0] - fun(dn)[0]) / (2.0 * h)[:, None]
+    return jac
+
+
+def assert_jacobian_matches_central_differences(fun, x):
+    exact = fun.jacobian(x)
+    oracle = central_jacobian(fun, x)
+    assert np.isfinite(oracle).all()
+    scale = np.abs(oracle).max(axis=(1, 2))
+    err = np.abs(exact - oracle).max(axis=(1, 2))
+    assert (err <= 1e-8 * scale).all(), err / scale
+
+
+@pytest.mark.parametrize("normalization", ["fix_inertia_one", "fix_a_one"])
+def test_exact_jacobian_of_the_full_system(rng, normalization):
+    m = MassVector(alpha=0.4, beta=1.3)
+    x = seed_vectors(np.array([random_sq(rng, m) for _ in range(20)]), m)
+    x[:, 6:] *= rng.uniform(0.5, 2.0, size=(20, 2))  # off the fitted values
+    fun = _residual_factory(m, normalization)
+    assert_jacobian_matches_central_differences(fun, x)
+
+
+@pytest.mark.parametrize("normalization", ["fix_inertia_one", "fix_a_one"])
+def test_exact_jacobian_of_the_kite_system(normalization):
+    m = MassVector(alpha=0.5, beta=0.8)
+    fun = _residual_factory(m, normalization, eq_indices=_KITE_EQS,
+                            embed=_KITE_EMBED)
+    assert_jacobian_matches_central_differences(fun, _kite_seed_vectors(m))
+
+
+class Halfplane:
+    """Residual x with the region x[1] < 1 as the convex region."""
+
+    def __call__(self, x):
+        valid = x[:, 1] < 1.0
+        res = x.copy()
+        res[~valid] = np.nan
+        return res, valid
+
+
+def sequential_backtrack(fun, x, dx, base2):
+    """Reference: one row at a time, one halving per residual call."""
+    n, k = x.shape
+    accepted = np.zeros(n, dtype=bool)
+    last_invalid = np.zeros(n, dtype=bool)
+    x_new, res_new = x.copy(), np.full((n, k), np.nan)
+    norm_new = np.full(n, np.nan)
+    for i in range(n):
+        lam = 1.0
+        for _ in range(_MAX_BACKTRACKS):
+            xt = x[i:i + 1] + lam * dx[i:i + 1]
+            rt, vt = fun(xt)
+            nt2 = np.sqrt(np.nansum(rt * rt, axis=1))
+            if vt[0] and nt2[0] <= (1.0 - 1e-4 * lam) * base2[i]:
+                accepted[i], last_invalid[i] = True, False
+                x_new[i], res_new[i], norm_new[i] = xt[0], rt[0], nt2[0]
+                break
+            last_invalid[i] = not vt[0]
+            lam *= 0.5
+    return accepted, x_new, res_new, norm_new, last_invalid
+
+
+# (x, dx) rows for Halfplane and the step each takes
+CRAFTED_STEPS = [
+    ((1.0, 0.0), (-1.0, 0.0), 1.0),            # full step
+    ((1.0, 0.0), (-10.0, 0.0), 0.125),         # overshoots until lam = 1/8
+    ((1.0, 0.0), (-1.0, 3.0), 0.125),          # invalid until lam = 1/4
+    ((1.0, 0.0), (1.0, 0.0), None),            # ascent: NO_CONVERGENCE
+    ((1.0, 0.5), (1.0, 1.0), None),            # invalid, then ascent
+    ((1.0, 1.0 - 1e-13), (0.0, 1.0), None),    # never valid: LEFT_CONVEX
+]
+
+
+@pytest.mark.parametrize("budget", [6, 7, 64, 4096])
+def test_batched_backtracking_matches_sequential_halving(rng, budget):
+    fun = Halfplane()
+    x = np.array([row[0] for row in CRAFTED_STEPS])
+    dx = np.array([row[1] for row in CRAFTED_STEPS])
+    extra_x = rng.uniform(-1.0, 0.99, size=(30, 2))
+    extra_dx = rng.normal(size=(30, 2)) * 10.0 ** rng.uniform(-3, 3, (30, 1))
+    x = np.concatenate([x, extra_x])
+    dx = np.concatenate([dx, extra_dx])
+    base2 = np.sqrt((x * x).sum(axis=1))
+    got = _backtrack(fun, x, dx, base2, max(budget, x.shape[0]))
+    want = sequential_backtrack(fun, x, dx, base2)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w, equal_nan=True)
+    accepted, x_new, _, _, last_invalid = got
+    for k, (x0, step, lam) in enumerate(CRAFTED_STEPS):
+        if lam is None:
+            assert not accepted[k]
+        else:
+            assert accepted[k]
+            assert x_new[k].tolist() == (np.array(x0)
+                                         + lam * np.array(step)).tolist()
+    assert last_invalid[:6].tolist() == [False] * 5 + [True]
+    assert not accepted[4:6].any()
+
+
+class Steered(Halfplane):
+    """Halfplane with a chosen Jacobian, and no boundary probe hits."""
+
+    def __init__(self, jac):
+        self.jac = jac
+
+    def jacobian(self, x):
+        return self.jac[:x.shape[0]]
+
+    def near_boundary(self, x):
+        return np.zeros(x.shape[0], dtype=bool)
+
+
+def test_newton_statuses_of_exhausted_and_singular_rows():
+    """-I makes dx = x, an ascent direction: a row that stays valid ends
+    NO_CONVERGENCE, one whose every trial leaves the region LEFT_CONVEX; a
+    zero Jacobian is SINGULAR; +I converges in one step."""
+    x0 = np.array([(1.0, 0.0), (1.0, 1.0 - 1e-13), (1.0, 0.0), (1.0, 0.5)])
+    jac = np.array([-np.eye(2), -np.eye(2), np.zeros((2, 2)), np.eye(2)])
+    _, status, iters, _ = _newton_batch(Steered(jac), x0,
+                                        SolveOptions(max_iterations=1))
+    assert status.tolist() == [NO_CONVERGENCE, LEFT_CONVEX, SINGULAR,
+                               CONVERGED]
+    assert iters.tolist() == [0, 0, 0, 1]
+
+
+def near_triangle_vector(m, gap):
+    """A convex quadrilateral whose diagonal q3-q4 crosses the axis q1-q2
+    `gap` short of q2, as a start vector."""
+    pts = np.array([(0.0, 0.0), (1.0, 0.0), (1.2, 1.0), (0.8 - 2 * gap, -1.0)])
+    sq = [float(((pts[i] - pts[j]) ** 2).sum()) for i, j in
+          ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
+    return seed_vector(sq, m)
+
+
+def test_row_within_the_boundary_probe_is_near_boundary():
+    m = MassVector(alpha=0.5, beta=0.8)
+    fun = _residual_factory(m, "fix_inertia_one")
+    x = np.array([near_triangle_vector(m, 1e-9),
+                  near_triangle_vector(m, 1e-2)])
+    assert fun(x)[1].all()
+    assert fun.near_boundary(x).tolist() == [True, False]
+    _, status, _, _ = _newton_batch(fun, x[:1], SolveOptions())
+    assert status.tolist() == [NEAR_BOUNDARY]
+    with pytest.raises(LeftConvexRegion):
+        _polish(x[0], m, SolveOptions())
