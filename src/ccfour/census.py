@@ -18,8 +18,8 @@ from .geometry import (CanonicalFrame, canonicalize_many, oriented_areas_many,
                        realize_many, reconstruct_many, squared_distances_many,
                        unit_inertia_many)
 # census() calls the batched Newton core itself, on the whole seed lattice
-from .solver import (CONVERGED, SolveOptions, _newton_batch,
-                     _residual_factory, seed_vectors, state_from_vector)
+from .solver import (CONVERGED, Residuals, SolveOptions, _newton_batch,
+                     seed_vectors, state_from_vector)
 
 DEDUPE_TOL = 1e-6
 CLASSIFY_TOL = 1e-6
@@ -42,7 +42,7 @@ def classify_symmetry(st: DziobekState) -> SymmetryLabel:
     square dominates rhombus dominates kite dominates asymmetric.
     """
     r = np.sqrt(np.asarray(st.sq, dtype=float))
-    scale = float(np.sqrt(np.mean(st.sq)))
+    scale = math.sqrt(st.sq.scale_sq)
     ra, rb, rc, rd, re, rf = r
     eq = lambda x, y: abs(x - y) < CLASSIFY_TOL * scale
     sides_equal = eq(rb, rc) and eq(rb, rd) and eq(rb, re) and eq(rc, rd)
@@ -166,7 +166,7 @@ def census(m: MassVector, resolution: int = 8,
     """Polish every seed, keep converged convex states with nu > 0, and
     group them by canonical-frame distance (dedupe tolerance 1e-6)."""
     x0 = _seed_vectors(seed_grid(resolution, m), m)
-    fun = _residual_factory(m, opts.normalization)
+    fun = Residuals(m, opts.normalization)
     x, status, _, _ = _newton_batch(fun, x0, opts)
     x = x[status == CONVERGED]
     keep, frames = _accept(x, m)

@@ -9,14 +9,11 @@ in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence, TYPE_CHECKING
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DomainError, NotPlanar
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .geometry import OrientedAreas
 
 
 @dataclass(frozen=True)
@@ -80,6 +77,15 @@ def scale_sq_many(sq: np.ndarray) -> np.ndarray:
     return total / 6.0
 
 
+class OrientedAreas(NamedTuple):
+    """Signed areas of the four sub-triangles, convention (-, -, +, +)."""
+
+    d1: float
+    d2: float
+    d3: float
+    d4: float
+
+
 # index pairs for (a, b, c, d, e, f), zero-based vertex labels
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 PAIR_I, PAIR_J = np.array(PAIRS).T
@@ -93,7 +99,7 @@ class DziobekState:
     """Squared distances + oriented areas + the two multipliers."""
 
     sq: SquaredDistances
-    areas: "OrientedAreas"
+    areas: OrientedAreas
     nu: float
     xi: float
 
@@ -127,31 +133,24 @@ def psi_prime(s: float) -> float:
     return -0.5 * s ** -1.5
 
 
-def _cayley_matrix_many(sq: np.ndarray) -> np.ndarray:
-    n = sq.shape[0]
-    M = np.zeros((n, 5, 5))
-    M[:, 0, 1:] = 1.0
-    M[:, 1:, 0] = 1.0
-    a, b, c, d, e, f = (sq[:, k] for k in range(6))
-    M[:, 1, 2] = M[:, 2, 1] = a
-    M[:, 1, 3] = M[:, 3, 1] = b
-    M[:, 1, 4] = M[:, 4, 1] = c
-    M[:, 2, 3] = M[:, 3, 2] = d
-    M[:, 2, 4] = M[:, 4, 2] = e
-    M[:, 3, 4] = M[:, 4, 3] = f
-    return M
-
-
 def cayley_many(sq: np.ndarray) -> np.ndarray:
     """Vectorized Cayley determinant over rows of a (n, 6) array.
 
     Sign convention: dS/d(r_ij^2) = +32 Delta_i Delta_j with the oriented
     areas signed (-, -, +, +) on convex quadrilaterals; this is the negative
     of the symmetric bordered determinant, so S = -288 V^2 for tetrahedral
-    distance sets.
+    distance sets.  In closed form S = -2P with the cubic P = 144 V^2,
+
+        P = af(b+c+d+e-a-f) + be(a+c+d+f-b-e) + cd(a+b+e+f-c-d)
+            - abd - ace - bcf - def,
+
+    whose last four terms are the faces 123, 124, 134 and 234.
     """
-    sq = np.atleast_2d(np.asarray(sq, dtype=float))
-    return -np.linalg.det(_cayley_matrix_many(sq))
+    a, b, c, d, e, f = np.atleast_2d(np.asarray(sq, dtype=float)).T
+    return -2.0 * (a * f * (b + c + d + e - a - f)
+                   + b * e * (a + c + d + f - b - e)
+                   + c * d * (a + b + e + f - c - d)
+                   - a * b * d - a * c * e - b * c * f - d * e * f)
 
 
 def cayley(sq: Sequence[float]) -> float:
@@ -173,25 +172,32 @@ def planar_many(sq: np.ndarray) -> np.ndarray:
                 & (ratio <= PLANARITY_TOL * scale))
 
 
-# the bordered Cayley matrix without row i+1 and column j+1, for each pair
-_MINOR_ROWS = np.array([[k for k in range(5) if k != i + 1] for i in PAIR_I])
-_MINOR_COLS = np.array([[k for k in range(5) if k != j + 1] for j in PAIR_J])
-# dS/dr_ij^2 = 2 (-1)^(i+j+1) det of M without row i+1 and column j+1
-_COFACTOR_SIGN = 2.0 * (-1.0) ** (PAIR_I + PAIR_J + 1)
+# for each squared distance, the other two edges of each face through it
+_FACE_PARTNERS = np.array([[[1, 3], [2, 4]], [[0, 3], [2, 5]],
+                           [[0, 4], [1, 5]], [[0, 1], [4, 5]],
+                           [[0, 2], [3, 5]], [[1, 2], [3, 4]]])
 
 
 def cayley_gradient_many(sq: np.ndarray) -> np.ndarray:
-    """Exact gradients of S with respect to (a, ..., f), over rows of a
-    (n, 6) array.
+    """Exact gradients of S = -2P with respect to (a, ..., f), over rows of
+    a (n, 6) array.
 
-    r_ij^2 sits at (i+1, j+1) and (j+1, i+1) of the symmetric bordered
-    matrix M and S = -det M, so dS/dr_ij^2 = 2 (-1)^(i+j+1) det of M without
-    row i+1 and column j+1.  No planarity check: this is also the S row of
-    Newton's Jacobian, off the plane.
+    For a squared distance x with opposite pair y (a-f, b-e, c-d, which is
+    the reversed PAIRS order) and s the sum of all six,
+
+        dP/dx = y(s - 3x - 2y) + (af + be + cd - xy) - (the products of the
+                other two edges of each face through x),
+
+    so dP/da = f(s - 3a - 2f) + be + cd - bd - ce.  No planarity check: this
+    is also the S row of Newton's Jacobian, off the plane.
     """
-    M = _cayley_matrix_many(np.atleast_2d(np.asarray(sq, dtype=float)))
-    minors = M[:, _MINOR_ROWS[:, :, None], _MINOR_COLS[:, None, :]]
-    return _COFACTOR_SIGN * np.linalg.det(minors)
+    x = np.atleast_2d(np.asarray(sq, dtype=float))
+    y = x[:, ::-1]
+    s = x.sum(axis=1, keepdims=True)
+    xy = x * y
+    faces = x[:, _FACE_PARTNERS].prod(axis=3).sum(axis=2)
+    return -2.0 * (y * (s - 3.0 * x - 2.0 * y)
+                   + xy[:, :3].sum(axis=1, keepdims=True) - xy - faces)
 
 
 def cayley_gradient(sq: Sequence[float]) -> np.ndarray:
@@ -383,8 +389,6 @@ def chord_value(u: float, w: float, U: float, W: float, v: float) -> float:
 def dilate_state(st: DziobekState, k: float) -> DziobekState:
     """Dilate all lengths by k (masses fixed): sq, areas, nu, xi rescale so
     the central-configuration equations are preserved."""
-    from .geometry import OrientedAreas
-
     if k <= 0:
         raise DomainError("dilation factor must be positive")
     sq = SquaredDistances(*(s * k * k for s in st.sq))
@@ -400,8 +404,6 @@ def scaling_transform(st: DziobekState, m: MassVector,
     Masses are divided by eta, squared distances multiplied by eta**(-2/3);
     nu and xi are recomputed so the residual equations transform covariantly.
     """
-    from .geometry import OrientedAreas
-
     if eta <= 0:
         raise DomainError("eta must be positive")
     k2 = eta ** (-2.0 / 3.0)

@@ -11,26 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .dziobek import (PAIRS, MassVector, SquaredDistances, cayley,
-                      planar_many, scale_sq_many)
+from .dziobek import (PAIRS, MassVector, OrientedAreas, SquaredDistances,
+                      cayley, planar_many, scale_sq_many)
 from .errors import Degenerate, NotConvex, NotPlanar, NotRealizable
 
 COINCIDENCE_TOL = 1e-12
 CENTROID_TOL = 1e-12
 AREA_TOL = 1e-12
-
-
-class OrientedAreas(NamedTuple):
-    """Signed areas of the four sub-triangles, convention (-, -, +, +)."""
-
-    d1: float
-    d2: float
-    d3: float
-    d4: float
 
 
 @dataclass(frozen=True)

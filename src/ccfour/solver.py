@@ -15,12 +15,13 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .dziobek import (PAIR_I, PAIR_J, DziobekState, MassVector,
-                      SquaredDistances, cayley_gradient_many, cayley_many,
-                      dilate_state, pair_jacobian_many, pair_residuals_many,
-                      psi_prime, psi_prime_many, sq_inertia, unit_inertia_sq)
+                      OrientedAreas, SquaredDistances, cayley_gradient_many,
+                      cayley_many, dilate_state, pair_jacobian_many,
+                      pair_residuals_many, psi_prime, psi_prime_many,
+                      sq_inertia, unit_inertia_sq)
 from .errors import (DomainError, LeftConvexRegion, NoConvergence,
                      SingularJacobian)
-from .geometry import (OrientedAreas, oriented_areas, realize,
+from .geometry import (oriented_areas, realize,
                        trilaterated_area_derivatives_many,
                        trilaterated_areas_many)
 
@@ -72,7 +73,7 @@ class SolveReport:
         }
 
 
-class _Residuals:
+class Residuals:
     """The residual map of the damped-Newton core, its exact Jacobian and
     the boundary probe.
 
@@ -147,14 +148,6 @@ class _Residuals:
         valid, _ = trilaterated_areas_many(
             self._full(probes.reshape(-1, k))[:, :6])
         return ~valid.reshape(-1, n).all(axis=0)
-
-
-def _residual_factory(m: MassVector, normalization: str,
-                      eq_indices: Sequence[int] | None = None,
-                      embed: Sequence[int] | None = None) -> _Residuals:
-    """The residual map for _newton_batch: fun(x) -> (residuals, valid),
-    with fun.jacobian and fun.near_boundary."""
-    return _Residuals(m, normalization, eq_indices, embed)
 
 
 def _solve_linear(jac: np.ndarray, rhs: np.ndarray):
@@ -340,7 +333,7 @@ def seed_vector(sq: Sequence[float], m: MassVector) -> np.ndarray:
 def _polish(x0: np.ndarray, m: MassVector, opts: SolveOptions) -> SolveReport:
     """Full Newton from one start vector (a..f, nu, xi); raises unless it
     converges to a state with nu > 0."""
-    fun = _residual_factory(m, opts.normalization)
+    fun = Residuals(m, opts.normalization)
     x, status, iters, norm = _newton_batch(fun, x0[None, :], opts)
     if status[0] == LEFT_CONVEX:
         raise LeftConvexRegion("iterate left the convex region")
@@ -386,8 +379,8 @@ def _kite_seed_vectors(m: MassVector) -> np.ndarray:
 def solve_kite(m: MassVector,
                opts: SolveOptions = SolveOptions()) -> SolveReport:
     """Solve the kite-reduced system (b = d and c = e by construction)."""
-    fun = _residual_factory(m, opts.normalization,
-                            eq_indices=_KITE_EQS, embed=_KITE_EMBED)
+    fun = Residuals(m, opts.normalization, eq_indices=_KITE_EQS,
+                    embed=_KITE_EMBED)
     seeds = _kite_seed_vectors(m)
     x, status, iters, norm = _newton_batch(fun, seeds, opts)
     for i in range(seeds.shape[0]):

@@ -103,7 +103,7 @@ def check_lemma2_albouy(
     for st, m in states:
         areas = np.asarray(st.areas)
         masses = np.asarray(m.masses)
-        scale_sq = float(np.mean(st.sq))
+        scale_sq = st.sq.scale_sq
         for i in range(4):
             for j in range(i + 1, 4):
                 d_plain = areas[i] - areas[j]
@@ -287,7 +287,7 @@ def check_lemma4_orderings(trials: int = 1000,
 def check_theorem_identities(st: DziobekState, m: MassVector) -> CheckResult:
     """The two rearranged balanced identities and the auxiliary closed
     forms used alongside them."""
-    scale = math.sqrt(float(np.mean(st.sq)))
+    scale = math.sqrt(st.sq.scale_sq)
     rearranged = balanced_residuals(st.sq, m, form="appendix2")
     worst = float(np.max(np.abs(rearranged[2:4]))) / scale
     witnesses = []
@@ -328,7 +328,7 @@ def run_theorem1_suite(mass_grid: Sequence[tuple[float, float]],
         if cls.symmetry.label not in kite_labels:
             witnesses.append({**point, "label": cls.symmetry.label})
         st = cls.state
-        scale_sq = float(np.mean(st.sq))
+        scale_sq = st.sq.scale_sq
         delta_gap = abs(st.areas[0] - st.areas[1]) / scale_sq
         worst = max(worst, delta_gap)
         if delta_gap > 1e-8:
@@ -361,7 +361,7 @@ def run_theorem2_suite(alpha_grid: Sequence[float],
         if cls.symmetry.label not in ("rhombus", "square"):
             witnesses.append({**point, "label": cls.symmetry.label})
         st = cls.state
-        scale = math.sqrt(float(np.mean(st.sq)))
+        scale = math.sqrt(st.sq.scale_sq)
         r = np.sqrt(np.asarray(st.sq))
         side_gap = (max(r[1], r[2], r[3], r[4])
                     - min(r[1], r[2], r[3], r[4])) / scale

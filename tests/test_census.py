@@ -13,7 +13,7 @@ from ccfour.dziobek import scale_sq_many
 from ccfour.geometry import (frame_points_many, squared_distances_many,
                              triangle_areas_many)
 from ccfour.solver import (CONVERGED, NEAR_BOUNDARY, NO_CONVERGENCE,
-                           SolveOptions, _newton_batch, _residual_factory,
+                           Residuals, SolveOptions, _newton_batch,
                            state_from_vector)
 from conftest import random_convex_config
 
@@ -256,7 +256,7 @@ def test_census_pinned_counts_at_kite_masses():
     assert report.seeds_converged == 2709
     assert [(c.symmetry.label, c.basin) for c in report.classes] == \
         [("kite_axis_34", 2709)]
-    fun = _residual_factory(m, "fix_inertia_one")
+    fun = Residuals(m, "fix_inertia_one")
     _, status, _, _ = _newton_batch(fun, _seed_vectors(seed_grid(8, m), m),
                                     SolveOptions())
     codes, counts = np.unique(status, return_counts=True)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -90,11 +91,57 @@ def dziobek_gradient(areas):
 
 
 def finite_difference_gradient(sq, step_rel=1e-6):
-    """Central differences of cayley_many, independent of the cofactors."""
+    """Central differences of cayley_many, independent of the closed-form
+    gradient."""
     x = np.asarray(sq, dtype=float)
     h = step_rel * float(np.mean(x))
     steps = h * np.eye(6)
     return (cayley_many(x + steps) - cayley_many(x - steps)) / (2.0 * h)
+
+
+def bordered_cayley_matrix(sq):
+    """The symmetric bordered matrix with r_ij^2 at (i+1, j+1) and
+    (j+1, i+1); S is minus its determinant."""
+    M = [[0, 1, 1, 1, 1]] + [[1, 0, 0, 0, 0] for _ in range(4)]
+    for (i, j), x in zip(PAIRS, sq):
+        M[i + 1][j + 1] = M[j + 1][i + 1] = x
+    return M
+
+
+def test_cayley_closed_form_is_the_bordered_determinant_exactly():
+    """S and its gradient have degree <= 2 in each squared distance, so
+    equality on {0, 1, 2, 3}^6 makes them the same polynomials; float
+    arithmetic on these small integers is exact."""
+    import sympy
+
+    symbols = sympy.symbols("a:f")
+    S = -sympy.Matrix(bordered_cayley_matrix(symbols)).det()
+    exact = sympy.lambdify(symbols,
+                           [S, *(sympy.diff(S, x) for x in symbols)])
+    grid = np.array(list(itertools.product(range(4), repeat=6)))
+    want = np.array(exact(*grid.T)).T
+    assert (cayley_many(grid.astype(float)) == want[:, 0]).all()
+    assert (cayley_gradient_many(grid.astype(float)) == want[:, 1:]).all()
+
+
+def test_cayley_closed_form_matches_linalg_det(rng):
+    """Against the bordered determinant and twice its signed cofactors,
+    dS/dr_ij^2 = 2 (-1)^(i+j+1) det of M without row i+1 and column j+1, on
+    tetrahedral and planar rows."""
+    tetrahedra = [rng.normal(size=(4, 3)) for _ in range(50)]
+    rows = [[float(np.sum((p[i] - p[j]) ** 2)) for i, j in PAIRS]
+            for p in tetrahedra]
+    rows += [squared_distances(random_convex_config(rng)) for _ in range(50)]
+    for sq in rows:
+        M = np.array(bordered_cayley_matrix(sq), dtype=float)
+        cofactors = [2.0 * (-1) ** (i + j + 1)
+                     * np.linalg.det(np.delete(np.delete(M, i + 1, 0),
+                                               j + 1, 1))
+                     for i, j in PAIRS]
+        scale = max(sq)
+        assert abs(cayley_many(sq)[0] + np.linalg.det(M)) < 1e-13 * scale ** 3
+        assert (np.max(np.abs(cayley_gradient_many(sq)[0] - cofactors))
+                < 1e-13 * scale ** 2)
 
 
 def test_cayley_gradient_square():

@@ -7,8 +7,7 @@ import ccfour
 
 # census() runs the batched Newton core on its whole seed lattice itself,
 # and the benchmark times that call as the census's Newton stage
-ALLOWED_PRIVATE_IMPORTS = {("census", "_residual_factory"),
-                           ("census", "_newton_batch")}
+ALLOWED_PRIVATE_IMPORTS = {("census", "_newton_batch")}
 
 
 def private_imports(source: str, module: str) -> set:

@@ -12,9 +12,9 @@ from ccfour.dziobek import pair_residuals_many
 from ccfour.geometry import trilaterated_areas_many
 from ccfour.solver import (_KITE_EMBED, _KITE_EQS, _MAX_BACKTRACKS,
                            CONVERGED, LEFT_CONVEX, NEAR_BOUNDARY,
-                           NO_CONVERGENCE, SINGULAR, SweepCell, _backtrack,
-                           _kite_seed_vectors, _newton_batch, _polish,
-                           _residual_factory, seed_vector, seed_vectors)
+                           NO_CONVERGENCE, SINGULAR, Residuals, SweepCell,
+                           _backtrack, _kite_seed_vectors, _newton_batch,
+                           _polish, seed_vector, seed_vectors)
 from conftest import random_convex_config
 
 EQUAL = MassVector(alpha=1.0, beta=1.0)
@@ -216,7 +216,7 @@ def test_cc_residuals_are_the_newton_pair_rows(rng):
     x = seed_vectors(np.array([random_sq(rng, m) for _ in range(5)]), m)
     _, areas = trilaterated_areas_many(x[:, :6])
     batched = pair_residuals_many(x, areas, 1.0 / m.pair_weights)
-    newton, valid = _residual_factory(m, "fix_inertia_one")(x)
+    newton, valid = Residuals(m, "fix_inertia_one")(x)
     assert valid.all()
     assert newton[:, :6].tolist() == batched.tolist()
     for row, area_row, want in zip(x, areas, batched):
@@ -289,15 +289,15 @@ def test_exact_jacobian_of_the_full_system(rng, normalization):
     m = MassVector(alpha=0.4, beta=1.3)
     x = seed_vectors(np.array([random_sq(rng, m) for _ in range(20)]), m)
     x[:, 6:] *= rng.uniform(0.5, 2.0, size=(20, 2))  # off the fitted values
-    fun = _residual_factory(m, normalization)
+    fun = Residuals(m, normalization)
     assert_jacobian_matches_central_differences(fun, x)
 
 
 @pytest.mark.parametrize("normalization", ["fix_inertia_one", "fix_a_one"])
 def test_exact_jacobian_of_the_kite_system(normalization):
     m = MassVector(alpha=0.5, beta=0.8)
-    fun = _residual_factory(m, normalization, eq_indices=_KITE_EQS,
-                            embed=_KITE_EMBED)
+    fun = Residuals(m, normalization, eq_indices=_KITE_EQS,
+                    embed=_KITE_EMBED)
     assert_jacobian_matches_central_differences(fun, _kite_seed_vectors(m))
 
 
@@ -407,7 +407,7 @@ def near_triangle_vector(m, gap):
 
 def test_row_within_the_boundary_probe_is_near_boundary():
     m = MassVector(alpha=0.5, beta=0.8)
-    fun = _residual_factory(m, "fix_inertia_one")
+    fun = Residuals(m, "fix_inertia_one")
     x = np.array([near_triangle_vector(m, 1e-9),
                   near_triangle_vector(m, 1e-2)])
     assert fun(x)[1].all()
