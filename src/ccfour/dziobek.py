@@ -8,12 +8,15 @@ in this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DomainError, NotPlanar
+
+_TINY = float(np.finfo(float).tiny)  # the least positive normal float
 
 
 @dataclass(frozen=True)
@@ -30,12 +33,15 @@ class MassVector:
 
     def __post_init__(self):
         with np.errstate(over="ignore", under="ignore"):
-            weights = np.array([*self.masses, *self.pair_weights,
-                                self.mprime])
-        # NaN fails both tests; an overflowing or underflowing product one
-        if not (np.isfinite(weights).all() and (weights > 0).all()):
+            weights = (*self.masses, self.mprime)
+            products = self.pair_weights.tolist()
+        # NaN fails both tests, and so does an overflowing sum or product; a
+        # subnormal product fails the second, as its reciprocal overflows
+        if not (all(0.0 < w < math.inf for w in weights)
+                and all(_TINY <= p < math.inf for p in products)):
             raise DomainError("masses must be strictly positive and finite, "
-                              "and so must their pair products and sum")
+                              "and so must their sum; their pair products "
+                              "must be finite normal floats")
 
     @property
     def masses(self) -> tuple[float, float, float, float]:
@@ -388,13 +394,19 @@ def chord_value(u: float, w: float, U: float, W: float, v: float) -> float:
 
 def dilate_state(st: DziobekState, k: float) -> DziobekState:
     """Dilate all lengths by k (masses fixed): sq, areas, nu, xi rescale so
-    the central-configuration equations are preserved."""
+    the central-configuration equations are preserved.  A dilated value
+    that overflows raises DomainError."""
     if k <= 0:
         raise DomainError("dilation factor must be positive")
+    try:
+        nu, xi = st.nu * k ** -7, st.xi * k ** -3
+    except OverflowError:
+        nu = xi = math.inf
     sq = SquaredDistances(*(s * k * k for s in st.sq))
     areas = OrientedAreas(*(x * k * k for x in st.areas))
-    return DziobekState(sq=sq, areas=areas, nu=st.nu * k ** -7,
-                        xi=st.xi * k ** -3)
+    if not all(map(math.isfinite, (*sq, *areas, nu, xi))):
+        raise DomainError(f"dilation by {k:g} overflows the state")
+    return DziobekState(sq=sq, areas=areas, nu=nu, xi=xi)
 
 
 def scaling_transform(st: DziobekState, m: MassVector,

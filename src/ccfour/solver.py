@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dziobek import (PAIR_I, PAIR_J, DziobekState, MassVector,
                       OrientedAreas, SquaredDistances, cayley_gradient_many,
@@ -403,8 +402,10 @@ def rhombus_ratio(alpha: float) -> float:
     eliminating nu and xi from the three distinct equations leaves
     psi'(4) - psi'(1+x^2) = alpha [psi'(4 x^2) - psi'(1+x^2)].
     """
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise DomainError("alpha must be positive and finite")
+    # scipy costs most of a cold import, and only this root needs it
+    from scipy.optimize import brentq
 
     def g(x):
         return (psi_prime(4.0) - psi_prime(1.0 + x * x)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ccfour
 from ccfour.cli import (MAX_GRID_VALUES, main, parse_grid, parse_sq,
@@ -92,7 +96,11 @@ def test_bad_flag_value_exits_2_with_one_line(capsys, argv):
     ["realize", "--sq", "2,1,1,1,1,1e300", "--alpha", "1", "--beta", "1"],
     ["solve", "--alpha", "1e308", "--beta", "1e308"],
     ["census", "--alpha", "1e-200", "--beta", "1e-200"],
-], ids=["realize-overflow", "solve-mass-overflow", "census-mass-underflow"])
+    ["solve", "--alpha", "1e100", "--beta", "1e100", "--ansatz", "rhombus"],
+    ["solve", "--alpha", "1e150", "--beta", "1e150", "--ansatz", "rhombus"],
+], ids=["realize-overflow", "solve-mass-overflow", "census-mass-underflow",
+        "solve-rhombus-dilation-overflow-1e100",
+        "solve-rhombus-dilation-overflow-1e150"])
 def test_domain_and_planarity_errors_exit_1_with_one_line(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -101,18 +109,27 @@ def test_domain_and_planarity_errors_exit_1_with_one_line(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["solve", "--alpha", "1e200", "--beta", "1e-200"], 0),
-    (["solve", "--alpha", "1e150", "--beta", "1e150", "--ansatz", "full"], 1),
-], ids=["solve-extreme-ratio", "solve-full-huge-masses"])
-def test_extreme_masses_end_without_warnings(argv, code):
-    """Valid output or one error line, in a process that turns every
-    warning into an error."""
+def fresh_python(*args):
+    """Run a fresh interpreter on this checkout that turns every warning
+    into an error."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(ccfour.__file__).parents[1]),
          os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-W", "error", "-m", "ccfour.cli",
-                           *argv], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-W", "error", *args],
+                          capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["solve", "--alpha", "1e200", "--beta", "1e-200"], 0),
+    (["solve", "--alpha", "1e150", "--beta", "1e150", "--ansatz", "full"], 1),
+    (["solve", "--alpha", "1e-300", "--beta", "1e-20"], 1),
+    (["solve", "--alpha", "1e-300", "--beta", "1e-20", "--ansatz", "full"], 1),
+], ids=["solve-extreme-ratio", "solve-full-huge-masses",
+        "solve-subnormal-pair-product", "solve-full-subnormal-pair-product"])
+def test_extreme_masses_end_without_warnings(argv, code):
+    """Valid output or one error line, in a process that turns every
+    warning into an error."""
+    proc = fresh_python("-m", "ccfour.cli", *argv)
     assert proc.returncode == code, proc.stderr
     if code == 0:
         assert proc.stderr == ""
@@ -123,6 +140,85 @@ def test_extreme_masses_end_without_warnings(argv, code):
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
+
+
+# every command that never solves the 1-D rhombus root
+SCIPY_FREE_COMMANDS = [
+    ["census", "--alpha", "0.5", "--beta", "0.8", "--resolution", "2"],
+    ["sweep", "--alpha-grid", "0.5", "--beta-grid", "0.8,1.0"],
+    ["solve", "--alpha", "0.5", "--beta", "0.8", "--ansatz", "kite"],
+    ["solve", "--alpha", "0.5", "--beta", "0.8", "--ansatz", "full"],
+    ["realize", "--sq", "2,1,1,1,1,2", "--alpha", "1", "--beta", "1"],
+    ["verify", "--trials", "10"],
+]
+
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+from ccfour.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+runs = [[None, scipy_modules()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        runs.append([main(argv), scipy_modules()])
+print(json.dumps(runs))
+"""
+
+
+def exit_codes_and_scipy_modules(commands):
+    """Import ccfour.cli and run `commands` through main() in one fresh
+    process; for the import and each command, the exit code and the scipy
+    modules loaded by then."""
+    proc = fresh_python("-c", SCIPY_PROBE, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_commands_without_the_rhombus_root_never_load_scipy():
+    runs = exit_codes_and_scipy_modules(SCIPY_FREE_COMMANDS)
+    assert runs == [[None, []]] + [[0, []]] * len(SCIPY_FREE_COMMANDS)
+
+
+def test_rhombus_ansatz_loads_scipy_and_solves():
+    (_, before), (code, after) = exit_codes_and_scipy_modules(
+        [["solve", "--alpha", "0.7", "--beta", "0.7", "--ansatz", "rhombus"]])
+    assert before == []
+    assert code == 0
+    assert "scipy.optimize" in after
+
+
+POWERS_OF_TEN = st.integers(-300, 300).map(lambda k: f"1e{k}")
+
+
+# hypothesis reports a failing example through libcst, whose import warns
+@pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(command=st.sampled_from(["kite", "full", "rhombus", "realize"]),
+       alpha=POWERS_OF_TEN, beta=POWERS_OF_TEN)
+def test_extreme_masses_exit_cleanly(command, alpha, beta):
+    """Any masses from 1e-300 to 1e300: a result, one error line or a flag
+    error, and no warning (they are errors under this suite's filter)."""
+    if command == "rhombus":
+        beta = alpha
+    masses = ["--alpha", alpha, "--beta", beta]
+    argv = (["realize", "--sq", "2,1,1,1,1,2", *masses]
+            if command == "realize" else
+            ["solve", *masses, "--ansatz", command])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1), argv
+    if code == 1:
+        assert err.getvalue().startswith("error: "), argv
+        assert err.getvalue().count("\n") == 1, argv
 
 
 def test_grid_of_a_million_values_parses():

@@ -35,11 +35,17 @@ def test_pair_weights_are_the_mass_products_in_pair_order():
 @pytest.mark.parametrize("alpha, beta, delta", [
     (math.nan, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, -math.inf),
     (1e308, 1e308, 1.0), (1.0, 1e200, 1e200), (1e-200, 1e-200, 1.0),
-    (0.0, 1.0, 1.0)])
+    (0.0, 1.0, 1.0), (1e-300, 1e-20, 1.0), (1e-144, 1e-173, 1.0),
+    (np.nextafter(np.finfo(float).tiny, 0.0), 1.0, 1.0)])
 def test_mass_vector_rejects_nonfinite_and_overflowing_masses(alpha, beta,
                                                               delta):
     with pytest.raises(DomainError):
         MassVector(alpha=alpha, beta=beta, delta=delta)
+
+
+def test_mass_vector_accepts_the_smallest_normal_pair_product():
+    smallest = MassVector(alpha=np.finfo(float).tiny, beta=1.0)
+    assert np.isfinite(1.0 / smallest.pair_weights).all()
 
 
 def test_psi_values():
@@ -374,6 +380,12 @@ def test_scaling_transform_rejects_nonpositive():
 def test_dilate_state_preserves_residuals():
     st = dilate_state(square_state(), 2.5)
     assert np.max(np.abs(cc_residuals(st, EQUAL))) < 1e-12
+
+
+@pytest.mark.parametrize("k", [1e-50, 1e200, math.nan])
+def test_dilate_state_rejects_a_state_out_of_float_range(k):
+    with pytest.raises(DomainError):
+        dilate_state(square_state(), k)
 
 
 def test_state_derived_quantities():

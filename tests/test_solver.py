@@ -158,8 +158,9 @@ def test_rhombus_ratio_monotone_decreasing(rng):
 
 
 def test_rhombus_ratio_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        rhombus_ratio(-1.0)
+    for alpha in (-1.0, 0.0, -math.inf, math.inf, math.nan):
+        with pytest.raises(DomainError, match="positive and finite"):
+            rhombus_ratio(alpha)
 
 
 def test_solve_rhombus_matches_kite_solver():
