@@ -23,6 +23,8 @@ from .solver import (CONVERGED, Residuals, SolveOptions, _newton_batch,
 
 DEDUPE_TOL = 1e-6
 CLASSIFY_TOL = 1e-6
+# the largest resolution whose resolution**4 seeds stay within 10**6
+MAX_RESOLUTION = 31
 
 
 @dataclass(frozen=True)
@@ -62,11 +64,12 @@ def seed_grid(resolution: int,
     """Deterministic lattice over the convex canonical-frame moduli.
 
     u is gauge-fixed to 1 before the inertia normalization; the remaining
-    four parameters (v, t, s, theta) each take `resolution` values, so there
-    are resolution**4 frames.  Every one is convex and far from degenerate:
-    over the whole box the smallest sub-triangle area is 0.0398 of the mean
-    squared distance, at the mirror corners (v, t, s, theta) =
-    (0.5, 2.8, 0.35, 0.3 pi) and (0.5, 0.35, 2.8, 0.7 pi).
+    four parameters (v, t, s, theta) each take `resolution` values, from 2
+    to MAX_RESOLUTION, so there are resolution**4 frames.  Every one is
+    convex and far from degenerate: over the whole box the smallest
+    sub-triangle area is 0.0398 of the mean squared distance, at the mirror
+    corners (v, t, s, theta) = (0.5, 2.8, 0.35, 0.3 pi) and
+    (0.5, 0.35, 2.8, 0.7 pi).
     """
     return [CanonicalFrame(*row)
             for row in _seed_lattice(resolution, m).tolist()]
@@ -75,8 +78,8 @@ def seed_grid(resolution: int,
 def _seed_lattice(resolution: int, m: MassVector | None) -> np.ndarray:
     """The frames of seed_grid as (n, 5) rows (u, v, t, s, theta), in the
     same order, built in whole-lattice array passes."""
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    if not 2 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must be from 2 to {MAX_RESOLUTION}")
     if m is None:
         m = MassVector(alpha=1.0, beta=1.0)
     axes = (np.geomspace(0.5, 2.0, resolution),

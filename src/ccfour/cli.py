@@ -7,7 +7,7 @@ import math
 import sys
 
 from . import __version__
-from .census import census
+from .census import MAX_RESOLUTION, census
 from .dziobek import MassVector, SquaredDistances, unit_inertia_sq
 from .errors import CCFourError
 from .geometry import canonicalize, realize
@@ -35,8 +35,8 @@ def positive_float(text: str) -> float:
     return value
 
 
-def int_at_least(low: int):
-    """argparse type for an integer no smaller than `low`."""
+def int_in_range(low: int, high: float = math.inf):
+    """argparse type for an integer from `low` to `high`."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -45,6 +45,9 @@ def int_at_least(low: int):
         if value < low:
             raise argparse.ArgumentTypeError(
                 f"must be at least {low}, got {text!r}")
+        if value > high:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {high}, got {text!r}")
         return value
     return parse
 
@@ -99,7 +102,7 @@ def parse_sq(text: str) -> SquaredDistances:
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=positive_float, default=1e-12,
                    help="residual tolerance (default 1e-12)")
-    p.add_argument("--max-iterations", type=int_at_least(1), default=100,
+    p.add_argument("--max-iterations", type=int_in_range(1), default=100,
                    help="Newton iteration budget (default 100)")
     p.add_argument("--normalization", choices=["fix_inertia_one", "fix_a_one"],
                    default="fix_inertia_one",
@@ -150,15 +153,17 @@ def build_parser() -> argparse.ArgumentParser:
                               help="count solution classes for fixed masses")
     p_census.add_argument("--alpha", type=positive_float, required=True)
     p_census.add_argument("--beta", type=positive_float, required=True)
-    p_census.add_argument("--resolution", type=int_at_least(2), default=8)
+    p_census.add_argument("--resolution", default=8,
+                          type=int_in_range(2, MAX_RESOLUTION))
     _add_solver_flags(p_census)
     _add_output_flags(p_census)
 
     p_verify = sub.add_parser("verify", help="run the verification suites")
-    p_verify.add_argument("--trials", type=int_at_least(1), default=1000)
-    p_verify.add_argument("--rng-seed", type=int_at_least(0),
+    p_verify.add_argument("--trials", type=int_in_range(1), default=1000)
+    p_verify.add_argument("--rng-seed", type=int_in_range(0),
                           default=DEFAULT_SEED)
-    p_verify.add_argument("--resolution", type=int_at_least(2), default=6,
+    p_verify.add_argument("--resolution", default=6,
+                          type=int_in_range(2, MAX_RESOLUTION),
                           help="census resolution for the theorem suites")
     p_verify.add_argument("--theorem1-grid", type=parse_pairs, default=None,
                           help="semicolon-separated alpha,beta pairs; "
@@ -199,9 +204,6 @@ def emit_plot_data(payload: dict, path: str) -> None:
                 lines.append(",".join([
                     str(ci), str(vi + 1), format_float(px),
                     format_float(py), format_float(masses[vi])]))
-        if len(payload["configs"]) == 0:
-            sys.stderr.write("warning: no converged classes; "
-                             "plot data contains headers only\n")
     elif kind == "sweep":
         lines.append("# columns: alpha,beta,u,v,t,s,theta "
                      "(canonical frame shape parameters per grid cell)")
@@ -290,6 +292,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_census(args) -> int:
     m = MassVector(alpha=args.alpha, beta=args.beta)
     report = census(m, args.resolution, _opts(args))
+    if not report.classes:
+        sys.stderr.write(f"warning: no seed converged to a convex central "
+                         f"configuration within --tol {args.tol:g}\n")
     doc = {
         "command": "census",
         "config": {"alpha": args.alpha, "beta": args.beta,

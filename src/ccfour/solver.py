@@ -32,10 +32,13 @@ LEFT_CONVEX = 3
 SINGULAR = 4
 NEAR_BOUNDARY = 5
 
-# relative step of the boundary probe: a row retires as NEAR_BOUNDARY when
-# moving one squared distance by this times max(1, |x_j|) leaves the convex
-# region
+# A row retires as NEAR_BOUNDARY when moving one squared distance x_j by
+# h_j = _BOUNDARY_PROBE max(1, |x_j|) takes x_j or, to first order, an area
+# out of the convex region.  Delta_1 and Delta_2 change sign there (the
+# diagonals cross at q2 or q1); Delta_3 and Delta_4 vanish like the square
+# root of y^2, so the order 2 of _AREA_ORDER makes Delta^2 the linear one.
 _BOUNDARY_PROBE = 1e-7
+_AREA_ORDER = np.array([1.0, 1.0, 2.0, 2.0])
 _MAX_BACKTRACKS = 40
 
 
@@ -73,8 +76,8 @@ class SolveReport:
 
 
 class Residuals:
-    """The residual map of the damped-Newton core, its exact Jacobian and
-    the boundary probe.
+    """The residual map of the damped-Newton core, and its linearization:
+    the exact Jacobian and the boundary test.
 
     The unreduced unknown vector is (a, b, c, d, e, f, nu, xi); its column l
     is column embed[l] of the reduced vector, and `eq_indices` selects the
@@ -95,12 +98,9 @@ class Residuals:
         self.sq_cols = (np.arange(6) if embed is None
                         else np.unique(self.embed[:6]))
 
-    def _full(self, x: np.ndarray) -> np.ndarray:
-        return x if self.embed is None else x[:, self.embed]
-
     def __call__(self, x: np.ndarray):
         """(residuals, valid) of (n, k) vectors; invalid rows are NaN."""
-        xf = self._full(x)
+        xf = x if self.embed is None else x[:, self.embed]
         sq = xf[:, :6]
         valid, areas = trilaterated_areas_many(sq)
         with np.errstate(all="ignore"):
@@ -113,40 +113,38 @@ class Residuals:
         res[~valid] = np.nan
         return res, valid
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """(n, k, k) exact Jacobian of the residuals at rows inside the
-        convex region: the full (8, 8) one with the equations selected and
-        the columns of each reduced unknown summed."""
-        xf = self._full(x)
+    def linearize(self, x: np.ndarray):
+        """(jac, near) of (n, k) rows inside the convex region, from one
+        pass of the areas and their derivatives: the exact (n, k, k)
+        Jacobian of the residuals, and the rows within the boundary probe,
+        x_j <= h_j or |Delta_k| <= _AREA_ORDER[k] h_j |dDelta_k / dx_j| for
+        a reduced unknown j that moves a squared distance."""
+        xf = x if self.embed is None else x[:, self.embed]
         sq = xf[:, :6]
         _, areas, d_areas = trilaterated_area_derivatives_many(sq)
+        xs = x[:, self.sq_cols]
+        h = _BOUNDARY_PROBE * np.maximum(1.0, np.abs(xs))
         with np.errstate(all="ignore"):
+            reach = (_AREA_ORDER[:, None] * h[:, None, :]
+                     * np.abs(self._fold(d_areas)[:, :, self.sq_cols]))
+            near = ((xs <= h).any(axis=1)
+                    | (np.abs(areas)[:, :, None] <= reach).any(axis=(1, 2)))
             jac = np.zeros((x.shape[0], 8, 8))
             jac[:, :6] = pair_jacobian_many(xf, areas, d_areas, self.inv_mm)
             jac[:, 6, :6] = cayley_gradient_many(sq) / 32.0
             jac[:, 7, :6] = self.gauge
         if self.sel is not None:
             jac = jac[:, self.sel]
-        if self.embed is None:
-            return jac
-        reduced = np.zeros(jac.shape[:2] + (x.shape[1],))
-        for full_col, col in enumerate(self.embed):
-            reduced[:, :, col] += jac[:, :, full_col]
-        return reduced
+        return self._fold(jac), near
 
-    def near_boundary(self, x: np.ndarray) -> np.ndarray:
-        """Rows that leave the validity mask of trilaterated_areas_many when
-        one reduced unknown that moves a squared distance is moved by
-        +-_BOUNDARY_PROBE * max(1, |x_j|); all probes go in one call."""
-        n, k = x.shape
-        probes = np.repeat(x[None], 2 * self.sq_cols.size, axis=0)
-        for p, j in enumerate(self.sq_cols):
-            h = _BOUNDARY_PROBE * np.maximum(1.0, np.abs(x[:, j]))
-            probes[2 * p, :, j] += h
-            probes[2 * p + 1, :, j] -= h
-        valid, _ = trilaterated_areas_many(
-            self._full(probes.reshape(-1, k))[:, :6])
-        return ~valid.reshape(-1, n).all(axis=0)
+    def _fold(self, a: np.ndarray) -> np.ndarray:
+        """Sum the columns of full unknowns into those of reduced ones."""
+        if self.embed is None:
+            return a
+        folded = np.zeros(a.shape[:-1] + (self.embed.max() + 1,))
+        for full_col, col in enumerate(self.embed[:a.shape[-1]]):
+            folded[..., col] += a[..., full_col]
+        return folded
 
 
 def _solve_linear(jac: np.ndarray, rhs: np.ndarray):
@@ -233,12 +231,13 @@ def _newton_batch(fun, x0: np.ndarray, opts: SolveOptions):
         act = np.flatnonzero(status == RUNNING)
         if act.size == 0:
             break
-        near = fun.near_boundary(x[act])
+        jac, near = fun.linearize(x[act])
         status[act[near]] = NEAR_BOUNDARY
         act = act[~near]
         if act.size == 0:
             continue
-        dx, singular = _solve_linear(fun.jacobian(x[act]), -res[act])
+        dx, singular = _solve_linear(jac[~near], -res[act])
+        del jac  # free the Jacobians before the line search
         status[act[singular]] = SINGULAR
         ids = act[~singular]
         if ids.size == 0:

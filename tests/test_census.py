@@ -8,7 +8,8 @@ from ccfour import (CCFourError, Degenerate, DziobekState, MassVector,
                     PlanarConfig, SquaredDistances, canonicalize, census,
                     classify_symmetry, realize, seed_grid, solve_kite,
                     squared_distances)
-from ccfour.census import DEDUPE_TOL, _accept, _dedupe, _seed_vectors
+from ccfour.census import (DEDUPE_TOL, MAX_RESOLUTION, _accept, _dedupe,
+                           _seed_vectors)
 from ccfour.dziobek import scale_sq_many
 from ccfour.geometry import (frame_points_many, squared_distances_many,
                              triangle_areas_many)
@@ -88,6 +89,14 @@ def test_seed_lattice_is_far_from_degenerate():
 def test_seed_grid_rejects_small_resolution():
     with pytest.raises(ValueError):
         seed_grid(1)
+
+
+def test_seed_grid_rejects_resolution_above_the_cap(monkeypatch):
+    # a lattice this large must fail before it is built
+    monkeypatch.setattr(np, "geomspace", None)
+    for resolution in (MAX_RESOLUTION + 1, 10 ** 9):
+        with pytest.raises(ValueError, match=f"from 2 to {MAX_RESOLUTION}"):
+            seed_grid(resolution)
 
 
 def test_census_equal_masses_single_square_class():

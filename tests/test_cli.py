@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ccfour
-from ccfour.cli import (MAX_GRID_VALUES, main, parse_grid, parse_sq,
-                        positive_float)
+from ccfour.census import MAX_RESOLUTION
+from ccfour.cli import (MAX_GRID_VALUES, build_parser, main, parse_grid,
+                        parse_sq, positive_float)
 
 
 def run_json(capsys, argv):
@@ -219,6 +220,47 @@ def test_extreme_masses_exit_cleanly(command, alpha, beta):
     if code == 1:
         assert err.getvalue().startswith("error: "), argv
         assert err.getvalue().count("\n") == 1, argv
+
+
+def test_resolution_cap_keeps_the_lattice_within_the_grid_cap():
+    assert MAX_RESOLUTION ** 4 <= MAX_GRID_VALUES < (MAX_RESOLUTION + 1) ** 4
+
+
+@pytest.mark.parametrize("command", [
+    ["census", "--alpha", "0.5", "--beta", "0.8"], ["verify"]],
+    ids=["census", "verify"])
+def test_resolution_above_the_cap_exits_2_with_one_line(capsys, command):
+    """Parsed only: a census at such a resolution must never run."""
+    parser = build_parser()
+    args = parser.parse_args([*command, "--resolution", str(MAX_RESOLUTION)])
+    assert args.resolution == MAX_RESOLUTION
+    for too_many in (str(MAX_RESOLUTION + 1), "1" + "0" * 30):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*command, "--resolution", too_many])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert (f"argument --resolution: must be at most {MAX_RESOLUTION}"
+                in err)
+
+
+@pytest.mark.parametrize("alpha, classes", [("1e6", 0), ("0.5", 1)])
+def test_census_warns_only_without_a_class(capsys, tmp_path, alpha, classes):
+    """At alpha = beta = 1e6 no seed converges at the default --tol: one
+    warning line that names it, and the report as without it."""
+    plot = tmp_path / "plot.csv"
+    code = main(["census", "--alpha", alpha, "--beta", alpha,
+                 "--resolution", "2", "--plot-data", str(plot)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert len(json.loads(captured.out)["classes"]) == classes
+    if classes:
+        assert captured.err == ""
+    else:
+        assert captured.err.startswith("warning: ")
+        assert captured.err.count("\n") == 1
+        assert "--tol 1e-12" in captured.err
+    assert plot.read_text().splitlines()[1] == "class,vertex,x,y,mass"
 
 
 def test_grid_of_a_million_values_parses():

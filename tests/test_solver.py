@@ -8,13 +8,14 @@ from ccfour import (DomainError, DziobekState, LeftConvexRegion, MassVector,
                     SquaredDistances, cc_residuals, cayley, newton_solve,
                     newtonian_oracle, realize, rhombus_ratio, seed_state,
                     solve_kite, solve_rhombus, squared_distances, sweep)
-from ccfour.dziobek import pair_residuals_many
+from ccfour.dziobek import pair_residuals_many, unit_inertia_sq
+from ccfour.census import _seed_vectors, seed_grid
 from ccfour.geometry import trilaterated_areas_many
-from ccfour.solver import (_KITE_EMBED, _KITE_EQS, _MAX_BACKTRACKS,
-                           CONVERGED, LEFT_CONVEX, NEAR_BOUNDARY,
-                           NO_CONVERGENCE, SINGULAR, Residuals, SweepCell,
-                           _backtrack, _kite_seed_vectors, _newton_batch,
-                           _polish, seed_vector, seed_vectors)
+from ccfour.solver import (_AREA_ORDER, _BOUNDARY_PROBE, _KITE_EMBED,
+                           _KITE_EQS, _MAX_BACKTRACKS, CONVERGED, LEFT_CONVEX,
+                           NEAR_BOUNDARY, NO_CONVERGENCE, SINGULAR, Residuals,
+                           SweepCell, _backtrack, _kite_seed_vectors,
+                           _newton_batch, _polish, seed_vector, seed_vectors)
 from conftest import random_convex_config
 
 EQUAL = MassVector(alpha=1.0, beta=1.0)
@@ -277,7 +278,7 @@ def central_jacobian(fun, x, h_rel=1e-6):
 
 
 def assert_jacobian_matches_central_differences(fun, x):
-    exact = fun.jacobian(x)
+    exact = fun.linearize(x)[0]
     oracle = central_jacobian(fun, x)
     assert np.isfinite(oracle).all()
     scale = np.abs(oracle).max(axis=(1, 2))
@@ -377,11 +378,8 @@ class Steered(Halfplane):
     def __init__(self, jac):
         self.jac = jac
 
-    def jacobian(self, x):
-        return self.jac[:x.shape[0]]
-
-    def near_boundary(self, x):
-        return np.zeros(x.shape[0], dtype=bool)
+    def linearize(self, x):
+        return self.jac[:x.shape[0]], np.zeros(x.shape[0], dtype=bool)
 
 
 def test_newton_statuses_of_exhausted_and_singular_rows():
@@ -397,10 +395,21 @@ def test_newton_statuses_of_exhausted_and_singular_rows():
     assert iters.tolist() == [0, 0, 0, 1]
 
 
-def near_triangle_vector(m, gap):
-    """A convex quadrilateral whose diagonal q3-q4 crosses the axis q1-q2
-    `gap` short of q2, as a start vector."""
-    pts = np.array([(0.0, 0.0), (1.0, 0.0), (1.2, 1.0), (0.8 - 2 * gap, -1.0)])
+# q3 and q4 of a convex quadrilateral with q1 = (0, 0) and q2 = (1, 0) that
+# is `gap` away from the boundary where the area Delta_k vanishes: the
+# diagonals cross gap short of q2 (k = 1) or past q1 (k = 2), or q4 (k = 3)
+# or q3 (k = 4) is gap from the axis q1-q2
+NEAR_AREA_ZERO = {
+    1: lambda gap: ((1.2, 1.0), (0.8 - 2 * gap, -1.0)),
+    2: lambda gap: ((-0.2, 1.0), (0.2 + 2 * gap, -1.0)),
+    3: lambda gap: ((0.5, 1.0), (0.5, -gap)),
+    4: lambda gap: ((0.5, gap), (0.5, -1.0)),
+}
+
+
+def near_boundary_vector(m, area, gap):
+    """The start vector of the NEAR_AREA_ZERO quadrilateral."""
+    pts = np.array([(0.0, 0.0), (1.0, 0.0), *NEAR_AREA_ZERO[area](gap)])
     sq = [float(((pts[i] - pts[j]) ** 2).sum()) for i, j in
           ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
     return seed_vector(sq, m)
@@ -409,11 +418,104 @@ def near_triangle_vector(m, gap):
 def test_row_within_the_boundary_probe_is_near_boundary():
     m = MassVector(alpha=0.5, beta=0.8)
     fun = Residuals(m, "fix_inertia_one")
-    x = np.array([near_triangle_vector(m, 1e-9),
-                  near_triangle_vector(m, 1e-2)])
+    x = np.array([near_boundary_vector(m, 1, 1e-9),
+                  near_boundary_vector(m, 1, 1e-2)])
     assert fun(x)[1].all()
-    assert fun.near_boundary(x).tolist() == [True, False]
+    assert fun.linearize(x)[1].tolist() == [True, False]
     _, status, _, _ = _newton_batch(fun, x[:1], SolveOptions())
     assert status.tolist() == [NEAR_BOUNDARY]
     with pytest.raises(LeftConvexRegion):
         _polish(x[0], m, SolveOptions())
+
+
+def probed_near_boundary(fun, x):
+    """Reference boundary probe: the rows of which one of the copies with
+    one reduced unknown j that moves a squared distance moved by
+    +-_BOUNDARY_PROBE * max(1, |x_j|) leaves the residuals' validity mask."""
+    n, k = x.shape
+    probes = np.repeat(x[None], 2 * fun.sq_cols.size, axis=0)
+    for p, j in enumerate(fun.sq_cols):
+        h = _BOUNDARY_PROBE * np.maximum(1.0, np.abs(x[:, j]))
+        probes[2 * p, :, j] += h
+        probes[2 * p + 1, :, j] -= h
+    return ~fun(probes.reshape(-1, k))[1].reshape(-1, n).all(axis=0)
+
+
+class ProbeChecked(Residuals):
+    """Residuals whose linearize checks its mask against the reference
+    probe on every call, and counts the rows it saw and marked."""
+
+    rows = marked = 0
+
+    def linearize(self, x):
+        jac, near = super().linearize(x)
+        assert near.tolist() == probed_near_boundary(self, x).tolist()
+        self.rows += x.shape[0]
+        self.marked += int(near.sum())
+        return jac, near
+
+
+def test_boundary_test_matches_the_probe_on_every_census_iterate():
+    m = MassVector(alpha=0.5, beta=0.8)
+    fun = ProbeChecked(m, "fix_inertia_one")
+    x0 = _seed_vectors(seed_grid(6, m), m)
+    _, status, _, _ = _newton_batch(fun, x0, SolveOptions())
+    assert fun.marked == (status == NEAR_BOUNDARY).sum() > 0
+    assert fun.rows > x0.shape[0]
+
+
+def test_boundary_test_matches_the_probe_on_every_kite_iterate():
+    """Kite lattices from near the axis to far from it, so that iterates
+    reach the boundaries y3 = 0 and y4 = 0."""
+    m = MassVector(alpha=0.5, beta=0.8)
+    g = np.geomspace(0.05, 5.0, 8)
+    sq = np.array([unit_inertia_sq([1.0, 0.25 + t * t, 0.25 + s * s,
+                                    0.25 + t * t, 0.25 + s * s, (t + s) ** 2],
+                                   m) for t in g for s in g])
+    x0 = seed_vectors(sq, m)[:, [0, 1, 2, 5, 6, 7]]
+    for normalization in ("fix_inertia_one", "fix_a_one"):
+        fun = ProbeChecked(m, normalization, eq_indices=_KITE_EQS,
+                           embed=_KITE_EMBED)
+        _, status, _, _ = _newton_batch(fun, x0, SolveOptions())
+        assert fun.marked == (status == NEAR_BOUNDARY).sum() > 0
+
+
+# 24 gaps a decade, from well inside each threshold (about 7e-8 for Delta_1
+# and Delta_2, 3e-4 for Delta_3 and Delta_4) to well outside it
+THRESHOLD_GAPS = {1: np.geomspace(1.3e-10, 1.3e-2, 193),
+                  3: np.geomspace(1.3e-6, 1.3e-1, 121)}
+THRESHOLD_GAPS[2], THRESHOLD_GAPS[4] = THRESHOLD_GAPS[1], THRESHOLD_GAPS[3]
+
+
+def rows_across_the_threshold(m, area):
+    """Full and, where the quadrilateral is a kite, kite-reduced residual
+    maps with rows across the boundary test's threshold of one area."""
+    x = np.array([near_boundary_vector(m, area, gap)
+                  for gap in THRESHOLD_GAPS[area]])
+    yield Residuals(m, "fix_inertia_one"), x
+    if area in (3, 4):
+        yield (Residuals(m, "fix_inertia_one", eq_indices=_KITE_EQS,
+                         embed=_KITE_EMBED), x[:, [0, 1, 2, 5, 6, 7]])
+
+
+@pytest.mark.parametrize("area", [1, 2, 3, 4])
+def test_boundary_test_matches_the_probe_across_each_area_threshold(area):
+    m = MassVector(alpha=0.5, beta=0.8)
+    for fun, x in rows_across_the_threshold(m, area):
+        assert fun(x)[1].all()
+        near = fun.linearize(x)[1]
+        assert near.tolist() == probed_near_boundary(fun, x).tolist()
+        assert near[0] and not near[-1]
+
+
+@pytest.mark.parametrize("area", [1, 2, 3, 4])
+def test_area_orders_are_pinned_by_the_probe(monkeypatch, area):
+    """Halving Delta_3's or Delta_4's order of 2, or doubling Delta_1's or
+    Delta_2's order of 1, moves the mask off the probe's."""
+    m = MassVector(alpha=0.5, beta=0.8)
+    order = _AREA_ORDER.copy()
+    order[area - 1] = 3.0 - order[area - 1]
+    monkeypatch.setattr("ccfour.solver._AREA_ORDER", order)
+    for fun, x in rows_across_the_threshold(m, area):
+        assert (fun.linearize(x)[1]
+                != probed_near_boundary(fun, x)).any()
