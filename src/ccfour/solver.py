@@ -393,6 +393,69 @@ def solve_kite(m: MassVector,
     raise NoConvergence("no kite seed converged")
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+            maxiter: int) -> float:
+    """A root of f between xa and xb by Brent's method (Brent, Algorithms
+    for Minimization without Derivatives, 1973, ch. 4).
+
+    A step-for-step port of scipy's C brentq, so the root is bitwise
+    scipy.optimize.brentq's; where scipy raises (no sign change, no
+    convergence within maxiter steps, a NaN value) this raises DomainError.
+    """
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise DomainError(f"root bracket function is NaN at x={x}")
+        return fx
+
+    xpre, xcur = xa, xb
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise DomainError(f"no sign change between {xa:g} and {xb:g}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        # the tolerance is 2 delta
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise DomainError(f"root not found within {maxiter} iterations")
+
+
+def _rhombus_equation(x: float, alpha: float) -> float:
+    """psi'(4) - psi'(1+x^2) - alpha [psi'(4 x^2) - psi'(1+x^2)], zero at
+    the rhombus ratio x = r/p."""
+    return (psi_prime(4.0) - psi_prime(1.0 + x * x)
+            - alpha * (psi_prime(4.0 * x * x) - psi_prime(1.0 + x * x)))
+
+
 def rhombus_ratio(alpha: float) -> float:
     """Diagonal half-length ratio r/p of the rhombus solution, from a 1-D
     bracketing root-find on the combined residual.
@@ -403,14 +466,8 @@ def rhombus_ratio(alpha: float) -> float:
     """
     if not (alpha > 0 and math.isfinite(alpha)):
         raise DomainError("alpha must be positive and finite")
-    # scipy costs most of a cold import, and only this root needs it
-    from scipy.optimize import brentq
-
-    def g(x):
-        return (psi_prime(4.0) - psi_prime(1.0 + x * x)
-                - alpha * (psi_prime(4.0 * x * x) - psi_prime(1.0 + x * x)))
-
-    return float(brentq(g, 1e-6, 1e6, xtol=1e-15, rtol=8.9e-16))
+    return float(_brentq(lambda x: _rhombus_equation(x, alpha), 1e-6, 1e6,
+                         xtol=1e-15, rtol=8.9e-16, maxiter=100))
 
 
 def solve_rhombus(alpha: float,

@@ -143,14 +143,16 @@ def test_extreme_masses_end_without_warnings(argv, code):
         assert proc.stderr.count("\n") == 1
 
 
-# every command that never solves the 1-D rhombus root
-SCIPY_FREE_COMMANDS = [
+# every command, the rhombus root included
+COMMANDS = [
     ["census", "--alpha", "0.5", "--beta", "0.8", "--resolution", "2"],
     ["sweep", "--alpha-grid", "0.5", "--beta-grid", "0.8,1.0"],
     ["solve", "--alpha", "0.5", "--beta", "0.8", "--ansatz", "kite"],
     ["solve", "--alpha", "0.5", "--beta", "0.8", "--ansatz", "full"],
+    ["solve", "--alpha", "0.7", "--beta", "0.7", "--ansatz", "rhombus"],
     ["realize", "--sq", "2,1,1,1,1,2", "--alpha", "1", "--beta", "1"],
-    ["verify", "--trials", "10"],
+    ["verify", "--trials", "10", "--resolution", "2",
+     "--theorem2-grid", "0.5"],
 ]
 
 SCIPY_PROBE = """
@@ -168,26 +170,13 @@ print(json.dumps(runs))
 """
 
 
-def exit_codes_and_scipy_modules(commands):
-    """Import ccfour.cli and run `commands` through main() in one fresh
-    process; for the import and each command, the exit code and the scipy
-    modules loaded by then."""
-    proc = fresh_python("-c", SCIPY_PROBE, json.dumps(commands))
+def test_no_command_loads_scipy():
+    """Import ccfour.cli and run every command through main() in one fresh
+    process: each exits 0, and no scipy module is loaded at any point."""
+    proc = fresh_python("-c", SCIPY_PROBE, json.dumps(COMMANDS))
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
-def test_commands_without_the_rhombus_root_never_load_scipy():
-    runs = exit_codes_and_scipy_modules(SCIPY_FREE_COMMANDS)
-    assert runs == [[None, []]] + [[0, []]] * len(SCIPY_FREE_COMMANDS)
-
-
-def test_rhombus_ansatz_loads_scipy_and_solves():
-    (_, before), (code, after) = exit_codes_and_scipy_modules(
-        [["solve", "--alpha", "0.7", "--beta", "0.7", "--ansatz", "rhombus"]])
-    assert before == []
-    assert code == 0
-    assert "scipy.optimize" in after
+    runs = json.loads(proc.stdout)
+    assert runs == [[None, []]] + [[0, []]] * len(COMMANDS)
 
 
 POWERS_OF_TEN = st.integers(-300, 300).map(lambda k: f"1e{k}")

@@ -22,6 +22,19 @@ def private_imports(source: str, module: str) -> set:
     return found
 
 
+def scipy_imports(source: str) -> set:
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        found |= {name for name in names if name.split(".")[0] == "scipy"}
+    return found
+
+
 def test_private_import_detection():
     source = ("from .solver import SolveOptions, _newton_batch\n"
               "from . import __version__\n"
@@ -35,3 +48,19 @@ def test_no_module_imports_private_names_of_another():
     for path in sorted(Path(ccfour.__file__).parent.glob("*.py")):
         found |= private_imports(path.read_text(), path.stem)
     assert found <= ALLOWED_PRIVATE_IMPORTS, found - ALLOWED_PRIVATE_IMPORTS
+
+
+def test_scipy_import_detection():
+    source = ("import numpy as np, scipy.linalg as sl\n"
+              "from .solver import scipy_like\n"
+              "def f():\n    from scipy.optimize import brentq\n"
+              "    import scipy\n")
+    assert scipy_imports(source) == {"scipy.linalg", "scipy.optimize",
+                                     "scipy"}
+
+
+def test_no_module_imports_scipy():
+    """numpy is the only runtime dependency."""
+    found = {path.name: scipy_imports(path.read_text())
+             for path in sorted(Path(ccfour.__file__).parent.rglob("*.py"))}
+    assert not any(found.values()), found

@@ -14,8 +14,9 @@ from ccfour.geometry import trilaterated_areas_many
 from ccfour.solver import (_AREA_ORDER, _BOUNDARY_PROBE, _KITE_EMBED,
                            _KITE_EQS, _MAX_BACKTRACKS, CONVERGED, LEFT_CONVEX,
                            NEAR_BOUNDARY, NO_CONVERGENCE, SINGULAR, Residuals,
-                           SweepCell, _backtrack, _kite_seed_vectors,
-                           _newton_batch, _polish, seed_vector, seed_vectors)
+                           SweepCell, _backtrack, _brentq, _kite_seed_vectors,
+                           _newton_batch, _polish, _rhombus_equation,
+                           seed_vector, seed_vectors)
 from conftest import random_convex_config
 
 EQUAL = MassVector(alpha=1.0, beta=1.0)
@@ -162,6 +163,46 @@ def test_rhombus_ratio_rejects_nonpositive():
     for alpha in (-1.0, 0.0, -math.inf, math.inf, math.nan):
         with pytest.raises(DomainError, match="positive and finite"):
             rhombus_ratio(alpha)
+
+
+# 10^4 log-spaced masses, every mass of both acceptance grids and the ends
+# of the float range
+BRENT_ALPHAS = ([float(a) for a in np.geomspace(1e-8, 1e8, 10_001)]
+                + [round(0.1 * k, 1) for k in range(1, 31)]
+                + [5e-324, 1e-300, 1e300, 1.7e308])
+
+
+def test_rhombus_ratio_is_scipy_brentq_bitwise():
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    for alpha in BRENT_ALPHAS:
+        want = brentq(lambda x: _rhombus_equation(x, alpha), 1e-6, 1e6,
+                      xtol=1e-15, rtol=8.9e-16, maxiter=100)
+        assert rhombus_ratio(alpha).hex() == want.hex(), alpha
+
+
+def nan_above_two(x):
+    return math.nan if x > 2.0 else x - 3.0
+
+
+@pytest.mark.parametrize("f, bracket, maxiter, message", [
+    (lambda x: _rhombus_equation(x, 0.5), (2.0, 1e6), 100, "no sign change"),
+    (lambda x: _rhombus_equation(x, 0.5), (1e-6, 1e6), 3, "within 3 "),
+    (nan_above_two, (1.0, 1e6), 100, "NaN"),
+    (nan_above_two, (1.0, 1.5), 100, "no sign change"),
+], ids=["no-sign-change", "no-convergence", "nan", "sign-before-nan"])
+def test_brentq_failures_are_domain_errors_where_scipy_raises(
+        f, bracket, maxiter, message):
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    with pytest.raises((ValueError, RuntimeError)):
+        brentq(f, *bracket, xtol=1e-15, rtol=8.9e-16, maxiter=maxiter)
+    with pytest.raises(DomainError, match=message) as exc:
+        _brentq(f, *bracket, xtol=1e-15, rtol=8.9e-16, maxiter=maxiter)
+    assert "\n" not in str(exc.value)
+
+
+def test_brentq_returns_an_exact_zero_at_an_end():
+    assert _brentq(lambda x: x - 1.0, 1.0, 2.0, 1e-15, 8.9e-16, 100) == 1.0
+    assert _brentq(lambda x: x - 2.0, 1.0, 2.0, 1e-15, 8.9e-16, 100) == 2.0
 
 
 def test_solve_rhombus_matches_kite_solver():
