@@ -107,7 +107,11 @@ class Residuals:
             res = np.empty((x.shape[0], 8))
             res[:, :6] = pair_residuals_many(xf, areas, self.inv_mm)
             res[:, 6] = cayley_many(sq) / 32.0
-            res[:, 7] = sq @ self.gauge - 1.0
+            # numpy sums the six rows of a C-ordered (6, n) array left to
+            # right, whatever n, so a row's bits do not depend on its batch
+            # as they do in a matrix-vector product
+            gauged = np.multiply(sq.T, self.gauge[:, None], order="C")
+            res[:, 7] = gauged.sum(axis=0) - 1.0
         if self.sel is not None:
             res = res[:, self.sel]
         res[~valid] = np.nan

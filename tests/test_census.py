@@ -262,12 +262,12 @@ def test_census_pinned_counts_at_kite_masses():
     m = MassVector(alpha=0.5, beta=0.8)
     report = census(m, resolution=8)
     assert report.seeds_total == 4096
-    assert report.seeds_converged == 2709
+    assert report.seeds_converged == 2710
     assert [(c.symmetry.label, c.basin) for c in report.classes] == \
-        [("kite_axis_34", 2709)]
+        [("kite_axis_34", 2710)]
     fun = Residuals(m, "fix_inertia_one")
     _, status, _, _ = _newton_batch(fun, _seed_vectors(seed_grid(8, m), m),
                                     SolveOptions())
     codes, counts = np.unique(status, return_counts=True)
     assert dict(zip(codes.tolist(), counts.tolist())) == {
-        CONVERGED: 2709, NEAR_BOUNDARY: 1362, NO_CONVERGENCE: 25}
+        CONVERGED: 2710, NEAR_BOUNDARY: 1361, NO_CONVERGENCE: 25}

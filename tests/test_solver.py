@@ -413,6 +413,32 @@ def test_batched_backtracking_matches_sequential_halving(rng, budget):
     assert not accepted[4:6].any()
 
 
+def newton_rows(fun, x0, opts):
+    """Final vector, status, iterations and residual of each row of
+    _newton_batch, as bytes so that equality is bitwise."""
+    x, status, iters, norm = _newton_batch(fun, x0, opts)
+    return [(x[i].tobytes(), status[i], iters[i], norm[i].tobytes())
+            for i in range(x0.shape[0])]
+
+
+@pytest.mark.parametrize("normalization", ["fix_inertia_one", "fix_a_one"])
+def test_each_row_of_newton_is_the_row_solved_alone(normalization):
+    """A seed's Newton result does not depend on its batch mates: sampled
+    census seeds of the full system and the kite seeds, each solved alone
+    and inside its batch."""
+    m = MassVector(alpha=0.5, beta=0.8)
+    opts = SolveOptions(normalization=normalization)
+    census_seeds = _seed_vectors(seed_grid(8, m), m)
+    kite_fun = Residuals(m, normalization, eq_indices=_KITE_EQS,
+                         embed=_KITE_EMBED)
+    for fun, x0, sample in [
+            (Residuals(m, normalization), census_seeds, range(0, 4096, 64)),
+            (kite_fun, _kite_seed_vectors(m), range(9))]:
+        batched = newton_rows(fun, x0, opts)
+        for i in sample:
+            assert newton_rows(fun, x0[i:i + 1], opts) == [batched[i]], i
+
+
 class Steered(Halfplane):
     """Halfplane with a chosen Jacobian, and no boundary probe hits."""
 
