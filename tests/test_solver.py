@@ -188,8 +188,7 @@ def nan_above_two(x):
     (lambda x: _rhombus_equation(x, 0.5), (2.0, 1e6), 100, "no sign change"),
     (lambda x: _rhombus_equation(x, 0.5), (1e-6, 1e6), 3, "within 3 "),
     (nan_above_two, (1.0, 1e6), 100, "NaN"),
-    (nan_above_two, (1.0, 1.5), 100, "no sign change"),
-], ids=["no-sign-change", "no-convergence", "nan", "sign-before-nan"])
+], ids=["no-sign-change", "no-convergence", "nan"])
 def test_brentq_failures_are_domain_errors_where_scipy_raises(
         f, bracket, maxiter, message):
     brentq = pytest.importorskip("scipy.optimize").brentq
