@@ -143,14 +143,19 @@ def test_extreme_masses_end_without_warnings(argv, code):
         assert proc.stderr.count("\n") == 1
 
 
-# every command, the rhombus root included
-COMMANDS = [
+# every command that never solves the 1-D rhombus root
+SCIPY_FREE_COMMANDS = [
     ["census", "--alpha", "0.5", "--beta", "0.8", "--resolution", "2"],
     ["sweep", "--alpha-grid", "0.5", "--beta-grid", "0.8,1.0"],
     ["solve", "--alpha", "0.5", "--beta", "0.8", "--ansatz", "kite"],
     ["solve", "--alpha", "0.5", "--beta", "0.8", "--ansatz", "full"],
-    ["solve", "--alpha", "0.7", "--beta", "0.7", "--ansatz", "rhombus"],
     ["realize", "--sq", "2,1,1,1,1,2", "--alpha", "1", "--beta", "1"],
+    ["verify", "--trials", "10"],
+]
+
+# every command that solves the rhombus root
+RHOMBUS_COMMANDS = [
+    ["solve", "--alpha", "0.7", "--beta", "0.7", "--ansatz", "rhombus"],
     ["verify", "--trials", "10", "--resolution", "2",
      "--theorem2-grid", "0.5"],
 ]
@@ -170,13 +175,26 @@ print(json.dumps(runs))
 """
 
 
-def test_no_command_loads_scipy():
-    """Import ccfour.cli and run every command through main() in one fresh
-    process: each exits 0, and no scipy module is loaded at any point."""
-    proc = fresh_python("-c", SCIPY_PROBE, json.dumps(COMMANDS))
+def exit_codes_and_scipy_modules(commands):
+    """Import ccfour.cli and run `commands` through main() in one fresh
+    process; for the import and each command, the exit code and the scipy
+    modules loaded by then."""
+    proc = fresh_python("-c", SCIPY_PROBE, json.dumps(commands))
     assert proc.returncode == 0, proc.stderr
-    runs = json.loads(proc.stdout)
-    assert runs == [[None, []]] + [[0, []]] * len(COMMANDS)
+    return json.loads(proc.stdout)
+
+
+def test_commands_without_the_rhombus_root_never_load_scipy():
+    runs = exit_codes_and_scipy_modules(SCIPY_FREE_COMMANDS)
+    assert runs == [[None, []]] + [[0, []]] * len(SCIPY_FREE_COMMANDS)
+
+
+def test_rhombus_ansatz_loads_scipy_and_solves():
+    """The name is kept from when the rhombus root loaded scipy.optimize.
+    The root is now solved in-package, so the commands that solve it must
+    exit 0 without loading any scipy module."""
+    runs = exit_codes_and_scipy_modules(RHOMBUS_COMMANDS)
+    assert runs == [[None, []]] + [[0, []]] * len(RHOMBUS_COMMANDS)
 
 
 POWERS_OF_TEN = st.integers(-300, 300).map(lambda k: f"1e{k}")
