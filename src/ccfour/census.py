@@ -8,6 +8,7 @@ congruence classes and labels their symmetry.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -78,8 +79,10 @@ def seed_grid(resolution: int,
 def _seed_lattice(resolution: int, m: MassVector | None) -> np.ndarray:
     """The frames of seed_grid as (n, 5) rows (u, v, t, s, theta), in the
     same order, built in whole-lattice array passes."""
-    if not 2 <= resolution <= MAX_RESOLUTION:
-        raise ValueError(f"resolution must be from 2 to {MAX_RESOLUTION}")
+    if not (isinstance(resolution, numbers.Integral)
+            and 2 <= resolution <= MAX_RESOLUTION):
+        raise ValueError(
+            f"resolution must be an integer from 2 to {MAX_RESOLUTION}")
     if m is None:
         m = MassVector(alpha=1.0, beta=1.0)
     axes = (np.geomspace(0.5, 2.0, resolution),

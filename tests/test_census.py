@@ -99,6 +99,17 @@ def test_seed_grid_rejects_resolution_above_the_cap(monkeypatch):
             seed_grid(resolution)
 
 
+def test_seed_grid_and_census_reject_a_non_integer_resolution():
+    m = MassVector(alpha=0.5, beta=0.8)
+    for resolution in (8.0, 2.5):
+        for build in (lambda: seed_grid(resolution, m),
+                      lambda: census(m, resolution)):
+            with pytest.raises(ValueError,
+                               match=f"from 2 to {MAX_RESOLUTION}"):
+                build()
+    assert len(seed_grid(np.int64(2), m)) == 16
+
+
 def test_census_equal_masses_single_square_class():
     m = MassVector(alpha=1.0, beta=1.0)
     report = census(m, resolution=5)

@@ -229,6 +229,70 @@ def test_extreme_masses_exit_cleanly(command, alpha, beta):
         assert err.getvalue().count("\n") == 1, argv
 
 
+def with_refused(values, *refused):
+    """Flag values drawn from `values`, one time in eight one of the
+    `refused` ones."""
+    return st.sampled_from([False] * 7 + [True]).flatmap(
+        lambda refuse: st.sampled_from(refused) if refuse else values)
+
+
+TOLS = with_refused(st.integers(-330, 330).map(lambda k: f"1e{k}"),
+                    "0", "-1e-12", "inf", "nan", "tol")
+MAX_ITERATIONS = with_refused(st.integers(-2, 60).map(str), "2.5", "1e2", "")
+GRID_VALUES = st.floats(0.05, 3.0).map(repr)
+GRIDS = with_refused(
+    st.one_of(
+        st.lists(GRID_VALUES, min_size=1, max_size=3).map(",".join),
+        # start:stop:step ranges of one to three values
+        st.tuples(st.floats(0.05, 2.0), st.integers(0, 2),
+                  st.floats(0.05, 0.5)).map(
+            lambda r: f"{r[0]!r}:{r[0] + r[1] * r[2]!r}:{r[2]!r}")),
+    "0.1:1", "1:0.5:0.1", "0.1:1:1e-12", "0.5,-1", ",", "nan")
+SQS = with_refused(
+    st.one_of(st.just("2,1,1,1,1,2"),  # a square
+              st.lists(st.floats(0.01, 10.0).map(repr), min_size=6,
+                       max_size=6).map(",".join)),
+    "1,2,3", "2,1,1,1,1,inf", "2,1,1,1,1,-1")
+
+
+# hypothesis reports a failing example through libcst, whose import warns
+@pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(command=st.sampled_from(["kite", "full", "sweep", "census",
+                                "realize"]),
+       tol=TOLS, max_iterations=MAX_ITERATIONS,
+       normalization=with_refused(
+           st.sampled_from(["fix_inertia_one", "fix_a_one"]), "fix_b_two"),
+       alpha_grid=GRIDS, beta_grid=GRIDS, sq=SQS)
+def test_solver_and_grid_flags_exit_cleanly(command, tol, max_iterations,
+                                            normalization, alpha_grid,
+                                            beta_grid, sq):
+    """Any --tol, --max-iterations, --normalization, grids or --sq: exit
+    0, 1 or 2 with at most one line on stderr and no traceback."""
+    masses = ["--alpha", "0.5", "--beta", "0.8"]
+    solver = ["--tol", tol, "--max-iterations", max_iterations,
+              "--normalization", normalization]
+    argv = {
+        "kite": ["solve", *masses, "--ansatz", "kite", *solver],
+        "full": ["solve", *masses, "--ansatz", "full", *solver],
+        "sweep": ["sweep", "--alpha-grid", alpha_grid,
+                  "--beta-grid", beta_grid, *solver],
+        "census": ["census", *masses, "--resolution", "2", *solver],
+        "realize": ["realize", "--sq", sq, *masses],
+    }[command]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+
+
 def test_resolution_cap_keeps_the_lattice_within_the_grid_cap():
     assert MAX_RESOLUTION ** 4 <= MAX_GRID_VALUES < (MAX_RESOLUTION + 1) ** 4
 
