@@ -14,50 +14,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .dziobek import DziobekState, MassVector
-from .geometry import (CanonicalFrame, canonicalize_many, oriented_areas_many,
-                       realize_many, reconstruct_many, squared_distances_many,
-                       unit_inertia_many)
-# census() calls the batched Newton core itself, on the whole seed lattice
-from .solver import (CONVERGED, Residuals, SolveOptions, _newton_batch,
-                     seed_vectors, state_from_vector)
+# the symmetry labels live in dziobek; census re-exports them
+from .dziobek import (CLASSIFY_TOL, DziobekState, MassVector, SymmetryLabel,
+                      classify_symmetry)
+from .geometry import (CanonicalFrame, canonicalize_many, reconstruct_many,
+                       squared_distances_many, unit_inertia_many)
+from .solver import Residuals, SolveOptions, seed_vectors, solve_batch
 
 DEDUPE_TOL = 1e-6
-CLASSIFY_TOL = 1e-6
 # the largest resolution whose resolution**4 seeds stay within 10**6
 MAX_RESOLUTION = 31
-
-
-@dataclass(frozen=True)
-class SymmetryLabel:
-    """One of square, rhombus, kite_axis_34, kite_axis_12, asymmetric."""
-
-    label: str
-
-    def __str__(self) -> str:  # pragma: no cover
-        return self.label
-
-
-def classify_symmetry(st: DziobekState) -> SymmetryLabel:
-    """Distance-equality classification on scale-normalized distances, at
-    relative tolerance CLASSIFY_TOL.
-
-    square dominates rhombus dominates kite dominates asymmetric.
-    """
-    r = np.sqrt(np.asarray(st.sq, dtype=float))
-    scale = math.sqrt(st.sq.scale_sq)
-    ra, rb, rc, rd, re, rf = r
-    eq = lambda x, y: abs(x - y) < CLASSIFY_TOL * scale
-    sides_equal = eq(rb, rc) and eq(rb, rd) and eq(rb, re) and eq(rc, rd)
-    if sides_equal and eq(ra, rf):
-        return SymmetryLabel("square")
-    if sides_equal:
-        return SymmetryLabel("rhombus")
-    if eq(rb, rd) and eq(rc, re):
-        return SymmetryLabel("kite_axis_34")
-    if eq(rb, rc) and eq(rd, re):
-        return SymmetryLabel("kite_axis_12")
-    return SymmetryLabel("asymmetric")
 
 
 def seed_grid(resolution: int,
@@ -138,21 +104,6 @@ def _seed_vectors(frames: Sequence[CanonicalFrame],
     return seed_vectors(squared_distances_many(reconstruct_many(rows, m)), m)
 
 
-def _accept(x: np.ndarray, m: MassVector):
-    """Indices of the rows of converged vectors x that are genuine convex
-    central configurations, and their unit-inertia canonical frames.
-
-    A row is kept iff nu > 0 and every check of realize, oriented_areas and
-    canonicalize passes on it, so exactly the rows on which the scalar
-    state_from_vector and canonicalize(realize(...)) succeed.
-    """
-    points, ok = realize_many(x[:, :6], m)
-    ok &= oriented_areas_many(points)[1]
-    frames, frame_ok = canonicalize_many(points, m)
-    keep = np.flatnonzero(ok & frame_ok & (x[:, 6] > 0))
-    return keep, frames[keep]
-
-
 def _dedupe(frames: np.ndarray) -> list[np.ndarray]:
     """Group frame rows into classes: the first remaining row takes every
     remaining row within DEDUPE_TOL of it, until none remain.  This is the
@@ -169,19 +120,20 @@ def _dedupe(frames: np.ndarray) -> list[np.ndarray]:
 
 def census(m: MassVector, resolution: int = 8,
            opts: SolveOptions = SolveOptions()) -> CensusReport:
-    """Polish every seed, keep converged convex states with nu > 0, and
-    group them by canonical-frame distance (dedupe tolerance 1e-6)."""
+    """Polish every seed, keep those solve_batch accepts as convex central
+    configurations and canonicalize_many accepts, and group them by
+    canonical-frame distance (dedupe tolerance 1e-6)."""
     x0 = _seed_vectors(seed_grid(resolution, m), m)
-    fun = Residuals(m, opts.normalization)
-    x, status, _, _ = _newton_batch(fun, x0, opts)
-    x = x[status == CONVERGED]
-    keep, frames = _accept(x, m)
+    batch = solve_batch(Residuals(m, opts.normalization), x0, m, opts)
+    frames, ok = canonicalize_many(batch.points, m)
+    keep = np.flatnonzero(ok)
     classes = []
-    for members in _dedupe(frames):
-        state = state_from_vector(x[keep[members[0]]], m)
-        frame = CanonicalFrame(*frames[members[0]].tolist())
-        classes.append(CensusClass(frame=frame, state=state,
-                                   symmetry=classify_symmetry(state),
+    for members in _dedupe(frames[keep]):
+        first = keep[members[0]]
+        report = batch.report(first)
+        frame = CanonicalFrame(*frames[first].tolist())
+        classes.append(CensusClass(frame=frame, state=report.state,
+                                   symmetry=SymmetryLabel(report.symmetry),
                                    basin=int(members.size)))
     classes.sort(key=lambda c: -c.basin)
     return CensusReport(masses=m, classes=classes,

@@ -10,15 +10,14 @@ from . import __version__
 from .census import MAX_RESOLUTION, census
 from .dziobek import MassVector, SquaredDistances, unit_inertia_sq
 from .errors import CCFourError
-from .geometry import canonicalize, realize
+from .geometry import canonicalize, newtonian_oracle, realize
 from .jsonio import csv_lines, dumps, format_float
 from .solver import (SolveOptions, SweepCell, newton_solve, seed_state,
                      solve_kite, solve_rhombus, sweep)
 from .verifier import (DEFAULT_SEED, check_lemma1_nu_positive,
                        check_lemma2_albouy, check_lemma3_sign,
                        check_lemma4_orderings, check_theorem_identities,
-                       newtonian_oracle, run_theorem1_suite,
-                       run_theorem2_suite)
+                       run_theorem1_suite, run_theorem2_suite)
 
 SWEEP_COLUMNS = ["alpha", "beta", "a", "b", "c", "d", "e", "f", "nu", "xi",
                  "lambda_cc", "symmetry", "iterations", "residual"]

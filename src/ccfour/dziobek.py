@@ -125,6 +125,41 @@ class DziobekState:
         }
 
 
+CLASSIFY_TOL = 1e-6
+
+
+@dataclass(frozen=True)
+class SymmetryLabel:
+    """One of square, rhombus, kite_axis_34, kite_axis_12, asymmetric."""
+
+    label: str
+
+    def __str__(self) -> str:  # pragma: no cover
+        return self.label
+
+
+def classify_symmetry(st: DziobekState) -> SymmetryLabel:
+    """Distance-equality classification on scale-normalized distances, at
+    relative tolerance CLASSIFY_TOL.
+
+    square dominates rhombus dominates kite dominates asymmetric.
+    """
+    r = np.sqrt(np.asarray(st.sq, dtype=float))
+    scale = math.sqrt(st.sq.scale_sq)
+    ra, rb, rc, rd, re, rf = r
+    eq = lambda x, y: abs(x - y) < CLASSIFY_TOL * scale
+    sides_equal = eq(rb, rc) and eq(rb, rd) and eq(rb, re) and eq(rc, rd)
+    if sides_equal and eq(ra, rf):
+        return SymmetryLabel("square")
+    if sides_equal:
+        return SymmetryLabel("rhombus")
+    if eq(rb, rd) and eq(rc, re):
+        return SymmetryLabel("kite_axis_34")
+    if eq(rb, rc) and eq(rd, re):
+        return SymmetryLabel("kite_axis_12")
+    return SymmetryLabel("asymmetric")
+
+
 def psi(s: float) -> float:
     """s**(-1/2), the pair potential as a function of squared distance."""
     if s <= 0:

@@ -1,4 +1,5 @@
-"""Planar configurations, oriented areas and the distance <-> point maps.
+"""Planar configurations, oriented areas, the distance <-> point maps and
+the direct Newtonian oracle.
 
 The ``*_many`` functions work on whole batches: squared distances as (n, 6)
 arrays, points as (n, 4, 2) and canonical frames as (n, 5) rows
@@ -10,14 +11,15 @@ once and both paths give the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .dziobek import (PAIRS, MassVector, OrientedAreas, SquaredDistances,
                       cayley, planar_many, scale_sq_many)
-from .errors import Degenerate, NotConvex, NotPlanar, NotRealizable
+from .errors import (CollisionError, Degenerate, NotConvex, NotPlanar,
+                     NotRealizable)
 
 COINCIDENCE_TOL = 1e-12
 CENTROID_TOL = 1e-12
@@ -97,14 +99,22 @@ def _signed_area(p, q, r):
                   - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0]))
 
 
+def _sub_triangles(points: np.ndarray):
+    """triangle_areas_many and convex_many of (..., 4, 2) points, from one
+    pass over the signed Delta_i: the diagonals cross where Delta_1 and
+    Delta_2 differ in sign (q1 and q2 lie on opposite sides of the line
+    q3-q4), and so do Delta_3 and Delta_4."""
+    q1, q2, q3, q4 = (points[..., i, :] for i in range(4))
+    d = np.stack([_signed_area(q2, q3, q4),
+                  _signed_area(q1, q3, q4),
+                  _signed_area(q1, q2, q4),
+                  _signed_area(q1, q2, q3)], axis=-1)
+    return np.abs(d), (d[..., 0] * d[..., 1] < 0) & (d[..., 2] * d[..., 3] < 0)
+
+
 def convex_many(points: np.ndarray) -> np.ndarray:
     """True where the open diagonals q1-q2 and q3-q4 properly intersect."""
-    q1, q2, q3, q4 = (points[..., i, :] for i in range(4))
-    d1 = _signed_area(q3, q4, q1)
-    d2 = _signed_area(q3, q4, q2)
-    d3 = _signed_area(q1, q2, q3)
-    d4 = _signed_area(q1, q2, q4)
-    return (d1 * d2 < 0) & (d3 * d4 < 0)
+    return _sub_triangles(points)[1]
 
 
 def _check_convex(p: PlanarConfig) -> None:
@@ -115,11 +125,7 @@ def _check_convex(p: PlanarConfig) -> None:
 def triangle_areas_many(points: np.ndarray) -> np.ndarray:
     """|Delta_i|, the area of the triangle on the three vertices other than
     i, for (..., 4, 2) points; shape (..., 4)."""
-    q1, q2, q3, q4 = (points[..., i, :] for i in range(4))
-    return np.abs(np.stack([_signed_area(q2, q3, q4),
-                            _signed_area(q1, q3, q4),
-                            _signed_area(q1, q2, q4),
-                            _signed_area(q1, q2, q3)], axis=-1))
+    return _sub_triangles(points)[0]
 
 
 def _nondegenerate(points: np.ndarray, mags: np.ndarray) -> np.ndarray:
@@ -130,8 +136,8 @@ def _nondegenerate(points: np.ndarray, mags: np.ndarray) -> np.ndarray:
 def oriented_areas_many(points: np.ndarray):
     """Signed (-, -, +, +) areas of (n, 4, 2) points, and the mask of rows
     that oriented_areas accepts (no degenerate sub-triangle, convex)."""
-    mags = triangle_areas_many(points)
-    ok = _nondegenerate(points, mags) & convex_many(points)
+    mags, convex = _sub_triangles(points)
+    ok = _nondegenerate(points, mags) & convex
     return mags * np.array([-1.0, -1.0, 1.0, 1.0]), ok
 
 
@@ -160,9 +166,9 @@ def squared_distances(p: PlanarConfig) -> SquaredDistances:
 
 def _trilateration(sq: np.ndarray):
     """The mask of (..., 6) rows with positive entries and both face
-    triangles proper, and the coordinates r12, x3, y3, x4, -y4 of
-    trilaterate's q2 = (r12, 0), q3 = (x3, y3) and q4 = (x4, -y4).  Rows
-    outside the mask get finite placeholders.  Call under np.errstate."""
+    triangles proper, and the coordinates r12, x3, y3, x4, -y4 of the
+    placed q2 = (r12, 0), q3 = (x3, y3) and q4 = (x4, -y4).  Rows outside
+    the mask get finite placeholders.  Call under np.errstate."""
     a, b, c, d, e = (sq[..., k] for k in range(5))
     ok = np.all(sq > 0, axis=-1)
     r12 = np.sqrt(np.where(ok, a, 1.0))
@@ -176,8 +182,9 @@ def _trilateration(sq: np.ndarray):
 
 
 def trilaterate_many(sq: np.ndarray):
-    """Points of (n, 6) squared distances placed as trilaterate places them,
-    and the mask of rows it accepts."""
+    """Points of (n, 6) squared distances alone (f is not used), q1 at the
+    origin, q2 on the positive x-axis, q3 above and q4 below it, and the
+    mask of rows with positive entries and proper face triangles."""
     pts = np.zeros(sq.shape[:-1] + (4, 2))
     with np.errstate(all="ignore"):
         ok, r12, x3, y3, x4, y4m = _trilateration(sq)
@@ -191,8 +198,8 @@ def trilaterate_many(sq: np.ndarray):
 
 def trilaterated_areas_many(sq: np.ndarray):
     """Oriented (-, -, +, +) areas of (n, 6) squared distances placed as
-    trilaterate places them, and the mask of rows that trilaterate with the
-    diagonal q3-q4 crossing the open segment q1-q2.  f is not used.
+    trilaterate_many places them, and the mask of the rows it accepts
+    whose diagonal q3-q4 crosses the open segment q1-q2.  f is not used.
 
     This is the geometry of every Newton iterate, so it works on the
     trilateration coordinates directly rather than on (n, 4, 2) points.
@@ -243,21 +250,6 @@ def trilaterated_area_derivatives_many(sq: np.ndarray):
     return valid, areas, np.stack([-dmag1, -dmag2, dmag3, dmag4], axis=1)
 
 
-def trilaterate(sq: Sequence[float]) -> np.ndarray:
-    """Place q1 at the origin, q2 on the positive x-axis, q3 above and q4
-    below the axis, from the squared distances alone (f is not used).
-
-    Raises NotRealizable when a face triangle inequality fails.
-    """
-    sq = np.asarray(sq, dtype=float)
-    if sq.min() <= 0:
-        raise NotRealizable("squared distances must be positive")
-    pts, ok = trilaterate_many(sq)
-    if not ok:
-        raise NotRealizable("a face triangle inequality is violated")
-    return pts
-
-
 def realize(sq: Sequence[float], m: MassVector) -> PlanarConfig:
     """Inverse of squared_distances, up to congruence.
 
@@ -270,7 +262,11 @@ def realize(sq: Sequence[float], m: MassVector) -> PlanarConfig:
             s_val = cayley(sqt)
         raise NotPlanar("squared distances do not embed in the plane "
                         f"(Cayley determinant {s_val:.3e})")
-    pts = trilaterate(sqt)
+    if min(sqt) <= 0:
+        raise NotRealizable("squared distances must be positive")
+    pts, ok = trilaterate_many(np.asarray(sqt, dtype=float))
+    if not ok:
+        raise NotRealizable("a face triangle inequality is violated")
     return PlanarConfig.from_points(pts, m)
 
 
@@ -311,11 +307,9 @@ class CanonicalFrame:
     def as_vector(self) -> np.ndarray:
         return np.array([self.u, self.v, self.t, self.s, self.theta])
 
-    def raw_points(self) -> np.ndarray:
-        return frame_points_many(self.as_vector())
-
     def reconstruct(self, m: MassVector) -> PlanarConfig:
-        return PlanarConfig.from_points(self.raw_points(), m)
+        return PlanarConfig.from_points(frame_points_many(self.as_vector()),
+                                        m)
 
     def rescaled_to_unit_inertia(self, m: MassVector) -> "CanonicalFrame":
         row, ok = unit_inertia_many(self.as_vector(), m)
@@ -325,8 +319,7 @@ class CanonicalFrame:
         return CanonicalFrame(*(float(x) for x in row))
 
     def to_json_dict(self) -> dict:
-        return {"u": self.u, "v": self.v, "t": self.t, "s": self.s,
-                "theta": self.theta}
+        return asdict(self)
 
 
 def frame_points_many(frames: np.ndarray) -> np.ndarray:
@@ -426,3 +419,33 @@ def congruent(p1: PlanarConfig, p2: PlanarConfig, tol: float = 1e-8) -> bool:
     f1 = canonicalize(p1).as_vector()
     f2 = canonicalize(p2).as_vector()
     return bool(np.all(np.abs(f1 - f2) <= tol))
+
+
+def newtonian_oracle(p: PlanarConfig, m: MassVector) -> tuple[float, float]:
+    """Least-squares multiplier and relative misfit of M^-1 grad U = lambda q.
+
+    Independent of the squared-distance formulation: works directly on the
+    planar positions and the Newtonian pairwise forces.
+    """
+    q = p.points
+    w = np.asarray(m.masses)
+    scale = p.scale
+    g = np.zeros((4, 2))
+    for i in range(4):
+        for j in range(4):
+            if i == j:
+                continue
+            dq = q[j] - q[i]
+            rij = float(np.linalg.norm(dq))
+            if rij <= 1e-9 * scale:
+                raise CollisionError(f"bodies {i + 1} and {j + 1} collide")
+            g[i] += w[j] * dq / rij ** 3
+    gf = g.ravel()
+    qf = q.ravel()
+    lam = float(gf @ qf / (qf @ qf))
+    # divide by a power of two near max |gf|: exact, and the squares in the
+    # norms cannot overflow when a mass is huge
+    k = -math.frexp(float(np.abs(gf).max()))[1]
+    residual = float(np.linalg.norm(np.ldexp(gf - lam * qf, k))
+                     / np.linalg.norm(np.ldexp(gf, k)))
+    return lam, residual

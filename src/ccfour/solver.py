@@ -16,13 +16,13 @@ import numpy as np
 
 from .dziobek import (PAIR_I, PAIR_J, DziobekState, MassVector,
                       OrientedAreas, SquaredDistances, cayley_gradient_many,
-                      cayley_many, dilate_state, pair_jacobian_many,
-                      pair_residuals_many, psi_prime, psi_prime_many,
-                      sq_inertia, unit_inertia_sq)
+                      cayley_many, classify_symmetry, dilate_state,
+                      pair_jacobian_many, pair_residuals_many, psi_prime,
+                      psi_prime_many, sq_inertia, unit_inertia_sq)
 from .errors import (DomainError, LeftConvexRegion, NoConvergence,
                      SingularJacobian)
-from .geometry import (oriented_areas, realize,
-                       trilaterated_area_derivatives_many,
+from .geometry import (newtonian_oracle, oriented_areas_many, realize,
+                       realize_many, trilaterated_area_derivatives_many,
                        trilaterated_areas_many)
 
 # batch status codes
@@ -32,6 +32,7 @@ NO_CONVERGENCE = 2
 LEFT_CONVEX = 3
 SINGULAR = 4
 NEAR_BOUNDARY = 5
+REJECTED = 6  # converged, but not to a convex central configuration
 
 # A row retires as NEAR_BOUNDARY when moving one squared distance x_j by
 # h_j = _BOUNDARY_PROBE max(1, |x_j|) takes x_j or, to first order, an area
@@ -240,7 +241,8 @@ def _newton_batch(fun, x0: np.ndarray, opts: SolveOptions):
     res, valid = fun(x)
     status[~valid] = LEFT_CONVEX
     with np.errstate(all="ignore"):
-        norm_inf = np.nanmax(np.abs(res), axis=1)
+        # nanmax, without its warning on the all-NaN rows outside the region
+        norm_inf = np.fmax.reduce(np.abs(res), axis=1)
         norm2 = np.sqrt(np.nansum(res * res, axis=1))
     status[(status == RUNNING) & (norm_inf < opts.residual_tol)] = CONVERGED
 
@@ -279,9 +281,31 @@ def _newton_batch(fun, x0: np.ndarray, opts: SolveOptions):
     return x, status, iters, norm_inf
 
 
-def _lsq_multipliers(sq: np.ndarray, areas: np.ndarray,
-                     m: MassVector) -> np.ndarray:
-    """Least-squares (nu, xi) from the six c.c. equations at fixed geometry."""
+def _state(xf: np.ndarray, areas: Sequence[float]) -> DziobekState:
+    """The state of an unknown vector (a..f, nu, xi) with its areas."""
+    return DziobekState(sq=SquaredDistances(*(float(v) for v in xf[:6])),
+                        areas=OrientedAreas(*(float(v) for v in areas)),
+                        nu=float(xf[6]), xi=float(xf[7]))
+
+
+def seed_state(sq: Sequence[float], m: MassVector) -> DziobekState:
+    """Seed for newton_solve from squared distances alone.
+
+    Unlike realized states this skips the planarity check (seeds are
+    generally not planar in f); areas come from trilateration, which never
+    uses f, and the multipliers from a least-squares fit.
+    """
+    x = seed_vector(sq, m)
+    _, areas = trilaterated_areas_many(x[None, :6])
+    return _state(x, areas[0])
+
+
+def seed_vectors(sq: np.ndarray, m: MassVector) -> np.ndarray:
+    """Unknown vectors (a..f, nu, xi) of (n, 6) squared distances, with the
+    multipliers fitted by least squares to the six c.c. equations at the
+    trilaterated areas.  Rows that do not trilaterate to a convex
+    quadrilateral get NaN multipliers."""
+    valid, areas = trilaterated_areas_many(sq)
     inv_mm = 1.0 / m.pair_weights
     # extreme mass ratios overflow the sums; such a row gets nu = 0 (where
     # denom is not a positive number) or a non-finite fit, and no warning
@@ -296,44 +320,7 @@ def _lsq_multipliers(sq: np.ndarray, areas: np.ndarray,
         denom = n * sgg - sg * sg
         nu = np.where(np.abs(denom) > 0, (n * sgy - sg * sy) / denom, 0.0)
         xi = (sy - nu * sg) / n
-    return np.stack([nu, xi], axis=1)
-
-
-def state_from_vector(xf: np.ndarray, m: MassVector) -> DziobekState:
-    """The realized state of an unknown vector (a..f, nu, xi); raises where
-    realize or oriented_areas does."""
-    sq = SquaredDistances(*(float(v) for v in xf[:6]))
-    config = realize(sq, m)
-    areas = oriented_areas(config)
-    return DziobekState(sq=sq, areas=areas, nu=float(xf[6]), xi=float(xf[7]))
-
-
-def _classify(st: DziobekState) -> str:
-    from .census import classify_symmetry
-
-    return classify_symmetry(st).label
-
-
-def seed_state(sq: Sequence[float], m: MassVector) -> DziobekState:
-    """Seed for newton_solve from squared distances alone.
-
-    Unlike realized states this skips the planarity check (seeds are
-    generally not planar in f); areas come from trilateration, which never
-    uses f, and the multipliers from a least-squares fit.
-    """
-    x = seed_vector(sq, m)
-    _, areas = trilaterated_areas_many(x[None, :6])
-    return DziobekState(sq=SquaredDistances(*(float(s) for s in x[:6])),
-                        areas=OrientedAreas(*(float(v) for v in areas[0])),
-                        nu=float(x[6]), xi=float(x[7]))
-
-
-def seed_vectors(sq: np.ndarray, m: MassVector) -> np.ndarray:
-    """Unknown vectors (a..f, nu, xi) of (n, 6) squared distances, with the
-    multipliers fitted by least squares at the trilaterated areas.  Rows
-    that do not trilaterate to a convex quadrilateral get NaN multipliers."""
-    valid, areas = trilaterated_areas_many(sq)
-    multipliers = _lsq_multipliers(sq, areas, m)
+    multipliers = np.stack([nu, xi], axis=1)
     multipliers[~valid] = np.nan
     return np.concatenate([sq, multipliers], axis=1)
 
@@ -348,28 +335,73 @@ def seed_vector(sq: Sequence[float], m: MassVector) -> np.ndarray:
     return x
 
 
+@dataclass(frozen=True)
+class BatchResult:
+    """What solve_batch found: the full vector (a..f, nu, xi), status,
+    iterations and final inf-norm residual of every seed, then the indices
+    of the accepted seeds and, in the same order, their points and areas."""
+
+    x: np.ndarray
+    status: np.ndarray
+    iterations: np.ndarray
+    residual: np.ndarray
+    accepted: np.ndarray
+    points: np.ndarray
+    areas: np.ndarray
+
+    def report(self, k: int) -> SolveReport:
+        """The SolveReport of the k-th accepted seed."""
+        seed = self.accepted[k]
+        state = _state(self.x[seed], self.areas[k])
+        return SolveReport(state=state, iterations=int(self.iterations[seed]),
+                           final_residual=float(self.residual[seed]),
+                           converged=True,
+                           symmetry=classify_symmetry(state).label)
+
+
+def solve_batch(fun: Residuals, x0: np.ndarray, m: MassVector,
+                opts: SolveOptions) -> BatchResult:
+    """Newton from every row of x0, then the one test of which converged
+    rows are convex central configurations: nu > 0, and realize and
+    oriented_areas accept the squared distances (realize_many and
+    oriented_areas_many on the full vectors, which fun.embed gives for a
+    reduced system).  The converged rows that fail it end REJECTED."""
+    x, status, iters, norm = _newton_batch(fun, x0, opts)
+    if fun.embed is not None:
+        x = x[:, fun.embed]
+    conv = np.flatnonzero(status == CONVERGED)
+    # a converged row that realize rejects may have areas that overflow;
+    # they fail the test and must not warn
+    with np.errstate(all="ignore"):
+        points, ok = realize_many(x[conv, :6], m)
+        areas, areas_ok = oriented_areas_many(points)
+    ok &= areas_ok & (x[conv, 6] > 0)
+    status[conv[~ok]] = REJECTED
+    return BatchResult(x=x, status=status, iterations=iters, residual=norm,
+                       accepted=conv[ok], points=points[ok], areas=areas[ok])
+
+
 def _polish(x0: np.ndarray, m: MassVector, opts: SolveOptions) -> SolveReport:
     """Full Newton from one start vector (a..f, nu, xi); raises unless it
-    converges to a state with nu > 0."""
-    fun = Residuals(m, opts.normalization)
-    x, status, iters, norm = _newton_batch(fun, x0[None, :], opts)
-    if status[0] == LEFT_CONVEX:
+    converges to a convex central configuration."""
+    batch = solve_batch(Residuals(m, opts.normalization), x0[None, :], m,
+                        opts)
+    status = batch.status[0]
+    if status == LEFT_CONVEX:
         raise LeftConvexRegion("iterate left the convex region")
-    if status[0] == NEAR_BOUNDARY:
+    if status == NEAR_BOUNDARY:
         raise LeftConvexRegion("iterate reached the boundary of the convex "
                                "region")
-    if status[0] == SINGULAR:
+    if status == SINGULAR:
         raise SingularJacobian("Newton correction could not be computed")
-    if status[0] != CONVERGED:
+    if status == REJECTED:
+        raise NoConvergence("converged to a point that is not a convex "
+                            "central configuration")
+    if status != CONVERGED:
         raise NoConvergence(
-            f"residual {norm[0]:.3e} after {opts.max_iterations} iterations "
-            f"(tol {opts.residual_tol:.1e})")
-    state = state_from_vector(x[0], m)
-    if state.nu <= 0:
-        raise NoConvergence("converged to a state with nu <= 0 (not a c.c.)")
-    return SolveReport(state=state, iterations=int(iters[0]),
-                       final_residual=float(norm[0]), converged=True,
-                       symmetry=_classify(state))
+            f"residual {batch.residual[0]:.3e} after {opts.max_iterations} "
+            f"iterations (tol {opts.residual_tol:.1e})")
+    return batch.report(0)
 
 
 def newton_solve(seed: DziobekState, m: MassVector,
@@ -396,21 +428,16 @@ def _kite_seed_vectors(m: MassVector) -> np.ndarray:
 
 def solve_kite(m: MassVector,
                opts: SolveOptions = SolveOptions()) -> SolveReport:
-    """Solve the kite-reduced system (b = d and c = e by construction)."""
+    """Solve the kite-reduced system (b = d and c = e by construction) from
+    nine fixed seeds; report the first that converges to a convex central
+    configuration."""
     fun = Residuals(m, opts.normalization, eq_indices=_KITE_EQS,
                     embed=_KITE_EMBED)
-    seeds = _kite_seed_vectors(m)
-    x, status, iters, norm = _newton_batch(fun, seeds, opts)
-    for i in range(seeds.shape[0]):
-        if status[i] != CONVERGED:
-            continue
-        state = state_from_vector(x[i, _KITE_EMBED], m)
-        if state.nu <= 0:
-            continue
-        return SolveReport(state=state, iterations=int(iters[i]),
-                           final_residual=float(norm[i]), converged=True,
-                           symmetry=_classify(state))
-    raise NoConvergence("no kite seed converged")
+    batch = solve_batch(fun, _kite_seed_vectors(m), m, opts)
+    if not batch.accepted.size:
+        raise NoConvergence("no kite seed converged to a convex central "
+                            "configuration")
+    return batch.report(0)
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
@@ -514,7 +541,7 @@ def solve_rhombus(alpha: float,
     state = dilate_state(state, k)
     return SolveReport(state=state, iterations=0,
                        final_residual=0.0, converged=True,
-                       symmetry=_classify(state))
+                       symmetry=classify_symmetry(state).label)
 
 
 @dataclass(frozen=True)
@@ -534,8 +561,6 @@ class SweepCell:
                         "residual": math.nan})
             return row
         st = self.report.state
-        from .verifier import newtonian_oracle
-
         m = MassVector(alpha=self.alpha, beta=self.beta)
         lam_cc, _ = newtonian_oracle(realize(st.sq, m), m)
         row.update(dict(zip("abcdef", st.sq)))

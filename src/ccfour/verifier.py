@@ -1,10 +1,11 @@
-"""Executable checks: the direct Newtonian oracle and the lemma/theorem
-suites that tie the squared-distance pipeline back to first principles."""
+"""Executable checks: the lemma/theorem suites that, with the direct
+Newtonian oracle of ccfour.geometry, tie the squared-distance pipeline back
+to first principles."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -12,8 +13,7 @@ import numpy as np
 from .dziobek import (DziobekState, MassVector, balanced_residuals,
                       chord_value, psi_prime, sign_det)
 from .census import census
-from .errors import CollisionError
-from .geometry import PlanarConfig, realize
+from .geometry import PlanarConfig, newtonian_oracle, realize
 from .solver import rhombus_ratio
 
 DEFAULT_SEED = 1405
@@ -32,43 +32,7 @@ class CheckResult:
     details: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "worst_violation": self.worst_violation,
-            "witnesses": self.witnesses,
-            "details": self.details,
-        }
-
-
-def newtonian_oracle(p: PlanarConfig, m: MassVector) -> tuple[float, float]:
-    """Least-squares multiplier and relative misfit of M^-1 grad U = lambda q.
-
-    Independent of the squared-distance formulation: works directly on the
-    planar positions and the Newtonian pairwise forces.
-    """
-    q = p.points
-    w = np.asarray(m.masses)
-    scale = p.scale
-    g = np.zeros((4, 2))
-    for i in range(4):
-        for j in range(4):
-            if i == j:
-                continue
-            dq = q[j] - q[i]
-            rij = float(np.linalg.norm(dq))
-            if rij <= 1e-9 * scale:
-                raise CollisionError(f"bodies {i + 1} and {j + 1} collide")
-            g[i] += w[j] * dq / rij ** 3
-    gf = g.ravel()
-    qf = q.ravel()
-    lam = float(gf @ qf / (qf @ qf))
-    # divide by a power of two near max |gf|: exact, and the squares in the
-    # norms cannot overflow when a mass is huge
-    k = -math.frexp(float(np.abs(gf).max()))[1]
-    residual = float(np.linalg.norm(np.ldexp(gf - lam * qf, k))
-                     / np.linalg.norm(np.ldexp(gf, k)))
-    return lam, residual
+        return asdict(self)
 
 
 def potential(p: PlanarConfig, m: MassVector) -> float:

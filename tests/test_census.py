@@ -6,16 +6,15 @@ import pytest
 from ccfour import (CCFourError, Degenerate, DziobekState, MassVector,
                     NotConvex, NotPlanar, NotRealizable, OrientedAreas,
                     PlanarConfig, SquaredDistances, canonicalize, census,
-                    classify_symmetry, realize, seed_grid, solve_kite,
-                    squared_distances)
-from ccfour.census import (DEDUPE_TOL, MAX_RESOLUTION, _accept, _dedupe,
-                           _seed_vectors)
+                    classify_symmetry, oriented_areas, realize, seed_grid,
+                    solve_kite, squared_distances)
+from ccfour.census import DEDUPE_TOL, MAX_RESOLUTION, _dedupe, _seed_vectors
 from ccfour.dziobek import scale_sq_many
-from ccfour.geometry import (frame_points_many, squared_distances_many,
-                             triangle_areas_many)
-from ccfour.solver import (CONVERGED, NEAR_BOUNDARY, NO_CONVERGENCE,
-                           Residuals, SolveOptions, _newton_batch,
-                           state_from_vector)
+from ccfour.geometry import (canonicalize_many, frame_points_many,
+                             squared_distances_many, triangle_areas_many)
+from ccfour.solver import (_KITE_EMBED, _KITE_EQS, CONVERGED, LEFT_CONVEX,
+                           NEAR_BOUNDARY, NO_CONVERGENCE, REJECTED, Residuals,
+                           SolveOptions, solve_batch)
 from conftest import random_convex_config
 
 # smallest sub-triangle area over mean squared distance that a seed frame
@@ -213,6 +212,11 @@ def sq_row(points, m, nu=1.0, xi=-1.0):
     return [*sq, nu, xi]
 
 
+# no residual reaches this tolerance, so every row inside the convex region
+# converges where it starts and the acceptance pass sees the rows as given
+AT_START = SolveOptions(residual_tol=1e300)
+
+
 def test_accept_keeps_exactly_the_rows_scalar_postprocessing_keeps(rng):
     m = MassVector(alpha=0.5, beta=0.8)
     good = solve_kite(m).state
@@ -235,21 +239,51 @@ def test_accept_keeps_exactly_the_rows_scalar_postprocessing_keeps(rng):
     rows.append([-1.0, *base[1:]])
     x = np.array(rows)
 
-    expected, frames, errors = [], [], set()
+    expected, configs, areas, frames, errors = [], [], [], [], set()
     for i, row in enumerate(x):
         try:
-            state = state_from_vector(row, m)
-            frame = canonicalize(realize(state.sq, m))
+            config = realize(row[:6], m)
+            row_areas = oriented_areas(config)
+            frame = canonicalize(config)
         except CCFourError as exc:
             errors.add(type(exc))
             continue
         if row[6] > 0:
             expected.append(i)
+            configs.append(config.points.tolist())
+            areas.append(tuple(row_areas))
             frames.append(tuple(frame.as_vector()))
     assert {NotPlanar, NotConvex, Degenerate, NotRealizable} <= errors
-    keep, got = _accept(x, m)
-    assert keep.tolist() == expected
-    assert [tuple(f) for f in got] == frames
+    batch = solve_batch(Residuals(m, "fix_inertia_one"), x, m, AT_START)
+    assert batch.accepted.tolist() == expected
+    assert batch.x[batch.accepted].tolist() == x[expected].tolist()
+    assert batch.points.tolist() == configs
+    assert [tuple(a) for a in batch.areas] == areas
+    got, ok = canonicalize_many(batch.points, m)
+    assert ok.all() and [tuple(f) for f in got] == frames
+    # the converged rows that fail: nonplanar, nu = 0, nu < 0, degenerate
+    assert np.flatnonzero(batch.status == REJECTED).tolist() == [6, 7, 8, 10]
+    assert set(batch.status.tolist()) == {CONVERGED, REJECTED, LEFT_CONVEX}
+
+
+def test_accept_through_the_kite_embedding():
+    m = MassVector(alpha=0.5, beta=0.8)
+    good = solve_kite(m).state
+    reduced = [good.sq.a, good.sq.b, good.sq.c, good.sq.f, good.nu, good.xi]
+    nonplanar = list(reduced)
+    nonplanar[3] *= 1.01
+    x = np.array([nonplanar, [*reduced[:4], -good.nu, good.xi], reduced])
+    fun = Residuals(m, "fix_inertia_one", eq_indices=_KITE_EQS,
+                    embed=_KITE_EMBED)
+    batch = solve_batch(fun, x, m, AT_START)
+    assert batch.status.tolist() == [REJECTED, REJECTED, CONVERGED]
+    assert batch.accepted.tolist() == [2]
+    full = x[2, list(_KITE_EMBED)]
+    config = realize(full[:6], m)
+    assert batch.report(0).state == DziobekState(
+        sq=SquaredDistances(*full[:6].tolist()),
+        areas=oriented_areas(config), nu=good.nu, xi=good.xi)
+    assert batch.points.tolist() == [config.points.tolist()]
 
 
 def test_dedupe_matches_sequential_matching(rng):
@@ -276,9 +310,8 @@ def test_census_pinned_counts_at_kite_masses():
     assert report.seeds_converged == 2710
     assert [(c.symmetry.label, c.basin) for c in report.classes] == \
         [("kite_axis_34", 2710)]
-    fun = Residuals(m, "fix_inertia_one")
-    _, status, _, _ = _newton_batch(fun, _seed_vectors(seed_grid(8, m), m),
-                                    SolveOptions())
-    codes, counts = np.unique(status, return_counts=True)
+    batch = solve_batch(Residuals(m, "fix_inertia_one"),
+                        _seed_vectors(seed_grid(8, m), m), m, SolveOptions())
+    codes, counts = np.unique(batch.status, return_counts=True)
     assert dict(zip(codes.tolist(), counts.tolist())) == {
         CONVERGED: 2710, NEAR_BOUNDARY: 1361, NO_CONVERGENCE: 25}

@@ -361,6 +361,16 @@ def test_solve_kite_json(capsys):
     assert len(doc["points"]) == 4
 
 
+def test_solve_kite_skips_a_seed_that_converges_off_the_plane(capsys):
+    # at --tol 1e-5 the first kite seed to converge does not embed in the
+    # plane; the second converges to the planar kite
+    code, doc = run_json(capsys, ["solve", "--alpha", "0.1", "--beta", "0.3",
+                                  "--tol", "1e-5"])
+    assert code == 0
+    assert doc["report"]["symmetry"] == "kite_axis_34"
+    assert doc["oracle_residual"] <= 1e-8
+
+
 def test_solve_rhombus_requires_equal_masses(capsys):
     code = main(["solve", "--alpha", "0.5", "--beta", "0.8",
                  "--ansatz", "rhombus"])
@@ -416,6 +426,23 @@ def test_sweep_csv_row_count(capsys):
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 5  # header + 4 cells
+
+
+def test_sweep_records_a_cell_that_converges_off_the_plane_as_failed(
+        capsys):
+    code = main(["sweep", "--alpha-grid", "0.2:1.0:0.2",
+                 "--beta-grid", "0.2:2.0:0.2", "--format", "csv",
+                 "--tol", "1e-8"])
+    assert code == 0
+    header, *lines = capsys.readouterr().out.strip().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert len(rows) == 50
+    failed = [(float(r["alpha"]), float(r["beta"])) for r in rows
+              if r["symmetry"] == "failed"]
+    # the warm start at (1.0, 0.8) converges to a point off the plane
+    assert failed == [(1.0, 0.8)]
+    assert all(float(r["residual"]) < 1e-8 for r in rows
+               if r["symmetry"] != "failed")
 
 
 def test_sweep_json_and_plot(tmp_path, capsys):

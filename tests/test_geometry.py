@@ -6,8 +6,8 @@ import pytest
 from ccfour import (Degenerate, MassVector, NotConvex, NotPlanar,
                     PlanarConfig, canonicalize, congruent, oriented_areas,
                     realize, squared_distances)
-from ccfour.geometry import (canonicalize_many, oriented_areas_many,
-                             realize_many)
+from ccfour.geometry import (canonicalize_many, convex_many,
+                             oriented_areas_many, realize_many)
 from conftest import random_convex_config, unit_square_config
 
 EQUAL = MassVector(alpha=1.0, beta=1.0)
@@ -57,6 +57,18 @@ def test_oriented_areas_point_inside_triangle_not_convex():
     p = PlanarConfig.from_points(pts, EQUAL)
     with pytest.raises(NotConvex):
         oriented_areas(p)
+
+
+def test_convex_needs_q1_q2_and_q3_q4_to_be_the_diagonals():
+    points = np.array([
+        [[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],  # diagonals
+        [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],  # opposite sides
+        [[0.0, 0.0], [2.0, 0.0], [1.0, 2.0], [1.0, 0.5]],  # q4 inside
+        [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]],  # diagonals
+    ])
+    assert convex_many(points).tolist() == [True, False, False, True]
+    with pytest.raises(NotConvex):
+        oriented_areas(PlanarConfig.from_points(points[1], EQUAL))
 
 
 def test_oriented_areas_scale_quadratically(rng):

@@ -1,13 +1,12 @@
 """Boundaries between the package's modules."""
 
 import ast
+import graphlib
 from pathlib import Path
 
 import ccfour
 
-# census() runs the batched Newton core on its whole seed lattice itself,
-# and the benchmark times that call as the census's Newton stage
-ALLOWED_PRIVATE_IMPORTS = {("census", "_newton_batch")}
+ALLOWED_PRIVATE_IMPORTS = set()
 
 
 def private_imports(source: str, module: str) -> set:
@@ -20,6 +19,42 @@ def private_imports(source: str, module: str) -> set:
                       if alias.name.startswith("_")
                       and not alias.name.startswith("__")}
     return found
+
+
+def package_imports(source: str, modules: set) -> tuple[set, set]:
+    """The package modules that a source imports, and those of them that it
+    imports inside a function; the package itself counts as "__init__"."""
+    def targets(node) -> set:
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # a relative import is one from the package
+                module = f"ccfour.{module}".rstrip(".")
+            # from the package itself, each name may be a module
+            dotted = [f"{module}.{alias.name}" if module == "ccfour"
+                      else module for alias in node.names]
+        else:
+            return set()
+        found = set()
+        for parts in (name.split(".") for name in dotted):
+            if parts[0] == "ccfour":
+                found.add(parts[1] if len(parts) > 1 and parts[1] in modules
+                          else "__init__")
+        return found
+
+    tree = ast.parse(source)
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    imported = set().union(*map(targets, ast.walk(tree)))
+    local = set().union(*(targets(node) for function in functions
+                          for node in ast.walk(function)))
+    return imported, local
+
+
+def package_sources() -> dict:
+    return {path.stem: path.read_text()
+            for path in sorted(Path(ccfour.__file__).parent.glob("*.py"))}
 
 
 def scipy_imports(source: str) -> set:
@@ -48,6 +83,37 @@ def test_no_module_imports_private_names_of_another():
     for path in sorted(Path(ccfour.__file__).parent.glob("*.py")):
         found |= private_imports(path.read_text(), path.stem)
     assert found <= ALLOWED_PRIVATE_IMPORTS, found - ALLOWED_PRIVATE_IMPORTS
+
+
+def test_package_import_detection():
+    source = ("import numpy as np, ccfour\n"
+              "from . import __version__, solver\n"
+              "from .geometry import realize\n"
+              "import ccfour.jsonio\n"
+              "class C:\n"
+              "    def f(self):\n"
+              "        from .census import census\n"
+              "        from ccfour import verifier\n")
+    modules = {"census", "geometry", "jsonio", "solver", "verifier"}
+    imported, local = package_imports(source, modules)
+    assert imported == {"__init__", "census", "geometry", "jsonio", "solver",
+                        "verifier"}
+    assert local == {"census", "verifier"}
+
+
+def test_no_module_imports_a_package_module_inside_a_function():
+    sources = package_sources()
+    local = {module: package_imports(source, set(sources))[1]
+             for module, source in sources.items()}
+    assert not any(local.values()), local
+
+
+def test_module_import_graph_has_no_cycle():
+    sources = package_sources()
+    graph = {module: package_imports(source, set(sources))[0] - {module}
+             for module, source in sources.items()}
+    # raises CycleError, naming the cycle, if there is one
+    graphlib.TopologicalSorter(graph).prepare()
 
 
 def test_scipy_import_detection():
