@@ -238,6 +238,8 @@ def _cmd_solve(args) -> int:
         report = solve_kite(m, opts)
     else:
         square = unit_inertia_sq([2.0, 1.0, 1.0, 1.0, 1.0, 2.0], m)
+        if opts.normalization == "fix_a_one":
+            square = square / square[0]  # the seed on the gauge a = 1
         report = newton_solve(seed_state(square, m), m, opts)
     config = realize(report.state.sq, m)
     lam, resid = newtonian_oracle(config, m)

@@ -109,12 +109,17 @@ class Residuals:
                         else np.unique(self.embed[:6]))
 
     def __call__(self, x: np.ndarray):
-        """(residuals, valid) of (n, k) vectors; invalid rows are NaN."""
+        """(residuals, valid) of (n, k) vectors; invalid rows are NaN, and
+        only the valid rows are evaluated past their areas."""
         xf = x if self.embed is None else x[:, self.embed]
+        valid, areas = trilaterated_areas_many(xf[:, :6])
+        # no copies where every row is valid, as in most one-row calls
+        whole = np.count_nonzero(valid) == valid.size
+        if not whole:
+            xf, areas = xf[valid], areas[valid]
         sq = xf[:, :6]
-        valid, areas = trilaterated_areas_many(sq)
         with np.errstate(all="ignore"):
-            res = np.empty((x.shape[0], 8))
+            res = np.empty((xf.shape[0], 8))
             res[:, :6] = pair_residuals_many(xf, areas, self.inv_mm)
             res[:, 6] = cayley_many(sq) / 32.0
             # numpy sums the six rows of a C-ordered (6, n) array left to
@@ -124,18 +129,21 @@ class Residuals:
             res[:, 7] = gauged.sum(axis=0) - 1.0
         if self.sel is not None:
             res = res[:, self.sel]
-        res[~valid] = np.nan
-        return res, valid
+        if whole:
+            return res, valid
+        out = np.full((valid.size, res.shape[1]), np.nan)
+        out[valid] = res
+        return out, valid
 
     def linearize(self, x: np.ndarray):
         """(jac, near) of (n, k) rows inside the convex region, from one
-        pass of the areas and their derivatives: the exact (n, k, k)
-        Jacobian of the residuals, and the rows within the boundary probe,
-        x_j <= h_j or |Delta_k| <= _AREA_ORDER[k] h_j |dDelta_k / dx_j| for
-        a reduced unknown j that moves a squared distance."""
+        pass of the areas and their derivatives: near marks the rows within
+        the boundary probe, x_j <= h_j or |Delta_k| <= _AREA_ORDER[k] h_j
+        |dDelta_k / dx_j| for a reduced unknown j that moves a squared
+        distance, and jac is the exact (n - near.sum(), k, k) Jacobian of
+        the residuals at the other rows, in order."""
         xf = x if self.embed is None else x[:, self.embed]
-        sq = xf[:, :6]
-        _, areas, d_areas = trilaterated_area_derivatives_many(sq)
+        _, areas, d_areas = trilaterated_area_derivatives_many(xf[:, :6])
         xs = x[:, self.sq_cols]
         h = _BOUNDARY_PROBE * np.maximum(1.0, np.abs(xs))
         with np.errstate(all="ignore"):
@@ -143,7 +151,11 @@ class Residuals:
                      * np.abs(self._fold(d_areas)[:, :, self.sq_cols]))
             near = ((xs <= h).any(axis=1)
                     | (np.abs(areas)[:, :, None] <= reach).any(axis=(1, 2)))
-            jac = np.zeros((x.shape[0], 8, 8))
+            if np.count_nonzero(near):
+                keep = ~near
+                xf, areas, d_areas = xf[keep], areas[keep], d_areas[keep]
+            sq = xf[:, :6]
+            jac = np.zeros((xf.shape[0], 8, 8))
             jac[:, :6] = pair_jacobian_many(xf, areas, d_areas, self.inv_mm)
             jac[:, 6, :6] = cayley_gradient_many(sq) / 32.0
             jac[:, 7, :6] = self.gauge
@@ -169,7 +181,8 @@ def _solve_linear(jac: np.ndarray, rhs: np.ndarray):
     idx = np.flatnonzero(finite)
     if idx.size:
         try:
-            dx[idx] = np.linalg.solve(jac[idx], rhs[idx, :, None])[:, :, 0]
+            dx[idx] = np.linalg.solve(jac if finite.all() else jac[idx],
+                                      rhs[idx, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             for i in idx:
                 with contextlib.suppress(np.linalg.LinAlgError):
@@ -180,14 +193,17 @@ def _solve_linear(jac: np.ndarray, rhs: np.ndarray):
 def _backtrack(fun, x: np.ndarray, dx: np.ndarray, base2: np.ndarray,
                budget: int):
     """Armijo line search along x + lam dx over lam = 1, 1/2, 1/4, ...,
-    at most _MAX_BACKTRACKS trials a row.
+    at most _MAX_BACKTRACKS trials a row.  Each row takes the first lam in
+    that order with nt2 <= (1 - 1e-4 lam) base2.
 
-    Every row tries lam = 1 first.  Rows that reject it try
-    max(1, budget // rows left) consecutive halvings in one call, so no call
-    has more than max(budget, len(x)) rows.  Each row takes the first lam in
-    order with nt2 <= (1 - 1e-4 lam) base2.  Returns the mask of rows that
-    took a step, their new x, residuals and residual 2-norms, and for the
-    other rows whether their last trial left the convex region.
+    Each call tries the next min(max(1, budget // rows left),
+    _MAX_BACKTRACKS - tried) lams on every row left, so no call has more
+    than max(budget, len(x)) rows.  The first call thus already takes
+    min(40, budget // rows) lams a row, and in the tail of a Newton run,
+    where budget // rows >= 40, every row tries all 40 in one call.
+    Returns the mask of rows that took a step, their new x, residuals and
+    residual 2-norms, and for the other rows whether their last trial left
+    the convex region.
     """
     n, k = x.shape
     accepted = np.zeros(n, dtype=bool)
@@ -195,17 +211,17 @@ def _backtrack(fun, x: np.ndarray, dx: np.ndarray, base2: np.ndarray,
     x_new = x.copy()
     res_new = np.full((n, k), np.nan)  # the Newton system is square
     norm_new = np.full(n, np.nan)
-    rem = np.arange(n)
+    rem = np.arange(n)  # the rows left, whose x, dx and base2 are carried
     tried = 0
     while rem.size and tried < _MAX_BACKTRACKS:
         c = min(max(1, budget // rem.size), _MAX_BACKTRACKS - tried)
-        lam = np.repeat(0.5 ** np.arange(tried, tried + c), rem.size)
-        xt = np.tile(x[rem], (c, 1)) + lam[:, None] * np.tile(dx[rem], (c, 1))
+        lam = 0.5 ** np.arange(tried, tried + c)
+        xt = (x + lam[:, None, None] * dx).reshape(-1, k)
         rt, vt = fun(xt)
         with np.errstate(all="ignore"):
             nt2 = np.sqrt(np.nansum(rt * rt, axis=1))
-        ok = (vt & (nt2 <= (1.0 - 1e-4 * lam) * np.tile(base2[rem], c))
-              ).reshape(c, rem.size)
+        ok = vt.reshape(c, -1) & (nt2.reshape(c, -1)
+                                  <= (1.0 - 1e-4 * lam)[:, None] * base2)
         hit = ok.any(axis=0)
         pick = ok.argmax(axis=0)[hit] * rem.size + np.flatnonzero(hit)
         take = rem[hit]
@@ -214,7 +230,7 @@ def _backtrack(fun, x: np.ndarray, dx: np.ndarray, base2: np.ndarray,
         res_new[take] = rt[pick]
         norm_new[take] = nt2[pick]
         last_invalid[rem] = ~hit & ~vt[(c - 1) * rem.size:]
-        rem = rem[~hit]
+        rem, x, dx, base2 = rem[~hit], x[~hit], dx[~hit], base2[~hit]
         tried += c
     return accepted, x_new, res_new, norm_new, last_invalid
 
@@ -256,7 +272,7 @@ def _newton_batch(fun, x0: np.ndarray, opts: SolveOptions):
             jac, near = fun.linearize(x[block])
             status[block[near]] = NEAR_BOUNDARY
             block = block[~near]
-            dx, singular = _solve_linear(jac[~near], -res[block])
+            dx, singular = _solve_linear(jac, -res[block])
             del jac  # free the Jacobians before the next block
             status[block[singular]] = SINGULAR
             ids.append(block[~singular])

@@ -9,7 +9,7 @@ from ccfour import (CCFourError, Degenerate, DziobekState, MassVector,
                     classify_symmetry, oriented_areas, realize, seed_grid,
                     solve_kite, squared_distances)
 from ccfour.census import DEDUPE_TOL, MAX_RESOLUTION, _dedupe, _seed_vectors
-from ccfour.dziobek import scale_sq_many
+from ccfour.dziobek import cayley_many, scale_sq_many
 from ccfour.geometry import (canonicalize_many, frame_points_many,
                              squared_distances_many, triangle_areas_many)
 from ccfour.solver import (_KITE_EMBED, _KITE_EQS, CONVERGED, LEFT_CONVEX,
@@ -303,9 +303,21 @@ def test_dedupe_matches_sequential_matching(rng):
     assert [g.tolist() for g in _dedupe(frames)] == members
 
 
-def test_census_pinned_counts_at_kite_masses():
+def test_census_pinned_counts_at_kite_masses(monkeypatch):
+    """Seed and status counts, and the Cayley kernel's calls and rows: only
+    the rows inside the convex region reach it (216,856 rows when every
+    line-search trial was evaluated)."""
+    calls, rows = [], []
+
+    def counted(sq):
+        calls.append(1)
+        rows.append(len(sq))
+        return cayley_many(sq)
+
+    monkeypatch.setattr("ccfour.solver.cayley_many", counted)
     m = MassVector(alpha=0.5, beta=0.8)
     report = census(m, resolution=8)
+    assert (len(calls), sum(rows)) == (132, 120_151)
     assert report.seeds_total == 4096
     assert report.seeds_converged == 2710
     assert [(c.symmetry.label, c.basin) for c in report.classes] == \

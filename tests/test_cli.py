@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -388,6 +389,18 @@ def test_solve_full_matches_kite(capsys):
     assert np.allclose(sq_full, sq_kite, rtol=1e-9)
 
 
+@pytest.mark.parametrize("alpha", ["2.5", "2.6", "2.7"])
+def test_solve_full_under_fix_a_one_finds_the_rhombus(capsys, alpha):
+    # the square seed is dilated to a = 1; left at inertia one, off that
+    # gauge, Newton stalled at 2.6 with residual 0.58
+    code, doc = run_json(capsys, ["solve", "--alpha", alpha, "--beta", alpha,
+                                  "--ansatz", "full",
+                                  "--normalization", "fix_a_one"])
+    assert code == 0
+    assert doc["report"]["symmetry"] == "rhombus"
+    assert doc["report"]["state"]["sq"][0] == pytest.approx(1.0, rel=1e-12)
+
+
 def test_solve_csv(capsys):
     code = main(["solve", "--alpha", "0.5", "--beta", "0.8",
                  "--format", "csv"])
@@ -516,3 +529,25 @@ def test_realize_nonplanar_fails(capsys):
                  "--alpha", "1.0", "--beta", "1.0"])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_output_digest_families_run_through_the_cli():
+    """tools/output_digest.py lists the families README names, and its
+    runner captures a command's status, stdout and stderr."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    sizes = {name: len(commands) for name, commands in digest.families()}
+    assert sizes == {
+        **{f"census {n}": 80 for n in digest.NORMALIZATIONS},
+        **{f"solve {a} {n}": 80 for a in ("kite", "full")
+           for n in digest.NORMALIZATIONS},
+        **{f"solve rhombus {n}": 30 for n in digest.NORMALIZATIONS},
+        "sweep csv": 1, "verify": 1}
+    status, out, err = digest.run(["realize", "--sq", "2,1,1,1,1,2",
+                                   "--alpha", "1", "--beta", "1"])
+    assert (status, json.loads(out)["command"], err) == (0, "realize", "")
+    status, out, err = digest.run(["census", "--alpha", "0.5", "--beta",
+                                   "0.8", "--resolution", "1"])
+    assert (status, out, err.count("\n")) == (2, "", 1)

@@ -9,7 +9,7 @@ from ccfour import (DomainError, DziobekState, LeftConvexRegion, MassVector,
                     SquaredDistances, cc_residuals, cayley, newton_solve,
                     newtonian_oracle, realize, rhombus_ratio, seed_state,
                     solve_kite, solve_rhombus, squared_distances, sweep)
-from ccfour.dziobek import pair_residuals_many, unit_inertia_sq
+from ccfour.dziobek import cayley_many, pair_residuals_many, unit_inertia_sq
 from ccfour.census import _seed_vectors, seed_grid
 from ccfour.geometry import trilaterated_areas_many
 from ccfour.solver import (_AREA_ORDER, _BLOCK, _BOUNDARY_PROBE,
@@ -17,8 +17,8 @@ from ccfour.solver import (_AREA_ORDER, _BLOCK, _BOUNDARY_PROBE,
                            LEFT_CONVEX, NEAR_BOUNDARY, NO_CONVERGENCE,
                            SINGULAR, Residuals, SweepCell, _backtrack,
                            _brentq, _kite_seed_vectors, _newton_batch,
-                           _polish, _rhombus_equation, seed_vector,
-                           seed_vectors)
+                           _polish, _rhombus_equation, _solve_linear,
+                           seed_vector, seed_vectors)
 from conftest import random_convex_config
 
 EQUAL = MassVector(alpha=1.0, beta=1.0)
@@ -323,7 +323,8 @@ def central_jacobian(fun, x, h_rel=1e-6):
 
 
 def assert_jacobian_matches_central_differences(fun, x):
-    exact = fun.linearize(x)[0]
+    exact, near = fun.linearize(x)
+    assert not near.any()
     oracle = central_jacobian(fun, x)
     assert np.isfinite(oracle).all()
     scale = np.abs(oracle).max(axis=(1, 2))
@@ -346,6 +347,107 @@ def test_exact_jacobian_of_the_kite_system(normalization):
     fun = Residuals(m, normalization, eq_indices=_KITE_EQS,
                     embed=_KITE_EMBED)
     assert_jacobian_matches_central_differences(fun, _kite_seed_vectors(m))
+
+
+def residuals_of_every_row(fun, x):
+    """Reference for Residuals.__call__: every row evaluated, then NaN on
+    the rows outside the convex region."""
+    xf = x if fun.embed is None else x[:, fun.embed]
+    sq = xf[:, :6]
+    valid, areas = trilaterated_areas_many(sq)
+    with np.errstate(all="ignore"):
+        res = np.empty((x.shape[0], 8))
+        res[:, :6] = pair_residuals_many(xf, areas, fun.inv_mm)
+        res[:, 6] = cayley_many(sq) / 32.0
+        gauged = np.multiply(sq.T, fun.gauge[:, None], order="C")
+        res[:, 7] = gauged.sum(axis=0) - 1.0
+    if fun.sel is not None:
+        res = res[:, fun.sel]
+    res[~valid] = np.nan
+    return res, valid
+
+
+def kite_lattice(m):
+    """Kite seeds from near the axis to far from it, whose iterates reach
+    the boundaries y3 = 0 and y4 = 0."""
+    g = np.geomspace(0.05, 5.0, 8)
+    sq = np.array([unit_inertia_sq([1.0, 0.25 + t * t, 0.25 + s * s,
+                                    0.25 + t * t, 0.25 + s * s, (t + s) ** 2],
+                                   m) for t in g for s in g])
+    return seed_vectors(sq, m)[:, [0, 1, 2, 5, 6, 7]]
+
+
+def first_newton_trials(fun, x0):
+    """The line search's first four trial points, lam = 1 to 1/8, from the
+    rows of x0 that Newton steps from."""
+    res, valid = fun(x0)
+    jac, near = fun.linearize(x0[valid])
+    dx, singular = _solve_linear(jac, -res[valid][~near])
+    x, dx = x0[valid][~near][~singular], dx[~singular]
+    lam = 0.5 ** np.arange(4)
+    return (x + lam[:, None, None] * dx).reshape(-1, x.shape[1])
+
+
+def systems_and_trials(m, normalization):
+    """Full system on the resolution-6 census lattice, kite system on
+    kite_lattice, each with its first Newton trial points."""
+    full = Residuals(m, normalization)
+    kite = Residuals(m, normalization, eq_indices=_KITE_EQS,
+                     embed=_KITE_EMBED)
+    yield full, first_newton_trials(full, _seed_vectors(seed_grid(6, m), m))
+    yield kite, first_newton_trials(kite, kite_lattice(m))
+
+
+@pytest.mark.parametrize("normalization", ["fix_inertia_one", "fix_a_one"])
+def test_residuals_evaluate_only_the_rows_inside_the_region(
+        monkeypatch, normalization):
+    """On trial points on both sides of the convex region's edge, the
+    residuals are bitwise those of every row evaluated, NaN included, and
+    the Cayley kernel sees exactly the rows inside."""
+    seen = []
+
+    def recorded(sq):
+        seen.append(sq.copy())
+        return cayley_many(sq)
+
+    m = MassVector(alpha=0.5, beta=0.8)
+    for fun, x in systems_and_trials(m, normalization):
+        want, valid = residuals_of_every_row(fun, x)
+        assert 0.1 < valid.mean() < 0.9
+        seen.clear()
+        monkeypatch.setattr("ccfour.solver.cayley_many", recorded)
+        got, got_valid = fun(x)
+        monkeypatch.undo()
+        assert got.tobytes() == want.tobytes()
+        assert got_valid.tolist() == valid.tolist()
+        xf = x if fun.embed is None else x[:, fun.embed]
+        assert len(seen) == 1
+        assert seen[0].tobytes() == np.ascontiguousarray(
+            xf[valid, :6]).tobytes()
+
+
+@pytest.mark.parametrize("area", [1, 2, 3, 4])
+def test_linearize_returns_the_jacobians_of_the_rows_it_keeps(area):
+    """Across each area's boundary threshold, where linearize retires the
+    rows nearest the edge, and on Newton trial points inside the region,
+    its Jacobians are bitwise those of the rows it does not retire,
+    linearized together and each alone (every row at the threshold, about
+    64 spread over the trial points)."""
+    m = MassVector(alpha=0.5, beta=0.8)
+    cases = [(fun, x, True) for fun, x in rows_across_the_threshold(m, area)]
+    if area == 1:
+        cases += [(fun, x[fun(x)[1]], False)
+                  for fun, x in systems_and_trials(m, "fix_inertia_one")]
+    for fun, x, retires in cases:
+        jac, near = fun.linearize(x)
+        kept = np.flatnonzero(~near)
+        assert kept.size and near.any() == retires
+        again, again_near = fun.linearize(x[kept])
+        assert not again_near.any()
+        assert again.tobytes() == jac.tobytes()
+        for j in range(0, kept.size, -(-kept.size // 64)):
+            alone = fun.linearize(x[kept[j]:kept[j] + 1])[0]
+            assert alone.tobytes() == jac[j].tobytes(), j
 
 
 class Halfplane:
@@ -495,26 +597,34 @@ def test_newton_peak_memory_is_bounded_by_the_block():
 
 
 class Steered(Halfplane):
-    """Halfplane with a chosen Jacobian, and no boundary probe hits."""
+    """Halfplane with a chosen Jacobian for each of the first rows, and the
+    rows among them that the boundary probe retires; as Residuals.linearize
+    does, it returns the Jacobians of the other rows only."""
 
-    def __init__(self, jac):
-        self.jac = jac
+    def __init__(self, jac, near):
+        self.jac, self.near = jac, near
 
     def linearize(self, x):
-        return self.jac[:x.shape[0]], np.zeros(x.shape[0], dtype=bool)
+        near = self.near[:x.shape[0]]
+        return self.jac[:x.shape[0]][~near], near
 
 
 def test_newton_statuses_of_exhausted_and_singular_rows():
     """-I makes dx = x, an ascent direction: a row that stays valid ends
     NO_CONVERGENCE, one whose every trial leaves the region LEFT_CONVEX; a
-    zero Jacobian is SINGULAR; +I converges in one step."""
-    x0 = np.array([(1.0, 0.0), (1.0, 1.0 - 1e-13), (1.0, 0.0), (1.0, 0.5)])
-    jac = np.array([-np.eye(2), -np.eye(2), np.zeros((2, 2)), np.eye(2)])
-    _, status, iters, _ = _newton_batch(Steered(jac), x0,
+    zero Jacobian is SINGULAR; +I converges in one step; a retired row is
+    NEAR_BOUNDARY, and its NaN Jacobian, which would make any row it
+    reached SINGULAR, is never solved."""
+    x0 = np.array([(1.0, 0.0), (1.0, 0.0), (1.0, 1.0 - 1e-13), (1.0, 0.0),
+                   (1.0, 0.5)])
+    jac = np.array([-np.eye(2), np.full((2, 2), np.nan), -np.eye(2),
+                    np.zeros((2, 2)), np.eye(2)])
+    near = np.array([False, True, False, False, False])
+    _, status, iters, _ = _newton_batch(Steered(jac, near), x0,
                                         SolveOptions(max_iterations=1))
-    assert status.tolist() == [NO_CONVERGENCE, LEFT_CONVEX, SINGULAR,
-                               CONVERGED]
-    assert iters.tolist() == [0, 0, 0, 1]
+    assert status.tolist() == [NO_CONVERGENCE, NEAR_BOUNDARY, LEFT_CONVEX,
+                               SINGULAR, CONVERGED]
+    assert iters.tolist() == [0, 0, 0, 0, 1]
 
 
 # q3 and q4 of a convex quadrilateral with q1 = (0, 0) and q2 = (1, 0) that
@@ -565,13 +675,16 @@ def probed_near_boundary(fun, x):
 
 class ProbeChecked(Residuals):
     """Residuals whose linearize checks its mask against the reference
-    probe on every call, and counts the rows it saw and marked."""
+    probe, and that it returns one Jacobian for each row not marked, on
+    every call, and counts the rows it saw and marked."""
 
     rows = marked = 0
 
     def linearize(self, x):
         jac, near = super().linearize(x)
         assert near.tolist() == probed_near_boundary(self, x).tolist()
+        k = x.shape[1]
+        assert jac.shape == (x.shape[0] - near.sum(), k, k)
         self.rows += x.shape[0]
         self.marked += int(near.sum())
         return jac, near
@@ -590,11 +703,7 @@ def test_boundary_test_matches_the_probe_on_every_kite_iterate():
     """Kite lattices from near the axis to far from it, so that iterates
     reach the boundaries y3 = 0 and y4 = 0."""
     m = MassVector(alpha=0.5, beta=0.8)
-    g = np.geomspace(0.05, 5.0, 8)
-    sq = np.array([unit_inertia_sq([1.0, 0.25 + t * t, 0.25 + s * s,
-                                    0.25 + t * t, 0.25 + s * s, (t + s) ** 2],
-                                   m) for t in g for s in g])
-    x0 = seed_vectors(sq, m)[:, [0, 1, 2, 5, 6, 7]]
+    x0 = kite_lattice(m)
     for normalization in ("fix_inertia_one", "fix_a_one"):
         fun = ProbeChecked(m, normalization, eq_indices=_KITE_EQS,
                            embed=_KITE_EMBED)
