@@ -219,9 +219,9 @@ _FACE_PARTNERS = np.array([[[1, 3], [2, 4]], [[0, 3], [2, 5]],
                            [[0, 2], [3, 5]], [[1, 2], [3, 4]]])
 
 
-def cayley_gradient_many(sq: np.ndarray) -> np.ndarray:
-    """Exact gradients of S = -2P with respect to (a, ..., f), over rows of
-    a (n, 6) array.
+def cayley_gradient_rows(x: np.ndarray) -> np.ndarray:
+    """Exact gradients of S = -2P with respect to (a, ..., f), in row
+    layout: (6, n) rows a..f in, (6, n) rows of dS/da, ..., dS/df out.
 
     For a squared distance x with opposite pair y (a-f, b-e, c-d, which is
     the reversed PAIRS order) and s the sum of all six,
@@ -232,13 +232,20 @@ def cayley_gradient_many(sq: np.ndarray) -> np.ndarray:
     so dP/da = f(s - 3a - 2f) + be + cd - bd - ce.  No planarity check: this
     is also the S row of Newton's Jacobian, off the plane.
     """
-    x = np.atleast_2d(np.asarray(sq, dtype=float))
-    y = x[:, ::-1]
-    s = x.sum(axis=1, keepdims=True)
+    y = x[::-1]
+    s = x.sum(axis=0)
     xy = x * y
-    faces = x[:, _FACE_PARTNERS].prod(axis=3).sum(axis=2)
-    return -2.0 * (y * (s - 3.0 * x - 2.0 * y)
-                   + xy[:, :3].sum(axis=1, keepdims=True) - xy - faces)
+    faces = (x[_FACE_PARTNERS[:, 0, 0]] * x[_FACE_PARTNERS[:, 0, 1]]
+             + x[_FACE_PARTNERS[:, 1, 0]] * x[_FACE_PARTNERS[:, 1, 1]])
+    return -2.0 * (y * (s - 3.0 * x - 2.0 * y) + (xy[0] + xy[1] + xy[2])
+                   - xy - faces)
+
+
+def cayley_gradient_many(sq: np.ndarray) -> np.ndarray:
+    """cayley_gradient_rows over rows of a (n, 6) array; the (n, 6)
+    gradients are a view of its (6, n) rows."""
+    x = np.atleast_2d(np.asarray(sq, dtype=float))
+    return cayley_gradient_rows(x.T).T
 
 
 def cayley_gradient(sq: Sequence[float]) -> np.ndarray:
@@ -265,44 +272,49 @@ def psi_double_prime_many(sq: np.ndarray) -> np.ndarray:
     return 0.75 * np.where(sq > 0, sq, np.nan) ** -2.5
 
 
-def pair_residuals_many(x: np.ndarray, areas: np.ndarray,
-                        inv_mm: np.ndarray) -> np.ndarray:
-    """The six central-configuration equations of (n, 8) vectors
-    (a..f, nu, xi) with (n, 4) oriented areas; inv_mm is 1 / pair_weights.
+def pair_residual_rows(x: np.ndarray, areas: np.ndarray,
+                       inv_mm: np.ndarray) -> np.ndarray:
+    """The six central-configuration equations in row layout: (8, n) rows
+    (a..f, nu, xi) and (4, n) rows of oriented areas in, (6, n) rows out;
+    inv_mm is 1 / pair_weights.
 
     Entry for pair (i, j):  psi'(r_ij^2) - nu * Delta_i Delta_j / (m_i m_j) - xi.
     """
-    return (psi_prime_many(x[:, :6])
-            - x[:, 6:7] * inv_mm * areas[:, PAIR_I] * areas[:, PAIR_J]
-            - x[:, 7:8])
+    return (psi_prime_many(x[:6])
+            - x[6] * inv_mm[:, None] * areas[PAIR_I] * areas[PAIR_J]
+            - x[7])
 
 
 _DIAG = np.arange(6)
 
 
-def pair_jacobian_many(x: np.ndarray, areas: np.ndarray,
-                       d_areas: np.ndarray, inv_mm: np.ndarray) -> np.ndarray:
-    """(n, 6, 8) derivatives of pair_residuals_many with respect to
-    (a..f, nu, xi), given the (n, 4, 6) derivatives of the areas with
-    respect to (a..f)."""
-    di, dj = areas[:, PAIR_I], areas[:, PAIR_J]
-    d_product = (d_areas[:, PAIR_I] * dj[:, :, None]
-                 + di[:, :, None] * d_areas[:, PAIR_J])
-    jac = np.empty((x.shape[0], 6, 8))
-    jac[:, :, :6] = -(x[:, 6, None] * inv_mm)[:, :, None] * d_product
-    jac[:, _DIAG, _DIAG] += psi_double_prime_many(x[:, :6])
-    jac[:, :, 6] = -inv_mm * di * dj
-    jac[:, :, 7] = -1.0
-    return jac
+def pair_jacobian_rows(x: np.ndarray, areas: np.ndarray,
+                       d_areas: np.ndarray, inv_mm: np.ndarray,
+                       out: np.ndarray) -> None:
+    """Write into out, of shape (6, 8, n), the derivatives of
+    pair_residual_rows with respect to (a..f, nu, xi), given the (4, 6, n)
+    derivatives of the areas with respect to (a..f)."""
+    di, dj = areas[PAIR_I], areas[PAIR_J]
+    # d(Delta_i Delta_j) = dDelta_i Delta_j + Delta_i dDelta_j, in place
+    d_product = d_areas[PAIR_I]
+    d_product *= dj[:, None]
+    d_j = d_areas[PAIR_J]
+    d_j *= di[:, None]
+    d_product += d_j
+    np.multiply(-(x[6] * inv_mm[:, None])[:, None], d_product,
+                out=out[:, :6])
+    out[_DIAG, _DIAG] += psi_double_prime_many(x[:6])
+    out[:, 6] = -inv_mm[:, None] * di * dj
+    out[:, 7] = -1.0
 
 
 def cc_residuals(st: DziobekState, m: MassVector) -> np.ndarray:
     """The six central-configuration equations, left minus right."""
     if min(st.sq) <= 0:
         raise DomainError(f"psi_prime requires s > 0, got {min(st.sq)}")
-    x = np.array([[*st.sq, st.nu, st.xi]], dtype=float)
-    areas = np.array([st.areas], dtype=float)
-    return pair_residuals_many(x, areas, 1.0 / m.pair_weights)[0]
+    x = np.array([*st.sq, st.nu, st.xi], dtype=float)[:, None]
+    areas = np.array(st.areas, dtype=float)[:, None]
+    return pair_residual_rows(x, areas, 1.0 / m.pair_weights)[:, 0]
 
 
 def sq_inertia(sq: Sequence[float], m: MassVector) -> float:

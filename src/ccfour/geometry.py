@@ -164,21 +164,20 @@ def squared_distances(p: PlanarConfig) -> SquaredDistances:
                               for x in squared_distances_many(p.points)))
 
 
-def _trilateration(sq: np.ndarray):
-    """The mask of (..., 6) rows with positive entries and both face
-    triangles proper, and the coordinates r12, x3, y3, x4, -y4 of the
-    placed q2 = (r12, 0), q3 = (x3, y3) and q4 = (x4, -y4).  Rows outside
-    the mask get finite placeholders.  Call under np.errstate."""
-    a, b, c, d, e = (sq[..., k] for k in range(5))
-    ok = np.all(sq > 0, axis=-1)
+def _trilateration(rows: np.ndarray):
+    """The mask of (6, ...) rows a..f with positive entries and both face
+    triangles proper, r12 and the (2, ...) coordinates (x3, x4) and
+    (y3, -y4) of the placed q2 = (r12, 0), q3 = (x3, y3) and q4 = (x4, y4):
+    q3 is placed from (b, d), rows 1 and 3, as q4 is from (c, e), rows 2
+    and 4.  Entries outside the mask get finite placeholders.  Call under
+    np.errstate."""
+    a = rows[0]
+    ok = np.logical_and.reduce(rows > 0, axis=0)
     r12 = np.sqrt(np.where(ok, a, 1.0))
-    x3 = (a + b - d) / (2.0 * r12)
-    y3_sq = b - x3 * x3
-    x4 = (a + c - e) / (2.0 * r12)
-    y4_sq = c - x4 * x4
-    ok &= (y3_sq > 0) & (y4_sq > 0)
-    return (ok, r12, x3, np.sqrt(np.where(ok, y3_sq, 1.0)), x4,
-            np.sqrt(np.where(ok, y4_sq, 1.0)))
+    x = (a + rows[1:3] - rows[3:5]) / (2.0 * r12)
+    y_sq = rows[1:3] - x * x
+    ok &= np.logical_and.reduce(y_sq > 0, axis=0)
+    return ok, r12, x, np.sqrt(np.where(ok, y_sq, 1.0))
 
 
 def trilaterate_many(sq: np.ndarray):
@@ -187,12 +186,11 @@ def trilaterate_many(sq: np.ndarray):
     mask of rows with positive entries and proper face triangles."""
     pts = np.zeros(sq.shape[:-1] + (4, 2))
     with np.errstate(all="ignore"):
-        ok, r12, x3, y3, x4, y4m = _trilateration(sq)
+        ok, r12, x, y = _trilateration(np.moveaxis(sq, -1, 0))
         pts[..., 1, 0] = r12
-        pts[..., 2, 0] = x3
-        pts[..., 2, 1] = y3
-        pts[..., 3, 0] = x4
-        pts[..., 3, 1] = -y4m
+        pts[..., 2:, 0] = np.moveaxis(x, 0, -1)
+        pts[..., 2, 1] = y[0]
+        pts[..., 3, 1] = -y[1]
     return pts, ok
 
 
@@ -200,6 +198,14 @@ def trilaterated_areas_many(sq: np.ndarray):
     """Oriented (-, -, +, +) areas of (n, 6) squared distances placed as
     trilaterate_many places them, and the mask of the rows it accepts
     whose diagonal q3-q4 crosses the open segment q1-q2.  f is not used.
+    The (n, 4) areas are a view of trilaterated_area_rows' (4, n) rows."""
+    valid, areas = trilaterated_area_rows(sq.T)
+    return valid, areas.T
+
+
+def trilaterated_area_rows(sq: np.ndarray):
+    """trilaterated_areas_many in row layout: the mask and the (4, n) areas
+    of the (6, n) rows a..f.
 
     This is the geometry of every Newton iterate, so it works on the
     trilateration coordinates directly rather than on (n, 4, 2) points.
@@ -210,44 +216,75 @@ def trilaterated_areas_many(sq: np.ndarray):
 
 
 def _trilaterated_areas(sq: np.ndarray):
-    """trilaterated_areas_many, plus the coordinates (r12, x3, y3, x4, y4m)
-    the areas are taken from.  Call under np.errstate."""
-    valid, r12, x3, y3, x4, y4m = _trilateration(sq)
+    """trilaterated_area_rows, plus the coordinates r12, (x3, x4) and
+    (y3, y4m) the areas are taken from.  Call under np.errstate."""
+    valid, r12, x, y = _trilateration(sq)
+    (x3, x4), (y3, y4m) = x, y
     xc = x3 + (x4 - x3) * y3 / (y3 + y4m)
     valid &= (xc > 0) & (xc < r12)
-    mag1 = 0.5 * np.abs((x3 - r12) * (-y4m) - y3 * (x4 - r12))
-    mag2 = 0.5 * np.abs(x3 * (-y4m) - y3 * x4)
-    mag3 = 0.5 * r12 * y4m
-    mag4 = 0.5 * r12 * y3
-    return (valid, np.stack([-mag1, -mag2, mag3, mag4], axis=1),
-            (r12, x3, y3, x4, y4m))
+    areas = np.empty((4,) + r12.shape)
+    # -mag1 and -mag2; (-0.5) t is -(0.5 t) to the bit
+    np.multiply(-0.5, np.abs((x3 - r12) * -y4m - y3 * (x4 - r12)),
+                out=areas[0])
+    np.multiply(-0.5, np.abs(x3 * -y4m - y3 * x4), out=areas[1])
+    # mag3 = r12 y4m / 2 and mag4 = r12 y3 / 2
+    np.multiply(0.5 * r12, y[::-1], out=areas[2:])
+    return valid, areas, (r12, x, y)
 
 
-def trilaterated_area_derivatives_many(sq: np.ndarray):
-    """trilaterated_areas_many, plus the (n, 4, 6) derivatives of the areas
-    with respect to (a, ..., f); the f column is zero.
+# dx[k] and dy[k] below are the derivatives of (x3, x4) and (y3, y4m)
+# along a, (b, c) and (d, e) for k = 0, 1, 2; y = sqrt((b, c) - x^2), so
+# dy = (d(b, c) / 2 - x dx) / y, whose constant term is 0.5 along (b, c)
+_DY_CONST = np.array([0.0, 0.5, 0.0])[:, None, None]
+# columns of the derivatives of mag4 and mag3 along k = 0, 1, 2
+_MAG4_COLS = np.array([0, 1, 3])
+_MAG3_COLS = np.array([0, 2, 4])
+
+
+def trilaterated_area_derivative_rows(sq: np.ndarray):
+    """trilaterated_area_rows, plus the (4, 6, n) derivatives of the areas
+    with respect to the rows (a, ..., f).
 
     On valid rows xc lies in (0, r12), so the magnitudes are
     mag2 = (x3 y4m + x4 y3) / 2, mag3 = r12 y4m / 2, mag4 = r12 y3 / 2 and
     mag1 = mag3 + mag4 - mag2, differentiated through r12 = sqrt(a),
     x3 = (a + b - d) / (2 r12), y3 = sqrt(b - x3^2),
-    x4 = (a + c - e) / (2 r12) and y4m = sqrt(c - x4^2).
+    x4 = (a + c - e) / (2 r12) and y4m = sqrt(c - x4^2).  Only 16 of the
+    24 derivatives are not identically zero: mag1 and mag2 move with
+    a..e, mag3 with a, c and e, mag4 with a, b and d.  The mirror image
+    q3 <-> q4, (b, d) <-> (c, e), maps the formulas of one side on those
+    of the other, so each is taken for both sides at once.  Each is the
+    chain rule with the same operations, in the same order, as the
+    derivative along the full unit vector, less the terms that are zero.
+    Dropping them changes no bit, but in the mag2 derivatives along d and
+    e where -y3 / (2 r12) or -y4m / (2 r12) underflows to -0.  The
+    identically zero ones are left as allocated, and the rows of
+    Delta_1 = -mag1 and Delta_2 = -mag2 are negated whole, so their f
+    column is -0, as it is along the full unit vector.
     """
     with np.errstate(all="ignore"):
-        valid, areas, (r12, x3, y3, x4, y4m) = _trilaterated_areas(sq)
-        r12, x3, y3, x4, y4m = (v[:, None] for v in (r12, x3, y3, x4, y4m))
-        half = 0.5 / r12
-        unit = np.eye(6)
-        dr12 = half * unit[0]
-        dx3 = half * (unit[0] + unit[1] - unit[3]) - (x3 / r12) * dr12
-        dx4 = half * (unit[0] + unit[2] - unit[4]) - (x4 / r12) * dr12
-        dy3 = (0.5 * unit[1] - x3 * dx3) / y3
-        dy4m = (0.5 * unit[2] - x4 * dx4) / y4m
-        dmag2 = 0.5 * (dx3 * y4m + x3 * dy4m + dx4 * y3 + x4 * dy3)
-        dmag3 = 0.5 * (dr12 * y4m + r12 * dy4m)
-        dmag4 = 0.5 * (dr12 * y3 + r12 * dy3)
-        dmag1 = dmag3 + dmag4 - dmag2
-    return valid, areas, np.stack([-dmag1, -dmag2, dmag3, dmag4], axis=1)
+        valid, areas, (r12, x, y) = _trilaterated_areas(sq)
+        half = 0.5 / r12  # dr12/da
+        dx = np.empty((3,) + x.shape)
+        np.subtract(half, (x / r12) * half, out=dx[0])
+        dx[1] = half
+        dx[2] = -half
+        dy = (_DY_CONST - x * dx) / y
+        # mag4 and mag3 along a, (b, c) and (d, e); r12 moves with a alone
+        dr12_y = np.zeros(dy.shape)
+        np.multiply(half, y, out=dr12_y[0])
+        dmag43 = 0.5 * (dr12_y + r12 * dy)
+        # mag2 along (b, c) and (d, e), then along a
+        dmag2 = 0.5 * (dx[1:] * y[::-1] + x[::-1] * dy[1:])
+        t, u = dx[0] * y[::-1], x * dy[0, ::-1]
+        d = np.zeros((4, 6) + r12.shape)
+        d[1, 0] = 0.5 * (t[0] + u[0] + t[1] + u[1])
+        d[1, 1:5] = dmag2.reshape((4,) + r12.shape)
+        d[3, _MAG4_COLS] = dmag43[:, 0]
+        d[2, _MAG3_COLS] = dmag43[:, 1]
+        np.subtract(d[2] + d[3], d[1], out=d[0])
+        np.negative(d[:2], out=d[:2])
+    return valid, areas, d
 
 
 def realize(sq: Sequence[float], m: MassVector) -> PlanarConfig:

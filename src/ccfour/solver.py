@@ -15,15 +15,15 @@ from typing import Sequence
 import numpy as np
 
 from .dziobek import (PAIR_I, PAIR_J, DziobekState, MassVector,
-                      OrientedAreas, SquaredDistances, cayley_gradient_many,
+                      OrientedAreas, SquaredDistances, cayley_gradient_rows,
                       cayley_many, classify_symmetry, dilate_state,
-                      pair_jacobian_many, pair_residuals_many, psi_prime,
+                      pair_jacobian_rows, pair_residual_rows, psi_prime,
                       psi_prime_many, sq_inertia, unit_inertia_sq)
 from .errors import (DomainError, LeftConvexRegion, NoConvergence,
                      SingularJacobian)
 from .geometry import (newtonian_oracle, oriented_areas_many, realize,
-                       realize_many, trilaterated_area_derivatives_many,
-                       trilaterated_areas_many)
+                       realize_many, trilaterated_area_derivative_rows,
+                       trilaterated_area_rows, trilaterated_areas_many)
 
 # batch status codes
 RUNNING = 0
@@ -43,11 +43,14 @@ _BOUNDARY_PROBE = 1e-7
 _AREA_ORDER = np.array([1.0, 1.0, 2.0, 2.0])
 _MAX_BACKTRACKS = 40
 # Newton linearizes and solves at most _BLOCK rows at a time.  At (0.5,
-# 0.8), resolution 8 (4,096 seeds), blocks of 1,024 rows cut the
-# tracemalloc peak of _newton_batch from 10.7 to 4.6 MB, and its best time
-# of 11 on one core of a 2-vCPU machine from 122 to 105 ms.  Blocks of
-# 2,048 left a 6.2 MB peak; 512 and 256 saved under 0.1 MB more, as the
-# line search then sets the peak, and took 3% to 20% longer.
+# 0.8), resolution 8 (4,096 seeds), the tracemalloc peak of _newton_batch
+# and its best time of 41 on one core of a 2-vCPU machine, by block size:
+#
+#     rows    256      512      1,024    2,048    4,096 (one block)
+#     peak    4.1 MB   4.1 MB   4.2 MB   5.6 MB   9.7 MB
+#     time    239 ms   214 ms   201 ms   208 ms   245 ms
+#
+# Below 1,024 rows the line search sets the peak.
 _BLOCK = 1024
 
 
@@ -91,7 +94,11 @@ class Residuals:
 
     The unreduced unknown vector is (a, b, c, d, e, f, nu, xi); its column l
     is column embed[l] of the reduced vector, and `eq_indices` selects the
-    equations kept.
+    equations kept.  embed must reach every reduced column, and the first
+    six the columns 0, 1, ... of the squared distances.  Both maps take and
+    return (n, k) arrays, but copy x.T once into (8, n) rows of the
+    unreduced unknowns and do their arithmetic on those rows, so that each
+    numpy call runs over the n rows rather than over 6 or 8 columns.
     """
 
     def __init__(self, m: MassVector, normalization: str,
@@ -107,70 +114,96 @@ class Residuals:
         # the reduced columns that move a squared distance
         self.sq_cols = (np.arange(6) if embed is None
                         else np.unique(self.embed[:6]))
+        if embed is not None:
+            self._fold_plans = {w: _fold_plan(self.embed[:w]) for w in (6, 8)}
+
+    def _rows(self, x: np.ndarray) -> np.ndarray:
+        """The (8, n) C-ordered rows of the unreduced unknowns of x."""
+        if self.embed is None:
+            return np.ascontiguousarray(x.T)
+        return x.T[self.embed]
 
     def __call__(self, x: np.ndarray):
         """(residuals, valid) of (n, k) vectors; invalid rows are NaN, and
-        only the valid rows are evaluated past their areas."""
-        xf = x if self.embed is None else x[:, self.embed]
-        valid, areas = trilaterated_areas_many(xf[:, :6])
+        only the valid rows are evaluated past their areas.  The residuals
+        are C-ordered, so that a row's 8-wide sums do not depend on n."""
+        xr = self._rows(x)
+        valid, areas = trilaterated_area_rows(xr[:6])
         # no copies where every row is valid, as in most one-row calls
         whole = np.count_nonzero(valid) == valid.size
         if not whole:
-            xf, areas = xf[valid], areas[valid]
-        sq = xf[:, :6]
+            xr = np.compress(valid, xr, axis=1)
+            areas = np.compress(valid, areas, axis=1)
         with np.errstate(all="ignore"):
-            res = np.empty((xf.shape[0], 8))
-            res[:, :6] = pair_residuals_many(xf, areas, self.inv_mm)
-            res[:, 6] = cayley_many(sq) / 32.0
-            # numpy sums the six rows of a C-ordered (6, n) array left to
-            # right, whatever n, so a row's bits do not depend on its batch
-            # as they do in a matrix-vector product
-            gauged = np.multiply(sq.T, self.gauge[:, None], order="C")
-            res[:, 7] = gauged.sum(axis=0) - 1.0
+            res = np.empty((8, xr.shape[1]))
+            res[:6] = pair_residual_rows(xr, areas, self.inv_mm)
+            # cayley_many takes (rows, 6), as the bench counts its rows
+            res[6] = cayley_many(xr[:6].T) / 32.0
+            # numpy sums the six rows of a (6, n) array left to right,
+            # whatever n, so a row's bits do not depend on its batch as
+            # they do in a matrix-vector product
+            res[7] = (xr[:6] * self.gauge[:, None]).sum(axis=0) - 1.0
         if self.sel is not None:
-            res = res[:, self.sel]
+            res = res[self.sel]
         if whole:
-            return res, valid
-        out = np.full((valid.size, res.shape[1]), np.nan)
-        out[valid] = res
+            return np.ascontiguousarray(res.T), valid
+        out = np.full((valid.size, res.shape[0]), np.nan)
+        out[valid] = res.T
         return out, valid
 
     def linearize(self, x: np.ndarray):
         """(jac, near) of (n, k) rows inside the convex region, from one
-        pass of the areas and their derivatives: near marks the rows within
-        the boundary probe, x_j <= h_j or |Delta_k| <= _AREA_ORDER[k] h_j
-        |dDelta_k / dx_j| for a reduced unknown j that moves a squared
-        distance, and jac is the exact (n - near.sum(), k, k) Jacobian of
-        the residuals at the other rows, in order."""
-        xf = x if self.embed is None else x[:, self.embed]
-        _, areas, d_areas = trilaterated_area_derivatives_many(xf[:, :6])
-        xs = x[:, self.sq_cols]
+        pass of the areas and their 16 derivatives that are not identically
+        zero: near marks the rows within the boundary probe, x_j <= h_j or
+        |Delta_k| <= _AREA_ORDER[k] h_j |dDelta_k / dx_j| for a reduced
+        unknown j that moves a squared distance (a zero derivative tests
+        |Delta_k| <= 0), and jac is the exact (n - near.sum(), k, k)
+        Jacobian of the residuals at the other rows, in order, C-ordered
+        for the batched solve.  The Jacobian is assembled as (8, 8, n)
+        rows, then transposed once."""
+        xr = self._rows(x)
+        _, areas, d_areas = trilaterated_area_derivative_rows(xr[:6])
+        xs = xr[:6] if self.embed is None else x.T[self.sq_cols]
         h = _BOUNDARY_PROBE * np.maximum(1.0, np.abs(xs))
         with np.errstate(all="ignore"):
-            reach = (_AREA_ORDER[:, None] * h[:, None, :]
-                     * np.abs(self._fold(d_areas)[:, :, self.sq_cols]))
-            near = ((xs <= h).any(axis=1)
-                    | (np.abs(areas)[:, :, None] <= reach).any(axis=(1, 2)))
+            reach = ((_AREA_ORDER[:, None, None] * h)
+                     * np.abs(self._fold(d_areas)))
+            near = ((xs <= h).any(axis=0)
+                    | (np.abs(areas)[:, None] <= reach).any(axis=(0, 1)))
             if np.count_nonzero(near):
                 keep = ~near
-                xf, areas, d_areas = xf[keep], areas[keep], d_areas[keep]
-            sq = xf[:, :6]
-            jac = np.zeros((xf.shape[0], 8, 8))
-            jac[:, :6] = pair_jacobian_many(xf, areas, d_areas, self.inv_mm)
-            jac[:, 6, :6] = cayley_gradient_many(sq) / 32.0
-            jac[:, 7, :6] = self.gauge
+                xr = np.compress(keep, xr, axis=1)
+                areas = np.compress(keep, areas, axis=1)
+                d_areas = d_areas[:, :, keep]
+            jac = np.empty((8, 8, xr.shape[1]))
+            pair_jacobian_rows(xr, areas, d_areas, self.inv_mm, out=jac[:6])
+            jac[6, :6] = cayley_gradient_rows(xr[:6]) / 32.0
+            jac[7, :6] = self.gauge[:, None]
+            jac[6:, 6:] = 0.0
         if self.sel is not None:
-            jac = jac[:, self.sel]
-        return self._fold(jac), near
+            jac = jac[self.sel]
+        return np.ascontiguousarray(self._fold(jac).transpose(2, 0, 1)), near
 
     def _fold(self, a: np.ndarray) -> np.ndarray:
-        """Sum the columns of full unknowns into those of reduced ones."""
+        """Sum the columns (axis 1) of full unknowns into those of reduced
+        ones, each from zero (0.0 + -0.0 is 0.0) in column order."""
         if self.embed is None:
             return a
-        folded = np.zeros(a.shape[:-1] + (self.embed.max() + 1,))
-        for full_col, col in enumerate(self.embed[:a.shape[-1]]):
-            folded[..., col] += a[..., full_col]
+        firsts, later = self._fold_plans[a.shape[1]]
+        folded = np.take(a, firsts, axis=1)
+        folded += 0.0
+        for full_col, col in later:
+            folded[:, col] += a[:, full_col]
         return folded
+
+
+def _fold_plan(embed: np.ndarray):
+    """For the reduced columns 0, 1, ... of embed, the first full column
+    of each, and the (full, reduced) pairs of the later full columns."""
+    cols = embed.tolist()
+    firsts = [cols.index(col) for col in range(max(cols) + 1)]
+    return firsts, [(full_col, col) for full_col, col in enumerate(cols)
+                    if full_col not in firsts]
 
 
 def _solve_linear(jac: np.ndarray, rhs: np.ndarray):

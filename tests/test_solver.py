@@ -3,15 +3,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ccfour import (DomainError, DziobekState, LeftConvexRegion, MassVector,
-                    NoConvergence, OrientedAreas, SolveOptions,
-                    SquaredDistances, cc_residuals, cayley, newton_solve,
-                    newtonian_oracle, realize, rhombus_ratio, seed_state,
-                    solve_kite, solve_rhombus, squared_distances, sweep)
-from ccfour.dziobek import cayley_many, pair_residuals_many, unit_inertia_sq
+from ccfour import (CanonicalFrame, DomainError, DziobekState,
+                    LeftConvexRegion, MassVector, NoConvergence,
+                    OrientedAreas, SolveOptions, SquaredDistances,
+                    cc_residuals, cayley, newton_solve, newtonian_oracle,
+                    realize, rhombus_ratio, seed_state, solve_kite,
+                    solve_rhombus, squared_distances, sweep)
+from ccfour.dziobek import (_FACE_PARTNERS, PAIR_I, PAIR_J, cayley_many,
+                            pair_residual_rows, psi_double_prime_many,
+                            psi_prime_many, unit_inertia_sq)
 from ccfour.census import _seed_vectors, seed_grid
-from ccfour.geometry import trilaterated_areas_many
+from ccfour.geometry import trilaterate_many, trilaterated_areas_many
 from ccfour.solver import (_AREA_ORDER, _BLOCK, _BOUNDARY_PROBE,
                            _KITE_EMBED, _KITE_EQS, _MAX_BACKTRACKS, CONVERGED,
                            LEFT_CONVEX, NEAR_BOUNDARY, NO_CONVERGENCE,
@@ -262,7 +267,7 @@ def test_cc_residuals_are_the_newton_pair_rows(rng):
     m = MassVector(alpha=0.4, beta=1.3)
     x = seed_vectors(np.array([random_sq(rng, m) for _ in range(5)]), m)
     _, areas = trilaterated_areas_many(x[:, :6])
-    batched = pair_residuals_many(x, areas, 1.0 / m.pair_weights)
+    batched = pair_residual_rows(x.T, areas.T, 1.0 / m.pair_weights).T
     newton, valid = Residuals(m, "fix_inertia_one")(x)
     assert valid.all()
     assert newton[:, :6].tolist() == batched.tolist()
@@ -350,17 +355,20 @@ def test_exact_jacobian_of_the_kite_system(normalization):
 
 
 def residuals_of_every_row(fun, x):
-    """Reference for Residuals.__call__: every row evaluated, then NaN on
-    the rows outside the convex region."""
+    """Reference for Residuals.__call__: every row evaluated on (n, 8)
+    columns, then NaN on the rows outside the convex region."""
     xf = x if fun.embed is None else x[:, fun.embed]
     sq = xf[:, :6]
     valid, areas = trilaterated_areas_many(sq)
     with np.errstate(all="ignore"):
         res = np.empty((x.shape[0], 8))
-        res[:, :6] = pair_residuals_many(xf, areas, fun.inv_mm)
+        res[:, :6] = (psi_prime_many(sq)
+                      - xf[:, 6:7] * fun.inv_mm * areas[:, PAIR_I]
+                      * areas[:, PAIR_J] - xf[:, 7:8])
         res[:, 6] = cayley_many(sq) / 32.0
-        gauged = np.multiply(sq.T, fun.gauge[:, None], order="C")
-        res[:, 7] = gauged.sum(axis=0) - 1.0
+        # along each row of (n, 6), as the kernel sums its (6, n) rows:
+        # numpy sums six values left to right in either layout
+        res[:, 7] = (sq * fun.gauge).sum(axis=1) - 1.0
     if fun.sel is not None:
         res = res[:, fun.sel]
     res[~valid] = np.nan
@@ -583,7 +591,7 @@ def test_newton_rows_of_two_blocks_are_the_rows_solved_alone():
 
 def test_newton_peak_memory_is_bounded_by_the_block():
     """tracemalloc peak of Newton on the 4,096 seeds of a resolution-8
-    census: 4.6 MB in blocks of 1,024 rows, 10.7 MB in one block."""
+    census: 4.2 MB in blocks of 1,024 rows, 9.7 MB in one block."""
     m = MassVector(alpha=0.5, beta=0.8)
     fun = Residuals(m, "fix_inertia_one")
     x0 = _seed_vectors(seed_grid(8, m), m)
@@ -750,3 +758,218 @@ def test_area_orders_are_pinned_by_the_probe(monkeypatch, area):
     for fun, x in rows_across_the_threshold(m, area):
         assert (fun.linearize(x)[1]
                 != probed_near_boundary(fun, x)).any()
+
+
+# Reference for Residuals.linearize, in the dense (n, ...) layout: each
+# derivative of the areas taken along the full unit vectors of (a..f), the
+# (n, 6, 8) pair Jacobian with its zero columns, and the Cayley gradient
+# summed along (n, 6) rows.
+
+def dense_area_derivatives(sq):
+    """(n, 4, 6) derivatives of the trilaterated areas of (n, 6) squared
+    distances with respect to (a..f)."""
+    pts, _ = trilaterate_many(sq)
+    r12, x3, y3, x4, y4m = (v[:, None] for v in (
+        pts[:, 1, 0], pts[:, 2, 0], pts[:, 2, 1], pts[:, 3, 0],
+        -pts[:, 3, 1]))
+    with np.errstate(all="ignore"):
+        half = 0.5 / r12
+        unit = np.eye(6)
+        dr12 = half * unit[0]
+        dx3 = half * (unit[0] + unit[1] - unit[3]) - (x3 / r12) * dr12
+        dx4 = half * (unit[0] + unit[2] - unit[4]) - (x4 / r12) * dr12
+        dy3 = (0.5 * unit[1] - x3 * dx3) / y3
+        dy4m = (0.5 * unit[2] - x4 * dx4) / y4m
+        dmag2 = 0.5 * (dx3 * y4m + x3 * dy4m + dx4 * y3 + x4 * dy3)
+        dmag3 = 0.5 * (dr12 * y4m + r12 * dy4m)
+        dmag4 = 0.5 * (dr12 * y3 + r12 * dy3)
+        dmag1 = dmag3 + dmag4 - dmag2
+    return np.stack([-dmag1, -dmag2, dmag3, dmag4], axis=1)
+
+
+def dense_pair_jacobian(x, areas, d_areas, inv_mm):
+    """(n, 6, 8) derivatives of the pair equations of (n, 8) vectors."""
+    di, dj = areas[:, PAIR_I], areas[:, PAIR_J]
+    d_product = (d_areas[:, PAIR_I] * dj[:, :, None]
+                 + di[:, :, None] * d_areas[:, PAIR_J])
+    jac = np.empty((x.shape[0], 6, 8))
+    jac[:, :, :6] = -(x[:, 6, None] * inv_mm)[:, :, None] * d_product
+    jac[:, np.arange(6), np.arange(6)] += psi_double_prime_many(x[:, :6])
+    jac[:, :, 6] = -inv_mm * di * dj
+    jac[:, :, 7] = -1.0
+    return jac
+
+
+def dense_cayley_gradient(x):
+    """Gradients of S on (n, 6) columns, each 6- and 3-wide sum taken
+    along a row."""
+    y = x[:, ::-1]
+    s = x.sum(axis=1, keepdims=True)
+    xy = x * y
+    faces = x[:, _FACE_PARTNERS].prod(axis=3).sum(axis=2)
+    return -2.0 * (y * (s - 3.0 * x - 2.0 * y)
+                   + xy[:, :3].sum(axis=1, keepdims=True) - xy - faces)
+
+
+def dense_fold(fun, a):
+    """Sum the last-axis columns of full unknowns into reduced ones."""
+    if fun.embed is None:
+        return a
+    folded = np.zeros(a.shape[:-1] + (fun.embed.max() + 1,))
+    for full_col, col in enumerate(fun.embed[:a.shape[-1]]):
+        folded[..., col] += a[..., full_col]
+    return folded
+
+
+def dense_linearize(fun, x):
+    """Reference for Residuals.linearize on (n, k) rows."""
+    xf = x if fun.embed is None else x[:, fun.embed]
+    _, areas = trilaterated_areas_many(xf[:, :6])
+    d_areas = dense_area_derivatives(xf[:, :6])
+    xs = x[:, fun.sq_cols]
+    h = _BOUNDARY_PROBE * np.maximum(1.0, np.abs(xs))
+    with np.errstate(all="ignore"):
+        reach = (_AREA_ORDER[:, None] * h[:, None, :]
+                 * np.abs(dense_fold(fun, d_areas)[:, :, fun.sq_cols]))
+        near = ((xs <= h).any(axis=1)
+                | (np.abs(areas)[:, :, None] <= reach).any(axis=(1, 2)))
+        keep = ~near
+        xf, areas, d_areas = xf[keep], areas[keep], d_areas[keep]
+        jac = np.zeros((xf.shape[0], 8, 8))
+        jac[:, :6] = dense_pair_jacobian(xf, areas, d_areas, fun.inv_mm)
+        jac[:, 6, :6] = dense_cayley_gradient(xf[:, :6]) / 32.0
+        jac[:, 7, :6] = fun.gauge
+    if fun.sel is not None:
+        jac = jac[:, fun.sel]
+    return dense_fold(fun, jac), near
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class ReferenceChecked(Residuals):
+    """Residuals that check every call against the dense reference,
+    bitwise: the residuals, C-ordered, with their 8-wide norms as Newton
+    sums them, and linearize's C-ordered Jacobians and boundary mask."""
+
+    calls = rows = 0
+
+    def __call__(self, x):
+        res, valid = super().__call__(x)
+        want, want_valid = residuals_of_every_row(self, x)
+        assert valid.tolist() == want_valid.tolist()
+        assert res.flags.c_contiguous
+        assert_bitwise(res, want)
+        with np.errstate(all="ignore"):
+            assert_bitwise(np.nansum(res * res, axis=1),
+                           np.nansum(want * want, axis=1))
+        return res, valid
+
+    def linearize(self, x):
+        jac, near = super().linearize(x)
+        want, want_near = dense_linearize(self, x)
+        assert near.tolist() == want_near.tolist()
+        assert jac.flags.c_contiguous
+        assert_bitwise(jac, want)
+        self.calls += 1
+        self.rows += x.shape[0]
+        return jac, near
+
+
+@pytest.mark.parametrize("normalization", ["fix_inertia_one", "fix_a_one"])
+def test_linearize_is_the_dense_reference_on_every_census_call(
+        normalization):
+    """Every residual and linearize call of a resolution-8 census at
+    (0.5, 0.8), and of the solve_kite Newton run, equals the dense
+    reference bitwise, and so do the Newton results."""
+    m = MassVector(alpha=0.5, beta=0.8)
+    opts = SolveOptions(normalization=normalization)
+    kite = dict(eq_indices=_KITE_EQS, embed=_KITE_EMBED)
+    for kw, x0 in [({}, _seed_vectors(seed_grid(8, m), m)),
+                   (kite, _kite_seed_vectors(m))]:
+        fun = ReferenceChecked(m, normalization, **kw)
+        checked = newton_rows(fun, x0, opts)
+        assert fun.calls > 1 and fun.rows > x0.shape[0]
+        assert checked == newton_rows(Residuals(m, normalization, **kw),
+                                      x0, opts)
+
+
+def log_uniform(low, high):
+    return st.floats(math.log(low), math.log(high)).map(math.exp)
+
+
+@pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(u=log_uniform(0.2, 5.0), v=log_uniform(0.2, 5.0),
+       t=log_uniform(0.2, 5.0), s=log_uniform(0.2, 5.0),
+       theta=st.floats(0.2 * math.pi, 0.8 * math.pi),
+       alpha=log_uniform(1e-3, 1e3), beta=log_uniform(1e-3, 1e3),
+       gap=log_uniform(1e-12, 1e-1), scale=log_uniform(1e-150, 1e150),
+       normalization=st.sampled_from(["fix_inertia_one", "fix_a_one"]))
+def test_linearize_is_the_dense_reference_over_scales(
+        u, v, t, s, theta, alpha, beta, gap, scale, normalization):
+    """A drawn quadrilateral and the four NEAR_AREA_ZERO ones, gap from
+    their boundaries (inside the boundary probe for the smaller gaps),
+    with squared distances times scale from 1e-150 to 1e150 and fitted
+    multipliers: the full and the kite system's residuals, Jacobians and
+    masks equal the dense reference bitwise.  Below a scale of about 1e-7
+    every row is within the probe (x_j <= h_j), so there only the masks
+    and residuals compare."""
+    m = MassVector(alpha=alpha, beta=beta)
+    frame = CanonicalFrame(u, v, t, s, theta)
+    quads = [frame.reconstruct(m).points] + [
+        np.array([(0.0, 0.0), (1.0, 0.0), *NEAR_AREA_ZERO[k](gap)])
+        for k in (1, 2, 3, 4)]
+    sq = np.array([[float(((q[i] - q[j]) ** 2).sum()) for i, j in
+                    ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
+                   for q in quads]) * scale
+    x = seed_vectors(sq, m)
+    full = ReferenceChecked(m, normalization)
+    x = x[full(x)[1]]
+    full.linearize(x)
+    kite = ReferenceChecked(m, normalization, eq_indices=_KITE_EQS,
+                            embed=_KITE_EMBED)
+    xk = x[:, [0, 1, 2, 5, 6, 7]]
+    kite.linearize(xk[kite(xk)[1]])
+
+
+def test_every_residual_call_counts_its_rows_in_cayley_many(monkeypatch):
+    """bench/tracer.py and test_census_pinned_counts_at_kite_masses count
+    the rows of each call of ccfour.solver.cayley_many as len(sq): each
+    residual call passes it, by that name, one (rows, 6) array of the rows
+    inside the convex region, in the full and the kite system."""
+    shapes = []
+
+    def recorded(sq):
+        shapes.append(np.shape(sq))
+        return cayley_many(sq)
+
+    class Counted(Residuals):
+        valid_rows = []
+
+        def __call__(self, x):
+            res, valid = super().__call__(x)
+            self.valid_rows.append(np.count_nonzero(valid))
+            return res, valid
+
+    m = MassVector(alpha=0.5, beta=0.8)
+    for fun, x in systems_and_trials(m, "fix_inertia_one"):
+        valid = fun(x)[1]
+        shapes.clear()
+        monkeypatch.setattr("ccfour.solver.cayley_many", recorded)
+        fun(x)
+        fun.linearize(x[valid])
+        monkeypatch.undo()
+        assert shapes == [(np.count_nonzero(valid), 6)]
+    monkeypatch.setattr("ccfour.solver.cayley_many", recorded)
+    for kw, x0 in [({}, _seed_vectors(seed_grid(4, m), m)),
+                   (dict(eq_indices=_KITE_EQS, embed=_KITE_EMBED),
+                    kite_lattice(m))]:
+        shapes.clear()
+        fun = Counted(m, "fix_inertia_one", **kw)
+        fun.valid_rows = []
+        _newton_batch(fun, x0, SolveOptions())
+        assert shapes == [(rows, 6) for rows in fun.valid_rows]

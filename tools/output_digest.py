@@ -11,7 +11,7 @@ in each checkout, then `diff` the two files.  The families are the census
 JSON on the 80 acceptance-grid points under both normalizations, `solve`
 JSON for each ansatz and normalization (kite and full on the 80 points,
 rhombus on the 30 equal-mass ones), the sweep CSV and the `verify` run
-that README shows.  A run takes about 40 s on a 2-vCPU machine.
+that README shows.  A run takes about 85 s on a 2-vCPU machine.
 """
 
 import contextlib
