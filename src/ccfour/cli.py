@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 
 from . import __version__
@@ -182,15 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
-def emit_plot_data(payload: dict, path: str) -> None:
+def plot_csv(payload: dict) -> str:
     """Plot-ready CSV: canonical vertex coordinates and/or sweep curves."""
     lines: list[str] = []
     kind = payload["kind"]
@@ -209,8 +203,7 @@ def emit_plot_data(payload: dict, path: str) -> None:
         lines.append("alpha,beta,u,v,t,s,theta")
         for row in payload["frames"]:
             lines.append(",".join(format_float(x) for x in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _solver_config(args) -> dict:
@@ -227,7 +220,7 @@ def _opts(args) -> SolveOptions:
                         normalization=args.normalization)
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> tuple:
     m = MassVector(alpha=args.alpha, beta=args.beta)
     opts = _opts(args)
     if args.ansatz == "rhombus":
@@ -253,21 +246,18 @@ def _cmd_solve(args) -> int:
         "points": config.to_json_dict()["points"],
     }
     if args.format == "json":
-        _emit(dumps(doc), args.output)
+        text = dumps(doc)
     else:
         row = SweepCell(args.alpha, args.beta, report).to_row()
-        _emit("\n".join(csv_lines(SWEEP_COLUMNS, [row])) + "\n", args.output)
-    if args.plot_data:
-        emit_plot_data({"kind": "solve",
-                        "configs": [config.to_json_dict()]}, args.plot_data)
-    return 0
+        text = "\n".join(csv_lines(SWEEP_COLUMNS, [row])) + "\n"
+    return 0, text, {"kind": "solve", "configs": [config.to_json_dict()]}
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple:
     cells = sweep(args.alpha_grid, args.beta_grid, _opts(args))
     rows = [cell.to_row() for cell in cells]
     if args.format == "csv":
-        _emit("\n".join(csv_lines(SWEEP_COLUMNS, rows)) + "\n", args.output)
+        text = "\n".join(csv_lines(SWEEP_COLUMNS, rows)) + "\n"
     else:
         doc = {
             "command": "sweep",
@@ -276,7 +266,8 @@ def _cmd_sweep(args) -> int:
                        **_solver_config(args)},
             "rows": rows,
         }
-        _emit(dumps(doc), args.output)
+        text = dumps(doc)
+    payload = None
     if args.plot_data:
         frames = []
         for cell in cells:
@@ -286,11 +277,11 @@ def _cmd_sweep(args) -> int:
             fr = canonicalize(realize(cell.report.state.sq, m))
             frames.append([cell.alpha, cell.beta, fr.u, fr.v, fr.t, fr.s,
                            fr.theta])
-        emit_plot_data({"kind": "sweep", "frames": frames}, args.plot_data)
-    return 0
+        payload = {"kind": "sweep", "frames": frames}
+    return 0, text, payload
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args) -> tuple:
     m = MassVector(alpha=args.alpha, beta=args.beta)
     report = census(m, args.resolution, _opts(args))
     if not report.classes:
@@ -303,7 +294,7 @@ def _cmd_census(args) -> int:
         **report.to_json_dict(),
     }
     if args.format == "json":
-        _emit(dumps(doc), args.output)
+        text = dumps(doc)
     else:
         columns = ["class", "symmetry", "basin", "a", "b", "c", "d", "e", "f",
                    "nu", "xi"]
@@ -314,16 +305,16 @@ def _cmd_census(args) -> int:
             row.update(dict(zip("abcdef", cls.state.sq)))
             row.update({"nu": cls.state.nu, "xi": cls.state.xi})
             rows.append(row)
-        _emit("\n".join(csv_lines(columns, rows)) + "\n", args.output)
+        text = "\n".join(csv_lines(columns, rows)) + "\n"
+    payload = None
     if args.plot_data:
         configs = [realize(cls.state.sq, m).to_json_dict()
                    for cls in report.classes]
-        emit_plot_data({"kind": "census", "configs": configs},
-                       args.plot_data)
-    return 0
+        payload = {"kind": "census", "configs": configs}
+    return 0, text, payload
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     results = [
         check_lemma3_sign(args.trials, args.rng_seed),
         check_lemma4_orderings(args.trials, args.rng_seed),
@@ -350,11 +341,10 @@ def _cmd_verify(args) -> int:
         "all_passed": all(r.passed for r in results),
         "checks": [r.to_json_dict() for r in results],
     }
-    _emit(dumps(doc), args.output)
-    return 0 if doc["all_passed"] else 1
+    return 0 if doc["all_passed"] else 1, dumps(doc), None
 
 
-def _cmd_realize(args) -> int:
+def _cmd_realize(args) -> tuple:
     m = MassVector(alpha=args.alpha, beta=args.beta)
     config = realize(args.sq, m)
     doc = {
@@ -363,14 +353,13 @@ def _cmd_realize(args) -> int:
                    "beta": args.beta},
         **config.to_json_dict(),
     }
-    _emit(dumps(doc), args.output)
-    if args.plot_data:
-        emit_plot_data({"kind": "solve",
-                        "configs": [config.to_json_dict()]}, args.plot_data)
-    return 0
+    return 0, dumps(doc), {"kind": "solve",
+                           "configs": [config.to_json_dict()]}
 
 
 def main(argv=None) -> int:
+    """Run one command.  Each handler gives its exit status, its document
+    and the payload of its plot-ready CSV, and main writes them."""
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {
@@ -381,7 +370,27 @@ def main(argv=None) -> int:
         "realize": _cmd_realize,
     }
     try:
-        return handlers[args.command](args)
+        # verify writes no plot data
+        plot_path = args.plot_data if args.command != "verify" else None
+        if (plot_path and args.output is not None
+                and os.path.realpath(plot_path) == os.path.realpath(
+                    args.output)):
+            raise CCFourError("--output and --plot-data name the same file")
+        with contextlib.ExitStack() as files:
+            # opened before the computation, as a shell redirection is, so
+            # that a path that cannot be written fails at once
+            out = (sys.stdout if args.output is None
+                   else files.enter_context(open(args.output, "w")))
+            plot = (files.enter_context(open(plot_path, "w"))
+                    if plot_path else None)
+            code, text, payload = handlers[args.command](args)
+            if plot is not None:
+                # written out before the document, so that an io error
+                # leaves no document on stdout
+                plot.write(plot_csv(payload))
+                plot.flush()
+            out.write(text)
+            return code
     except CCFourError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -17,6 +17,7 @@ import ccfour
 from ccfour.census import MAX_RESOLUTION
 from ccfour.cli import (MAX_GRID_VALUES, build_parser, main, parse_grid,
                         parse_sq, positive_float)
+from ccfour.solver import CONVERGED
 
 
 def run_json(capsys, argv):
@@ -433,6 +434,52 @@ def test_solve_plot_data(tmp_path):
     assert len(lines) == 6  # header comment + header + four vertices
 
 
+COMPUTING_COMMANDS = {
+    "solve": (["solve", "--alpha", "0.5", "--beta", "0.8"], "solve_kite"),
+    "sweep": (["sweep", "--alpha-grid", "0.5", "--beta-grid", "0.8"],
+              "sweep"),
+    "census": (["census", "--alpha", "0.5", "--beta", "0.8"], "census"),
+}
+
+
+@pytest.mark.parametrize("flag", ["--output", "--plot-data"])
+@pytest.mark.parametrize("command", list(COMPUTING_COMMANDS))
+def test_unwritable_path_fails_before_the_computation(
+        capsys, monkeypatch, tmp_path, command, flag):
+    """A path that cannot be opened for writing exits 1 with one io error
+    line and nothing on stdout, before the command computes anything."""
+    argv, compute = COMPUTING_COMMANDS[command]
+    called = []
+    monkeypatch.setattr(f"ccfour.cli.{compute}",
+                        lambda *args, **kw: called.append(args))
+    code = main([*argv, flag, str(tmp_path / "no" / "such" / "file")])
+    out, err = capsys.readouterr()
+    assert (code, out, called) == (1, "", [])
+    assert err.startswith("io error:") and err.count("\n") == 1
+
+
+def test_output_and_plot_data_on_one_file_exit_1(capsys, tmp_path):
+    path = tmp_path / "both.json"
+    code = main(["solve", "--alpha", "0.5", "--beta", "0.8", "--output",
+                 str(path), "--plot-data", str(tmp_path / "." / "both.json")])
+    out, err = capsys.readouterr()
+    assert (code, out, path.exists()) == (1, "", False)
+    assert err == "error: --output and --plot-data name the same file\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device that refuses writes")
+@pytest.mark.parametrize("command", list(COMPUTING_COMMANDS))
+def test_plot_data_write_error_leaves_no_document(capsys, command):
+    """Plot data is written out before the document, so a write that fails
+    after the computation exits 1 with nothing on stdout."""
+    argv, _ = COMPUTING_COMMANDS[command]
+    code = main([*argv, "--plot-data", "/dev/full"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("io error:") and err.count("\n") == 1
+
+
 def test_sweep_csv_row_count(capsys):
     code = main(["sweep", "--alpha-grid", "0.5,1.0",
                  "--beta-grid", "0.8,1.0", "--format", "csv"])
@@ -532,19 +579,28 @@ def test_realize_nonplanar_fails(capsys):
 
 
 def test_output_digest_families_run_through_the_cli():
-    """tools/output_digest.py lists the families README names, and its
-    runner captures a command's status, stdout and stderr."""
+    """tools/output_digest.py lists the families README names; its command
+    runner captures a command's status, stdout and stderr, and its newton
+    runner gives the bits of solve_batch's arrays on the census seeds."""
     path = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
     spec = importlib.util.spec_from_file_location("output_digest", path)
     digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digest)
-    sizes = {name: len(commands) for name, commands in digest.families()}
+    runners = {name: runner for name, runner, _ in digest.families()}
+    sizes = {name: len(jobs) for name, _, jobs in digest.families()}
     assert sizes == {
         **{f"census {n}": 80 for n in digest.NORMALIZATIONS},
         **{f"solve {a} {n}": 80 for a in ("kite", "full")
            for n in digest.NORMALIZATIONS},
         **{f"solve rhombus {n}": 30 for n in digest.NORMALIZATIONS},
-        "sweep csv": 1, "verify": 1}
+        "sweep csv": 1, "verify": 1, "newton": 160}
+    assert {name for name, runner in runners.items()
+            if runner is not digest.run} == {"newton"}
+    status, iters, x, residual = digest.newton((0.5, 0.8, "fix_a_one"))
+    assert (len(status), len(iters), len(x), len(residual)) == (
+        4096 * 8, 4096 * 8, 4096 * 64, 4096 * 8)
+    # the census at (0.5, 0.8) under fix_a_one keeps every converged seed
+    assert (np.frombuffer(status, dtype=int) == CONVERGED).sum() == 2742
     status, out, err = digest.run(["realize", "--sq", "2,1,1,1,1,2",
                                    "--alpha", "1", "--beta", "1"])
     assert (status, json.loads(out)["command"], err) == (0, "realize", "")

@@ -16,14 +16,16 @@ from ccfour.dziobek import (_FACE_PARTNERS, PAIR_I, PAIR_J, cayley_many,
                             pair_residual_rows, psi_double_prime_many,
                             psi_prime_many, unit_inertia_sq)
 from ccfour.census import _seed_vectors, seed_grid
-from ccfour.geometry import trilaterate_many, trilaterated_areas_many
+from ccfour.geometry import (AREA_DERIVATIVE_MOVES, trilaterate_many,
+                             trilaterated_area_derivative_rows,
+                             trilaterated_areas_many)
 from ccfour.solver import (_AREA_ORDER, _BLOCK, _BOUNDARY_PROBE,
                            _KITE_EMBED, _KITE_EQS, _MAX_BACKTRACKS, CONVERGED,
                            LEFT_CONVEX, NEAR_BOUNDARY, NO_CONVERGENCE,
                            SINGULAR, Residuals, SweepCell, _backtrack,
                            _brentq, _kite_seed_vectors, _newton_batch,
-                           _polish, _rhombus_equation, _solve_linear,
-                           seed_vector, seed_vectors)
+                           _norm2, _norm_inf, _polish, _rhombus_equation,
+                           _solve_linear, seed_vector, seed_vectors)
 from conftest import random_convex_config
 
 EQUAL = MassVector(alpha=1.0, beta=1.0)
@@ -527,6 +529,89 @@ def test_batched_backtracking_matches_sequential_halving(rng, budget):
     assert not accepted[4:6].any()
 
 
+def reference_norms(r):
+    """The numpy reductions that _norm2 and _norm_inf stand for: the
+    2-norm without NaN entries, the inf-norm without them (NaN on all-NaN
+    rows) and the inf-norm with NaN propagated."""
+    with np.errstate(all="ignore"):
+        return (np.sqrt(np.nansum(r * r, axis=1)),
+                np.fmax.reduce(np.abs(r), axis=1),
+                np.max(np.abs(r), axis=1))
+
+
+EDGE_ENTRIES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                2.2250738585072014e-308, -1.5e-310, 1.7976931348623157e308]
+
+
+@pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(n=st.sampled_from([0, 1, 7, 4096]), k=st.sampled_from([6, 8]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       edge_frac=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+       nan_rows=st.integers(0, 3),
+       low=st.integers(-160, 160), span=st.integers(0, 320),
+       drawn=st.lists(st.floats(), max_size=16))
+def test_norm_helpers_are_the_numpy_reductions_bitwise(
+        n, k, seed, edge_frac, nan_rows, low, span, drawn):
+    """_norm2 and _norm_inf equal the reductions they replace bit for bit
+    on C-ordered (n, k) residuals with magnitudes from 1e-160 to 1e160,
+    NaN, +-inf, +-0 and subnormal entries, all-NaN rows and drawn floats."""
+    rng = np.random.default_rng(seed)
+    exp = rng.uniform(low, min(low + span, 160), size=(n, k))
+    r = rng.choice([-1.0, 1.0], size=(n, k)) * 10.0 ** exp
+    edge = rng.random((n, k)) < edge_frac
+    r[edge] = rng.choice(EDGE_ENTRIES, size=edge.sum())
+    r[rng.integers(0, n, size=nan_rows if n else 0)] = math.nan
+    r.flat[:len(drawn)] = drawn[:r.size]
+    norm2, norm_inf, max_inf = reference_norms(r)
+    with np.errstate(all="ignore"):
+        assert _norm2(r).tobytes() == norm2.tobytes()
+        assert _norm_inf(r).tobytes() == norm_inf.tobytes()
+        assert _norm_inf(r, np.maximum).tobytes() == max_inf.tobytes()
+
+
+def solved_alone(jac, rhs):
+    """Reference for _solve_linear: np.linalg.solve on each row alone, NaN
+    where the row is not finite or its matrix is singular."""
+    dx = np.full_like(rhs, np.nan)
+    for i in range(rhs.shape[0]):
+        if np.isfinite(jac[i]).all() and np.isfinite(rhs[i]).all():
+            try:
+                dx[i] = np.linalg.solve(jac[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass
+    return dx, ~np.isfinite(dx).all(axis=1)
+
+
+def test_solve_linear_is_each_row_solved_alone():
+    """Newton blocks of a census lattice: all finite, solved in one call;
+    with an exactly singular matrix, which makes the batched solve raise;
+    and with that matrix, a NaN Jacobian and an inf right-hand side.  dx
+    is each row's own np.linalg.solve bitwise, and exactly the rows left
+    without one are singular."""
+    m = MassVector(alpha=0.5, beta=0.8)
+    fun = Residuals(m, "fix_inertia_one")
+    x = _seed_vectors(seed_grid(4, m), m)
+    res, valid = fun(x)
+    jac, near = fun.linearize(x[valid])
+    rhs = -res[valid][~near]
+    assert jac.shape[0] > 100
+    singular_jac = jac.copy()
+    singular_jac[11, 4] = 0.0  # a zero row: LAPACK raises on it
+    mixed_jac, mixed_rhs = singular_jac.copy(), rhs.copy()
+    mixed_jac[3, 2, 5] = math.nan
+    mixed_rhs[7, 1] = math.inf
+    for jac, rhs, want_singular in [(jac, rhs, []),
+                                    (singular_jac, rhs, [11]),
+                                    (mixed_jac, mixed_rhs, [3, 7, 11])]:
+        dx, singular = _solve_linear(jac, rhs)
+        want_dx, want_mask = solved_alone(jac, rhs)
+        assert np.flatnonzero(want_mask).tolist() == want_singular
+        assert singular.tolist() == want_mask.tolist()
+        assert dx.tobytes() == want_dx.tobytes()
+
+
 def newton_rows(fun, x0, opts):
     """Final vector, status, iterations and residual of each row of
     _newton_batch, as bytes so that equality is bitwise."""
@@ -826,6 +911,8 @@ def dense_linearize(fun, x):
     xf = x if fun.embed is None else x[:, fun.embed]
     _, areas = trilaterated_areas_many(xf[:, :6])
     d_areas = dense_area_derivatives(xf[:, :6])
+    # the derivatives the boundary test skips are +-0 on every row
+    assert not d_areas[:, ~AREA_DERIVATIVE_MOVES].any()
     xs = x[:, fun.sq_cols]
     h = _BOUNDARY_PROBE * np.maximum(1.0, np.abs(xs))
     with np.errstate(all="ignore"):
@@ -878,12 +965,81 @@ class ReferenceChecked(Residuals):
         return jac, near
 
 
+# Rows at the edges of the boundary test, with the mask each must get.
+# Squared distances of a few units of 5e-324, where an area underflows to
+# -0 (Delta_1 or Delta_2) or +0 (Delta_3 or Delta_4); the converged kite
+# with f exactly at its probe threshold h = 1e-7 and one ulp above it; and
+# rows at a scale of about 1e-6, found by search, whose |Delta_k| is
+# exactly _AREA_ORDER[k] h_j |dDelta_k / dx_j| for one pair (k, j).
+SUBNORMAL_UNITS = [
+    (2, 8, 7, 8, 10, 30),  # Delta_2 = -0
+    (1, 1, 10, 1, 8, 14),  # Delta_1 = -0 and Delta_4 = +0
+    (1, 3, 1, 3, 1, 5),    # a kite: Delta_1 = Delta_2 = -0, Delta_3 = +0
+    (1, 9, 1, 9, 1, 13),   # a kite: Delta_3 = +0
+]
+ON_THE_AREA_THRESHOLD = [  # (the row's floats as hex, k, j)
+    ("1.1f2db17cc1571p-23 1.48516aa3301d3p-23 1.bbb7cdb3c4857p-23 "
+     "1.6dae6da91c89ap-23 1.ae9e3ece15399p-24 1.01895b5ec3cfap-21 "
+     "1.377a1d3f9d16ep+78 -1.b5b22e239e810p+32", 0, 4),
+    ("1.15bb4b1723f47p-21 1.13bee140e3619p-22 1.b1fd25b370fd6p-24 "
+     "1.10022d7750e33p-22 1.b6295766798efp-22 1.e585d03f95f55p-22 "
+     "1.84398410f0ee6p+76 -1.d85d41947315dp+31", 2, 2),
+    ("1.dd37f5698c2cfp-21 1.5c5e9c1c68e25p-21 1.95a2c3ccea597p-21 "
+     "1.f04ead4f0ca98p-24 1.59fbc51fb8d3dp-20 1.ad7f29abcaf54p-20 "
+     "1.5f58b6e4dbe37p+74 -1.26123f522a079p+30", 3, 3),
+    # kite-reduced (a, b, c, f, nu, xi)
+    ("1.4f8b588e368e7p-19 1.853b3dc3afed2p-21 1.e9e50b87f37e5p-19 "
+     "1.1b88f28268fb1p-18 1.c004967881992p+67 -1.4f3c24ea8eadep+27", 3, 1),
+]
+
+
+def boundary_edge_rows():
+    """The full and the kite-reduced edge rows, and their masks."""
+    sub = np.array(SUBNORMAL_UNITS) * 5e-324
+    f_edge = np.array([KITE_SQ_05_08] * 2)
+    f_edge[:, 5] = [1e-7, np.nextafter(1e-7, 1.0)]
+    multipliers = np.array([(KITE_NU_05_08, KITE_XI_05_08)])
+    sq = np.concatenate([sub, f_edge])
+    full = np.concatenate([sq, multipliers.repeat(sq.shape[0], axis=0)],
+                          axis=1)
+    on = [np.array([float.fromhex(v) for v in row.split()])
+          for row, _, _ in ON_THE_AREA_THRESHOLD]
+    kites = np.array([0, 0, 1, 1, 1, 1])  # the rows of sq that are kites
+    yield (np.concatenate([full, on[:3]]),
+           [True] * 4 + [True, False] + [True] * 3)
+    yield (np.concatenate([full[kites == 1][:, [0, 1, 2, 5, 6, 7]],
+                           on[3:]]),
+           [True] * 2 + [True, False] + [True])
+
+
+def zero_delta_2_with_nan_moving_derivatives(sq):
+    """trilaterated_area_derivative_rows with Delta_2 = -0 and its
+    derivatives that are not identically zero NaN, on every row."""
+    valid, areas, d = trilaterated_area_derivative_rows(sq)
+    areas[1] = -0.0
+    d[1, AREA_DERIVATIVE_MOVES[1]] = math.nan
+    return valid, areas, d
+
+
+def on_the_area_threshold(fun, x, k, j):
+    """|Delta_k| == _AREA_ORDER[k] h_j |dDelta_k / dx_j| at row x, in the
+    24-entry form of dense_linearize."""
+    xf = x if fun.embed is None else x[fun.embed]
+    _, areas = trilaterated_areas_many(xf[None, :6])
+    d = dense_fold(fun, dense_area_derivatives(xf[None, :6]))[0, k, j]
+    h = _BOUNDARY_PROBE * max(1.0, abs(x[j]))
+    return abs(areas[0, k]) == (_AREA_ORDER[k] * h) * abs(d)
+
+
 @pytest.mark.parametrize("normalization", ["fix_inertia_one", "fix_a_one"])
 def test_linearize_is_the_dense_reference_on_every_census_call(
-        normalization):
+        monkeypatch, normalization):
     """Every residual and linearize call of a resolution-8 census at
     (0.5, 0.8), and of the solve_kite Newton run, equals the dense
-    reference bitwise, and so do the Newton results."""
+    reference bitwise, and so do the Newton results; and so do the
+    boundary_edge_rows of the full and the kite system, which get their
+    masks.  A row whose Delta_2 is -0 is near through the derivatives
+    that are identically zero alone."""
     m = MassVector(alpha=0.5, beta=0.8)
     opts = SolveOptions(normalization=normalization)
     kite = dict(eq_indices=_KITE_EQS, embed=_KITE_EMBED)
@@ -894,6 +1050,24 @@ def test_linearize_is_the_dense_reference_on_every_census_call(
         assert fun.calls > 1 and fun.rows > x0.shape[0]
         assert checked == newton_rows(Residuals(m, normalization, **kw),
                                       x0, opts)
+    zero_areas = trilaterated_areas_many(
+        np.array(SUBNORMAL_UNITS) * 5e-324)[1] == 0
+    assert zero_areas.any(axis=1).all()
+    edges = [ReferenceChecked(m, normalization),
+             ReferenceChecked(m, normalization, **kite)]
+    for fun, (x, want_near) in zip(edges, boundary_edge_rows()):
+        assert fun(x)[1].all()
+        assert fun.linearize(x)[1].tolist() == want_near
+    for row, k, j in ON_THE_AREA_THRESHOLD:
+        x = np.array([float.fromhex(v) for v in row.split()])
+        assert on_the_area_threshold(edges[x.size == 6], x, k, j)
+    # inside the region a zero area is caught by its moving derivatives;
+    # with those NaN, the 24-entry form still marks Delta_2 = -0 through
+    # the zero derivative along f: |-0| <= (c h_f) |-0| = 0
+    monkeypatch.setattr("ccfour.solver.trilaterated_area_derivative_rows",
+                        zero_delta_2_with_nan_moving_derivatives)
+    for fun, (x, _) in zip(edges, boundary_edge_rows()):
+        assert Residuals.linearize(fun, x)[1].all()
 
 
 def log_uniform(low, high):
