@@ -110,13 +110,15 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="scale gauge (default fix_inertia_one)")
 
 
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
+def _add_output_flags(p: argparse.ArgumentParser, plot: bool = True) -> None:
     p.add_argument("--format", choices=["json", "csv"], default="json",
                    help="output format (default json)")
     p.add_argument("--output", default=None,
                    help="output path (default stdout)")
-    p.add_argument("--plot-data", default=None,
-                   help="also write plot-ready CSV to this path")
+    p.set_defaults(plot_data=None)
+    if plot:
+        p.add_argument("--plot-data",
+                       help="also write plot-ready CSV to this path")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "omit to skip the theorem 1 census suite")
     p_verify.add_argument("--theorem2-grid", type=parse_grid, default=None,
                           help="alpha grid; omit to skip the theorem 2 suite")
-    _add_output_flags(p_verify)
+    _add_output_flags(p_verify, plot=False)  # verify has no plot data
 
     p_realize = sub.add_parser(
         "realize", help="realize six squared distances as planar points")
@@ -234,23 +236,22 @@ def _cmd_solve(args) -> tuple:
         if opts.normalization == "fix_a_one":
             square = square / square[0]  # the seed on the gauge a = 1
         report = newton_solve(seed_state(square, m), m, opts)
-    config = realize(report.state.sq, m)
-    lam, resid = newtonian_oracle(config, m)
-    doc = {
-        "command": "solve",
-        "config": {"alpha": args.alpha, "beta": args.beta,
-                   "ansatz": args.ansatz, **_solver_config(args)},
-        "report": report.to_json_dict(),
-        "lambda_cc": lam,
-        "oracle_residual": resid,
-        "points": config.to_json_dict()["points"],
-    }
+    config = report.config.to_json_dict()
     if args.format == "json":
-        text = dumps(doc)
+        lam, resid = newtonian_oracle(report.config, m)
+        text = dumps({
+            "command": "solve",
+            "config": {"alpha": args.alpha, "beta": args.beta,
+                       "ansatz": args.ansatz, **_solver_config(args)},
+            "report": report.to_json_dict(),
+            "lambda_cc": lam,
+            "oracle_residual": resid,
+            "points": config["points"],
+        })
     else:
         row = SweepCell(args.alpha, args.beta, report).to_row()
         text = "\n".join(csv_lines(SWEEP_COLUMNS, [row])) + "\n"
-    return 0, text, {"kind": "solve", "configs": [config.to_json_dict()]}
+    return 0, text, {"kind": "solve", "configs": [config]}
 
 
 def _cmd_sweep(args) -> tuple:
@@ -269,14 +270,9 @@ def _cmd_sweep(args) -> tuple:
         text = dumps(doc)
     payload = None
     if args.plot_data:
-        frames = []
-        for cell in cells:
-            if cell.report is None:
-                continue
-            m = MassVector(alpha=cell.alpha, beta=cell.beta)
-            fr = canonicalize(realize(cell.report.state.sq, m))
-            frames.append([cell.alpha, cell.beta, fr.u, fr.v, fr.t, fr.s,
-                           fr.theta])
+        frames = [[cell.alpha, cell.beta,
+                   *canonicalize(cell.report.config).as_vector().tolist()]
+                  for cell in cells if cell.report is not None]
         payload = {"kind": "sweep", "frames": frames}
     return 0, text, payload
 
@@ -370,8 +366,7 @@ def main(argv=None) -> int:
         "realize": _cmd_realize,
     }
     try:
-        # verify writes no plot data
-        plot_path = args.plot_data if args.command != "verify" else None
+        plot_path = args.plot_data
         if (plot_path and args.output is not None
                 and os.path.realpath(plot_path) == os.path.realpath(
                     args.output)):

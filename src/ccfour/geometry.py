@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dziobek import (PAIRS, MassVector, OrientedAreas, SquaredDistances,
-                      cayley, planar_many, scale_sq_many)
+from .dziobek import (PAIR_I, PAIR_J, PAIRS, MassVector, OrientedAreas,
+                      SquaredDistances, cayley, planar_many, scale_sq_many)
 from .errors import (CollisionError, Degenerate, NotConvex, NotPlanar,
                      NotRealizable)
 
@@ -99,16 +99,16 @@ def _signed_area(p, q, r):
                   - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0]))
 
 
+# the vertices (p, q, r) of the triangle without vertex i, for i = 0..3
+_TRIANGLES = np.array([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]).T
+
+
 def _sub_triangles(points: np.ndarray):
     """triangle_areas_many and convex_many of (..., 4, 2) points, from one
     pass over the signed Delta_i: the diagonals cross where Delta_1 and
     Delta_2 differ in sign (q1 and q2 lie on opposite sides of the line
     q3-q4), and so do Delta_3 and Delta_4."""
-    q1, q2, q3, q4 = (points[..., i, :] for i in range(4))
-    d = np.stack([_signed_area(q2, q3, q4),
-                  _signed_area(q1, q3, q4),
-                  _signed_area(q1, q2, q4),
-                  _signed_area(q1, q2, q3)], axis=-1)
+    d = _signed_area(*(points[..., v, :] for v in _TRIANGLES))
     return np.abs(d), (d[..., 0] * d[..., 1] < 0) & (d[..., 2] * d[..., 3] < 0)
 
 
@@ -155,8 +155,8 @@ def oriented_areas(p: PlanarConfig) -> OrientedAreas:
 
 def squared_distances_many(points: np.ndarray) -> np.ndarray:
     """(..., 4, 2) points -> (..., 6) squared distances (a, ..., f)."""
-    diffs = [points[..., i, :] - points[..., j, :] for i, j in PAIRS]
-    return np.stack([(d ** 2).sum(axis=-1) for d in diffs], axis=-1)
+    d = points[..., PAIR_I, :] - points[..., PAIR_J, :]
+    return (d ** 2).sum(axis=-1)
 
 
 def squared_distances(p: PlanarConfig) -> SquaredDistances:
@@ -164,72 +164,67 @@ def squared_distances(p: PlanarConfig) -> SquaredDistances:
                               for x in squared_distances_many(p.points)))
 
 
-def _trilateration(rows: np.ndarray):
+def _trilateration(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The mask of (6, ...) rows a..f with positive entries and both face
-    triangles proper, r12 and the (2, ...) coordinates (x3, x4) and
-    (y3, -y4) of the placed q2 = (r12, 0), q3 = (x3, y3) and q4 = (x4, y4):
-    q3 is placed from (b, d), rows 1 and 3, as q4 is from (c, e), rows 2
-    and 4.  Entries outside the mask get finite placeholders.  Call under
-    np.errstate."""
+    triangles proper; writes r12 and the coordinates (x3, x4) and
+    (y3, -y4) of the placed q2 = (r12, 0), q3 = (x3, y3) and q4 = (x4, y4)
+    into out[0], out[1:3] and out[3:5]: q3 is placed from (b, d), rows 1
+    and 3, as q4 is from (c, e), rows 2 and 4.  Entries outside the mask
+    get finite placeholders.  Call under np.errstate."""
     a = rows[0]
     ok = np.logical_and.reduce(rows > 0, axis=0)
-    r12 = np.sqrt(np.where(ok, a, 1.0))
-    x = (a + rows[1:3] - rows[3:5]) / (2.0 * r12)
+    np.sqrt(np.where(ok, a, 1.0), out=out[:1])
+    x = np.divide(a + rows[1:3] - rows[3:5], 2.0 * out[0], out=out[1:3])
     y_sq = rows[1:3] - x * x
     ok &= np.logical_and.reduce(y_sq > 0, axis=0)
-    return ok, r12, x, np.sqrt(np.where(ok, y_sq, 1.0))
+    np.sqrt(np.where(ok, y_sq, 1.0), out=out[3:5])
+    return ok
 
 
 def trilaterate_many(sq: np.ndarray):
     """Points of (n, 6) squared distances alone (f is not used), q1 at the
     origin, q2 on the positive x-axis, q3 above and q4 below it, and the
     mask of rows with positive entries and proper face triangles."""
-    pts = np.zeros(sq.shape[:-1] + (4, 2))
+    tri = np.empty((5,) + sq.shape[:-1])
     with np.errstate(all="ignore"):
-        ok, r12, x, y = _trilateration(np.moveaxis(sq, -1, 0))
-        pts[..., 1, 0] = r12
-        pts[..., 2:, 0] = np.moveaxis(x, 0, -1)
-        pts[..., 2, 1] = y[0]
-        pts[..., 3, 1] = -y[1]
-    return pts, ok
+        ok = _trilateration(np.moveaxis(sq, -1, 0), tri)
+    r12, x3, x4, y3, y4m = tri
+    zero = np.zeros_like(r12)
+    pts = np.stack([zero, zero, r12, zero, x3, y3, x4, -y4m], axis=-1)
+    return pts.reshape(sq.shape[:-1] + (4, 2)), ok
 
 
 def trilaterated_areas_many(sq: np.ndarray):
     """Oriented (-, -, +, +) areas of (n, 6) squared distances placed as
     trilaterate_many places them, and the mask of the rows it accepts
     whose diagonal q3-q4 crosses the open segment q1-q2.  f is not used.
-    The (n, 4) areas are a view of trilaterated_area_rows' (4, n) rows."""
-    valid, areas = trilaterated_area_rows(sq.T)
-    return valid, areas.T
+    The (n, 4) areas are a view of trilaterated_area_rows' rows."""
+    valid, tri = trilaterated_area_rows(sq.T)
+    return valid, tri[5:].T
 
 
 def trilaterated_area_rows(sq: np.ndarray):
-    """trilaterated_areas_many in row layout: the mask and the (4, n) areas
-    of the (6, n) rows a..f.
+    """trilaterated_areas_many in row layout: the mask of the (6, n) rows
+    a..f and their (9, n) trilateration, the rows r12, x3, x4, y3 and y4m
+    of trilaterate_many's placed points, then the areas (tri[5:]).
 
     This is the geometry of every Newton iterate, so it works on the
-    trilateration coordinates directly rather than on (n, 4, 2) points.
+    trilateration coordinates directly rather than on (n, 4, 2) points,
+    and trilaterated_area_derivative_rows takes it as it is.
     """
+    tri = np.empty((9,) + sq.shape[1:])
     with np.errstate(all="ignore"):
-        valid, areas, _ = _trilaterated_areas(sq)
-    return valid, areas
-
-
-def _trilaterated_areas(sq: np.ndarray):
-    """trilaterated_area_rows, plus the coordinates r12, (x3, x4) and
-    (y3, y4m) the areas are taken from.  Call under np.errstate."""
-    valid, r12, x, y = _trilateration(sq)
-    (x3, x4), (y3, y4m) = x, y
-    xc = x3 + (x4 - x3) * y3 / (y3 + y4m)
-    valid &= (xc > 0) & (xc < r12)
-    areas = np.empty((4,) + r12.shape)
-    # -mag1 and -mag2; (-0.5) t is -(0.5 t) to the bit
-    np.multiply(-0.5, np.abs((x3 - r12) * -y4m - y3 * (x4 - r12)),
-                out=areas[0])
-    np.multiply(-0.5, np.abs(x3 * -y4m - y3 * x4), out=areas[1])
-    # mag3 = r12 y4m / 2 and mag4 = r12 y3 / 2
-    np.multiply(0.5 * r12, y[::-1], out=areas[2:])
-    return valid, areas, (r12, x, y)
+        valid = _trilateration(sq, tri)
+        r12, (x3, x4), (y3, y4m) = tri[0], tri[1:3], tri[3:5]
+        xc = x3 + (x4 - x3) * y3 / (y3 + y4m)
+        valid &= (xc > 0) & (xc < r12)
+        # -mag1 and -mag2; (-0.5) t is -(0.5 t) to the bit
+        np.multiply(-0.5, np.abs((x3 - r12) * -y4m - y3 * (x4 - r12)),
+                    out=tri[5])
+        np.multiply(-0.5, np.abs(x3 * -y4m - y3 * x4), out=tri[6])
+        # mag3 = r12 y4m / 2 and mag4 = r12 y3 / 2
+        np.multiply(0.5 * r12, tri[4:2:-1], out=tri[7:])
+    return valid, tri
 
 
 # dx[k] and dy[k] below are the derivatives of (x3, x4) and (y3, y4m)
@@ -248,29 +243,27 @@ AREA_DERIVATIVE_MOVES[2, _MAG3_COLS] = True
 AREA_DERIVATIVE_MOVES[3, _MAG4_COLS] = True
 
 
-def trilaterated_area_derivative_rows(sq: np.ndarray):
-    """trilaterated_area_rows, plus the (4, 6, n) derivatives of the areas
-    with respect to the rows (a, ..., f).
+def trilaterated_area_derivative_rows(tri: np.ndarray) -> np.ndarray:
+    """The (4, 6, n) derivatives of the areas with respect to (a, ..., f),
+    from the (9, n) trilateration of trilaterated_area_rows.
 
-    On valid rows xc lies in (0, r12), so the magnitudes are
-    mag2 = (x3 y4m + x4 y3) / 2, mag3 = r12 y4m / 2, mag4 = r12 y3 / 2 and
-    mag1 = mag3 + mag4 - mag2, differentiated through r12 = sqrt(a),
-    x3 = (a + b - d) / (2 r12), y3 = sqrt(b - x3^2),
+    On valid rows xc lies in (0, r12), so mag2 = (x3 y4m + x4 y3) / 2,
+    mag3 = r12 y4m / 2, mag4 = r12 y3 / 2 and mag1 = mag3 + mag4 - mag2,
+    through r12 = sqrt(a), x3 = (a + b - d) / (2 r12), y3 = sqrt(b - x3^2),
     x4 = (a + c - e) / (2 r12) and y4m = sqrt(c - x4^2).  Only 16 of the
     24 derivatives are not identically zero: mag1 and mag2 move with
     a..e, mag3 with a, c and e, mag4 with a, b and d.  The mirror image
-    q3 <-> q4, (b, d) <-> (c, e), maps the formulas of one side on those
-    of the other, so each is taken for both sides at once.  Each is the
-    chain rule with the same operations, in the same order, as the
-    derivative along the full unit vector, less the terms that are zero.
-    Dropping them changes no bit, but in the mag2 derivatives along d and
-    e where -y3 / (2 r12) or -y4m / (2 r12) underflows to -0.  The
-    identically zero ones are left as allocated, and the rows of
+    q3 <-> q4, (b, d) <-> (c, e), maps one side's formulas on the other's,
+    so each is taken for both sides at once, by the chain rule with the
+    operations, in order, of the derivative along the full unit vector,
+    less the zero terms.  That changes no bit, but in the mag2 derivatives
+    along d and e where -y3 / (2 r12) or -y4m / (2 r12) underflows to -0.
+    The identically zero ones are left as allocated, and the rows of
     Delta_1 = -mag1 and Delta_2 = -mag2 are negated whole, so their f
-    column is -0, as it is along the full unit vector.
+    column is -0, as along the full unit vector.
     """
+    r12, x, y = tri[0], tri[1:3], tri[3:5]
     with np.errstate(all="ignore"):
-        valid, areas, (r12, x, y) = _trilaterated_areas(sq)
         half = 0.5 / r12  # dr12/da
         dx = np.empty((3,) + x.shape)
         np.subtract(half, (x / r12) * half, out=dx[0])
@@ -291,7 +284,7 @@ def trilaterated_area_derivative_rows(sq: np.ndarray):
         d[2, _MAG3_COLS] = dmag43[:, 1]
         np.subtract(d[2] + d[3], d[1], out=d[0])
         np.negative(d[:2], out=d[:2])
-    return valid, areas, d
+    return d
 
 
 def realize(sq: Sequence[float], m: MassVector) -> PlanarConfig:

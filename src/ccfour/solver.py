@@ -9,7 +9,7 @@ from __future__ import annotations
 import contextlib
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +21,7 @@ from .dziobek import (PAIR_I, PAIR_J, DziobekState, MassVector,
                       psi_prime_many, sq_inertia, unit_inertia_sq)
 from .errors import (DomainError, LeftConvexRegion, NoConvergence,
                      SingularJacobian)
-from .geometry import (AREA_DERIVATIVE_MOVES, newtonian_oracle,
+from .geometry import (AREA_DERIVATIVE_MOVES, PlanarConfig, newtonian_oracle,
                        oriented_areas_many, realize, realize_many,
                        trilaterated_area_derivative_rows,
                        trilaterated_area_rows, trilaterated_areas_many)
@@ -44,14 +44,10 @@ _BOUNDARY_PROBE = 1e-7
 _AREA_ORDER = np.array([1.0, 1.0, 2.0, 2.0])
 _MAX_BACKTRACKS = 40
 # Newton linearizes and solves at most _BLOCK rows at a time.  At (0.5,
-# 0.8), resolution 8 (4,096 seeds), the tracemalloc peak of _newton_batch
-# and its best time of 41 on one core of a 2-vCPU machine, by block size:
-#
-#     rows    256      512      1,024    2,048    4,096 (one block)
-#     peak    4.1 MB   4.1 MB   4.2 MB   5.6 MB   9.7 MB
-#     time    239 ms   214 ms   201 ms   208 ms   245 ms
-#
-# Below 1,024 rows the line search sets the peak.
+# 0.8), resolution 8 (4,096 seeds), blocks of 256, 512, 1,024, 2,048 and
+# 4,096 rows took _newton_batch 173, 152, 158, 164 and 182 ms (best of 21,
+# one core of a 2-vCPU machine), at tracemalloc peaks of 5.3, 5.3, 5.3, 6.2
+# and 10.3 MB; up to 1,024 rows the line search sets the peak.
 _BLOCK = 1024
 
 
@@ -78,6 +74,7 @@ class SolveReport:
     final_residual: float
     converged: bool
     symmetry: str
+    config: PlanarConfig = field(compare=False, repr=False)  # not in JSON
 
     def to_json_dict(self) -> dict:
         return {
@@ -134,11 +131,13 @@ class Residuals:
         return x.T[self.embed]
 
     def __call__(self, x: np.ndarray):
-        """(residuals, valid) of (n, k) vectors; invalid rows are NaN, and
-        only the valid rows are evaluated past their areas.  The residuals
-        are C-ordered, so that a row's 8-wide sums do not depend on n."""
+        """(residuals, valid, tri) of (n, k) vectors: invalid rows are NaN,
+        and only the valid rows are evaluated past their areas; tri is the
+        (9, n) trilaterated_area_rows of every row, for linearize.  The
+        residuals are C-ordered: a row's 8-wide sums do not depend on n."""
         xr = self._rows(x)
-        valid, areas = trilaterated_area_rows(xr[:6])
+        valid, tri = trilaterated_area_rows(xr[:6])
+        areas = tri[5:]
         # no copies where every row is valid, as in most one-row calls
         whole = np.count_nonzero(valid) == valid.size
         if not whole:
@@ -156,27 +155,29 @@ class Residuals:
         if self.sel is not None:
             res = res[self.sel]
         if whole:
-            return np.ascontiguousarray(res.T), valid
+            return np.ascontiguousarray(res.T), valid, tri
         out = np.full((valid.size, res.shape[0]), np.nan)
         out[valid] = res.T
-        return out, valid
+        return out, valid, tri
 
-    def linearize(self, x: np.ndarray):
-        """(jac, near) of (n, k) rows inside the convex region, from one
-        pass of the areas and their 16 derivatives that are not identically
-        zero: near marks the rows within the boundary probe, x_j <= h_j or
-        |Delta_k| <= _AREA_ORDER[k] h_j |dDelta_k / dx_j| for a reduced
-        unknown j that moves a squared distance, and jac is the exact
-        (n - near.sum(), k, k) Jacobian of the residuals at the other rows,
-        in order, C-ordered for the batched solve.  The area test runs on
-        the pairs (k, j) whose derivative is not identically zero.  An
-        identically zero one is exactly +-0, so where h_j is finite it
-        tests Delta_k == 0, once per area; inside the region h_j is
-        infinite only where x_j is, and x_j <= h_j marks the row.
-        The Jacobian is assembled as (8, 8, n) rows, then transposed
-        once."""
+    def linearize(self, x: np.ndarray, tri: np.ndarray | None = None):
+        """(jac, near) of (n, k) rows inside the convex region, from their
+        (9, n) trilateration (a residual call's, or taken again if None) and
+        the 16 area derivatives that are not identically zero.  near marks
+        the rows within the boundary probe: x_j <= h_j, or |Delta_k| <=
+        _AREA_ORDER[k] h_j |dDelta_k / dx_j| for a reduced unknown j that
+        moves a squared distance, tested on the pairs (k, j) whose
+        derivative is not identically zero.  An identically zero one is
+        exactly +-0, so where h_j is finite it tests Delta_k == 0, once per
+        area; inside the region h_j is infinite only where x_j is, and
+        x_j <= h_j marks the row.  jac is the exact (n - near.sum(), k, k)
+        Jacobian at the other rows, in order, assembled as (8, 8, n) rows
+        and transposed once, C-ordered for the batched solve."""
         xr = self._rows(x)
-        _, areas, d_areas = trilaterated_area_derivative_rows(xr[:6])
+        if tri is None:
+            tri = trilaterated_area_rows(xr[:6])[1]
+        areas = tri[5:]
+        d_areas = trilaterated_area_derivative_rows(tri)
         xs = xr[:6] if self.embed is None else x.T[self.sq_cols]
         h = _BOUNDARY_PROBE * np.maximum(1.0, np.abs(xs))
         ks, js = self._moving
@@ -277,7 +278,9 @@ def _solve_linear(jac: np.ndarray, rhs: np.ndarray):
         for i in range(rhs.shape[0]) if idx is None else idx:
             with contextlib.suppress(np.linalg.LinAlgError):
                 dx[i] = np.linalg.solve(jac[i], rhs[i])
-    return dx, ~np.isfinite(dx).all(axis=1)
+    finite = np.isfinite(dx)  # all, in the usual block: no row reduction
+    return dx, (~finite.all(axis=1) if not finite.all()
+                else np.zeros(dx.shape[0], dtype=bool))
 
 
 def _backtrack(fun, x: np.ndarray, dx: np.ndarray, base2: np.ndarray,
@@ -292,15 +295,10 @@ def _backtrack(fun, x: np.ndarray, dx: np.ndarray, base2: np.ndarray,
     min(40, budget // rows) lams a row, and in the tail of a Newton run,
     where budget // rows >= 40, every row tries all 40 in one call.
     Returns the mask of rows that took a step, their new x, residuals and
-    residual 2-norms, and for the other rows whether their last trial left
-    the convex region.
-
-    Measured at (0.5, 0.8), resolution 8, on one core, and not adopted:
-    budgets of n/2, n/4 and n/8 rather than n (census time 0.98, 1.03 and
-    1.08 of this schedule's, in-process pairs); windows of lams predicted
-    for each row, which in a simulation cut the trial rows only from
-    212,760 to 197,268 and took 164 calls rather than 131; and a line
-    search carried in (8, n) rows, 6% slower.
+    residual 2-norms, for the other rows whether their last trial left
+    the convex region, and the (9, n) trilateration columns of the rows
+    that took a step, picked from the residual calls.  Call under
+    np.errstate.  ROADMAP.md lists the schedules measured and not adopted.
     """
     n, k = x.shape
     accepted = np.zeros(n, dtype=bool)
@@ -314,22 +312,28 @@ def _backtrack(fun, x: np.ndarray, dx: np.ndarray, base2: np.ndarray,
         c = min(max(1, budget // rem.size), _MAX_BACKTRACKS - tried)
         lam = 0.5 ** np.arange(tried, tried + c)
         xt = (x + lam[:, None, None] * dx).reshape(-1, k)
-        rt, vt = fun(xt)
-        with np.errstate(all="ignore"):
-            nt2 = _norm2(rt)
+        rt, vt, tt = fun(xt)
+        if not tried:
+            tri_new = np.empty((tt.shape[0], n))
+        nt2 = _norm2(rt)
         ok = vt.reshape(c, -1) & (nt2.reshape(c, -1)
                                   <= (1.0 - 1e-4 * lam)[:, None] * base2)
-        hit = ok.any(axis=0)
-        pick = ok.argmax(axis=0)[hit] * rem.size + np.flatnonzero(hit)
+        hit = ok[0] if c == 1 else ok.any(axis=0)  # c = 1: no reduction
+        pick = np.flatnonzero(hit)
+        if c > 1:  # the first lam each row takes
+            pick += ok.argmax(axis=0)[hit] * rem.size
         take = rem[hit]
         accepted[take] = True
         x_new[take] = xt[pick]
         res_new[take] = rt[pick]
         norm_new[take] = nt2[pick]
-        last_invalid[rem] = ~hit & ~vt[(c - 1) * rem.size:]
-        rem, x, dx, base2 = rem[~hit], x[~hit], dx[~hit], base2[~hit]
+        tri_new[:, take] = tt[:, pick]
+        del xt, rt, tt  # free this call's trials before the next call
+        miss = ~hit
+        last_invalid[rem] = miss & ~vt[(c - 1) * rem.size:]
+        rem, x, dx, base2 = rem[miss], x[miss], dx[miss], base2[miss]
         tried += c
-    return accepted, x_new, res_new, norm_new, last_invalid
+    return accepted, x_new, res_new, norm_new, last_invalid, tri_new
 
 
 def _newton_batch(fun, x0: np.ndarray, opts: SolveOptions):
@@ -342,54 +346,60 @@ def _newton_batch(fun, x0: np.ndarray, opts: SolveOptions):
     of at most _BLOCK = 1,024 rows, and a block's Jacobians are freed
     before the next block is linearized.  The line search then takes the
     whole batch; none of its calls has more rows than the first residual
-    evaluation.  A row's result depends neither on its batch mates nor on
-    its block.  Returns (x, status, iterations, final
-    inf-norm residual).
+    evaluation.  Each iterate's trilateration is carried from the residual
+    call that gave it to the next linearization.  A row's result depends
+    neither on its batch mates nor on its block.  Returns (x, status,
+    iterations, final inf-norm residual).
     """
     x = np.array(x0, dtype=float)
     n = x.shape[0]
     status = np.full(n, RUNNING, dtype=int)
     iters = np.zeros(n, dtype=int)
-
-    res, valid = fun(x)
-    status[~valid] = LEFT_CONVEX
+    tol = opts.residual_tol
+    # for the whole run: its NaN rows would make the norm helpers warn
     with np.errstate(all="ignore"):
-        # nanmax, without its warning on the all-NaN rows outside the region
-        norm_inf = _norm_inf(res)
-        norm2 = _norm2(res)
-    status[(status == RUNNING) & (norm_inf < opts.residual_tol)] = CONVERGED
-
-    for it in range(1, opts.max_iterations + 1):
-        act = np.flatnonzero(status == RUNNING)
-        if act.size == 0:
-            break
-        ids, steps = [], []
-        for lo in range(0, act.size, _BLOCK):
-            block = act[lo:lo + _BLOCK]
-            jac, near = fun.linearize(x[block])
-            status[block[near]] = NEAR_BOUNDARY
-            block = block[~near]
-            dx, singular = _solve_linear(jac, -res[block])
-            del jac  # free the Jacobians before the next block
-            status[block[singular]] = SINGULAR
-            ids.append(block[~singular])
-            steps.append(dx[~singular])
-        ids = np.concatenate(ids)
-        if ids.size == 0:
-            continue
-        accepted, x_new, res_new, norm_new, last_invalid = _backtrack(
-            fun, x[ids], np.concatenate(steps), norm2[ids], n)
-        status[ids[~accepted & last_invalid]] = LEFT_CONVEX
-        status[ids[~accepted & ~last_invalid]] = NO_CONVERGENCE
-        moved = ids[accepted]
-        x[moved] = x_new[accepted]
-        res[moved] = res_new[accepted]
-        norm2[moved] = norm_new[accepted]
-        with np.errstate(all="ignore"):
-            norm_inf[moved] = _norm_inf(res_new[accepted], np.maximum)
-        iters[moved] = it
-        status[moved[norm_inf[moved] < opts.residual_tol]] = CONVERGED
-
+        res, valid, tri = fun(x)
+        norm_inf, norm2 = _norm_inf(res), _norm2(res)
+        status[~valid] = LEFT_CONVEX
+        status[valid & (norm_inf < tol)] = CONVERGED
+        for it in range(1, opts.max_iterations + 1):
+            act = np.flatnonzero(status == RUNNING)
+            if act.size == 0:
+                break
+            ids, steps = [], []
+            for lo in range(0, act.size, _BLOCK):
+                block = act[lo:lo + _BLOCK]
+                jac, near = fun.linearize(x[block], tri[:, block])
+                if np.count_nonzero(near):
+                    status[block[near]] = NEAR_BOUNDARY
+                    block = block[~near]
+                dx, singular = _solve_linear(jac, -res[block])
+                del jac  # free the Jacobians before the next block
+                if np.count_nonzero(singular):
+                    status[block[singular]] = SINGULAR
+                    block, dx = block[~singular], dx[~singular]
+                ids.append(block)
+                steps.append(dx)
+            ids, dx = ((ids[0], steps[0]) if len(ids) == 1
+                       else (np.concatenate(ids), np.concatenate(steps)))
+            if ids.size == 0:
+                continue
+            accepted, x_new, res_new, norm_new, last_invalid, tri_new = (
+                _backtrack(fun, x[ids], dx, norm2[ids], n))
+            if np.count_nonzero(accepted) < ids.size:
+                stuck = ~accepted
+                status[ids[stuck]] = np.where(last_invalid[stuck],
+                                              LEFT_CONVEX, NO_CONVERGENCE)
+                ids, x_new, res_new, norm_new, tri_new = (
+                    ids[accepted], x_new[accepted], res_new[accepted],
+                    norm_new[accepted], tri_new[:, accepted])
+            x[ids] = x_new
+            res[ids] = res_new
+            norm2[ids] = norm_new
+            tri[:, ids] = tri_new
+            norm_inf[ids] = moved_inf = _norm_inf(res_new, np.maximum)
+            iters[ids] = it
+            status[ids[moved_inf < tol]] = CONVERGED
     status[status == RUNNING] = NO_CONVERGENCE
     return x, status, iters, norm_inf
 
@@ -450,9 +460,9 @@ def seed_vector(sq: Sequence[float], m: MassVector) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BatchResult:
-    """What solve_batch found: the full vector (a..f, nu, xi), status,
-    iterations and final inf-norm residual of every seed, then the indices
-    of the accepted seeds and, in the same order, their points and areas."""
+    """What solve_batch found at masses: the full vector (a..f, nu, xi),
+    status, iterations and final inf-norm residual of every seed, then the
+    indices of the accepted seeds and, in order, their points and areas."""
 
     x: np.ndarray
     status: np.ndarray
@@ -461,6 +471,7 @@ class BatchResult:
     accepted: np.ndarray
     points: np.ndarray
     areas: np.ndarray
+    masses: MassVector
 
     def report(self, k: int) -> SolveReport:
         """The SolveReport of the k-th accepted seed."""
@@ -469,7 +480,8 @@ class BatchResult:
         return SolveReport(state=state, iterations=int(self.iterations[seed]),
                            final_residual=float(self.residual[seed]),
                            converged=True,
-                           symmetry=classify_symmetry(state).label)
+                           symmetry=classify_symmetry(state).label,
+                           config=PlanarConfig(self.points[k], self.masses))
 
 
 def solve_batch(fun: Residuals, x0: np.ndarray, m: MassVector,
@@ -491,7 +503,8 @@ def solve_batch(fun: Residuals, x0: np.ndarray, m: MassVector,
     ok &= areas_ok & (x[conv, 6] > 0)
     status[conv[~ok]] = REJECTED
     return BatchResult(x=x, status=status, iterations=iters, residual=norm,
-                       accepted=conv[ok], points=points[ok], areas=areas[ok])
+                       accepted=conv[ok], points=points[ok], areas=areas[ok],
+                       masses=m)
 
 
 def _polish(x0: np.ndarray, m: MassVector, opts: SolveOptions) -> SolveReport:
@@ -637,6 +650,7 @@ def solve_rhombus(alpha: float,
     Solved at half-diagonal p = 1 (a = 4), then dilated to the chosen gauge.
     """
     x = rhombus_ratio(alpha)
+    m = MassVector(alpha=alpha, beta=alpha)
     side = 1.0 + x * x
     sq = SquaredDistances(a=4.0, b=side, c=side, d=side, e=side,
                           f=4.0 * x * x)
@@ -647,14 +661,14 @@ def solve_rhombus(alpha: float,
     areas = OrientedAreas(-x, -x, x, x)
     state = DziobekState(sq=sq, areas=areas, nu=nu, xi=xi)
     if opts.normalization == "fix_inertia_one":
-        k = 1.0 / math.sqrt(sq_inertia(sq, MassVector(alpha=alpha,
-                                                      beta=alpha)))
+        k = 1.0 / math.sqrt(sq_inertia(sq, m))
     else:
         k = 0.5  # a = 4 k^2 = 1
     state = dilate_state(state, k)
     return SolveReport(state=state, iterations=0,
                        final_residual=0.0, converged=True,
-                       symmetry=classify_symmetry(state).label)
+                       symmetry=classify_symmetry(state).label,
+                       config=realize(state.sq, m))
 
 
 @dataclass(frozen=True)
@@ -667,15 +681,12 @@ class SweepCell:
     def to_row(self) -> dict:
         row = {"alpha": self.alpha, "beta": self.beta}
         if self.report is None:
-            row.update({k: math.nan for k in
-                        ("a", "b", "c", "d", "e", "f", "nu", "xi",
-                         "lambda_cc")})
-            row.update({"symmetry": "failed", "iterations": 0,
-                        "residual": math.nan})
-            return row
-        st = self.report.state
-        m = MassVector(alpha=self.alpha, beta=self.beta)
-        lam_cc, _ = newtonian_oracle(realize(st.sq, m), m)
+            return {**row, **dict.fromkeys([*"abcdef", "nu", "xi",
+                                            "lambda_cc"], math.nan),
+                    "symmetry": "failed", "iterations": 0,
+                    "residual": math.nan}
+        st, config = self.report.state, self.report.config
+        lam_cc, _ = newtonian_oracle(config, config.masses)
         row.update(dict(zip("abcdef", st.sq)))
         row.update({"nu": st.nu, "xi": st.xi, "lambda_cc": lam_cc,
                     "symmetry": self.report.symmetry,

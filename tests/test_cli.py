@@ -95,6 +95,20 @@ def test_bad_flag_value_exits_2_with_one_line(capsys, argv):
     assert f"argument {argv[-2]}" in err
 
 
+def test_verify_plot_data_is_a_usage_error(capsys, tmp_path):
+    """verify has no plot data, so it has no --plot-data flag: exit 2 with
+    one line on stderr, before any check runs, and no file."""
+    plot = tmp_path / "p.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--trials", "1", "--plot-data", str(plot)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "unrecognized arguments: --plot-data" in captured.err
+    assert not plot.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["realize", "--sq", "2,1,1,1,1,1e300", "--alpha", "1", "--beta", "1"],
     ["solve", "--alpha", "1e308", "--beta", "1e308"],
@@ -593,7 +607,7 @@ def test_output_digest_families_run_through_the_cli():
         **{f"solve {a} {n}": 80 for a in ("kite", "full")
            for n in digest.NORMALIZATIONS},
         **{f"solve rhombus {n}": 30 for n in digest.NORMALIZATIONS},
-        "sweep csv": 1, "verify": 1, "newton": 160}
+        "sweep csv": 1, "sweep bench": 1, "verify": 1, "newton": 160}
     assert {name for name, runner in runners.items()
             if runner is not digest.run} == {"newton"}
     status, iters, x, residual = digest.newton((0.5, 0.8, "fix_a_one"))

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccfour import (Degenerate, MassVector, NotConvex, NotPlanar,
                     PlanarConfig, canonicalize, congruent, oriented_areas,
                     realize, squared_distances)
+from ccfour.dziobek import PAIRS
 from ccfour.geometry import (canonicalize_many, convex_many,
-                             oriented_areas_many, realize_many)
+                             oriented_areas_many, realize_many,
+                             squared_distances_many)
 from conftest import random_convex_config, unit_square_config
 
 EQUAL = MassVector(alpha=1.0, beta=1.0)
@@ -91,6 +95,41 @@ def test_squared_distances_rhombus():
     side = p_half ** 2 + r_half ** 2
     assert np.allclose(sq, [4 * p_half ** 2, side, side, side, side,
                             4 * r_half ** 2], rtol=1e-14)
+
+
+def six_pair_squared_distances(points):
+    """Reference for squared_distances_many: each pair's difference,
+    squared and summed, the six stacked."""
+    diffs = [points[..., i, :] - points[..., j, :] for i, j in PAIRS]
+    return np.stack([(d ** 2).sum(axis=-1) for d in diffs], axis=-1)
+
+
+EDGE_COORDINATES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.nan,
+                    math.inf, -math.inf]
+
+
+@pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(shape=st.sampled_from([(), (1,), (7,), (3, 5)]),
+       seed=st.integers(0, 2 ** 32 - 1), low=st.integers(-150, 150),
+       span=st.integers(0, 300), edge_frac=st.sampled_from([0.0, 0.1, 1.0]))
+def test_squared_distances_many_is_the_six_pair_reference(
+        shape, seed, low, span, edge_frac):
+    """The one gather of squared_distances_many equals the six pair
+    differences stacked, bit for bit, on (..., 4, 2) points with
+    coordinates from 1e-150 to 1e150, +-0, subnormals, NaN and +-inf."""
+    rng = np.random.default_rng(seed)
+    shape = shape + (4, 2)
+    exp = rng.uniform(low, min(low + span, 150), size=shape)
+    pts = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** exp
+    edge = rng.random(shape) < edge_frac
+    pts[edge] = rng.choice(EDGE_COORDINATES, size=edge.sum())
+    with np.errstate(all="ignore"):
+        got = squared_distances_many(pts)
+        want = six_pair_squared_distances(pts)
+    assert got.shape == want.shape == shape[:-2] + (6,)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_squared_distances_homogeneous(rng):

@@ -16,9 +16,10 @@ from ccfour.dziobek import (_FACE_PARTNERS, PAIR_I, PAIR_J, cayley_many,
                             pair_residual_rows, psi_double_prime_many,
                             psi_prime_many, unit_inertia_sq)
 from ccfour.census import _seed_vectors, seed_grid
+from ccfour.cli import parse_grid
 from ccfour.geometry import (AREA_DERIVATIVE_MOVES, trilaterate_many,
                              trilaterated_area_derivative_rows,
-                             trilaterated_areas_many)
+                             trilaterated_area_rows, trilaterated_areas_many)
 from ccfour.solver import (_AREA_ORDER, _BLOCK, _BOUNDARY_PROBE,
                            _KITE_EMBED, _KITE_EQS, _MAX_BACKTRACKS, CONVERGED,
                            LEFT_CONVEX, NEAR_BOUNDARY, NO_CONVERGENCE,
@@ -270,7 +271,7 @@ def test_cc_residuals_are_the_newton_pair_rows(rng):
     x = seed_vectors(np.array([random_sq(rng, m) for _ in range(5)]), m)
     _, areas = trilaterated_areas_many(x[:, :6])
     batched = pair_residual_rows(x.T, areas.T, 1.0 / m.pair_weights).T
-    newton, valid = Residuals(m, "fix_inertia_one")(x)
+    newton, valid, _ = Residuals(m, "fix_inertia_one")(x)
     assert valid.all()
     assert newton[:, :6].tolist() == batched.tolist()
     for row, area_row, want in zip(x, areas, batched):
@@ -308,6 +309,44 @@ def test_sweep_row_schema():
     failed = SweepCell(0.5, 0.8, None, error="x").to_row()
     assert failed["symmetry"] == "failed"
     assert math.isnan(failed["nu"])
+
+
+def realized_row(cell):
+    """Reference for SweepCell.to_row: the oracle's lambda on the state
+    realized again from its squared distances."""
+    st = cell.report.state
+    m = MassVector(alpha=cell.alpha, beta=cell.beta)
+    lam_cc, _ = newtonian_oracle(realize(st.sq, m), m)
+    return {"alpha": cell.alpha, "beta": cell.beta,
+            **dict(zip("abcdef", st.sq)), "nu": st.nu, "xi": st.xi, "lambda_cc": lam_cc,
+            "symmetry": cell.report.symmetry,
+            "iterations": cell.report.iterations,
+            "residual": cell.report.final_residual}
+
+
+def bits(row):
+    """A row with its floats as hex, so that equality is bitwise."""
+    return [(k, v.hex() if isinstance(v, float) else v)
+            for k, v in row.items()]
+
+
+def test_to_row_is_the_realized_reference_on_the_readme_sweep():
+    """Every cell of the README's sweep (alpha 0.2:1.0:0.2, beta
+    0.2:2.0:0.2): to_row, from the configuration that solve_batch realized
+    once, equals the row of the state realized again, bit for bit and key
+    for key, and so do the points; as do the reports of solve_kite and
+    solve_rhombus."""
+    cells = sweep(parse_grid("0.2:1.0:0.2"), parse_grid("0.2:2.0:0.2"))
+    assert len(cells) == 50 and all(c.report is not None for c in cells)
+    m = MassVector(alpha=0.7, beta=0.7)
+    cells += [SweepCell(0.7, 0.7, solve_kite(m)),
+              SweepCell(0.7, 0.7, solve_rhombus(0.7))]
+    for cell in cells:
+        assert bits(cell.to_row()) == bits(realized_row(cell))
+        m = MassVector(alpha=cell.alpha, beta=cell.beta)
+        assert (cell.report.config.points.tobytes()
+                == realize(cell.report.state.sq, m).points.tobytes())
+        assert cell.report.config.masses == m
 
 
 def test_sweep_rejects_bad_grids():
@@ -390,7 +429,7 @@ def kite_lattice(m):
 def first_newton_trials(fun, x0):
     """The line search's first four trial points, lam = 1 to 1/8, from the
     rows of x0 that Newton steps from."""
-    res, valid = fun(x0)
+    res, valid, _ = fun(x0)
     jac, near = fun.linearize(x0[valid])
     dx, singular = _solve_linear(jac, -res[valid][~near])
     x, dx = x0[valid][~near][~singular], dx[~singular]
@@ -426,7 +465,7 @@ def test_residuals_evaluate_only_the_rows_inside_the_region(
         assert 0.1 < valid.mean() < 0.9
         seen.clear()
         monkeypatch.setattr("ccfour.solver.cayley_many", recorded)
-        got, got_valid = fun(x)
+        got, got_valid, _ = fun(x)
         monkeypatch.undo()
         assert got.tobytes() == want.tobytes()
         assert got_valid.tolist() == valid.tolist()
@@ -461,13 +500,14 @@ def test_linearize_returns_the_jacobians_of_the_rows_it_keeps(area):
 
 
 class Halfplane:
-    """Residual x with the region x[1] < 1 as the convex region."""
+    """Residual x with the region x[1] < 1 as the convex region, and x.T
+    in place of the trilateration that Newton carries."""
 
     def __call__(self, x):
         valid = x[:, 1] < 1.0
         res = x.copy()
         res[~valid] = np.nan
-        return res, valid
+        return res, valid, x.T.copy()
 
 
 def sequential_backtrack(fun, x, dx, base2):
@@ -481,7 +521,7 @@ def sequential_backtrack(fun, x, dx, base2):
         lam = 1.0
         for _ in range(_MAX_BACKTRACKS):
             xt = x[i:i + 1] + lam * dx[i:i + 1]
-            rt, vt = fun(xt)
+            rt, vt, _ = fun(xt)
             nt2 = np.sqrt(np.nansum(rt * rt, axis=1))
             if vt[0] and nt2[0] <= (1.0 - 1e-4 * lam) * base2[i]:
                 accepted[i], last_invalid[i] = True, False
@@ -517,7 +557,9 @@ def test_batched_backtracking_matches_sequential_halving(rng, budget):
     want = sequential_backtrack(fun, x, dx, base2)
     for g, w in zip(got, want):
         assert np.array_equal(g, w, equal_nan=True)
-    accepted, x_new, _, _, last_invalid = got
+    accepted, x_new, _, _, last_invalid, tri_new = got
+    # Halfplane's stand-in trilateration is x.T, picked with x
+    assert tri_new[:, accepted].tobytes() == x_new[accepted].T.tobytes()
     for k, (x0, step, lam) in enumerate(CRAFTED_STEPS):
         if lam is None:
             assert not accepted[k]
@@ -593,7 +635,7 @@ def test_solve_linear_is_each_row_solved_alone():
     m = MassVector(alpha=0.5, beta=0.8)
     fun = Residuals(m, "fix_inertia_one")
     x = _seed_vectors(seed_grid(4, m), m)
-    res, valid = fun(x)
+    res, valid, _ = fun(x)
     jac, near = fun.linearize(x[valid])
     rhs = -res[valid][~near]
     assert jac.shape[0] > 100
@@ -645,9 +687,9 @@ def test_newton_linearizes_at_most_a_block_of_rows(monkeypatch):
     rows = []
     linearize = Residuals.linearize
 
-    def counted(self, x):
+    def counted(self, x, tri=None):
         rows.append(x.shape[0])
-        return linearize(self, x)
+        return linearize(self, x, tri)
 
     m = MassVector(alpha=0.5, beta=0.8)
     fun = Residuals(m, "fix_inertia_one")
@@ -676,7 +718,7 @@ def test_newton_rows_of_two_blocks_are_the_rows_solved_alone():
 
 def test_newton_peak_memory_is_bounded_by_the_block():
     """tracemalloc peak of Newton on the 4,096 seeds of a resolution-8
-    census: 4.2 MB in blocks of 1,024 rows, 9.7 MB in one block."""
+    census: 5.3 MB in blocks of 1,024 rows, 10.3 MB in one block."""
     m = MassVector(alpha=0.5, beta=0.8)
     fun = Residuals(m, "fix_inertia_one")
     x0 = _seed_vectors(seed_grid(8, m), m)
@@ -697,7 +739,7 @@ class Steered(Halfplane):
     def __init__(self, jac, near):
         self.jac, self.near = jac, near
 
-    def linearize(self, x):
+    def linearize(self, x, tri=None):
         near = self.near[:x.shape[0]]
         return self.jac[:x.shape[0]][~near], near
 
@@ -773,8 +815,8 @@ class ProbeChecked(Residuals):
 
     rows = marked = 0
 
-    def linearize(self, x):
-        jac, near = super().linearize(x)
+    def linearize(self, x, tri=None):
+        jac, near = super().linearize(x, tri)
         assert near.tolist() == probed_near_boundary(self, x).tolist()
         k = x.shape[1]
         assert jac.shape == (x.shape[0] - near.sum(), k, k)
@@ -944,7 +986,7 @@ class ReferenceChecked(Residuals):
     calls = rows = 0
 
     def __call__(self, x):
-        res, valid = super().__call__(x)
+        res, valid, tri = super().__call__(x)
         want, want_valid = residuals_of_every_row(self, x)
         assert valid.tolist() == want_valid.tolist()
         assert res.flags.c_contiguous
@@ -952,10 +994,10 @@ class ReferenceChecked(Residuals):
         with np.errstate(all="ignore"):
             assert_bitwise(np.nansum(res * res, axis=1),
                            np.nansum(want * want, axis=1))
-        return res, valid
+        return res, valid, tri
 
-    def linearize(self, x):
-        jac, near = super().linearize(x)
+    def linearize(self, x, tri=None):
+        jac, near = super().linearize(x, tri)
         want, want_near = dense_linearize(self, x)
         assert near.tolist() == want_near.tolist()
         assert jac.flags.c_contiguous
@@ -1012,13 +1054,14 @@ def boundary_edge_rows():
            [True] * 2 + [True, False] + [True])
 
 
-def zero_delta_2_with_nan_moving_derivatives(sq):
-    """trilaterated_area_derivative_rows with Delta_2 = -0 and its
-    derivatives that are not identically zero NaN, on every row."""
-    valid, areas, d = trilaterated_area_derivative_rows(sq)
-    areas[1] = -0.0
+def zero_delta_2_with_nan_moving_derivatives(tri):
+    """trilaterated_area_derivative_rows, with Delta_2 set to -0 in the
+    trilateration and its derivatives that are not identically zero NaN,
+    on every row."""
+    d = trilaterated_area_derivative_rows(tri)
+    tri[6] = -0.0
     d[1, AREA_DERIVATIVE_MOVES[1]] = math.nan
-    return valid, areas, d
+    return d
 
 
 def on_the_area_threshold(fun, x, k, j):
@@ -1068,6 +1111,46 @@ def test_linearize_is_the_dense_reference_on_every_census_call(
                         zero_delta_2_with_nan_moving_derivatives)
     for fun, (x, _) in zip(edges, boundary_edge_rows()):
         assert Residuals.linearize(fun, x)[1].all()
+
+
+class CarriedChecked(Residuals):
+    """Residuals whose linearize checks, on every call, that the
+    trilateration Newton hands it is that of its rows, and that the
+    Jacobians and mask it gives from it are those of linearize from
+    scratch, bitwise."""
+
+    calls = 0
+
+    def linearize(self, x, tri=None):
+        assert tri is not None
+        jac, near = super().linearize(x, tri)
+        xf = x if self.embed is None else x[:, self.embed]
+        assert_bitwise(tri, trilaterated_area_rows(xf[:, :6].T)[1])
+        scratch, scratch_near = super().linearize(x)
+        assert near.tolist() == scratch_near.tolist()
+        assert_bitwise(jac, scratch)
+        self.calls += 1
+        return jac, near
+
+
+@pytest.mark.parametrize("normalization", ["fix_inertia_one", "fix_a_one"])
+def test_linearize_of_the_carried_trilateration_is_from_scratch(
+        normalization):
+    """Every linearize call of a resolution-8 census at (0.5, 0.8), of the
+    solve_kite run and of the kite lattice, whose iterates reach the
+    boundary: the trilateration carried from the residual call that
+    accepted each row is the row's own, bit for bit, and linearize gives
+    from it the Jacobians and mask, signed zeros included, that it gives
+    from scratch; and Newton ends as with Residuals."""
+    m = MassVector(alpha=0.5, beta=0.8)
+    opts = SolveOptions(normalization=normalization)
+    kite = dict(eq_indices=_KITE_EQS, embed=_KITE_EMBED)
+    for kw, x0 in [({}, _seed_vectors(seed_grid(8, m), m)),
+                   (kite, _kite_seed_vectors(m)), (kite, kite_lattice(m))]:
+        fun = CarriedChecked(m, normalization, **kw)
+        assert newton_rows(fun, x0, opts) == newton_rows(
+            Residuals(m, normalization, **kw), x0, opts)
+        assert fun.calls > 1
 
 
 def log_uniform(low, high):
@@ -1125,9 +1208,9 @@ def test_every_residual_call_counts_its_rows_in_cayley_many(monkeypatch):
         valid_rows = []
 
         def __call__(self, x):
-            res, valid = super().__call__(x)
+            res, valid, tri = super().__call__(x)
             self.valid_rows.append(np.count_nonzero(valid))
-            return res, valid
+            return res, valid, tri
 
     m = MassVector(alpha=0.5, beta=0.8)
     for fun, x in systems_and_trials(m, "fix_inertia_one"):

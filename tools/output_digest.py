@@ -13,9 +13,11 @@ in each checkout, then `diff` the two files.  The families are the census
 JSON on the 80 acceptance-grid points under both normalizations, `solve`
 JSON for each ansatz and normalization (kite and full on the 80 points,
 rhombus on the 30 equal-mass ones), the sweep CSV and the `verify` run
-that README shows, and `newton`: the status, iterations, final vector and
-final residual of every census seed of those 80 censuses, under both
-normalizations.  A run takes about 3.5 min on a 2-vCPU machine.
+that README shows, `sweep bench`: the sweep JSON on the grid of
+bench/run.py's sweep workload (alpha = 0.1..3.0 by 0.1, beta = 0.1..2.0 by
+0.1), and `newton`: the status, iterations, final vector and final
+residual of every census seed of those 80 censuses, under both
+normalizations.  A run takes about 4 min on a 2-vCPU machine.
 """
 
 import contextlib
@@ -31,6 +33,8 @@ from ccfour.solver import Residuals, solve_batch
 THEOREM1_GRID = [(round(0.2 * i, 1), round(0.2 * j, 1))
                  for i in range(1, 6) for j in range(1, 11)]
 THEOREM2_GRID = [round(0.1 * k, 1) for k in range(1, 31)]
+# bench/workloads.py's sweep: each alpha of THEOREM2_GRID over this beta grid
+SWEEP_BETA_GRID = [round(0.1 * k, 1) for k in range(1, 21)]
 POINTS = THEOREM1_GRID + [(a, a) for a in THEOREM2_GRID]
 NORMALIZATIONS = ("fix_inertia_one", "fix_a_one")
 
@@ -54,6 +58,11 @@ def families():
     yield "sweep csv", run, [["sweep", "--alpha-grid", "0.2:1.0:0.2",
                               "--beta-grid", "0.2:2.0:0.2", "--format",
                               "csv"]]
+    # comma lists, so that each value parses to its round(0.1 k, 1)
+    yield "sweep bench", run, [["sweep", "--alpha-grid",
+                                ",".join(map(str, THEOREM2_GRID)),
+                                "--beta-grid",
+                                ",".join(map(str, SWEEP_BETA_GRID))]]
     yield "verify", run, [["verify", "--theorem2-grid", "0.5,1.0,2.0"]]
     yield "newton", newton, [(a, b, norm) for norm in NORMALIZATIONS
                              for a, b in POINTS]
