@@ -595,7 +595,8 @@ def test_realize_nonplanar_fails(capsys):
 def test_output_digest_families_run_through_the_cli():
     """tools/output_digest.py lists the families README names; its command
     runner captures a command's status, stdout and stderr, and its newton
-    runner gives the bits of solve_batch's arrays on the census seeds."""
+    runners give the bits of solve_batch's arrays on the census seeds and
+    on solve_kite's nine seeds, embedded in full vectors."""
     path = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
     spec = importlib.util.spec_from_file_location("output_digest", path)
     digest = importlib.util.module_from_spec(spec)
@@ -607,14 +608,19 @@ def test_output_digest_families_run_through_the_cli():
         **{f"solve {a} {n}": 80 for a in ("kite", "full")
            for n in digest.NORMALIZATIONS},
         **{f"solve rhombus {n}": 30 for n in digest.NORMALIZATIONS},
-        "sweep csv": 1, "sweep bench": 1, "verify": 1, "newton": 160}
+        "sweep csv": 1, "sweep bench": 1, "verify": 1, "newton": 160,
+        "newton kite": 160}
     assert {name for name, runner in runners.items()
-            if runner is not digest.run} == {"newton"}
+            if runner is not digest.run} == {"newton", "newton kite"}
     status, iters, x, residual = digest.newton((0.5, 0.8, "fix_a_one"))
     assert (len(status), len(iters), len(x), len(residual)) == (
         4096 * 8, 4096 * 8, 4096 * 64, 4096 * 8)
     # the census at (0.5, 0.8) under fix_a_one keeps every converged seed
     assert (np.frombuffer(status, dtype=int) == CONVERGED).sum() == 2742
+    status, iters, x, residual = digest.newton_kite((0.5, 0.8, "fix_a_one"))
+    assert (len(status), len(iters), len(x), len(residual)) == (
+        9 * 8, 9 * 8, 9 * 64, 9 * 8)
+    assert CONVERGED in np.frombuffer(status, dtype=int)
     status, out, err = digest.run(["realize", "--sq", "2,1,1,1,1,2",
                                    "--alpha", "1", "--beta", "1"])
     assert (status, json.loads(out)["command"], err) == (0, "realize", "")

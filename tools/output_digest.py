@@ -3,7 +3,7 @@
 Each family runs a list of jobs in this process and hashes, for each job
 in order, its arguments and what it gives.  Most families are commands run
 through `ccfour.cli.main`, each hashed with its exit status, stdout and
-stderr; the `newton` family hashes the bits of `solver.solve_batch`'s
+stderr; the `newton` families hash the bits of `solver.solve_batch`'s
 arrays.  Two checkouts whose digests agree line by line give byte-identical
 output on every job listed here:
 
@@ -15,9 +15,10 @@ JSON for each ansatz and normalization (kite and full on the 80 points,
 rhombus on the 30 equal-mass ones), the sweep CSV and the `verify` run
 that README shows, `sweep bench`: the sweep JSON on the grid of
 bench/run.py's sweep workload (alpha = 0.1..3.0 by 0.1, beta = 0.1..2.0 by
-0.1), and `newton`: the status, iterations, final vector and final
-residual of every census seed of those 80 censuses, under both
-normalizations.  A run takes about 4 min on a 2-vCPU machine.
+0.1), `newton`: the status, iterations, final vector and final residual
+of every census seed of those 80 censuses, under both normalizations, and
+`newton kite`: the same of `solve_kite`'s nine seeds on the kite-reduced
+system at the 80 points.  A run takes about 4 min on a 2-vCPU machine.
 """
 
 import contextlib
@@ -26,7 +27,8 @@ import io
 
 from ccfour import MassVector, SolveOptions, cli
 from ccfour.census import _seed_vectors, seed_grid
-from ccfour.solver import Residuals, solve_batch
+from ccfour.solver import (_KITE_EMBED, _KITE_EQS, Residuals,
+                           _kite_seed_vectors, solve_batch)
 
 # the census grids of tests/test_acceptance.py: criterion 2 (theorem 1)
 # and criterion 3 (theorem 2, alpha = beta)
@@ -66,6 +68,8 @@ def families():
     yield "verify", run, [["verify", "--theorem2-grid", "0.5,1.0,2.0"]]
     yield "newton", newton, [(a, b, norm) for norm in NORMALIZATIONS
                              for a, b in POINTS]
+    yield "newton kite", newton_kite, [(a, b, norm) for norm in NORMALIZATIONS
+                                       for a, b in POINTS]
 
 
 def run(argv):
@@ -85,8 +89,21 @@ def newton(job):
     beta) under one normalization."""
     alpha, beta, norm = job
     m = MassVector(alpha=alpha, beta=beta)
-    batch = solve_batch(Residuals(m, norm), _seed_vectors(seed_grid(8, m), m),
-                        m, SolveOptions(normalization=norm))
+    return batch_bytes(Residuals(m, norm), _seed_vectors(seed_grid(8, m), m),
+                       m, norm)
+
+
+def newton_kite(job):
+    """The same bytes on solve_kite's nine seeds of the kite-reduced
+    system at (alpha, beta) under one normalization."""
+    alpha, beta, norm = job
+    m = MassVector(alpha=alpha, beta=beta)
+    fun = Residuals(m, norm, eq_indices=_KITE_EQS, embed=_KITE_EMBED)
+    return batch_bytes(fun, _kite_seed_vectors(m), m, norm)
+
+
+def batch_bytes(fun, x0, m, norm):
+    batch = solve_batch(fun, x0, m, SolveOptions(normalization=norm))
     return tuple(a.tobytes() for a in (batch.status, batch.iterations,
                                        batch.x, batch.residual))
 
