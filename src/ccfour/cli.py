@@ -110,13 +110,13 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="scale gauge (default fix_inertia_one)")
 
 
-def _add_output_flags(p: argparse.ArgumentParser, plot: bool = True) -> None:
-    p.add_argument("--format", choices=["json", "csv"], default="json",
-                   help="output format (default json)")
+def _add_output_flags(p: argparse.ArgumentParser, tables: bool = True) -> None:
     p.add_argument("--output", default=None,
                    help="output path (default stdout)")
     p.set_defaults(plot_data=None)
-    if plot:
+    if tables:
+        p.add_argument("--format", choices=["json", "csv"], default="json",
+                       help="output format (default json)")
         p.add_argument("--plot-data",
                        help="also write plot-ready CSV to this path")
 
@@ -173,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "omit to skip the theorem 1 census suite")
     p_verify.add_argument("--theorem2-grid", type=parse_grid, default=None,
                           help="alpha grid; omit to skip the theorem 2 suite")
-    _add_output_flags(p_verify, plot=False)  # verify has no plot data
+    # verify writes a JSON document only: no csv format, no plot data
+    _add_output_flags(p_verify, tables=False)
 
     p_realize = sub.add_parser(
         "realize", help="realize six squared distances as planar points")

@@ -117,8 +117,8 @@ def convex_many(points: np.ndarray) -> np.ndarray:
     return _sub_triangles(points)[1]
 
 
-def _check_convex(p: PlanarConfig) -> None:
-    if not convex_many(p.points):
+def _check_convex(convex: bool) -> None:
+    if not convex:
         raise NotConvex("diagonals q1-q2 and q3-q4 do not properly intersect")
 
 
@@ -146,10 +146,10 @@ def oriented_areas(p: PlanarConfig) -> OrientedAreas:
 
     |Delta_i| is the area of the triangle on the three vertices other than i.
     """
-    mags = triangle_areas_many(p.points)
+    mags, convex = _sub_triangles(p.points)
     if not _nondegenerate(p.points, mags):
         raise Degenerate("a sub-triangle has numerically zero area")
-    _check_convex(p)
+    _check_convex(convex)
     return OrientedAreas(-mags[0], -mags[1], mags[2], mags[3])
 
 
@@ -445,7 +445,7 @@ def canonicalize_many(points: np.ndarray, m: MassVector):
 
 def canonicalize(p: PlanarConfig) -> CanonicalFrame:
     """Map a convex configuration (1, 2 opposite) to its canonical frame."""
-    _check_convex(p)
+    _check_convex(convex_many(p.points))
     raw = _frames_from_points(p.points)
     frame = CanonicalFrame(*(float(x) for x in raw))
     return frame.rescaled_to_unit_inertia(p.masses)

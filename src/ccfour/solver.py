@@ -91,36 +91,35 @@ class Residuals:
     the exact Jacobian and the boundary test.
 
     The unreduced unknown vector is (a, b, c, d, e, f, nu, xi); its column l
-    is column embed[l] of the reduced vector, and `eq_indices` selects the
-    equations kept.  embed must reach every reduced column, and the first
-    six the columns 0, 1, ... of the squared distances.  Both maps take and
-    return (n, k) arrays, but copy x.T once into (8, n) rows of the
-    unreduced unknowns and do their arithmetic on those rows, so that each
-    numpy call runs over the n rows rather than over 6 or 8 columns.
+    is column embed[l] of the reduced vector.  embed must reach every
+    reduced column, and the first six the columns 0, 1, ... of the squared
+    distances.  `reduced` is the first full column of each reduced column:
+    it projects full vectors onto reduced ones and selects the equations
+    kept, those of the reduced unknowns' first full columns (on the kite,
+    cc23 and cc24 repeat cc13 and cc14).  Both maps take and return (n, k)
+    arrays, but copy x.T once into (8, n) rows of the unreduced unknowns
+    and do their arithmetic on those rows, so that each numpy call runs
+    over the n rows rather than over 6 or 8 columns.
     """
 
     def __init__(self, m: MassVector, normalization: str,
-                 eq_indices: Sequence[int] | None = None,
                  embed: Sequence[int] | None = None):
         self.inv_mm = 1.0 / m.pair_weights
         # the normalization residual is sq @ gauge - 1
         self.gauge = (m.pair_weights / m.mprime
                       if normalization == "fix_inertia_one"
                       else np.eye(6)[0])
-        self.sel = None if eq_indices is None else np.asarray(eq_indices)
-        self.embed = None if embed is None else np.asarray(embed)
-        cols = np.arange(6) if embed is None else self.embed[:6]
-        # the reduced columns that move a squared distance
-        self.sq_cols = np.arange(cols.max() + 1)
+        self.embed = self.reduced = None
         if embed is not None:
-            self._fold_plans = {w: _fold_plan(self.embed[:w]) for w in (6, 8)}
+            self.embed = np.asarray(embed)
+            self.reduced = np.unique(self.embed, return_index=True)[1]
         # the (area, reduced column) pairs whose derivative is not
         # identically zero, as the boundary test takes them (a reduced
-        # column moves an area if one of its full columns does), and the
-        # areas with a derivative that is
-        moves = np.zeros((4, self.sq_cols.size), dtype=bool)
-        for full_col, col in enumerate(cols):
-            moves[:, col] |= AREA_DERIVATIVE_MOVES[:, full_col]
+        # column moves an area if one of its full columns does), the
+        # reduced columns that move a squared distance, and the areas with
+        # a derivative that is
+        moves = self._fold(AREA_DERIVATIVE_MOVES.astype(float)) > 0
+        self.sq_cols = np.arange(moves.shape[1])
         self._moving = np.nonzero(moves)
         self._zero_tested = np.flatnonzero(~moves.all(axis=1))
 
@@ -152,8 +151,8 @@ class Residuals:
             # whatever n, so a row's bits do not depend on its batch as
             # they do in a matrix-vector product
             res[7] = (xr[:6] * self.gauge[:, None]).sum(axis=0) - 1.0
-        if self.sel is not None:
-            res = res[self.sel]
+        if self.reduced is not None:
+            res = res[self.reduced]
         if whole:
             return np.ascontiguousarray(res.T), valid, tri
         out = np.full((valid.size, res.shape[0]), np.nan)
@@ -197,8 +196,8 @@ class Residuals:
             jac[6, :6] = cayley_gradient_rows(xr[:6]) / 32.0
             jac[7, :6] = self.gauge[:, None]
             jac[6:, 6:] = 0.0
-        if self.sel is not None:
-            jac = jac[self.sel]
+        if self.reduced is not None:
+            jac = jac[self.reduced]
         return np.ascontiguousarray(self._fold(jac).transpose(2, 0, 1)), near
 
     def _fold(self, a: np.ndarray) -> np.ndarray:
@@ -206,21 +205,10 @@ class Residuals:
         ones, each from zero (0.0 + -0.0 is 0.0) in column order."""
         if self.embed is None:
             return a
-        firsts, later = self._fold_plans[a.shape[1]]
-        folded = np.take(a, firsts, axis=1)
-        folded += 0.0
-        for full_col, col in later:
-            folded[:, col] += a[:, full_col]
+        cols = self.embed[:a.shape[1]]
+        folded = np.zeros((a.shape[0], cols.max() + 1, *a.shape[2:]))
+        np.add.at(folded, (slice(None), cols), a)
         return folded
-
-
-def _fold_plan(embed: np.ndarray):
-    """For the reduced columns 0, 1, ... of embed, the first full column
-    of each, and the (full, reduced) pairs of the later full columns."""
-    cols = embed.tolist()
-    firsts = [cols.index(col) for col in range(max(cols) + 1)]
-    return firsts, [(full_col, col) for full_col, col in enumerate(cols)
-                    if full_col not in firsts]
 
 
 def _norm2(r: np.ndarray) -> np.ndarray:
@@ -241,19 +229,17 @@ def _norm2(r: np.ndarray) -> np.ndarray:
     return np.sqrt(s, out=s)
 
 
-def _norm_inf(r: np.ndarray, nan_max=np.fmax) -> np.ndarray:
-    """The inf-norms of the rows of (n, k) residuals, the columns taken in
-    turn by nan_max: with np.fmax, NaN entries are left out (NaN only on
-    an all-NaN row), as np.fmax.reduce(np.abs(r), axis=1) leaves them; with
-    np.maximum, a NaN entry makes the row's norm NaN, as np.max does.  The
-    maximum is exact, so the order of the columns does not matter: halves
-    while the width is even, then the columns left one by one."""
+def _norm_inf(r: np.ndarray) -> np.ndarray:
+    """The inf-norms of the rows of (n, k) residuals: bitwise
+    np.max(np.abs(r), axis=1), so a NaN entry makes the row's norm NaN.
+    The maximum is exact, so the order of the columns does not matter:
+    halves while the width is even, then the columns left one by one."""
     a = np.abs(r)
     while a.shape[1] % 2 == 0:
-        a = nan_max(a[:, :a.shape[1] // 2], a[:, a.shape[1] // 2:])
+        a = np.maximum(a[:, :a.shape[1] // 2], a[:, a.shape[1] // 2:])
     s = a[:, 0]
     for j in range(1, a.shape[1]):
-        s = nan_max(s, a[:, j])
+        s = np.maximum(s, a[:, j])
     return s
 
 
@@ -397,7 +383,7 @@ def _newton_batch(fun, x0: np.ndarray, opts: SolveOptions):
             res[ids] = res_new
             norm2[ids] = norm_new
             tri[:, ids] = tri_new
-            norm_inf[ids] = moved_inf = _norm_inf(res_new, np.maximum)
+            norm_inf[ids] = moved_inf = _norm_inf(res_new)
             iters[ids] = it
             status[ids[moved_inf < tol]] = CONVERGED
     status[status == RUNNING] = NO_CONVERGENCE
@@ -541,15 +527,15 @@ def newton_solve(seed: DziobekState, m: MassVector,
 
 # (a, b, c, f, nu, xi) -> (a, b, c, d=b, e=c, f, nu, xi)
 _KITE_EMBED = (0, 1, 2, 1, 2, 3, 4, 5)
-_KITE_EQS = (0, 1, 2, 5, 6, 7)  # cc12, cc13, cc14, cc34, S, normalization
 
 
 def _kite_seed_vectors(m: MassVector) -> np.ndarray:
-    """Deterministic family of symmetric seeds, inertia-normalized."""
+    """Deterministic family of symmetric seeds, inertia-normalized, as full
+    vectors (a..f, nu, xi)."""
     sq = [unit_inertia_sq([4.0, 1.0 + t * t, 1.0 + s * s,
                            1.0 + t * t, 1.0 + s * s, (t + s) ** 2], m)
           for t in (0.6, 1.0, 1.6) for s in (0.6, 1.0, 1.6)]
-    return seed_vectors(np.array(sq), m)[:, [0, 1, 2, 5, 6, 7]]
+    return seed_vectors(np.array(sq), m)
 
 
 def solve_kite(m: MassVector,
@@ -557,9 +543,8 @@ def solve_kite(m: MassVector,
     """Solve the kite-reduced system (b = d and c = e by construction) from
     nine fixed seeds; report the first that converges to a convex central
     configuration."""
-    fun = Residuals(m, opts.normalization, eq_indices=_KITE_EQS,
-                    embed=_KITE_EMBED)
-    batch = solve_batch(fun, _kite_seed_vectors(m), m, opts)
+    fun = Residuals(m, opts.normalization, embed=_KITE_EMBED)
+    batch = solve_batch(fun, _kite_seed_vectors(m)[:, fun.reduced], m, opts)
     if not batch.accepted.size:
         raise NoConvergence("no kite seed converged to a convex central "
                             "configuration")

@@ -12,7 +12,7 @@ from ccfour.census import DEDUPE_TOL, MAX_RESOLUTION, _dedupe, _seed_vectors
 from ccfour.dziobek import cayley_many, scale_sq_many
 from ccfour.geometry import (canonicalize_many, frame_points_many,
                              squared_distances_many, triangle_areas_many)
-from ccfour.solver import (_KITE_EMBED, _KITE_EQS, CONVERGED, LEFT_CONVEX,
+from ccfour.solver import (_KITE_EMBED, CONVERGED, LEFT_CONVEX,
                            NEAR_BOUNDARY, NO_CONVERGENCE, REJECTED, Residuals,
                            SolveOptions, solve_batch)
 from conftest import random_convex_config
@@ -273,8 +273,7 @@ def test_accept_through_the_kite_embedding():
     nonplanar = list(reduced)
     nonplanar[3] *= 1.01
     x = np.array([nonplanar, [*reduced[:4], -good.nu, good.xi], reduced])
-    fun = Residuals(m, "fix_inertia_one", eq_indices=_KITE_EQS,
-                    embed=_KITE_EMBED)
+    fun = Residuals(m, "fix_inertia_one", embed=_KITE_EMBED)
     batch = solve_batch(fun, x, m, AT_START)
     assert batch.status.tolist() == [REJECTED, REJECTED, CONVERGED]
     assert batch.accepted.tolist() == [2]

@@ -96,16 +96,18 @@ def test_bad_flag_value_exits_2_with_one_line(capsys, argv):
 
 
 def test_verify_plot_data_is_a_usage_error(capsys, tmp_path):
-    """verify has no plot data, so it has no --plot-data flag: exit 2 with
-    one line on stderr, before any check runs, and no file."""
+    """verify writes only its JSON document, so it has neither --plot-data
+    nor --format: either exits 2 with one line on stderr, before any check
+    runs, and --plot-data makes no file."""
     plot = tmp_path / "p.csv"
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--trials", "1", "--plot-data", str(plot)])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert "unrecognized arguments: --plot-data" in captured.err
+    for flag, value in [("--plot-data", str(plot)), ("--format", "csv")]:
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--trials", "1", flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"unrecognized arguments: {flag}" in captured.err
     assert not plot.exists()
 
 

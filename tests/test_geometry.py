@@ -9,6 +9,7 @@ from ccfour import (Degenerate, MassVector, NotConvex, NotPlanar,
                     PlanarConfig, canonicalize, congruent, oriented_areas,
                     realize, squared_distances)
 from ccfour.dziobek import PAIRS
+from ccfour.geometry import _sub_triangles as sub_triangles
 from ccfour.geometry import (canonicalize_many, convex_many,
                              oriented_areas_many, realize_many,
                              squared_distances_many)
@@ -54,6 +55,27 @@ def test_oriented_areas_collinear_degenerate():
     p = PlanarConfig.from_points(pts, EQUAL)
     with pytest.raises(Degenerate):
         oriented_areas(p)
+
+
+def test_oriented_areas_makes_one_sub_triangle_pass(monkeypatch):
+    """oriented_areas takes its magnitudes and its convexity from one
+    _sub_triangles pass, and a degenerate quadrilateral that is also not
+    convex raises Degenerate."""
+    calls = []
+
+    def counted(points):
+        calls.append(points.shape)
+        return sub_triangles(points)
+
+    collinear = [[-3.0, 0.0], [3.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]
+    p = PlanarConfig.from_points(collinear, EQUAL)
+    assert not convex_many(p.points)
+    monkeypatch.setattr("ccfour.geometry._sub_triangles", counted)
+    oriented_areas(unit_square_config())
+    assert calls == [(4, 2)]
+    with pytest.raises(Degenerate):
+        oriented_areas(p)
+    assert len(calls) == 2
 
 
 def test_oriented_areas_point_inside_triangle_not_convex():

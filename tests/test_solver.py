@@ -21,7 +21,7 @@ from ccfour.geometry import (AREA_DERIVATIVE_MOVES, trilaterate_many,
                              trilaterated_area_derivative_rows,
                              trilaterated_area_rows, trilaterated_areas_many)
 from ccfour.solver import (_AREA_ORDER, _BLOCK, _BOUNDARY_PROBE,
-                           _KITE_EMBED, _KITE_EQS, _MAX_BACKTRACKS, CONVERGED,
+                           _KITE_EMBED, _MAX_BACKTRACKS, CONVERGED,
                            LEFT_CONVEX, NEAR_BOUNDARY, NO_CONVERGENCE,
                            SINGULAR, Residuals, SweepCell, _backtrack,
                            _brentq, _kite_seed_vectors, _newton_batch,
@@ -30,6 +30,12 @@ from ccfour.solver import (_AREA_ORDER, _BLOCK, _BOUNDARY_PROBE,
 from conftest import random_convex_config
 
 EQUAL = MassVector(alpha=1.0, beta=1.0)
+
+
+def to_kite(x):
+    """The kite system's unknowns (a, b, c, f, nu, xi) of full (n, 8)
+    vectors."""
+    return x[:, Residuals(EQUAL, "fix_a_one", embed=_KITE_EMBED).reduced]
 
 # converged kite solution for (alpha, beta) = (0.5, 0.8), inertia one
 KITE_SQ_05_08 = (0.9807551505367796, 0.6067691337878958, 0.6752286543612014,
@@ -390,9 +396,49 @@ def test_exact_jacobian_of_the_full_system(rng, normalization):
 @pytest.mark.parametrize("normalization", ["fix_inertia_one", "fix_a_one"])
 def test_exact_jacobian_of_the_kite_system(normalization):
     m = MassVector(alpha=0.5, beta=0.8)
-    fun = Residuals(m, normalization, eq_indices=_KITE_EQS,
-                    embed=_KITE_EMBED)
-    assert_jacobian_matches_central_differences(fun, _kite_seed_vectors(m))
+    fun = Residuals(m, normalization, embed=_KITE_EMBED)
+    assert_jacobian_matches_central_differences(
+        fun, to_kite(_kite_seed_vectors(m)))
+
+
+UNKNOWNS = ("a", "b", "c", "d", "e", "f", "nu", "xi")
+EQUATIONS = ("cc12", "cc13", "cc14", "cc23", "cc24", "cc34", "S", "norm")
+
+
+def test_kite_system_is_one_column_map():
+    """On the kite (b = d, c = e), the first full column of each reduced
+    unknown picks both the unknowns (a, b, c, f, nu, xi) and the equations
+    kept; the equation of every full column is, through embed, that of
+    its reduced column's first: cc23 and cc24 stand for their mirror
+    images cc13 and cc14 under the swap of bodies 1 and 2."""
+    fun = Residuals(EQUAL, "fix_inertia_one", embed=_KITE_EMBED)
+    assert [UNKNOWNS[col] for col in fun.reduced] == [
+        "a", "b", "c", "f", "nu", "xi"]
+    assert [EQUATIONS[col] for col in fun.reduced] == [
+        "cc12", "cc13", "cc14", "cc34", "S", "norm"]
+    assert [EQUATIONS[fun.reduced[col]] for col in fun.embed] == [
+        "cc12", "cc13", "cc14", "cc13", "cc14", "cc34", "S", "norm"]
+    assert Residuals(EQUAL, "fix_inertia_one").reduced is None
+
+
+@pytest.mark.parametrize("normalization", ["fix_inertia_one", "fix_a_one"])
+def test_mirror_equations_repeat_at_solve_kite_states(normalization):
+    """At solve_kite's state on acceptance points, the full system's rows
+    cc23 and cc24 equal cc13 and cc14, and every full equation that of its
+    reduced column's first full column, within 1e-15 of the residual
+    scale: the largest term, |psi'(s)| or |xi|."""
+    opts = SolveOptions(normalization=normalization)
+    for alpha, beta in [(0.2, 0.2), (0.5, 0.8), (1.0, 2.0), (2.6, 2.6)]:
+        m = MassVector(alpha=alpha, beta=beta)
+        st = solve_kite(m, opts).state
+        x = np.array([[*st.sq, st.nu, st.xi]])
+        res, valid, _ = Residuals(m, normalization)(x)
+        assert valid.all()
+        scale = max(np.abs(psi_prime_many(x[:, :6])).max(), abs(st.xi))
+        tol = 1e-15 * scale
+        assert np.abs(res[0, 3:5] - res[0, 1:3]).max() <= tol
+        kite = Residuals(m, normalization, embed=_KITE_EMBED)
+        assert np.abs(res[0] - res[0, kite.reduced[kite.embed]]).max() <= tol
 
 
 def residuals_of_every_row(fun, x):
@@ -410,8 +456,8 @@ def residuals_of_every_row(fun, x):
         # along each row of (n, 6), as the kernel sums its (6, n) rows:
         # numpy sums six values left to right in either layout
         res[:, 7] = (sq * fun.gauge).sum(axis=1) - 1.0
-    if fun.sel is not None:
-        res = res[:, fun.sel]
+    if fun.reduced is not None:
+        res = res[:, fun.reduced]
     res[~valid] = np.nan
     return res, valid
 
@@ -423,7 +469,7 @@ def kite_lattice(m):
     sq = np.array([unit_inertia_sq([1.0, 0.25 + t * t, 0.25 + s * s,
                                     0.25 + t * t, 0.25 + s * s, (t + s) ** 2],
                                    m) for t in g for s in g])
-    return seed_vectors(sq, m)[:, [0, 1, 2, 5, 6, 7]]
+    return to_kite(seed_vectors(sq, m))
 
 
 def first_newton_trials(fun, x0):
@@ -441,8 +487,7 @@ def systems_and_trials(m, normalization):
     """Full system on the resolution-6 census lattice, kite system on
     kite_lattice, each with its first Newton trial points."""
     full = Residuals(m, normalization)
-    kite = Residuals(m, normalization, eq_indices=_KITE_EQS,
-                     embed=_KITE_EMBED)
+    kite = Residuals(m, normalization, embed=_KITE_EMBED)
     yield full, first_newton_trials(full, _seed_vectors(seed_grid(6, m), m))
     yield kite, first_newton_trials(kite, kite_lattice(m))
 
@@ -573,11 +618,9 @@ def test_batched_backtracking_matches_sequential_halving(rng, budget):
 
 def reference_norms(r):
     """The numpy reductions that _norm2 and _norm_inf stand for: the
-    2-norm without NaN entries, the inf-norm without them (NaN on all-NaN
-    rows) and the inf-norm with NaN propagated."""
+    2-norm without NaN entries and the inf-norm with NaN propagated."""
     with np.errstate(all="ignore"):
         return (np.sqrt(np.nansum(r * r, axis=1)),
-                np.fmax.reduce(np.abs(r), axis=1),
                 np.max(np.abs(r), axis=1))
 
 
@@ -606,11 +649,26 @@ def test_norm_helpers_are_the_numpy_reductions_bitwise(
     r[edge] = rng.choice(EDGE_ENTRIES, size=edge.sum())
     r[rng.integers(0, n, size=nan_rows if n else 0)] = math.nan
     r.flat[:len(drawn)] = drawn[:r.size]
-    norm2, norm_inf, max_inf = reference_norms(r)
+    norm2, norm_inf = reference_norms(r)
     with np.errstate(all="ignore"):
         assert _norm2(r).tobytes() == norm2.tobytes()
         assert _norm_inf(r).tobytes() == norm_inf.tobytes()
-        assert _norm_inf(r, np.maximum).tobytes() == max_inf.tobytes()
+
+
+def test_nan_multiplier_seed_never_converges():
+    """The seeds of a resolution-2 census at (0.5, 0.8), inside the convex
+    region, with nu = NaN: their S and gauge rows are within the tolerance,
+    but a NaN entry makes a row's inf-norm NaN, so no row converges at
+    iteration 0; each ends SINGULAR, with residual NaN."""
+    m = MassVector(alpha=0.5, beta=0.8)
+    fun = Residuals(m, "fix_inertia_one")
+    x0 = _seed_vectors(seed_grid(2, m), m)
+    res, valid, _ = fun(x0)
+    assert valid.all() and (np.abs(res[:, 6:]) < 1e-12).all()
+    x0[:, 6] = math.nan
+    x, status, iters, norm = _newton_batch(fun, x0, SolveOptions())
+    assert (status == SINGULAR).all() and (iters == 0).all()
+    assert np.isnan(norm).all()
 
 
 def solved_alone(jac, rhs):
@@ -670,11 +728,10 @@ def test_each_row_of_newton_is_the_row_solved_alone(normalization):
     m = MassVector(alpha=0.5, beta=0.8)
     opts = SolveOptions(normalization=normalization)
     census_seeds = _seed_vectors(seed_grid(8, m), m)
-    kite_fun = Residuals(m, normalization, eq_indices=_KITE_EQS,
-                         embed=_KITE_EMBED)
+    kite_fun = Residuals(m, normalization, embed=_KITE_EMBED)
     for fun, x0, sample in [
             (Residuals(m, normalization), census_seeds, range(0, 4096, 64)),
-            (kite_fun, _kite_seed_vectors(m), range(9))]:
+            (kite_fun, to_kite(_kite_seed_vectors(m)), range(9))]:
         batched = newton_rows(fun, x0, opts)
         for i in sample:
             assert newton_rows(fun, x0[i:i + 1], opts) == [batched[i]], i
@@ -840,8 +897,7 @@ def test_boundary_test_matches_the_probe_on_every_kite_iterate():
     m = MassVector(alpha=0.5, beta=0.8)
     x0 = kite_lattice(m)
     for normalization in ("fix_inertia_one", "fix_a_one"):
-        fun = ProbeChecked(m, normalization, eq_indices=_KITE_EQS,
-                           embed=_KITE_EMBED)
+        fun = ProbeChecked(m, normalization, embed=_KITE_EMBED)
         _, status, _, _ = _newton_batch(fun, x0, SolveOptions())
         assert fun.marked == (status == NEAR_BOUNDARY).sum() > 0
 
@@ -860,8 +916,7 @@ def rows_across_the_threshold(m, area):
                   for gap in THRESHOLD_GAPS[area]])
     yield Residuals(m, "fix_inertia_one"), x
     if area in (3, 4):
-        yield (Residuals(m, "fix_inertia_one", eq_indices=_KITE_EQS,
-                         embed=_KITE_EMBED), x[:, [0, 1, 2, 5, 6, 7]])
+        yield (Residuals(m, "fix_inertia_one", embed=_KITE_EMBED), to_kite(x))
 
 
 @pytest.mark.parametrize("area", [1, 2, 3, 4])
@@ -968,8 +1023,8 @@ def dense_linearize(fun, x):
         jac[:, :6] = dense_pair_jacobian(xf, areas, d_areas, fun.inv_mm)
         jac[:, 6, :6] = dense_cayley_gradient(xf[:, :6]) / 32.0
         jac[:, 7, :6] = fun.gauge
-    if fun.sel is not None:
-        jac = jac[:, fun.sel]
+    if fun.reduced is not None:
+        jac = jac[:, fun.reduced]
     return dense_fold(fun, jac), near
 
 
@@ -1049,7 +1104,7 @@ def boundary_edge_rows():
     kites = np.array([0, 0, 1, 1, 1, 1])  # the rows of sq that are kites
     yield (np.concatenate([full, on[:3]]),
            [True] * 4 + [True, False] + [True] * 3)
-    yield (np.concatenate([full[kites == 1][:, [0, 1, 2, 5, 6, 7]],
+    yield (np.concatenate([to_kite(full[kites == 1]),
                            on[3:]]),
            [True] * 2 + [True, False] + [True])
 
@@ -1085,9 +1140,9 @@ def test_linearize_is_the_dense_reference_on_every_census_call(
     that are identically zero alone."""
     m = MassVector(alpha=0.5, beta=0.8)
     opts = SolveOptions(normalization=normalization)
-    kite = dict(eq_indices=_KITE_EQS, embed=_KITE_EMBED)
+    kite = dict(embed=_KITE_EMBED)
     for kw, x0 in [({}, _seed_vectors(seed_grid(8, m), m)),
-                   (kite, _kite_seed_vectors(m))]:
+                   (kite, to_kite(_kite_seed_vectors(m)))]:
         fun = ReferenceChecked(m, normalization, **kw)
         checked = newton_rows(fun, x0, opts)
         assert fun.calls > 1 and fun.rows > x0.shape[0]
@@ -1144,9 +1199,10 @@ def test_linearize_of_the_carried_trilateration_is_from_scratch(
     from scratch; and Newton ends as with Residuals."""
     m = MassVector(alpha=0.5, beta=0.8)
     opts = SolveOptions(normalization=normalization)
-    kite = dict(eq_indices=_KITE_EQS, embed=_KITE_EMBED)
+    kite = dict(embed=_KITE_EMBED)
     for kw, x0 in [({}, _seed_vectors(seed_grid(8, m), m)),
-                   (kite, _kite_seed_vectors(m)), (kite, kite_lattice(m))]:
+                   (kite, to_kite(_kite_seed_vectors(m))),
+                   (kite, kite_lattice(m))]:
         fun = CarriedChecked(m, normalization, **kw)
         assert newton_rows(fun, x0, opts) == newton_rows(
             Residuals(m, normalization, **kw), x0, opts)
@@ -1187,9 +1243,8 @@ def test_linearize_is_the_dense_reference_over_scales(
     full = ReferenceChecked(m, normalization)
     x = x[full(x)[1]]
     full.linearize(x)
-    kite = ReferenceChecked(m, normalization, eq_indices=_KITE_EQS,
-                            embed=_KITE_EMBED)
-    xk = x[:, [0, 1, 2, 5, 6, 7]]
+    kite = ReferenceChecked(m, normalization, embed=_KITE_EMBED)
+    xk = to_kite(x)
     kite.linearize(xk[kite(xk)[1]])
 
 
@@ -1223,7 +1278,7 @@ def test_every_residual_call_counts_its_rows_in_cayley_many(monkeypatch):
         assert shapes == [(np.count_nonzero(valid), 6)]
     monkeypatch.setattr("ccfour.solver.cayley_many", recorded)
     for kw, x0 in [({}, _seed_vectors(seed_grid(4, m), m)),
-                   (dict(eq_indices=_KITE_EQS, embed=_KITE_EMBED),
+                   (dict(embed=_KITE_EMBED),
                     kite_lattice(m))]:
         shapes.clear()
         fun = Counted(m, "fix_inertia_one", **kw)

@@ -27,8 +27,8 @@ import io
 
 from ccfour import MassVector, SolveOptions, cli
 from ccfour.census import _seed_vectors, seed_grid
-from ccfour.solver import (_KITE_EMBED, _KITE_EQS, Residuals,
-                           _kite_seed_vectors, solve_batch)
+from ccfour.solver import (_KITE_EMBED, Residuals, _kite_seed_vectors,
+                           solve_batch)
 
 # the census grids of tests/test_acceptance.py: criterion 2 (theorem 1)
 # and criterion 3 (theorem 2, alpha = beta)
@@ -98,8 +98,8 @@ def newton_kite(job):
     system at (alpha, beta) under one normalization."""
     alpha, beta, norm = job
     m = MassVector(alpha=alpha, beta=beta)
-    fun = Residuals(m, norm, eq_indices=_KITE_EQS, embed=_KITE_EMBED)
-    return batch_bytes(fun, _kite_seed_vectors(m), m, norm)
+    fun = Residuals(m, norm, embed=_KITE_EMBED)
+    return batch_bytes(fun, _kite_seed_vectors(m)[:, fun.reduced], m, norm)
 
 
 def batch_bytes(fun, x0, m, norm):
