@@ -173,8 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "omit to skip the theorem 1 census suite")
     p_verify.add_argument("--theorem2-grid", type=parse_grid, default=None,
                           help="alpha grid; omit to skip the theorem 2 suite")
-    # verify writes a JSON document only: no csv format, no plot data
-    _add_output_flags(p_verify, tables=False)
+    _add_output_flags(p_verify, tables=False)  # a JSON document only
 
     p_realize = sub.add_parser(
         "realize", help="realize six squared distances as planar points")
