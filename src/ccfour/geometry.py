@@ -38,12 +38,20 @@ class PlanarConfig:
         if pts.shape != (4, 2):
             raise ValueError(f"points must have shape (4, 2), got {pts.shape}")
         object.__setattr__(self, "points", pts)
-        centered, apart = _config_checks(pts, self.masses)
+        centered, apart, _ = _config_checks(pts, self.masses)
         if not centered:
             raise ValueError("weighted centroid is not at the origin")
         if not apart.all():
             i, j = PAIRS[int(np.argmin(apart))]
             raise ValueError(f"points {i + 1} and {j + 1} coincide")
+
+    @classmethod
+    def trusted(cls, points: np.ndarray, masses: MassVector) -> "PlanarConfig":
+        """The config of (4, 2) float points that realize_convex_many has
+        accepted at these masses, built without checking them again."""
+        config = object.__new__(cls)
+        config.__dict__.update(points=points, masses=masses)
+        return config
 
     @classmethod
     def from_points(cls, points, masses: MassVector) -> "PlanarConfig":
@@ -84,13 +92,15 @@ def _inertia(points: np.ndarray, masses: MassVector) -> np.ndarray:
 
 def _config_checks(points: np.ndarray, masses: MassVector):
     """PlanarConfig's checks on (..., 4, 2) points: whether the weighted
-    centroid is at the origin, and which of the six pairs are apart."""
+    centroid is at the origin, and which of the six pairs are apart; then
+    the mean squared distance, which the area test takes too."""
     sq = squared_distances_many(points)
-    scale = np.sqrt(scale_sq_many(sq))
+    scale_sq = scale_sq_many(sq)
+    scale = np.sqrt(scale_sq)
     centered = (np.linalg.norm(_centroid(points, masses), axis=-1)
                <= CENTROID_TOL * np.maximum(scale, 1e-300))
     apart = np.sqrt(sq) > COINCIDENCE_TOL * scale[..., None]
-    return centered, apart
+    return centered, apart, scale_sq
 
 
 def _signed_area(p, q, r):
@@ -128,16 +138,18 @@ def triangle_areas_many(points: np.ndarray) -> np.ndarray:
     return _sub_triangles(points)[0]
 
 
-def _nondegenerate(points: np.ndarray, mags: np.ndarray) -> np.ndarray:
-    scale_sq = scale_sq_many(squared_distances_many(points))
+def _nondegenerate(mags: np.ndarray, scale_sq: np.ndarray) -> np.ndarray:
     return mags.min(axis=-1) >= AREA_TOL * scale_sq
 
 
-def oriented_areas_many(points: np.ndarray):
+def oriented_areas_many(points: np.ndarray, scale_sq=None):
     """Signed (-, -, +, +) areas of (n, 4, 2) points, and the mask of rows
-    that oriented_areas accepts (no degenerate sub-triangle, convex)."""
+    that oriented_areas accepts (no degenerate sub-triangle, convex);
+    scale_sq, the rows' mean squared distance, is taken here if None."""
+    if scale_sq is None:
+        scale_sq = scale_sq_many(squared_distances_many(points))
     mags, convex = _sub_triangles(points)
-    ok = _nondegenerate(points, mags) & convex
+    ok = _nondegenerate(mags, scale_sq) & convex
     return mags * np.array([-1.0, -1.0, 1.0, 1.0]), ok
 
 
@@ -147,7 +159,8 @@ def oriented_areas(p: PlanarConfig) -> OrientedAreas:
     |Delta_i| is the area of the triangle on the three vertices other than i.
     """
     mags, convex = _sub_triangles(p.points)
-    if not _nondegenerate(p.points, mags):
+    scale_sq = scale_sq_many(squared_distances_many(p.points))
+    if not _nondegenerate(mags, scale_sq):
         raise Degenerate("a sub-triangle has numerically zero area")
     _check_convex(convex)
     return OrientedAreas(-mags[0], -mags[1], mags[2], mags[3])
@@ -188,10 +201,15 @@ def trilaterate_many(sq: np.ndarray):
     tri = np.empty((5,) + sq.shape[:-1])
     with np.errstate(all="ignore"):
         ok = _trilateration(np.moveaxis(sq, -1, 0), tri)
-    r12, x3, x4, y3, y4m = tri
+    return _placed(tri), ok
+
+
+def _placed(tri: np.ndarray) -> np.ndarray:
+    """(..., 4, 2) points of the trilateration rows r12, x3, x4, y3, y4m."""
+    r12, x3, x4, y3, y4m = tri[:5]
     zero = np.zeros_like(r12)
     pts = np.stack([zero, zero, r12, zero, x3, y3, x4, -y4m], axis=-1)
-    return pts.reshape(sq.shape[:-1] + (4, 2)), ok
+    return pts.reshape(r12.shape + (4, 2))
 
 
 def trilaterated_areas_many(sq: np.ndarray):
@@ -312,11 +330,28 @@ def realize_many(sq: np.ndarray, m: MassVector):
     that realize accepts: planar, trilaterable, and passing PlanarConfig's
     centroid and coincidence checks."""
     pts, ok = trilaterate_many(sq)
+    pts, realized, _ = _realized(pts, sq, m)
+    return pts, ok & realized
+
+
+def realize_convex_many(sq: np.ndarray, m: MassVector, tri: np.ndarray):
+    """The points of realize_many, their oriented_areas_many and the rows
+    both accept, bit for bit, but placed from tri, the rows' trilateration
+    as trilaterated_area_rows gives and accepts it, and with one pass of
+    squared distances on the recentered points.  Call under np.errstate."""
+    pts, ok, scale_sq = _realized(_placed(tri), sq, m)
+    areas, areas_ok = oriented_areas_many(pts, scale_sq)
+    return pts, areas, ok & areas_ok
+
+
+def _realized(pts: np.ndarray, sq: np.ndarray, m: MassVector):
+    """Placed points of (n, 6) squared distances, recentered, the mask of
+    the planar rows that pass PlanarConfig's checks, and their scale_sq."""
     with np.errstate(all="ignore"):
-        ok &= planar_many(sq)
         pts = _recenter(pts, m)
-        centered, apart = _config_checks(pts, m)
-    return pts, ok & centered & apart.all(axis=-1)
+        centered, apart, scale_sq = _config_checks(pts, m)
+        ok = planar_many(sq) & centered & apart.all(axis=-1)
+    return pts, ok, scale_sq
 
 
 @dataclass(frozen=True)
@@ -383,19 +418,20 @@ def unit_inertia_many(frames: np.ndarray, m: MassVector):
     """(..., 5) frame rows dilated to moment of inertia one, and the mask of
     rows whose reconstruction passes PlanarConfig's checks."""
     pts = reconstruct_many(frames, m)
-    centered, apart = _config_checks(pts, m)
+    centered, apart, _ = _config_checks(pts, m)
     k = 1.0 / np.sqrt(_inertia(pts, m))
     out = np.array(frames, dtype=float)
     out[..., :4] *= k[..., None]
     return out, centered & apart.all(axis=-1)
 
 
-def _atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Elementwise math.atan2.  numpy's SIMD arctan2 can differ from the C
-    library in the last bit; frames keep the C library's bits."""
-    y, x = np.broadcast_arrays(y, x)
-    out = map(math.atan2, y.ravel().tolist(), x.ravel().tolist())
-    return np.fromiter(out, dtype=float, count=y.size).reshape(y.shape)
+def _libm(fn, *args: np.ndarray) -> np.ndarray:
+    """Elementwise fn, a function of the math module, on arrays of one
+    shape.  numpy's SIMD arctan2 and power can differ from the C library in
+    the last bit; frames and the oracle keep the C library's bits."""
+    out = map(fn, *(a.ravel().tolist() for a in args))
+    return np.fromiter(out, dtype=float,
+                       count=args[0].size).reshape(args[0].shape)
 
 
 def _frames_from_points(points: np.ndarray) -> np.ndarray:
@@ -411,7 +447,7 @@ def _frames_from_points(points: np.ndarray) -> np.ndarray:
     cross = q1 + lam[..., None] * d12
     shifted = points - cross[..., None, :]
     # rotate q1-q2 onto the x-axis, q1 negative side
-    phi = _atan2(shifted[..., 1, 1], shifted[..., 1, 0])
+    phi = _libm(math.atan2, shifted[..., 1, 1], shifted[..., 1, 0])
     c, s = np.cos(-phi), np.sin(-phi)
     rot = np.stack([np.stack([c, -s], axis=-1),
                     np.stack([s, c], axis=-1)], axis=-2)
@@ -421,7 +457,8 @@ def _frames_from_points(points: np.ndarray) -> np.ndarray:
     return np.stack([-aligned[..., 0, 0], aligned[..., 1, 0],
                      np.hypot(aligned[..., 2, 0], aligned[..., 2, 1]),
                      np.hypot(aligned[..., 3, 0], aligned[..., 3, 1]),
-                     _atan2(aligned[..., 2, 1], aligned[..., 2, 0])], axis=-1)
+                     _libm(math.atan2, aligned[..., 2, 1],
+                           aligned[..., 2, 0])], axis=-1)
 
 
 def _valid_frames(frames: np.ndarray) -> np.ndarray:
@@ -458,31 +495,46 @@ def congruent(p1: PlanarConfig, p2: PlanarConfig, tol: float = 1e-8) -> bool:
     return bool(np.all(np.abs(f1 - f2) <= tol))
 
 
-def newtonian_oracle(p: PlanarConfig, m: MassVector) -> tuple[float, float]:
-    """Least-squares multiplier and relative misfit of M^-1 grad U = lambda q.
+# the ordered pairs (i, j), i != j, in the order of a loop over i, then j
+_ORACLE_I, _ORACLE_J = np.nonzero(~np.eye(4, dtype=bool))
 
-    Independent of the squared-distance formulation: works directly on the
-    planar positions and the Newtonian pairwise forces.
-    """
-    q = p.points
-    w = np.asarray(m.masses)
-    scale = p.scale
-    g = np.zeros((4, 2))
-    for i in range(4):
-        for j in range(4):
-            if i == j:
-                continue
-            dq = q[j] - q[i]
-            rij = float(np.linalg.norm(dq))
-            if rij <= 1e-9 * scale:
-                raise CollisionError(f"bodies {i + 1} and {j + 1} collide")
-            g[i] += w[j] * dq / rij ** 3
-    gf = g.ravel()
-    qf = q.ravel()
-    lam = float(gf @ qf / (qf @ qf))
-    # divide by a power of two near max |gf|: exact, and the squares in the
-    # norms cannot overflow when a mass is huge
-    k = -math.frexp(float(np.abs(gf).max()))[1]
-    residual = float(np.linalg.norm(np.ldexp(gf - lam * qf, k))
-                     / np.linalg.norm(np.ldexp(gf, k)))
-    return lam, residual
+
+def newtonian_oracle_many(points: np.ndarray, m: MassVector):
+    """M^-1 grad U = lambda q on (n, 4, 2) points, independent of the
+    squared-distance formulation: the (n, 4, 2) accelerations g, the
+    least-squares lambda and relative misfit |g - lambda q| / |g|, and the
+    (n, 12) mask of the pairs (_ORACLE_I, _ORACLE_J) closer than 1e-9 times
+    the RMS mutual distance (a row with such a pair has no meaningful
+    values).  A row's bits do not depend on its batch: r^3 is the C
+    library's pow, g_i adds its terms from zero in j order, and norms and
+    dot products are vecdot's."""
+    n, w = len(points), np.asarray(m.masses)
+    with np.errstate(all="ignore"):
+        dq = points[:, _ORACLE_J] - points[:, _ORACLE_I]
+        r = np.sqrt(np.vecdot(dq, dq))
+        scale = np.sqrt(scale_sq_many(squared_distances_many(points)))
+        r3 = _libm(math.pow, r, np.full(r.shape, 3.0))
+        terms = (w[_ORACLE_J, None] * dq / r3[..., None]).reshape(n, 4, 3, 2)
+        g = np.zeros((n, 4, 2))
+        for j in range(3):
+            g += terms[:, :, j]
+        gf, qf = g.reshape(n, 8), points.reshape(n, 8)
+        lam = np.vecdot(gf, qf) / np.vecdot(qf, qf)
+        # divide by a power of two near max |gf|: exact, and the squares in
+        # the norms cannot overflow when a mass is huge
+        k = -np.frexp(np.abs(gf).max(axis=1))[1][:, None]
+        misfit, gf = np.ldexp(gf - lam[:, None] * qf, k), np.ldexp(gf, k)
+        residual = (np.sqrt(np.vecdot(misfit, misfit))
+                    / np.sqrt(np.vecdot(gf, gf)))
+    return g, lam, residual, r <= 1e-9 * scale[:, None]
+
+
+def newtonian_oracle(p: PlanarConfig, m: MassVector) -> tuple[float, float]:
+    """newtonian_oracle_many's lambda and misfit of one configuration;
+    raises CollisionError naming its first close pair."""
+    _, lam, residual, close = newtonian_oracle_many(p.points[None], m)
+    if close.any():
+        k = np.argmax(close[0])
+        raise CollisionError(f"bodies {_ORACLE_I[k] + 1} and "
+                             f"{_ORACLE_J[k] + 1} collide")
+    return float(lam[0]), float(residual[0])

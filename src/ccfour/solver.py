@@ -22,7 +22,7 @@ from .dziobek import (PAIR_I, PAIR_J, DziobekState, MassVector,
 from .errors import (DomainError, LeftConvexRegion, NoConvergence,
                      SingularJacobian)
 from .geometry import (AREA_DERIVATIVE_MOVES, PlanarConfig, newtonian_oracle,
-                       oriented_areas_many, realize, realize_many,
+                       realize, realize_convex_many,
                        trilaterated_area_derivative_rows,
                        trilaterated_area_rows, trilaterated_areas_many)
 
@@ -283,8 +283,10 @@ def _backtrack(fun, x: np.ndarray, dx: np.ndarray, base2: np.ndarray,
     Returns the mask of rows that took a step, their new x, residuals and
     residual 2-norms, for the other rows whether their last trial left
     the convex region, and the (9, n) trilateration columns of the rows
-    that took a step, picked from the residual calls.  Call under
-    np.errstate.  ROADMAP.md lists the schedules measured and not adopted.
+    that took a step, picked from the residual calls.  Where every row
+    takes lam = 1 in a first call of one lam, that call's arrays are
+    returned as they are.  Call under np.errstate.  ROADMAP.md lists the
+    schedules measured and not adopted.
     """
     n, k = x.shape
     accepted = np.zeros(n, dtype=bool)
@@ -299,12 +301,16 @@ def _backtrack(fun, x: np.ndarray, dx: np.ndarray, base2: np.ndarray,
         lam = 0.5 ** np.arange(tried, tried + c)
         xt = (x + lam[:, None, None] * dx).reshape(-1, k)
         rt, vt, tt = fun(xt)
-        if not tried:
-            tri_new = np.empty((tt.shape[0], n))
         nt2 = _norm2(rt)
         ok = vt.reshape(c, -1) & (nt2.reshape(c, -1)
                                   <= (1.0 - 1e-4 * lam)[:, None] * base2)
         hit = ok[0] if c == 1 else ok.any(axis=0)  # c = 1: no reduction
+        if not tried:
+            if c == 1 and np.count_nonzero(hit) == n:
+                # every row takes lam = 1, as in most small batches: this
+                # call's arrays are the result
+                return hit, xt, rt, nt2, ~hit, tt
+            tri_new = np.empty((tt.shape[0], n))
         pick = np.flatnonzero(hit)
         if c > 1:  # the first lam each row takes
             pick += ok.argmax(axis=0)[hit] * rem.size
@@ -333,9 +339,11 @@ def _newton_batch(fun, x0: np.ndarray, opts: SolveOptions):
     before the next block is linearized.  The line search then takes the
     whole batch; none of its calls has more rows than the first residual
     evaluation.  Each iterate's trilateration is carried from the residual
-    call that gave it to the next linearization.  A row's result depends
-    neither on its batch mates nor on its block.  Returns (x, status,
-    iterations, final inf-norm residual).
+    call that gave it to the next linearization, and where every row of
+    the batch steps, the line search's arrays are taken whole.  A row's
+    result depends neither on its batch mates nor on its block.  Returns
+    (x, status, iterations, final inf-norm residual, tri), tri the (9, n)
+    trilaterated_area_rows of each row's final x.
     """
     x = np.array(x0, dtype=float)
     n = x.shape[0]
@@ -379,15 +387,18 @@ def _newton_batch(fun, x0: np.ndarray, opts: SolveOptions):
                 ids, x_new, res_new, norm_new, tri_new = (
                     ids[accepted], x_new[accepted], res_new[accepted],
                     norm_new[accepted], tri_new[:, accepted])
-            x[ids] = x_new
-            res[ids] = res_new
-            norm2[ids] = norm_new
-            tri[:, ids] = tri_new
+            if ids.size == n:  # the whole batch stepped: take its arrays
+                x, res, norm2, tri = x_new, res_new, norm_new, tri_new
+            else:
+                x[ids] = x_new
+                res[ids] = res_new
+                norm2[ids] = norm_new
+                tri[:, ids] = tri_new
             norm_inf[ids] = moved_inf = _norm_inf(res_new)
             iters[ids] = it
             status[ids[moved_inf < tol]] = CONVERGED
     status[status == RUNNING] = NO_CONVERGENCE
-    return x, status, iters, norm_inf
+    return x, status, iters, norm_inf, tri
 
 
 def _state(xf: np.ndarray, areas: Sequence[float]) -> DziobekState:
@@ -467,26 +478,27 @@ class BatchResult:
                            final_residual=float(self.residual[seed]),
                            converged=True,
                            symmetry=classify_symmetry(state).label,
-                           config=PlanarConfig(self.points[k], self.masses))
+                           config=PlanarConfig.trusted(self.points[k],
+                                                       self.masses))
 
 
 def solve_batch(fun: Residuals, x0: np.ndarray, m: MassVector,
                 opts: SolveOptions) -> BatchResult:
     """Newton from every row of x0, then the one test of which converged
     rows are convex central configurations: nu > 0, and realize and
-    oriented_areas accept the squared distances (realize_many and
-    oriented_areas_many on the full vectors, which fun.embed gives for a
-    reduced system).  The converged rows that fail it end REJECTED."""
-    x, status, iters, norm = _newton_batch(fun, x0, opts)
+    oriented_areas accept the squared distances (realize_convex_many on the
+    full vectors, which fun.embed gives for a reduced system, and on
+    Newton's trilateration of them).  The converged rows that fail it end
+    REJECTED."""
+    x, status, iters, norm, tri = _newton_batch(fun, x0, opts)
     if fun.embed is not None:
         x = x[:, fun.embed]
     conv = np.flatnonzero(status == CONVERGED)
     # a converged row that realize rejects may have areas that overflow;
     # they fail the test and must not warn
     with np.errstate(all="ignore"):
-        points, ok = realize_many(x[conv, :6], m)
-        areas, areas_ok = oriented_areas_many(points)
-    ok &= areas_ok & (x[conv, 6] > 0)
+        points, areas, ok = realize_convex_many(x[conv, :6], m, tri[:5, conv])
+    ok &= x[conv, 6] > 0
     status[conv[~ok]] = REJECTED
     return BatchResult(x=x, status=status, iterations=iters, residual=norm,
                        accepted=conv[ok], points=points[ok], areas=areas[ok],

@@ -11,6 +11,7 @@ from ccfour import (CCFourError, Degenerate, DziobekState, MassVector,
 from ccfour.census import DEDUPE_TOL, MAX_RESOLUTION, _dedupe, _seed_vectors
 from ccfour.dziobek import cayley_many, scale_sq_many
 from ccfour.geometry import (canonicalize_many, frame_points_many,
+                             oriented_areas_many, realize_many,
                              squared_distances_many, triangle_areas_many)
 from ccfour.solver import (_KITE_EMBED, CONVERGED, LEFT_CONVEX,
                            NEAR_BOUNDARY, NO_CONVERGENCE, REJECTED, Residuals,
@@ -326,3 +327,29 @@ def test_census_pinned_counts_at_kite_masses(monkeypatch):
     codes, counts = np.unique(batch.status, return_counts=True)
     assert dict(zip(codes.tolist(), counts.tolist())) == {
         CONVERGED: 2710, NEAR_BOUNDARY: 1361, NO_CONVERGENCE: 25}
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-8])
+def test_accepted_points_and_areas_are_realize_many_bitwise(tol):
+    """solve_batch places the converged rows from Newton's trilateration
+    and takes one pass of squared distances for its centroid, coincidence
+    and area tests; on the census seeds at (0.5, 0.8) its acceptance, points
+    and areas are bitwise those of realize_many and oriented_areas_many on
+    the final vectors (at tol 1e-8 some converged rows are not planar), and
+    the checking constructor accepts each reported configuration."""
+    m = MassVector(alpha=0.5, beta=0.8)
+    batch = solve_batch(Residuals(m, "fix_inertia_one"),
+                        _seed_vectors(seed_grid(8, m), m), m,
+                        SolveOptions(residual_tol=tol))
+    conv = np.flatnonzero(np.isin(batch.status, [CONVERGED, REJECTED]))
+    with np.errstate(all="ignore"):
+        points, ok = realize_many(batch.x[conv, :6], m)
+        areas, areas_ok = oriented_areas_many(points)
+    ok &= areas_ok & (batch.x[conv, 6] > 0)
+    assert conv[ok].tolist() == batch.accepted.tolist()
+    assert (tol == 1e-8) == (not ok.all())
+    assert points[ok].tobytes() == batch.points.tobytes()
+    assert areas[ok].tobytes() == batch.areas.tobytes()
+    for k, pts in enumerate(batch.points):
+        assert np.shares_memory(batch.report(k).config.points, pts)
+        PlanarConfig(pts, m)

@@ -610,7 +610,8 @@ def test_output_digest_families_run_through_the_cli():
         **{f"solve {a} {n}": 80 for a in ("kite", "full")
            for n in digest.NORMALIZATIONS},
         **{f"solve rhombus {n}": 30 for n in digest.NORMALIZATIONS},
-        "sweep csv": 1, "sweep bench": 1, "verify": 1, "newton": 160,
+        "sweep csv": 1, "sweep bench": 1,
+        "verify": 1 + len(digest.THEOREM1_VERIFY), "newton": 160,
         "newton kite": 160}
     assert {name for name, runner in runners.items()
             if runner is not digest.run} == {"newton", "newton kite"}
@@ -629,3 +630,14 @@ def test_output_digest_families_run_through_the_cli():
     status, out, err = digest.run(["census", "--alpha", "0.5", "--beta",
                                    "0.8", "--resolution", "1"])
     assert (status, out, err.count("\n")) == (2, "", 1)
+    # a verify job's theorem 1 point hashes its Newtonian-oracle residual
+    alpha, beta = 0.5, 0.8
+    assert f"{alpha},{beta}" in digest.THEOREM1_VERIFY
+    status, out, err = digest.run(["verify", "--trials", "10",
+                                   "--theorem1-grid", f"{alpha},{beta}"])
+    check = json.loads(out)["checks"][-1]
+    m = ccfour.MassVector(alpha=alpha, beta=beta)
+    state = ccfour.census(m, 6).classes[0].state
+    _, residual = ccfour.newtonian_oracle(ccfour.realize(state.sq, m), m)
+    assert (status, check["name"]) == (0, "theorem1_unique_kite")
+    assert check["worst_violation"] == residual

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccfour import (Degenerate, MassVector, NotConvex, NotPlanar,
-                    PlanarConfig, canonicalize, congruent, oriented_areas,
-                    realize, squared_distances)
-from ccfour.dziobek import PAIRS
+from ccfour import (CollisionError, Degenerate, MassVector, NotConvex,
+                    NotPlanar, PlanarConfig, canonicalize, congruent,
+                    newtonian_oracle, oriented_areas, realize,
+                    squared_distances)
+from ccfour.dziobek import PAIRS, scale_sq_many
 from ccfour.geometry import _sub_triangles as sub_triangles
 from ccfour.geometry import (canonicalize_many, convex_many,
-                             oriented_areas_many, realize_many,
-                             squared_distances_many)
+                             newtonian_oracle_many, oriented_areas_many,
+                             realize_many, squared_distances_many)
 from conftest import random_convex_config, unit_square_config
 
 EQUAL = MassVector(alpha=1.0, beta=1.0)
@@ -286,3 +287,74 @@ def test_realize_many_equals_realize_bitwise(rng):
         p = realize(row, m)
         assert (p.points == pts).all()
         assert tuple(oriented_areas(p)) == tuple(signed)
+
+
+def reference_oracle(q: np.ndarray, m: MassVector):
+    """The scalar Newtonian oracle, a double loop over the bodies: g_i adds
+    m_j (q_j - q_i) / r_ij^3 from zero in j order, with r_ij from
+    np.linalg.norm and its cube a Python float power.  Returns (g, lambda,
+    relative misfit), or raises CollisionError at the first pair closer
+    than 1e-9 times the RMS mutual distance."""
+    w = np.asarray(m.masses)
+    scale = math.sqrt(scale_sq_many(squared_distances_many(q)))
+    g = np.zeros((4, 2))
+    for i in range(4):
+        for j in range(4):
+            if i == j:
+                continue
+            dq = q[j] - q[i]
+            rij = float(np.linalg.norm(dq))
+            if rij <= 1e-9 * scale:
+                raise CollisionError(f"bodies {i + 1} and {j + 1} collide")
+            g[i] += w[j] * dq / rij ** 3
+    gf, qf = g.ravel(), q.ravel()
+    lam = float(gf @ qf / (qf @ qf))
+    k = -math.frexp(float(np.abs(gf).max()))[1]
+    residual = float(np.linalg.norm(np.ldexp(gf - lam * qf, k))
+                     / np.linalg.norm(np.ldexp(gf, k)))
+    return g, lam, residual
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 0.8), (1e-3, 7.0),
+                                         (1e150, 1.0), (1e150, 1e150)])
+def test_newtonian_oracle_many_is_the_scalar_loop_bitwise(rng, alpha, beta):
+    """Random configurations at scales 10^-9..10^9, and masses up to 1e150,
+    where the squares in the misfit's norms would overflow without the
+    ldexp rescale: every row of one batched call is the scalar loop's,
+    bit for bit, and so is newtonian_oracle.  Among the distances are some
+    whose cube numpy's power rounds otherwise than the C library's."""
+    m = MassVector(alpha=alpha, beta=beta)
+    points = (rng.normal(size=(500, 4, 2))
+              * 10.0 ** rng.uniform(-9, 9, (500, 1, 1)))
+    g, lam, residual, collided = newtonian_oracle_many(points, m)
+    assert not collided.any()
+    for q, *row in zip(points, g, lam, residual):
+        want_g, want_lam, want_residual = reference_oracle(q, m)
+        assert row[0].tobytes() == want_g.tobytes()
+        assert (row[1], row[2]) == (want_lam, want_residual)
+        p = PlanarConfig.from_points(q, m)
+        assert newtonian_oracle(p, m) == reference_oracle(p.points, m)[1:]
+    r = np.array([float(np.linalg.norm(q[j] - q[i]))
+                  for q in points for i, j in PAIRS])
+    assert (r ** 3 != [x ** 3 for x in r.tolist()]).any()
+
+
+def test_newtonian_oracle_collision_is_one_line():
+    """A collision raises one line naming the first pair of the scalar
+    loop, and in a batch marks its ordered pairs and leaves the other rows
+    as the scalar loop gives them."""
+    for pts, pair in [([[-1.0, 0.0], [1.0, 0.0], [0.0, 5e-11],
+                        [0.0, -5e-11]], "3 and 4"),
+                      ([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+                        [-1.0, 1e-10]], "1 and 4")]:
+        p = PlanarConfig.from_points(pts, EQUAL)
+        with pytest.raises(CollisionError) as exc:
+            newtonian_oracle(p, EQUAL)
+        assert str(exc.value) == f"bodies {pair} collide"
+        with pytest.raises(CollisionError, match=f"^bodies {pair} collide$"):
+            reference_oracle(p.points, EQUAL)
+    square = unit_square_config().points
+    _, lam, residual, collided = newtonian_oracle_many(
+        np.stack([square, p.points]), EQUAL)
+    assert collided.sum(axis=1).tolist() == [0, 2]
+    assert (lam[0], residual[0]) == reference_oracle(square, EQUAL)[1:]

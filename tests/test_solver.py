@@ -666,7 +666,7 @@ def test_nan_multiplier_seed_never_converges():
     res, valid, _ = fun(x0)
     assert valid.all() and (np.abs(res[:, 6:]) < 1e-12).all()
     x0[:, 6] = math.nan
-    x, status, iters, norm = _newton_batch(fun, x0, SolveOptions())
+    x, status, iters, norm, _ = _newton_batch(fun, x0, SolveOptions())
     assert (status == SINGULAR).all() and (iters == 0).all()
     assert np.isnan(norm).all()
 
@@ -715,7 +715,7 @@ def test_solve_linear_is_each_row_solved_alone():
 def newton_rows(fun, x0, opts):
     """Final vector, status, iterations and residual of each row of
     _newton_batch, as bytes so that equality is bitwise."""
-    x, status, iters, norm = _newton_batch(fun, x0, opts)
+    x, status, iters, norm, _ = _newton_batch(fun, x0, opts)
     return [(x[i].tobytes(), status[i], iters[i], norm[i].tobytes())
             for i in range(x0.shape[0])]
 
@@ -735,6 +735,44 @@ def test_each_row_of_newton_is_the_row_solved_alone(normalization):
         batched = newton_rows(fun, x0, opts)
         for i in sample:
             assert newton_rows(fun, x0[i:i + 1], opts) == [batched[i]], i
+
+
+class CountedCalls(Residuals):
+    """Residuals that counts its calls."""
+
+    calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return super().__call__(x)
+
+
+def test_rows_of_whole_and_backtracking_batches_are_the_rows_alone():
+    """Four kites at (0.5, 0.8) moved by up to 1% take lam = 1 on every row
+    at each of their three iterations, so each line search is one residual
+    call and Newton adopts its arrays whole; with two census seeds beside
+    them, one that backtracks and one that ends NEAR_BOUNDARY, rows step
+    apart.  Either way each row ends bitwise as when solved alone."""
+    m = MassVector(alpha=0.5, beta=0.8)
+    opts = SolveOptions()
+    kite = np.array([*KITE_SQ_05_08, KITE_NU_05_08, KITE_XI_05_08])
+    rng = np.random.default_rng(3)
+    moved = seed_vectors(kite[:6] * (1 + 1e-2 * rng.uniform(-1, 1, (4, 6))),
+                         m)
+    seeds = _seed_vectors(seed_grid(8, m), m)[[485, 194]]
+    whole = CountedCalls(m, "fix_inertia_one")
+    rows = newton_rows(whole, moved, opts)
+    assert [(status, iters) for _, status, iters, _ in rows] == \
+        [(CONVERGED, 3)] * 4
+    assert whole.calls == 1 + 3
+    mixed = CountedCalls(m, "fix_inertia_one")
+    x0 = np.concatenate([moved, seeds])
+    rows = newton_rows(mixed, x0, opts)
+    assert [status for _, status, _, _ in rows] == \
+        [CONVERGED] * 5 + [NEAR_BOUNDARY]
+    assert mixed.calls > 1 + max(iters for _, _, iters, _ in rows)
+    for i, row in enumerate(rows):
+        assert newton_rows(whole, x0[i:i + 1], opts) == [row], i
 
 
 def test_newton_linearizes_at_most_a_block_of_rows(monkeypatch):
@@ -812,8 +850,8 @@ def test_newton_statuses_of_exhausted_and_singular_rows():
     jac = np.array([-np.eye(2), np.full((2, 2), np.nan), -np.eye(2),
                     np.zeros((2, 2)), np.eye(2)])
     near = np.array([False, True, False, False, False])
-    _, status, iters, _ = _newton_batch(Steered(jac, near), x0,
-                                        SolveOptions(max_iterations=1))
+    _, status, iters, _, _ = _newton_batch(Steered(jac, near), x0,
+                                           SolveOptions(max_iterations=1))
     assert status.tolist() == [NO_CONVERGENCE, NEAR_BOUNDARY, LEFT_CONVEX,
                                SINGULAR, CONVERGED]
     assert iters.tolist() == [0, 0, 0, 0, 1]
@@ -846,7 +884,7 @@ def test_row_within_the_boundary_probe_is_near_boundary():
                   near_boundary_vector(m, 1, 1e-2)])
     assert fun(x)[1].all()
     assert fun.linearize(x)[1].tolist() == [True, False]
-    _, status, _, _ = _newton_batch(fun, x[:1], SolveOptions())
+    _, status, _, _, _ = _newton_batch(fun, x[:1], SolveOptions())
     assert status.tolist() == [NEAR_BOUNDARY]
     with pytest.raises(LeftConvexRegion):
         _polish(x[0], m, SolveOptions())
@@ -886,7 +924,7 @@ def test_boundary_test_matches_the_probe_on_every_census_iterate():
     m = MassVector(alpha=0.5, beta=0.8)
     fun = ProbeChecked(m, "fix_inertia_one")
     x0 = _seed_vectors(seed_grid(6, m), m)
-    _, status, _, _ = _newton_batch(fun, x0, SolveOptions())
+    _, status, _, _, _ = _newton_batch(fun, x0, SolveOptions())
     assert fun.marked == (status == NEAR_BOUNDARY).sum() > 0
     assert fun.rows > x0.shape[0]
 
@@ -898,7 +936,7 @@ def test_boundary_test_matches_the_probe_on_every_kite_iterate():
     x0 = kite_lattice(m)
     for normalization in ("fix_inertia_one", "fix_a_one"):
         fun = ProbeChecked(m, normalization, embed=_KITE_EMBED)
-        _, status, _, _ = _newton_batch(fun, x0, SolveOptions())
+        _, status, _, _, _ = _newton_batch(fun, x0, SolveOptions())
         assert fun.marked == (status == NEAR_BOUNDARY).sum() > 0
 
 

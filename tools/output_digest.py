@@ -12,13 +12,15 @@ output on every job listed here:
 in each checkout, then `diff` the two files.  The families are the census
 JSON on the 80 acceptance-grid points under both normalizations, `solve`
 JSON for each ansatz and normalization (kite and full on the 80 points,
-rhombus on the 30 equal-mass ones), the sweep CSV and the `verify` run
-that README shows, `sweep bench`: the sweep JSON on the grid of
-bench/run.py's sweep workload (alpha = 0.1..3.0 by 0.1, beta = 0.1..2.0 by
-0.1), `newton`: the status, iterations, final vector and final residual
-of every census seed of those 80 censuses, under both normalizations, and
-`newton kite`: the same of `solve_kite`'s nine seeds on the kite-reduced
-system at the 80 points.  A run takes about 4 min on a 2-vCPU machine.
+rhombus on the 30 equal-mass ones), the sweep CSV, `verify`: the run
+that README shows and four `verify --theorem1-grid` runs of one point
+each, whose Newtonian-oracle residuals reach the JSON, `sweep bench`:
+the sweep JSON on the grid of bench/run.py's sweep workload (alpha =
+0.1..3.0 by 0.1, beta = 0.1..2.0 by 0.1), `newton`: the status,
+iterations, final vector and final residual of every census seed of
+those 80 censuses, under both normalizations, and `newton kite`: the
+same of `solve_kite`'s nine seeds on the kite-reduced system at the 80
+points.  A run takes about 2.5 min on a 2-vCPU machine.
 """
 
 import contextlib
@@ -37,6 +39,8 @@ THEOREM1_GRID = [(round(0.2 * i, 1), round(0.2 * j, 1))
 THEOREM2_GRID = [round(0.1 * k, 1) for k in range(1, 31)]
 # bench/workloads.py's sweep: each alpha of THEOREM2_GRID over this beta grid
 SWEEP_BETA_GRID = [round(0.1 * k, 1) for k in range(1, 21)]
+# verify's theorem 1 points, where the oracle residual exceeds the area gap
+THEOREM1_VERIFY = ["0.2,0.4", "0.5,0.8", "0.8,1.2", "0.4,1.6"]
 POINTS = THEOREM1_GRID + [(a, a) for a in THEOREM2_GRID]
 NORMALIZATIONS = ("fix_inertia_one", "fix_a_one")
 
@@ -65,7 +69,11 @@ def families():
                                 ",".join(map(str, THEOREM2_GRID)),
                                 "--beta-grid",
                                 ",".join(map(str, SWEEP_BETA_GRID))]]
-    yield "verify", run, [["verify", "--theorem2-grid", "0.5,1.0,2.0"]]
+    # one theorem 1 point a job: at each, the oracle residual is the
+    # suite's worst_violation, so every point's residual is hashed
+    yield "verify", run, [["verify", "--theorem2-grid", "0.5,1.0,2.0"],
+                          *(["verify", "--trials", "10", "--theorem1-grid",
+                             ab] for ab in THEOREM1_VERIFY)]
     yield "newton", newton, [(a, b, norm) for norm in NORMALIZATIONS
                              for a, b in POINTS]
     yield "newton kite", newton_kite, [(a, b, norm) for norm in NORMALIZATIONS
