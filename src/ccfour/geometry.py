@@ -92,8 +92,7 @@ def _inertia(points: np.ndarray, masses: MassVector) -> np.ndarray:
 
 def _config_checks(points: np.ndarray, masses: MassVector):
     """PlanarConfig's checks on (..., 4, 2) points: whether the weighted
-    centroid is at the origin, and which of the six pairs are apart; then
-    the mean squared distance, which the area test takes too."""
+    centroid is at the origin, which pairs are apart, and their scale_sq."""
     sq = squared_distances_many(points)
     scale_sq = scale_sq_many(sq)
     scale = np.sqrt(scale_sq)
@@ -142,12 +141,10 @@ def _nondegenerate(mags: np.ndarray, scale_sq: np.ndarray) -> np.ndarray:
     return mags.min(axis=-1) >= AREA_TOL * scale_sq
 
 
-def oriented_areas_many(points: np.ndarray, scale_sq=None):
+def oriented_areas_many(points: np.ndarray, scale_sq: np.ndarray):
     """Signed (-, -, +, +) areas of (n, 4, 2) points, and the mask of rows
     that oriented_areas accepts (no degenerate sub-triangle, convex);
-    scale_sq, the rows' mean squared distance, is taken here if None."""
-    if scale_sq is None:
-        scale_sq = scale_sq_many(squared_distances_many(points))
+    scale_sq is the rows' mean squared distance."""
     mags, convex = _sub_triangles(points)
     ok = _nondegenerate(mags, scale_sq) & convex
     return mags * np.array([-1.0, -1.0, 1.0, 1.0]), ok
@@ -325,33 +322,17 @@ def realize(sq: Sequence[float], m: MassVector) -> PlanarConfig:
     return PlanarConfig.from_points(pts, m)
 
 
-def realize_many(sq: np.ndarray, m: MassVector):
-    """Recentered points of (n, 6) squared distances, and the mask of rows
-    that realize accepts: planar, trilaterable, and passing PlanarConfig's
-    centroid and coincidence checks."""
-    pts, ok = trilaterate_many(sq)
-    pts, realized, _ = _realized(pts, sq, m)
-    return pts, ok & realized
-
-
 def realize_convex_many(sq: np.ndarray, m: MassVector, tri: np.ndarray):
-    """The points of realize_many, their oriented_areas_many and the rows
-    both accept, bit for bit, but placed from tri, the rows' trilateration
-    as trilaterated_area_rows gives and accepts it, and with one pass of
-    squared distances on the recentered points.  Call under np.errstate."""
-    pts, ok, scale_sq = _realized(_placed(tri), sq, m)
+    """Recentered points of (n, 6) squared distances placed from tri, their
+    (5, n) trilateration as trilaterated_area_rows accepts it, their
+    oriented areas, and the mask of rows that realize and oriented_areas
+    accept; one squared-distance pass serves all the tests.  Call under
+    np.errstate."""
+    pts = _recenter(_placed(tri), m)
+    centered, apart, scale_sq = _config_checks(pts, m)
     areas, areas_ok = oriented_areas_many(pts, scale_sq)
-    return pts, areas, ok & areas_ok
-
-
-def _realized(pts: np.ndarray, sq: np.ndarray, m: MassVector):
-    """Placed points of (n, 6) squared distances, recentered, the mask of
-    the planar rows that pass PlanarConfig's checks, and their scale_sq."""
-    with np.errstate(all="ignore"):
-        pts = _recenter(pts, m)
-        centered, apart, scale_sq = _config_checks(pts, m)
-        ok = planar_many(sq) & centered & apart.all(axis=-1)
-    return pts, ok, scale_sq
+    ok = planar_many(sq) & centered & apart.all(axis=-1) & areas_ok
+    return pts, areas, ok
 
 
 @dataclass(frozen=True)
@@ -505,15 +486,17 @@ def newtonian_oracle_many(points: np.ndarray, m: MassVector):
     least-squares lambda and relative misfit |g - lambda q| / |g|, and the
     (n, 12) mask of the pairs (_ORACLE_I, _ORACLE_J) closer than 1e-9 times
     the RMS mutual distance (a row with such a pair has no meaningful
-    values).  A row's bits do not depend on its batch: r^3 is the C
-    library's pow, g_i adds its terms from zero in j order, and norms and
-    dot products are vecdot's."""
+    values).  A row with a distance of 2^341 (4.5e102) or more, whose cube
+    may overflow, has NaN values.  A row's bits do not depend on its
+    batch: r^3 is the C library's pow, g_i adds its terms from zero in j
+    order, and norms and dot products are vecdot's."""
     n, w = len(points), np.asarray(m.masses)
     with np.errstate(all="ignore"):
         dq = points[:, _ORACLE_J] - points[:, _ORACLE_I]
         r = np.sqrt(np.vecdot(dq, dq))
         scale = np.sqrt(scale_sq_many(squared_distances_many(points)))
-        r3 = _libm(math.pow, r, np.full(r.shape, 3.0))
+        r3 = _libm(math.pow, np.where(r < 2.0 ** 341, r, np.nan),
+                   np.full(r.shape, 3.0))
         terms = (w[_ORACLE_J, None] * dq / r3[..., None]).reshape(n, 4, 3, 2)
         g = np.zeros((n, 4, 2))
         for j in range(3):
@@ -531,10 +514,13 @@ def newtonian_oracle_many(points: np.ndarray, m: MassVector):
 
 def newtonian_oracle(p: PlanarConfig, m: MassVector) -> tuple[float, float]:
     """newtonian_oracle_many's lambda and misfit of one configuration;
-    raises CollisionError naming its first close pair."""
+    raises CollisionError naming its first close pair, and OverflowError
+    where the misfit is not finite."""
     _, lam, residual, close = newtonian_oracle_many(p.points[None], m)
     if close.any():
         k = np.argmax(close[0])
         raise CollisionError(f"bodies {_ORACLE_I[k] + 1} and "
                              f"{_ORACLE_J[k] + 1} collide")
+    if not np.isfinite(residual[0]):
+        raise OverflowError("the forces leave the double range at this scale")
     return float(lam[0]), float(residual[0])

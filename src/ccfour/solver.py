@@ -307,8 +307,6 @@ def _backtrack(fun, x: np.ndarray, dx: np.ndarray, base2: np.ndarray,
         hit = ok[0] if c == 1 else ok.any(axis=0)  # c = 1: no reduction
         if not tried:
             if c == 1 and np.count_nonzero(hit) == n:
-                # every row takes lam = 1, as in most small batches: this
-                # call's arrays are the result
                 return hit, xt, rt, nt2, ~hit, tt
             tri_new = np.empty((tt.shape[0], n))
         pick = np.flatnonzero(hit)

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from ccfour import CanonicalFrame, MassVector, PlanarConfig
+from ccfour.dziobek import planar_many, scale_sq_many
+from ccfour.geometry import (_config_checks, _recenter, oriented_areas_many,
+                             squared_distances_many, trilaterate_many)
 
 
 @pytest.fixture
@@ -31,3 +34,17 @@ def unit_square_config(masses: MassVector | None = None) -> PlanarConfig:
     h = math.sqrt(2.0) / 2.0
     pts = [[-h, 0.0], [h, 0.0], [0.0, h], [0.0, -h]]
     return PlanarConfig.from_points(pts, masses)
+
+
+def realize_many(sq: np.ndarray, m: MassVector):
+    """The reference for geometry.realize_convex_many: recentered points of
+    (n, 6) squared distances, trilaterated from them alone, their oriented
+    areas, and the mask of rows that realize and oriented_areas accept."""
+    with np.errstate(all="ignore"):
+        pts, ok = trilaterate_many(sq)
+        pts = _recenter(pts, m)
+        centered, apart, _ = _config_checks(pts, m)
+        areas, areas_ok = oriented_areas_many(
+            pts, scale_sq_many(squared_distances_many(pts)))
+    ok &= planar_many(sq) & centered & apart.all(axis=-1) & areas_ok
+    return pts, areas, ok

@@ -11,12 +11,11 @@ from ccfour import (CCFourError, Degenerate, DziobekState, MassVector,
 from ccfour.census import DEDUPE_TOL, MAX_RESOLUTION, _dedupe, _seed_vectors
 from ccfour.dziobek import cayley_many, scale_sq_many
 from ccfour.geometry import (canonicalize_many, frame_points_many,
-                             oriented_areas_many, realize_many,
                              squared_distances_many, triangle_areas_many)
 from ccfour.solver import (_KITE_EMBED, CONVERGED, LEFT_CONVEX,
                            NEAR_BOUNDARY, NO_CONVERGENCE, REJECTED, Residuals,
                            SolveOptions, solve_batch)
-from conftest import random_convex_config
+from conftest import random_convex_config, realize_many
 
 # smallest sub-triangle area over mean squared distance that a seed frame
 # must clear; the lattice clears it by a factor of 40
@@ -334,18 +333,16 @@ def test_accepted_points_and_areas_are_realize_many_bitwise(tol):
     """solve_batch places the converged rows from Newton's trilateration
     and takes one pass of squared distances for its centroid, coincidence
     and area tests; on the census seeds at (0.5, 0.8) its acceptance, points
-    and areas are bitwise those of realize_many and oriented_areas_many on
-    the final vectors (at tol 1e-8 some converged rows are not planar), and
+    and areas are bitwise those of the reference realize_many on the final
+    vectors (at tol 1e-8 some converged rows are not planar), and
     the checking constructor accepts each reported configuration."""
     m = MassVector(alpha=0.5, beta=0.8)
     batch = solve_batch(Residuals(m, "fix_inertia_one"),
                         _seed_vectors(seed_grid(8, m), m), m,
                         SolveOptions(residual_tol=tol))
     conv = np.flatnonzero(np.isin(batch.status, [CONVERGED, REJECTED]))
-    with np.errstate(all="ignore"):
-        points, ok = realize_many(batch.x[conv, :6], m)
-        areas, areas_ok = oriented_areas_many(points)
-    ok &= areas_ok & (batch.x[conv, 6] > 0)
+    points, areas, ok = realize_many(batch.x[conv, :6], m)
+    ok &= batch.x[conv, 6] > 0
     assert conv[ok].tolist() == batch.accepted.tolist()
     assert (tol == 1e-8) == (not ok.all())
     assert points[ok].tobytes() == batch.points.tobytes()

@@ -12,9 +12,9 @@ from ccfour import (CollisionError, Degenerate, MassVector, NotConvex,
 from ccfour.dziobek import PAIRS, scale_sq_many
 from ccfour.geometry import _sub_triangles as sub_triangles
 from ccfour.geometry import (canonicalize_many, convex_many,
-                             newtonian_oracle_many, oriented_areas_many,
-                             realize_many, squared_distances_many)
-from conftest import random_convex_config, unit_square_config
+                             newtonian_oracle_many, realize_convex_many,
+                             squared_distances_many, trilaterated_area_rows)
+from conftest import random_convex_config, realize_many, unit_square_config
 
 EQUAL = MassVector(alpha=1.0, beta=1.0)
 
@@ -192,8 +192,12 @@ def test_realize_planarity_is_scale_invariant(rng):
 def test_realize_rejects_nonfinite_and_overflowing_distances(sq):
     with pytest.raises(NotPlanar):
         realize(sq, EQUAL)
-    _, ok = realize_many(np.array([sq, (2, 1, 1, 1, 1, 2)]), EQUAL)
-    assert ok.tolist() == [False, True]
+    rows = np.array([sq, (2, 1, 1, 1, 1, 2)], dtype=float)
+    with np.errstate(all="ignore"):
+        valid, tri = trilaterated_area_rows(rows.T)
+        _, _, ok = realize_convex_many(rows, EQUAL, tri[:5])
+    assert (valid & ok).tolist() == [False, True]
+    assert realize_many(rows, EQUAL)[2].tolist() == [False, True]
 
 
 def test_realize_round_trip(rng):
@@ -280,9 +284,14 @@ def test_realize_many_equals_realize_bitwise(rng):
     m = MassVector(alpha=0.7, beta=1.3)
     sq = np.array([squared_distances(random_convex_config(rng, m))
                    for _ in range(100)])
-    points, ok = realize_many(sq, m)
-    areas, areas_ok = oriented_areas_many(points)
-    assert ok.all() and areas_ok.all()
+    points, areas, ok = realize_many(sq, m)
+    assert ok.all()
+    valid, tri = trilaterated_area_rows(sq.T)
+    with np.errstate(all="ignore"):
+        once = realize_convex_many(sq, m, tri[:5])
+    assert valid.all() and once[2].all()
+    assert once[0].tobytes() == points.tobytes()
+    assert once[1].tobytes() == areas.tobytes()
     for row, pts, signed in zip(sq, points, areas):
         p = realize(row, m)
         assert (p.points == pts).all()
@@ -358,3 +367,25 @@ def test_newtonian_oracle_collision_is_one_line():
         np.stack([square, p.points]), EQUAL)
     assert collided.sum(axis=1).tolist() == [0, 2]
     assert (lam[0], residual[0]) == reference_oracle(square, EQUAL)[1:]
+
+
+def test_newtonian_oracle_far_row_is_nan_alone():
+    """A row with a distance of 2^341 or more, whose cube may overflow, has
+    NaN values in a batch and leaves the other rows as the scalar loop
+    gives them; newtonian_oracle raises OverflowError on it, as the scalar
+    loop's float power does, and on a row whose cubes underflow."""
+    square = unit_square_config().points
+    points = np.stack([square, square * 1e103, square * 1e-3])
+    g, lam, residual, collided = newtonian_oracle_many(points, EQUAL)
+    assert not collided.any()
+    assert np.isnan(g[1]).all() and np.isnan([lam[1], residual[1]]).all()
+    for k in (0, 2):
+        want_g, *want = reference_oracle(points[k], EQUAL)
+        assert g[k].tobytes() == want_g.tobytes()
+        assert [lam[k], residual[k]] == want
+    with pytest.raises(OverflowError):
+        reference_oracle(points[1], EQUAL)
+    for factor in (1e103, 1e-110):
+        p = PlanarConfig(square * factor, EQUAL)
+        with pytest.raises(OverflowError, match="^the forces leave"):
+            newtonian_oracle(p, EQUAL)
