@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import ccfour
 from ccfour.census import MAX_RESOLUTION
 from ccfour.cli import (MAX_GRID_VALUES, build_parser, main, parse_grid,
-                        parse_sq, positive_float)
+                        parse_sq, plot_csv, positive_float)
 from ccfour.solver import CONVERGED
 
 
@@ -596,8 +596,8 @@ def test_realize_nonplanar_fails(capsys):
 
 def test_output_digest_families_run_through_the_cli():
     """tools/output_digest.py lists the families README names; its command
-    runner captures a command's status, stdout and stderr, and its newton
-    runners give the bits of solve_batch's arrays on the census seeds and
+    runner captures a command's status, stdout and stderr, its plot runner
+    a command's status and plot CSV, and its newton runners give the bits of solve_batch's arrays on the census seeds and
     on solve_kite's nine seeds, embedded in full vectors."""
     path = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
     spec = importlib.util.spec_from_file_location("output_digest", path)
@@ -611,10 +611,12 @@ def test_output_digest_families_run_through_the_cli():
            for n in digest.NORMALIZATIONS},
         **{f"solve rhombus {n}": 30 for n in digest.NORMALIZATIONS},
         "sweep csv": 1, "sweep bench": 1,
-        "verify": 1 + len(digest.THEOREM1_VERIFY), "newton": 160,
+        "verify": 1 + len(digest.THEOREM1_VERIFY),
+        "plot data": 80 + 1 + 4 + 1 + len(digest.REALIZE_SQ), "newton": 160,
         "newton kite": 160}
     assert {name for name, runner in runners.items()
-            if runner is not digest.run} == {"newton", "newton kite"}
+            if runner is not digest.run} == {"plot data", "newton",
+                                             "newton kite"}
     status, iters, x, residual = digest.newton((0.5, 0.8, "fix_a_one"))
     assert (len(status), len(iters), len(x), len(residual)) == (
         4096 * 8, 4096 * 8, 4096 * 64, 4096 * 8)
@@ -627,6 +629,11 @@ def test_output_digest_families_run_through_the_cli():
     status, out, err = digest.run(["realize", "--sq", "2,1,1,1,1,2",
                                    "--alpha", "1", "--beta", "1"])
     assert (status, json.loads(out)["command"], err) == (0, "realize", "")
+    status, csv = digest.plot(["realize", "--sq", "2,1,1,1,1,2", "--alpha",
+                               "1", "--beta", "1"])
+    assert status == 0
+    assert csv.decode() == plot_csv({"kind": "solve", "configs": [
+        json.loads(out)]})
     status, out, err = digest.run(["census", "--alpha", "0.5", "--beta",
                                    "0.8", "--resolution", "1"])
     assert (status, out, err.count("\n")) == (2, "", 1)

@@ -3,8 +3,9 @@
 Each family runs a list of jobs in this process and hashes, for each job
 in order, its arguments and what it gives.  Most families are commands run
 through `ccfour.cli.main`, each hashed with its exit status, stdout and
-stderr; the `newton` families hash the bits of `solver.solve_batch`'s
-arrays.  Two checkouts whose digests agree line by line give byte-identical
+stderr; the `plot data` family hashes the exit status and the bytes of the
+`--plot-data` CSV, written to a temporary directory; the `newton` families
+hash the bits of `solver.solve_batch`'s arrays.  Two checkouts whose digests agree line by line give byte-identical
 output on every job listed here:
 
     PYTHONPATH=src python tools/output_digest.py > digest.txt
@@ -14,7 +15,9 @@ JSON on the 80 acceptance-grid points under both normalizations, `solve`
 JSON for each ansatz and normalization (kite and full on the 80 points,
 rhombus on the 30 equal-mass ones), the sweep CSV, `verify`: the run
 that README shows and four `verify --theorem1-grid` runs of one point
-each, whose Newtonian-oracle residuals reach the JSON, `sweep bench`:
+each, whose Newtonian-oracle residuals reach the JSON, `plot data`: the
+plot CSV of `census` on the 80 points, of `sweep` on README's grid and
+of `solve` and `realize` on a few points, `sweep bench`:
 the sweep JSON on the grid of bench/run.py's sweep workload (alpha =
 0.1..3.0 by 0.1, beta = 0.1..2.0 by 0.1), `newton`: the status,
 iterations, final vector and final residual of every census seed of
@@ -26,6 +29,8 @@ points.  A run takes about 2.5 min on a 2-vCPU machine.
 import contextlib
 import hashlib
 import io
+import os
+import tempfile
 
 from ccfour import MassVector, SolveOptions, cli
 from ccfour.census import _seed_vectors, seed_grid
@@ -41,6 +46,12 @@ THEOREM2_GRID = [round(0.1 * k, 1) for k in range(1, 31)]
 SWEEP_BETA_GRID = [round(0.1 * k, 1) for k in range(1, 21)]
 # verify's theorem 1 points, where the oracle residual exceeds the area gap
 THEOREM1_VERIFY = ["0.2,0.4", "0.5,0.8", "0.8,1.2", "0.4,1.6"]
+# README's sweep grid
+SWEEP_GRID = ["--alpha-grid", "0.2:1.0:0.2", "--beta-grid", "0.2:2.0:0.2"]
+# planar squared distances: the unit square, a rhombus and the
+# quadrilateral (0, 0), (3, 0), (1, 2), (2, -1)
+REALIZE_SQ = [("2,1,1,1,1,2", "1,1"), ("4,1.25,1.25,1.25,1.25,1", "0.7,0.7"),
+              ("9,5,5,8,2,10", "0.5,0.8")]
 POINTS = THEOREM1_GRID + [(a, a) for a in THEOREM2_GRID]
 NORMALIZATIONS = ("fix_inertia_one", "fix_a_one")
 
@@ -61,9 +72,7 @@ def families():
             yield f"solve {ansatz} {norm}", run, [
                 ["solve", *ab, "--ansatz", ansatz, "--normalization", norm]
                 for ab in masses(points)]
-    yield "sweep csv", run, [["sweep", "--alpha-grid", "0.2:1.0:0.2",
-                              "--beta-grid", "0.2:2.0:0.2", "--format",
-                              "csv"]]
+    yield "sweep csv", run, [["sweep", *SWEEP_GRID, "--format", "csv"]]
     # comma lists, so that each value parses to its round(0.1 k, 1)
     yield "sweep bench", run, [["sweep", "--alpha-grid",
                                 ",".join(map(str, THEOREM2_GRID)),
@@ -74,6 +83,15 @@ def families():
     yield "verify", run, [["verify", "--theorem2-grid", "0.5,1.0,2.0"],
                           *(["verify", "--trials", "10", "--theorem1-grid",
                              ab] for ab in THEOREM1_VERIFY)]
+    yield "plot data", plot, [
+        *(["census", *ab] for ab in masses(POINTS)),
+        ["sweep", *SWEEP_GRID],
+        *(["solve", *ab, "--ansatz", ansatz]
+          for ansatz in ("kite", "full")
+          for ab in masses([(0.5, 0.8), (0.2, 1.6)])),
+        ["solve", *masses([(0.7, 0.7)])[0], "--ansatz", "rhombus"],
+        *(["realize", "--sq", sq, *masses([ab.split(",")])[0]]
+          for sq, ab in REALIZE_SQ)]
     yield "newton", newton, [(a, b, norm) for norm in NORMALIZATIONS
                              for a, b in POINTS]
     yield "newton kite", newton_kite, [(a, b, norm) for norm in NORMALIZATIONS
@@ -89,6 +107,16 @@ def run(argv):
         except SystemExit as exc:  # argparse's exits
             status = exc.code
     return status, out.getvalue(), err.getvalue()
+
+
+def plot(argv):
+    """Exit status and the bytes of the plot-ready CSV of one command run
+    with --plot-data into a temporary directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "plot.csv")
+        status = run([*argv, "--plot-data", path])[0]
+        with open(path, "rb") as f:
+            return status, f.read()
 
 
 def newton(job):
