@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -17,8 +17,9 @@ import numpy as np
 # the symmetry labels live in dziobek; census re-exports them
 from .dziobek import (CLASSIFY_TOL, DziobekState, MassVector, SymmetryLabel,
                       classify_symmetry)
-from .geometry import (CanonicalFrame, canonicalize_many, reconstruct_many,
-                       squared_distances_many, unit_inertia_many)
+from .geometry import (CanonicalFrame, PlanarConfig, canonicalize_many,
+                       reconstruct_many, squared_distances_many,
+                       unit_inertia_many)
 from .solver import Residuals, SolveOptions, seed_vectors, solve_batch
 
 DEDUPE_TOL = 1e-6
@@ -66,6 +67,7 @@ class CensusClass:
     state: DziobekState
     symmetry: SymmetryLabel
     basin: int
+    config: PlanarConfig = field(compare=False, repr=False)  # not in JSON
 
     def to_json_dict(self) -> dict:
         return {
@@ -134,7 +136,8 @@ def census(m: MassVector, resolution: int = 8,
         frame = CanonicalFrame(*frames[first].tolist())
         classes.append(CensusClass(frame=frame, state=report.state,
                                    symmetry=SymmetryLabel(report.symmetry),
-                                   basin=int(members.size)))
+                                   basin=int(members.size),
+                                   config=report.config))
     classes.sort(key=lambda c: -c.basin)
     return CensusReport(masses=m, classes=classes,
                         seeds_total=x0.shape[0],

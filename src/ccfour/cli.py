@@ -110,13 +110,15 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="scale gauge (default fix_inertia_one)")
 
 
-def _add_output_flags(p: argparse.ArgumentParser, tables: bool = True) -> None:
+def _add_output_flags(p: argparse.ArgumentParser, formats: bool,
+                      plot_data: bool) -> None:
     p.add_argument("--output", default=None,
                    help="output path (default stdout)")
     p.set_defaults(plot_data=None)
-    if tables:
+    if formats:
         p.add_argument("--format", choices=["json", "csv"], default="json",
                        help="output format (default json)")
+    if plot_data:
         p.add_argument("--plot-data",
                        help="also write plot-ready CSV to this path")
 
@@ -143,14 +145,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--ansatz", choices=["kite", "rhombus", "full"],
                          default="kite")
     _add_solver_flags(p_solve)
-    _add_output_flags(p_solve)
+    _add_output_flags(p_solve, formats=True, plot_data=True)
 
     p_sweep = sub.add_parser("sweep", help="mass-parameter sweep")
     p_sweep.add_argument("--alpha-grid", type=parse_grid, required=True,
                          help="comma list or start:stop:step")
     p_sweep.add_argument("--beta-grid", type=parse_grid, required=True)
     _add_solver_flags(p_sweep)
-    _add_output_flags(p_sweep)
+    _add_output_flags(p_sweep, formats=True, plot_data=True)
 
     p_census = sub.add_parser("census",
                               help="count solution classes for fixed masses")
@@ -159,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_census.add_argument("--resolution", default=8,
                           type=int_in_range(2, MAX_RESOLUTION))
     _add_solver_flags(p_census)
-    _add_output_flags(p_census)
+    _add_output_flags(p_census, formats=True, plot_data=True)
 
     p_verify = sub.add_parser("verify", help="run the verification suites")
     p_verify.add_argument("--trials", type=int_in_range(1), default=1000)
@@ -173,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "omit to skip the theorem 1 census suite")
     p_verify.add_argument("--theorem2-grid", type=parse_grid, default=None,
                           help="alpha grid; omit to skip the theorem 2 suite")
-    _add_output_flags(p_verify, tables=False)  # a JSON document only
+    _add_output_flags(p_verify, formats=False, plot_data=False)
 
     p_realize = sub.add_parser(
         "realize", help="realize six squared distances as planar points")
@@ -181,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="a,b,c,d,e,f")
     p_realize.add_argument("--alpha", type=positive_float, required=True)
     p_realize.add_argument("--beta", type=positive_float, required=True)
-    _add_output_flags(p_realize)
+    _add_output_flags(p_realize, formats=False, plot_data=True)
 
     return parser
 
@@ -304,8 +306,7 @@ def _cmd_census(args) -> tuple:
         text = "\n".join(csv_lines(columns, rows)) + "\n"
     payload = None
     if args.plot_data:
-        configs = [realize(cls.state.sq, m).to_json_dict()
-                   for cls in report.classes]
+        configs = [cls.config.to_json_dict() for cls in report.classes]
         payload = {"kind": "census", "configs": configs}
     return 0, text, payload
 

@@ -57,6 +57,11 @@ class MassVector:
         w = self.masses
         return np.array([w[i] * w[j] for i, j in PAIRS], dtype=float)
 
+    @property
+    def inertia_weights(self) -> np.ndarray:
+        """The weights m_i m_j / m' of sq_inertia, in PAIRS order."""
+        return self.pair_weights / self.mprime
+
 
 class SquaredDistances(NamedTuple):
     """a=r12^2, b=r13^2, c=r14^2, d=r23^2, e=r24^2, f=r34^2."""
@@ -71,16 +76,19 @@ class SquaredDistances(NamedTuple):
     @property
     def scale_sq(self) -> float:
         """Mean squared distance; the natural area-like scale."""
-        return sum(self) / 6.0
+        return _mean_of_six(self)
+
+
+def _mean_of_six(x):
+    """(x[0] + ... + x[5]) / 6, added left to right as written, of floats
+    in pure Python or of arrays elementwise (sum() of floats is
+    compensated from Python 3.12 on, which would change the bits)."""
+    return (x[0] + x[1] + x[2] + x[3] + x[4] + x[5]) / 6.0
 
 
 def scale_sq_many(sq: np.ndarray) -> np.ndarray:
-    """SquaredDistances.scale_sq along the last axis, summed left to right
-    in the same order."""
-    total = sq[..., 0]
-    for k in range(1, 6):
-        total = total + sq[..., k]
-    return total / 6.0
+    """SquaredDistances.scale_sq along the last axis, with the same bits."""
+    return _mean_of_six(np.moveaxis(sq, -1, 0))
 
 
 class OrientedAreas(NamedTuple):
@@ -241,16 +249,9 @@ def cayley_gradient_rows(x: np.ndarray) -> np.ndarray:
                    - xy - faces)
 
 
-def cayley_gradient_many(sq: np.ndarray) -> np.ndarray:
-    """cayley_gradient_rows over rows of a (n, 6) array; the (n, 6)
-    gradients are a view of its (6, n) rows."""
-    x = np.atleast_2d(np.asarray(sq, dtype=float))
-    return cayley_gradient_rows(x.T).T
-
-
 def cayley_gradient(sq: Sequence[float]) -> np.ndarray:
-    """Exact gradient of S with respect to (a, ..., f), a row of
-    cayley_gradient_many.
+    """Exact gradient of S with respect to (a, ..., f), a column of
+    cayley_gradient_rows.
 
     Raises NotPlanar when the input does not (numerically) embed in the
     plane, since the Dziobek identity dS/dr_ij^2 = 32 Delta_i Delta_j is
@@ -259,7 +260,7 @@ def cayley_gradient(sq: Sequence[float]) -> np.ndarray:
     x = np.asarray(sq, dtype=float)
     if not planar_many(x)[0]:
         raise NotPlanar("cayley_gradient requires planar squared distances")
-    return cayley_gradient_many(x[None, :])[0]
+    return cayley_gradient_rows(x[:, None])[:, 0]
 
 
 def psi_prime_many(sq: np.ndarray) -> np.ndarray:
@@ -320,7 +321,7 @@ def cc_residuals(st: DziobekState, m: MassVector) -> np.ndarray:
 def sq_inertia(sq: Sequence[float], m: MassVector) -> float:
     """Moment of inertia (1/m') sum m_i m_j r_ij^2 of six squared
     distances."""
-    return float(np.asarray(sq, dtype=float) @ (m.pair_weights / m.mprime))
+    return float(np.asarray(sq, dtype=float) @ m.inertia_weights)
 
 
 def unit_inertia_sq(sq: Sequence[float], m: MassVector) -> np.ndarray:

@@ -113,28 +113,17 @@ _TRIANGLES = np.array([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]).T
 
 
 def _sub_triangles(points: np.ndarray):
-    """triangle_areas_many and convex_many of (..., 4, 2) points, from one
-    pass over the signed Delta_i: the diagonals cross where Delta_1 and
-    Delta_2 differ in sign (q1 and q2 lie on opposite sides of the line
-    q3-q4), and so do Delta_3 and Delta_4."""
+    """|Delta_i| of (..., 4, 2) points, the areas of the triangles without
+    vertex i, and where the open diagonals q1-q2 and q3-q4 cross: where
+    Delta_1 and Delta_2 differ in sign (q1 and q2 lie on opposite sides of
+    the line q3-q4), and so do Delta_3 and Delta_4."""
     d = _signed_area(*(points[..., v, :] for v in _TRIANGLES))
     return np.abs(d), (d[..., 0] * d[..., 1] < 0) & (d[..., 2] * d[..., 3] < 0)
-
-
-def convex_many(points: np.ndarray) -> np.ndarray:
-    """True where the open diagonals q1-q2 and q3-q4 properly intersect."""
-    return _sub_triangles(points)[1]
 
 
 def _check_convex(convex: bool) -> None:
     if not convex:
         raise NotConvex("diagonals q1-q2 and q3-q4 do not properly intersect")
-
-
-def triangle_areas_many(points: np.ndarray) -> np.ndarray:
-    """|Delta_i|, the area of the triangle on the three vertices other than
-    i, for (..., 4, 2) points; shape (..., 4)."""
-    return _sub_triangles(points)[0]
 
 
 def _nondegenerate(mags: np.ndarray, scale_sq: np.ndarray) -> np.ndarray:
@@ -191,16 +180,6 @@ def _trilateration(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     return ok
 
 
-def trilaterate_many(sq: np.ndarray):
-    """Points of (n, 6) squared distances alone (f is not used), q1 at the
-    origin, q2 on the positive x-axis, q3 above and q4 below it, and the
-    mask of rows with positive entries and proper face triangles."""
-    tri = np.empty((5,) + sq.shape[:-1])
-    with np.errstate(all="ignore"):
-        ok = _trilateration(np.moveaxis(sq, -1, 0), tri)
-    return _placed(tri), ok
-
-
 def _placed(tri: np.ndarray) -> np.ndarray:
     """(..., 4, 2) points of the trilateration rows r12, x3, x4, y3, y4m."""
     r12, x3, x4, y3, y4m = tri[:5]
@@ -211,9 +190,9 @@ def _placed(tri: np.ndarray) -> np.ndarray:
 
 def trilaterated_areas_many(sq: np.ndarray):
     """Oriented (-, -, +, +) areas of (n, 6) squared distances placed as
-    trilaterate_many places them, and the mask of the rows it accepts
-    whose diagonal q3-q4 crosses the open segment q1-q2.  f is not used.
-    The (n, 4) areas are a view of trilaterated_area_rows' rows."""
+    _placed places them (f is not used), and the mask of the rows that
+    _trilateration accepts whose diagonal q3-q4 crosses the open segment
+    q1-q2.  The (n, 4) areas are a view of trilaterated_area_rows' rows."""
     valid, tri = trilaterated_area_rows(sq.T)
     return valid, tri[5:].T
 
@@ -221,7 +200,7 @@ def trilaterated_areas_many(sq: np.ndarray):
 def trilaterated_area_rows(sq: np.ndarray):
     """trilaterated_areas_many in row layout: the mask of the (6, n) rows
     a..f and their (9, n) trilateration, the rows r12, x3, x4, y3 and y4m
-    of trilaterate_many's placed points, then the areas (tri[5:]).
+    that _placed places, then the areas (tri[5:]).
 
     This is the geometry of every Newton iterate, so it works on the
     trilateration coordinates directly rather than on (n, 4, 2) points,
@@ -316,18 +295,20 @@ def realize(sq: Sequence[float], m: MassVector) -> PlanarConfig:
                         f"(Cayley determinant {s_val:.3e})")
     if min(sqt) <= 0:
         raise NotRealizable("squared distances must be positive")
-    pts, ok = trilaterate_many(np.asarray(sqt, dtype=float))
+    tri = np.empty(5)
+    with np.errstate(all="ignore"):
+        ok = _trilateration(np.asarray(sqt, dtype=float), tri)
     if not ok:
         raise NotRealizable("a face triangle inequality is violated")
-    return PlanarConfig.from_points(pts, m)
+    return PlanarConfig.from_points(_placed(tri), m)
 
 
 def realize_convex_many(sq: np.ndarray, m: MassVector, tri: np.ndarray):
-    """Recentered points of (n, 6) squared distances placed from tri, their
-    (5, n) trilateration as trilaterated_area_rows accepts it, their
-    oriented areas, and the mask of rows that realize and oriented_areas
-    accept; one squared-distance pass serves all the tests.  Call under
-    np.errstate."""
+    """The (n, 4, 2) recentered points, (n, 4) oriented areas and mask of
+    the rows that realize and oriented_areas accept, of (n, 6) squared
+    distances placed from tri, their (5, n) trilateration as
+    trilaterated_area_rows gives it; one squared-distance pass serves all
+    the tests.  Call under np.errstate."""
     pts = _recenter(_placed(tri), m)
     centered, apart, scale_sq = _config_checks(pts, m)
     areas, areas_ok = oriented_areas_many(pts, scale_sq)
@@ -363,13 +344,6 @@ class CanonicalFrame:
     def reconstruct(self, m: MassVector) -> PlanarConfig:
         return PlanarConfig.from_points(frame_points_many(self.as_vector()),
                                         m)
-
-    def rescaled_to_unit_inertia(self, m: MassVector) -> "CanonicalFrame":
-        row, ok = unit_inertia_many(self.as_vector(), m)
-        if not ok:
-            raise ValueError("frame does not reconstruct to four distinct "
-                             "centered points")
-        return CanonicalFrame(*(float(x) for x in row))
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -457,16 +431,18 @@ def canonicalize_many(points: np.ndarray, m: MassVector):
     with np.errstate(all="ignore"):
         raw = _frames_from_points(points)
         frames, ok = unit_inertia_many(raw, m)
-    ok &= convex_many(points) & _valid_frames(raw) & _valid_frames(frames)
+    ok &= (_sub_triangles(points)[1] & _valid_frames(raw)
+           & _valid_frames(frames))
     return frames, ok
 
 
 def canonicalize(p: PlanarConfig) -> CanonicalFrame:
     """Map a convex configuration (1, 2 opposite) to its canonical frame."""
-    _check_convex(convex_many(p.points))
-    raw = _frames_from_points(p.points)
-    frame = CanonicalFrame(*(float(x) for x in raw))
-    return frame.rescaled_to_unit_inertia(p.masses)
+    frames, ok = canonicalize_many(p.points[None], p.masses)
+    if not ok[0]:
+        _check_convex(_sub_triangles(p.points)[1])
+        raise ValueError("the configuration has no valid canonical frame")
+    return CanonicalFrame(*frames[0].tolist())
 
 
 def congruent(p1: PlanarConfig, p2: PlanarConfig, tol: float = 1e-8) -> bool:

@@ -106,7 +106,7 @@ class Residuals:
                  embed: Sequence[int] | None = None):
         self.inv_mm = 1.0 / m.pair_weights
         # the normalization residual is sq @ gauge - 1
-        self.gauge = (m.pair_weights / m.mprime
+        self.gauge = (m.inertia_weights
                       if normalization == "fix_inertia_one"
                       else np.eye(6)[0])
         self.embed = self.reduced = None
@@ -159,11 +159,11 @@ class Residuals:
         out[valid] = res.T
         return out, valid, tri
 
-    def linearize(self, x: np.ndarray, tri: np.ndarray | None = None):
+    def linearize(self, x: np.ndarray, tri: np.ndarray):
         """(jac, near) of (n, k) rows inside the convex region, from their
-        (9, n) trilateration (a residual call's, or taken again if None) and
-        the 16 area derivatives that are not identically zero.  near marks
-        the rows within the boundary probe: x_j <= h_j, or |Delta_k| <=
+        (9, n) trilateration, a residual call's, and the 16 area
+        derivatives that are not identically zero.  near marks the rows
+        within the boundary probe: x_j <= h_j, or |Delta_k| <=
         _AREA_ORDER[k] h_j |dDelta_k / dx_j| for a reduced unknown j that
         moves a squared distance, tested on the pairs (k, j) whose
         derivative is not identically zero.  An identically zero one is
@@ -173,8 +173,6 @@ class Residuals:
         Jacobian at the other rows, in order, assembled as (8, 8, n) rows
         and transposed once, C-ordered for the batched solve."""
         xr = self._rows(x)
-        if tri is None:
-            tri = trilaterated_area_rows(xr[:6])[1]
         areas = tri[5:]
         d_areas = trilaterated_area_derivative_rows(tri)
         xs = xr[:6] if self.embed is None else x.T[self.sq_cols]

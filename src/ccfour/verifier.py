@@ -13,7 +13,7 @@ import numpy as np
 from .dziobek import (DziobekState, MassVector, balanced_residuals,
                       chord_value, psi_prime, sign_det)
 from .census import census
-from .geometry import PlanarConfig, newtonian_oracle, realize
+from .geometry import PlanarConfig, newtonian_oracle
 from .solver import rhombus_ratio
 
 DEFAULT_SEED = 1405
@@ -297,7 +297,7 @@ def run_theorem1_suite(mass_grid: Sequence[tuple[float, float]],
         worst = max(worst, delta_gap)
         if delta_gap > 1e-8:
             witnesses.append({**point, "delta1_minus_delta2": delta_gap})
-        lam, resid = newtonian_oracle(realize(st.sq, m), m)
+        lam, resid = newtonian_oracle(cls.config, m)
         worst = max(worst, resid)
         if resid > ORACLE_TOL or lam >= 0:
             witnesses.append({**point, "oracle_residual": resid,

@@ -5,8 +5,9 @@ import pytest
 
 from ccfour import CanonicalFrame, MassVector, PlanarConfig
 from ccfour.dziobek import planar_many, scale_sq_many
-from ccfour.geometry import (_config_checks, _recenter, oriented_areas_many,
-                             squared_distances_many, trilaterate_many)
+from ccfour.geometry import (_config_checks, _placed, _recenter,
+                             _trilateration, oriented_areas_many,
+                             squared_distances_many)
 
 
 @pytest.fixture
@@ -36,12 +37,22 @@ def unit_square_config(masses: MassVector | None = None) -> PlanarConfig:
     return PlanarConfig.from_points(pts, masses)
 
 
+def trilaterate(sq: np.ndarray):
+    """Points of (n, 6) squared distances alone (f is not used), placed by
+    geometry._trilateration and _placed, and the mask of rows with
+    positive entries and proper face triangles."""
+    tri = np.empty((5, len(sq)))
+    with np.errstate(all="ignore"):
+        ok = _trilateration(sq.T, tri)
+    return _placed(tri), ok
+
+
 def realize_many(sq: np.ndarray, m: MassVector):
     """The reference for geometry.realize_convex_many: recentered points of
     (n, 6) squared distances, trilaterated from them alone, their oriented
     areas, and the mask of rows that realize and oriented_areas accept."""
     with np.errstate(all="ignore"):
-        pts, ok = trilaterate_many(sq)
+        pts, ok = trilaterate(sq)
         pts = _recenter(pts, m)
         centered, apart, _ = _config_checks(pts, m)
         areas, areas_ok = oriented_areas_many(

@@ -254,3 +254,22 @@ def test_criterion_9_determinism():
     ok = first == second
     report(9, "census determinism", ok,
            f"{len(first)} bytes, byte-identical" if ok else "outputs differ")
+
+
+def test_census_classes_keep_the_configuration_realize_gives(
+        theorem1_census, theorem2_census):
+    """Each class carries the configuration solve_batch realized, bitwise
+    the one realize gives of its state, so the theorem 1 oracle and the
+    census plot data realize nothing again."""
+    reports = [*theorem1_census.items(),
+               *(((alpha, alpha), rep) for alpha, rep in
+                 theorem2_census.items())]
+    classes = 0
+    for (alpha, beta), rep in reports:
+        m = MassVector(alpha=alpha, beta=beta)
+        for cls in rep.classes:
+            assert cls.config.masses == m
+            assert (cls.config.points.tobytes()
+                    == realize(cls.state.sq, m).points.tobytes())
+            classes += 1
+    assert classes == len(reports)

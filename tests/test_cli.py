@@ -97,12 +97,18 @@ def test_bad_flag_value_exits_2_with_one_line(capsys, argv):
 
 def test_verify_plot_data_is_a_usage_error(capsys, tmp_path):
     """verify writes only its JSON document, so it has neither --plot-data
-    nor --format: either exits 2 with one line on stderr, before any check
-    runs, and --plot-data makes no file."""
+    nor --format, and realize writes only JSON and plot data, so it has no
+    --format: each exits 2 with one line on stderr, before any work, and
+    --plot-data makes no file."""
     plot = tmp_path / "p.csv"
-    for flag, value in [("--plot-data", str(plot)), ("--format", "csv")]:
+    verify = ["verify", "--trials", "1"]
+    realize = ["realize", "--sq", "2,1,1,1,1,2", "--alpha", "1", "--beta",
+               "1"]
+    for argv, flag, value in [(verify, "--plot-data", str(plot)),
+                              (verify, "--format", "csv"),
+                              (realize, "--format", "csv")]:
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--trials", "1", flag, value])
+            main([*argv, flag, value])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""

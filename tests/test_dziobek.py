@@ -10,8 +10,8 @@ from ccfour import (DomainError, DziobekState, MassVector, NotPlanar,
                     oriented_areas, psi, psi_prime, q_residuals,
                     scaling_transform, sign_det, solve_kite,
                     squared_distances, t_values)
-from ccfour.dziobek import (PAIRS, cayley_gradient_many, cayley_many,
-                            chord_value, planar_many)
+from ccfour.dziobek import (PAIRS, cayley_gradient_rows, cayley_many,
+                            chord_value, planar_many, scale_sq_many)
 from conftest import random_convex_config
 
 EQUAL = MassVector(alpha=1.0, beta=1.0)
@@ -127,7 +127,7 @@ def test_cayley_closed_form_is_the_bordered_determinant_exactly():
     grid = np.array(list(itertools.product(range(4), repeat=6)))
     want = np.array(exact(*grid.T)).T
     assert (cayley_many(grid.astype(float)) == want[:, 0]).all()
-    assert (cayley_gradient_many(grid.astype(float)) == want[:, 1:]).all()
+    assert (cayley_gradient_rows(grid.T.astype(float)) == want[:, 1:].T).all()
 
 
 def test_cayley_closed_form_matches_linalg_det(rng):
@@ -146,8 +146,8 @@ def test_cayley_closed_form_matches_linalg_det(rng):
                      for i, j in PAIRS]
         scale = max(sq)
         assert abs(cayley_many(sq)[0] + np.linalg.det(M)) < 1e-13 * scale ** 3
-        assert (np.max(np.abs(cayley_gradient_many(sq)[0] - cofactors))
-                < 1e-13 * scale ** 2)
+        gradient = cayley_gradient_rows(np.array(sq, dtype=float)[:, None])
+        assert np.max(np.abs(gradient[:, 0] - cofactors)) < 1e-13 * scale ** 2
 
 
 def test_cayley_gradient_square():
@@ -173,13 +173,13 @@ def test_cayley_gradient_matches_finite_differences(rng):
                            finite_difference_gradient(sq), rtol=1e-6)
 
 
-def test_cayley_gradient_is_a_row_of_cayley_gradient_many(rng):
+def test_cayley_gradient_is_a_column_of_cayley_gradient_rows(rng):
     sq = np.array([squared_distances(random_convex_config(rng))
                    for _ in range(20)])
-    rows = cayley_gradient_many(sq)
-    assert rows.shape == (20, 6)
+    rows = cayley_gradient_rows(sq.T)
+    assert rows.shape == (6, 20)
     for k in range(20):
-        assert cayley_gradient(sq[k]).tolist() == rows[k].tolist()
+        assert cayley_gradient(sq[k]).tolist() == rows[:, k].tolist()
 
 
 @pytest.mark.parametrize("mean_sq", [1e-9, 1.0, 1e8, 1e90])
@@ -392,4 +392,18 @@ def test_state_derived_quantities():
     st = square_state()
     assert st.lambda_dz == st.nu / 32.0
     assert st.mu(EQUAL) == st.xi * 4.0
+
+
+
+def test_scale_sq_is_scale_sq_many_bitwise(rng):
+    """Both add the six squared distances left to right.  A correctly
+    rounded sum, as sum() of floats is from Python 3.12 on, differs: at
+    (1e16, 1, 1, 1, 1, 1) it is 1.0000000000000004e16, not 1e16."""
+    rows = np.vstack([rng.uniform(0.1, 3.0, size=(1000, 6)),
+                      [1e16, 1.0, 1.0, 1.0, 1.0, 1.0]])
+    many = scale_sq_many(rows)
+    for row, want in zip(rows.tolist(), many.tolist()):
+        assert SquaredDistances(*row).scale_sq == want
+    assert many[-1] == 1e16 / 6.0
+    assert math.fsum(rows[-1]) == 1.0000000000000004e16
 

@@ -11,9 +11,9 @@ from ccfour import (CollisionError, Degenerate, MassVector, NotConvex,
                     squared_distances)
 from ccfour.dziobek import PAIRS, scale_sq_many
 from ccfour.geometry import _sub_triangles as sub_triangles
-from ccfour.geometry import (canonicalize_many, convex_many,
-                             newtonian_oracle_many, realize_convex_many,
-                             squared_distances_many, trilaterated_area_rows)
+from ccfour.geometry import (canonicalize_many, newtonian_oracle_many,
+                             realize_convex_many, squared_distances_many,
+                             trilaterated_area_rows)
 from conftest import random_convex_config, realize_many, unit_square_config
 
 EQUAL = MassVector(alpha=1.0, beta=1.0)
@@ -70,7 +70,7 @@ def test_oriented_areas_makes_one_sub_triangle_pass(monkeypatch):
 
     collinear = [[-3.0, 0.0], [3.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]
     p = PlanarConfig.from_points(collinear, EQUAL)
-    assert not convex_many(p.points)
+    assert not sub_triangles(p.points)[1]
     monkeypatch.setattr("ccfour.geometry._sub_triangles", counted)
     oriented_areas(unit_square_config())
     assert calls == [(4, 2)]
@@ -93,9 +93,15 @@ def test_convex_needs_q1_q2_and_q3_q4_to_be_the_diagonals():
         [[0.0, 0.0], [2.0, 0.0], [1.0, 2.0], [1.0, 0.5]],  # q4 inside
         [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]],  # diagonals
     ])
-    assert convex_many(points).tolist() == [True, False, False, True]
+    assert sub_triangles(points)[1].tolist() == [True, False, False, True]
     with pytest.raises(NotConvex):
         oriented_areas(PlanarConfig.from_points(points[1], EQUAL))
+    # canonicalize raises NotConvex before any other error, also where the
+    # frame is NaN, as on four collinear points
+    collinear = [[-3.0, 0.0], [3.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]
+    for q in (points[1], points[2], collinear):
+        with pytest.raises(NotConvex):
+            canonicalize(PlanarConfig.from_points(q, EQUAL))
 
 
 def test_oriented_areas_scale_quadratically(rng):

@@ -7,6 +7,9 @@ from pathlib import Path
 import ccfour
 
 ALLOWED_PRIVATE_IMPORTS = set()
+# public functions with no caller in the package: potential serves the
+# acceptance check lambda I + U = 0
+UNCALLED_PUBLIC_FUNCTIONS = {("verifier", "potential")}
 
 
 def private_imports(source: str, module: str) -> set:
@@ -55,6 +58,29 @@ def package_imports(source: str, modules: set) -> tuple[set, set]:
 def package_sources() -> dict:
     return {path.stem: path.read_text()
             for path in sorted(Path(ccfour.__file__).parent.glob("*.py"))}
+
+
+def uncalled_public_functions(sources: dict) -> set:
+    """(module, name) of the public module-level functions that the
+    package's "__init__" does not export and that no package code names,
+    as a name or an attribute, outside the function's own body."""
+    defined, named = set(), set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                own = top.name
+                if not own.startswith("_"):
+                    defined.add((module, own))
+            if module == "__init__" and isinstance(top, ast.ImportFrom):
+                named |= {alias.name for alias in top.names}
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute)
+                        else own)
+                if name != own:
+                    named.add(name)
+    return {(module, name) for module, name in defined if name not in named}
 
 
 def scipy_imports(source: str) -> set:
@@ -114,6 +140,29 @@ def test_module_import_graph_has_no_cycle():
              for module, source in sources.items()}
     # raises CycleError, naming the cycle, if there is one
     graphlib.TopologicalSorter(graph).prepare()
+
+
+def test_uncalled_public_function_detection():
+    sources = {
+        "__init__": "from .a import exported\n",
+        "a": ("def exported():\n    pass\n"
+              "def recursive(n):\n    return recursive(n - 1)\n"
+              "def _private():\n    pass\n"
+              "def called():\n    pass\n"
+              "def by_attribute():\n    pass\n"),
+        "b": ("from .a import called, recursive\n"
+              "from . import a\n"
+              "def f():\n    return called(), a.by_attribute\n"),
+    }
+    assert uncalled_public_functions(sources) == {("a", "recursive"),
+                                                  ("b", "f")}
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    """A public function that only the tests reach is a second code path
+    beside the one the package runs."""
+    found = uncalled_public_functions(package_sources())
+    assert found == UNCALLED_PUBLIC_FUNCTIONS, found
 
 
 def test_scipy_import_detection():

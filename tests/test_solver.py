@@ -17,7 +17,7 @@ from ccfour.dziobek import (_FACE_PARTNERS, PAIR_I, PAIR_J, cayley_many,
                             psi_prime_many, unit_inertia_sq)
 from ccfour.census import _seed_vectors, seed_grid
 from ccfour.cli import parse_grid
-from ccfour.geometry import (AREA_DERIVATIVE_MOVES, trilaterate_many,
+from ccfour.geometry import (AREA_DERIVATIVE_MOVES,
                              trilaterated_area_derivative_rows,
                              trilaterated_area_rows, trilaterated_areas_many)
 from ccfour.solver import (_AREA_ORDER, _BLOCK, _BOUNDARY_PROBE,
@@ -27,7 +27,7 @@ from ccfour.solver import (_AREA_ORDER, _BLOCK, _BOUNDARY_PROBE,
                            _brentq, _kite_seed_vectors, _newton_batch,
                            _norm2, _norm_inf, _polish, _rhombus_equation,
                            _solve_linear, seed_vector, seed_vectors)
-from conftest import random_convex_config
+from conftest import random_convex_config, trilaterate
 
 EQUAL = MassVector(alpha=1.0, beta=1.0)
 
@@ -374,8 +374,20 @@ def central_jacobian(fun, x, h_rel=1e-6):
     return jac
 
 
+def fresh_tri(fun, x):
+    """The (9, n) trilateration of (n, k) rows, taken as a residual call of
+    fun takes it."""
+    xf = x if fun.embed is None else x[:, fun.embed]
+    return trilaterated_area_rows(xf[:, :6].T)[1]
+
+
+def linearized(fun, x):
+    """fun.linearize of (n, k) rows, from their fresh_tri."""
+    return fun.linearize(x, fresh_tri(fun, x))
+
+
 def assert_jacobian_matches_central_differences(fun, x):
-    exact, near = fun.linearize(x)
+    exact, near = linearized(fun, x)
     assert not near.any()
     oracle = central_jacobian(fun, x)
     assert np.isfinite(oracle).all()
@@ -476,7 +488,7 @@ def first_newton_trials(fun, x0):
     """The line search's first four trial points, lam = 1 to 1/8, from the
     rows of x0 that Newton steps from."""
     res, valid, _ = fun(x0)
-    jac, near = fun.linearize(x0[valid])
+    jac, near = linearized(fun, x0[valid])
     dx, singular = _solve_linear(jac, -res[valid][~near])
     x, dx = x0[valid][~near][~singular], dx[~singular]
     lam = 0.5 ** np.arange(4)
@@ -533,14 +545,14 @@ def test_linearize_returns_the_jacobians_of_the_rows_it_keeps(area):
         cases += [(fun, x[fun(x)[1]], False)
                   for fun, x in systems_and_trials(m, "fix_inertia_one")]
     for fun, x, retires in cases:
-        jac, near = fun.linearize(x)
+        jac, near = linearized(fun, x)
         kept = np.flatnonzero(~near)
         assert kept.size and near.any() == retires
-        again, again_near = fun.linearize(x[kept])
+        again, again_near = linearized(fun, x[kept])
         assert not again_near.any()
         assert again.tobytes() == jac.tobytes()
         for j in range(0, kept.size, -(-kept.size // 64)):
-            alone = fun.linearize(x[kept[j]:kept[j] + 1])[0]
+            alone = linearized(fun, x[kept[j]:kept[j] + 1])[0]
             assert alone.tobytes() == jac[j].tobytes(), j
 
 
@@ -694,7 +706,7 @@ def test_solve_linear_is_each_row_solved_alone():
     fun = Residuals(m, "fix_inertia_one")
     x = _seed_vectors(seed_grid(4, m), m)
     res, valid, _ = fun(x)
-    jac, near = fun.linearize(x[valid])
+    jac, near = linearized(fun, x[valid])
     rhs = -res[valid][~near]
     assert jac.shape[0] > 100
     singular_jac = jac.copy()
@@ -782,7 +794,7 @@ def test_newton_linearizes_at_most_a_block_of_rows(monkeypatch):
     rows = []
     linearize = Residuals.linearize
 
-    def counted(self, x, tri=None):
+    def counted(self, x, tri):
         rows.append(x.shape[0])
         return linearize(self, x, tri)
 
@@ -834,7 +846,7 @@ class Steered(Halfplane):
     def __init__(self, jac, near):
         self.jac, self.near = jac, near
 
-    def linearize(self, x, tri=None):
+    def linearize(self, x, tri):
         near = self.near[:x.shape[0]]
         return self.jac[:x.shape[0]][~near], near
 
@@ -883,7 +895,7 @@ def test_row_within_the_boundary_probe_is_near_boundary():
     x = np.array([near_boundary_vector(m, 1, 1e-9),
                   near_boundary_vector(m, 1, 1e-2)])
     assert fun(x)[1].all()
-    assert fun.linearize(x)[1].tolist() == [True, False]
+    assert linearized(fun, x)[1].tolist() == [True, False]
     _, status, _, _, _ = _newton_batch(fun, x[:1], SolveOptions())
     assert status.tolist() == [NEAR_BOUNDARY]
     with pytest.raises(LeftConvexRegion):
@@ -910,7 +922,7 @@ class ProbeChecked(Residuals):
 
     rows = marked = 0
 
-    def linearize(self, x, tri=None):
+    def linearize(self, x, tri):
         jac, near = super().linearize(x, tri)
         assert near.tolist() == probed_near_boundary(self, x).tolist()
         k = x.shape[1]
@@ -962,7 +974,7 @@ def test_boundary_test_matches_the_probe_across_each_area_threshold(area):
     m = MassVector(alpha=0.5, beta=0.8)
     for fun, x in rows_across_the_threshold(m, area):
         assert fun(x)[1].all()
-        near = fun.linearize(x)[1]
+        near = linearized(fun, x)[1]
         assert near.tolist() == probed_near_boundary(fun, x).tolist()
         assert near[0] and not near[-1]
 
@@ -976,7 +988,7 @@ def test_area_orders_are_pinned_by_the_probe(monkeypatch, area):
     order[area - 1] = 3.0 - order[area - 1]
     monkeypatch.setattr("ccfour.solver._AREA_ORDER", order)
     for fun, x in rows_across_the_threshold(m, area):
-        assert (fun.linearize(x)[1]
+        assert (linearized(fun, x)[1]
                 != probed_near_boundary(fun, x)).any()
 
 
@@ -988,7 +1000,7 @@ def test_area_orders_are_pinned_by_the_probe(monkeypatch, area):
 def dense_area_derivatives(sq):
     """(n, 4, 6) derivatives of the trilaterated areas of (n, 6) squared
     distances with respect to (a..f)."""
-    pts, _ = trilaterate_many(sq)
+    pts, _ = trilaterate(sq)
     r12, x3, y3, x4, y4m = (v[:, None] for v in (
         pts[:, 1, 0], pts[:, 2, 0], pts[:, 2, 1], pts[:, 3, 0],
         -pts[:, 3, 1]))
@@ -1089,7 +1101,7 @@ class ReferenceChecked(Residuals):
                            np.nansum(want * want, axis=1))
         return res, valid, tri
 
-    def linearize(self, x, tri=None):
+    def linearize(self, x, tri):
         jac, near = super().linearize(x, tri)
         want, want_near = dense_linearize(self, x)
         assert near.tolist() == want_near.tolist()
@@ -1193,7 +1205,7 @@ def test_linearize_is_the_dense_reference_on_every_census_call(
              ReferenceChecked(m, normalization, **kite)]
     for fun, (x, want_near) in zip(edges, boundary_edge_rows()):
         assert fun(x)[1].all()
-        assert fun.linearize(x)[1].tolist() == want_near
+        assert linearized(fun, x)[1].tolist() == want_near
     for row, k, j in ON_THE_AREA_THRESHOLD:
         x = np.array([float.fromhex(v) for v in row.split()])
         assert on_the_area_threshold(edges[x.size == 6], x, k, j)
@@ -1203,7 +1215,7 @@ def test_linearize_is_the_dense_reference_on_every_census_call(
     monkeypatch.setattr("ccfour.solver.trilaterated_area_derivative_rows",
                         zero_delta_2_with_nan_moving_derivatives)
     for fun, (x, _) in zip(edges, boundary_edge_rows()):
-        assert Residuals.linearize(fun, x)[1].all()
+        assert Residuals.linearize(fun, x, fresh_tri(fun, x))[1].all()
 
 
 class CarriedChecked(Residuals):
@@ -1214,12 +1226,11 @@ class CarriedChecked(Residuals):
 
     calls = 0
 
-    def linearize(self, x, tri=None):
-        assert tri is not None
+    def linearize(self, x, tri):
         jac, near = super().linearize(x, tri)
-        xf = x if self.embed is None else x[:, self.embed]
-        assert_bitwise(tri, trilaterated_area_rows(xf[:, :6].T)[1])
-        scratch, scratch_near = super().linearize(x)
+        fresh = fresh_tri(self, x)
+        assert_bitwise(tri, fresh)
+        scratch, scratch_near = super().linearize(x, fresh)
         assert near.tolist() == scratch_near.tolist()
         assert_bitwise(jac, scratch)
         self.calls += 1
@@ -1280,10 +1291,10 @@ def test_linearize_is_the_dense_reference_over_scales(
     x = seed_vectors(sq, m)
     full = ReferenceChecked(m, normalization)
     x = x[full(x)[1]]
-    full.linearize(x)
+    linearized(full, x)
     kite = ReferenceChecked(m, normalization, embed=_KITE_EMBED)
     xk = to_kite(x)
-    kite.linearize(xk[kite(xk)[1]])
+    linearized(kite, xk[kite(xk)[1]])
 
 
 def test_every_residual_call_counts_its_rows_in_cayley_many(monkeypatch):
@@ -1311,7 +1322,7 @@ def test_every_residual_call_counts_its_rows_in_cayley_many(monkeypatch):
         shapes.clear()
         monkeypatch.setattr("ccfour.solver.cayley_many", recorded)
         fun(x)
-        fun.linearize(x[valid])
+        linearized(fun, x[valid])
         monkeypatch.undo()
         assert shapes == [(np.count_nonzero(valid), 6)]
     monkeypatch.setattr("ccfour.solver.cayley_many", recorded)
