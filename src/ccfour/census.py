@@ -134,10 +134,11 @@ def census(m: MassVector, resolution: int = 8,
         first = keep[members[0]]
         report = batch.report(first)
         frame = CanonicalFrame(*frames[first].tolist())
+        # the class's own points: a view would keep the batch's alive
+        config = PlanarConfig.trusted(report.config.points.copy(), m)
         classes.append(CensusClass(frame=frame, state=report.state,
                                    symmetry=SymmetryLabel(report.symmetry),
-                                   basin=int(members.size),
-                                   config=report.config))
+                                   basin=int(members.size), config=config))
     classes.sort(key=lambda c: -c.basin)
     return CensusReport(masses=m, classes=classes,
                         seeds_total=x0.shape[0],

@@ -88,7 +88,7 @@ def _mean_of_six(x):
 
 def scale_sq_many(sq: np.ndarray) -> np.ndarray:
     """SquaredDistances.scale_sq along the last axis, with the same bits."""
-    return _mean_of_six(np.moveaxis(sq, -1, 0))
+    return _mean_of_six([sq[..., k] for k in range(6)])
 
 
 class OrientedAreas(NamedTuple):

@@ -260,7 +260,8 @@ def test_census_classes_keep_the_configuration_realize_gives(
         theorem1_census, theorem2_census):
     """Each class carries the configuration solve_batch realized, bitwise
     the one realize gives of its state, so the theorem 1 oracle and the
-    census plot data realize nothing again."""
+    census plot data realize nothing again; its points are its own, not a
+    view that keeps the batch's points alive."""
     reports = [*theorem1_census.items(),
                *(((alpha, alpha), rep) for alpha, rep in
                  theorem2_census.items())]
@@ -269,6 +270,7 @@ def test_census_classes_keep_the_configuration_realize_gives(
         m = MassVector(alpha=alpha, beta=beta)
         for cls in rep.classes:
             assert cls.config.masses == m
+            assert cls.config.points.base is None
             assert (cls.config.points.tobytes()
                     == realize(cls.state.sq, m).points.tobytes())
             classes += 1

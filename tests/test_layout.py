@@ -75,11 +75,10 @@ def uncalled_public_functions(sources: dict) -> set:
             if module == "__init__" and isinstance(top, ast.ImportFrom):
                 named |= {alias.name for alias in top.names}
             for node in ast.walk(top):
-                name = (node.id if isinstance(node, ast.Name) else
-                        node.attr if isinstance(node, ast.Attribute)
-                        else own)
-                if name != own:
-                    named.add(name)
+                if isinstance(node, ast.Name) and node.id != own:
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute) and node.attr != own:
+                    named.add(node.attr)
     return {(module, name) for module, name in defined if name not in named}
 
 
