@@ -603,8 +603,9 @@ def test_realize_nonplanar_fails(capsys):
 def test_output_digest_families_run_through_the_cli():
     """tools/output_digest.py lists the families README names; its command
     runner captures a command's status, stdout and stderr, its plot runner
-    a command's status and plot CSV, and its newton runners give the bits of solve_batch's arrays on the census seeds and
-    on solve_kite's nine seeds, embedded in full vectors."""
+    a command's status and plot CSV, and its newton runners give the bits
+    of solve_batch's arrays on the census seeds and on solve_kite's nine
+    seeds, embedded in full vectors."""
     path = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
     spec = importlib.util.spec_from_file_location("output_digest", path)
     digest = importlib.util.module_from_spec(spec)
@@ -617,6 +618,9 @@ def test_output_digest_families_run_through_the_cli():
            for n in digest.NORMALIZATIONS},
         **{f"solve rhombus {n}": 30 for n in digest.NORMALIZATIONS},
         "sweep csv": 1, "sweep bench": 1,
+        # per normalization, census, kite and full at four points and the
+        # rhombus at the two equal-mass ones; then the realize jobs
+        "csv and realize": 2 * (3 * 4 + 2) + len(digest.REALIZE_SQ),
         "verify": 1 + len(digest.THEOREM1_VERIFY),
         "plot data": 80 + 1 + 4 + 1 + len(digest.REALIZE_SQ), "newton": 160,
         "newton kite": 160}
@@ -640,6 +644,11 @@ def test_output_digest_families_run_through_the_cli():
     assert status == 0
     assert csv.decode() == plot_csv({"kind": "solve", "configs": [
         json.loads(out)]})
+    csv_job = next(jobs[0] for name, _, jobs in digest.families()
+                   if name == "csv and realize")
+    status, out, err = digest.run(csv_job)
+    assert (status, out.splitlines()[0], err) == (
+        0, "class,symmetry,basin,a,b,c,d,e,f,nu,xi", "")
     status, out, err = digest.run(["census", "--alpha", "0.5", "--beta",
                                    "0.8", "--resolution", "1"])
     assert (status, out, err.count("\n")) == (2, "", 1)

@@ -5,17 +5,20 @@ in order, its arguments and what it gives.  Most families are commands run
 through `ccfour.cli.main`, each hashed with its exit status, stdout and
 stderr; the `plot data` family hashes the exit status and the bytes of the
 `--plot-data` CSV, written to a temporary directory; the `newton` families
-hash the bits of `solver.solve_batch`'s arrays.  Two checkouts whose digests agree line by line give byte-identical
-output on every job listed here:
+hash the bits of `solver.solve_batch`'s arrays.  Two checkouts whose
+digests agree line by line give byte-identical output on every job listed
+here:
 
     PYTHONPATH=src python tools/output_digest.py > digest.txt
 
 in each checkout, then `diff` the two files.  The families are the census
 JSON on the 80 acceptance-grid points under both normalizations, `solve`
 JSON for each ansatz and normalization (kite and full on the 80 points,
-rhombus on the 30 equal-mass ones), the sweep CSV, `verify`: the run
-that README shows and four `verify --theorem1-grid` runs of one point
-each, whose Newtonian-oracle residuals reach the JSON, `plot data`: the
+rhombus on the 30 equal-mass ones), the sweep CSV, `csv and realize`:
+the census and `solve` CSV (each ansatz) under both normalizations at a
+few points and the `realize` JSON of a few planar distances, `verify`:
+the run that README shows and four `verify --theorem1-grid` runs of one
+point each, whose Newtonian-oracle residuals reach the JSON, `plot data`: the
 plot CSV of `census` on the 80 points, of `sweep` on README's grid and
 of `solve` and `realize` on a few points, `sweep bench`:
 the sweep JSON on the grid of bench/run.py's sweep workload (alpha =
@@ -53,6 +56,8 @@ SWEEP_GRID = ["--alpha-grid", "0.2:1.0:0.2", "--beta-grid", "0.2:2.0:0.2"]
 REALIZE_SQ = [("2,1,1,1,1,2", "1,1"), ("4,1.25,1.25,1.25,1.25,1", "0.7,0.7"),
               ("9,5,5,8,2,10", "0.5,0.8")]
 POINTS = THEOREM1_GRID + [(a, a) for a in THEOREM2_GRID]
+# the points of the CSV jobs; the rhombus takes the equal-mass ones
+CSV_POINTS = [(0.5, 0.8), (0.2, 1.6), (0.7, 0.7), (1.0, 1.0)]
 NORMALIZATIONS = ("fix_inertia_one", "fix_a_one")
 
 
@@ -73,6 +78,18 @@ def families():
                 ["solve", *ab, "--ansatz", ansatz, "--normalization", norm]
                 for ab in masses(points)]
     yield "sweep csv", run, [["sweep", *SWEEP_GRID, "--format", "csv"]]
+    csv_jobs = []
+    for norm in NORMALIZATIONS:
+        flags = ["--normalization", norm, "--format", "csv"]
+        csv_jobs += [["census", *ab, *flags] for ab in masses(CSV_POINTS)]
+        for ansatz in ("kite", "full", "rhombus"):
+            points = ([(a, b) for a, b in CSV_POINTS if a == b]
+                      if ansatz == "rhombus" else CSV_POINTS)
+            csv_jobs += [["solve", *ab, "--ansatz", ansatz, *flags]
+                         for ab in masses(points)]
+    yield "csv and realize", run, [
+        *csv_jobs, *(["realize", "--sq", sq, *masses([ab.split(",")])[0]]
+                     for sq, ab in REALIZE_SQ)]
     # comma lists, so that each value parses to its round(0.1 k, 1)
     yield "sweep bench", run, [["sweep", "--alpha-grid",
                                 ",".join(map(str, THEOREM2_GRID)),
