@@ -14,9 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-# the symmetry labels live in dziobek; census re-exports them
-from .dziobek import (CLASSIFY_TOL, DziobekState, MassVector, SymmetryLabel,
-                      classify_symmetry)
+from .dziobek import DziobekState, MassVector, SymmetryLabel
 from .geometry import (CanonicalFrame, PlanarConfig, canonicalize_many,
                        reconstruct_many, squared_distances_many,
                        unit_inertia_many)

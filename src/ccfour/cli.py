@@ -10,12 +10,13 @@ import sys
 
 from . import __version__
 from .census import MAX_RESOLUTION, census
-from .dziobek import MassVector, SquaredDistances, unit_inertia_sq
+from .dziobek import MassVector, SquaredDistances
 from .errors import CCFourError
 from .geometry import canonicalize, newtonian_oracle, realize
 from .jsonio import csv_lines, dumps, format_float
-from .solver import (SolveOptions, SweepCell, newton_solve, seed_state,
-                     solve_kite, solve_rhombus, sweep)
+from .solver import (NORMALIZATIONS, SolveOptions, SweepCell, gauged_sq,
+                     newton_solve, seed_state, solve_kite, solve_rhombus,
+                     sweep)
 from .verifier import (DEFAULT_SEED, check_lemma1_nu_positive,
                        check_lemma2_albouy, check_lemma3_sign,
                        check_lemma4_orderings, check_theorem_identities,
@@ -105,7 +106,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="residual tolerance (default 1e-12)")
     p.add_argument("--max-iterations", type=int_in_range(1), default=100,
                    help="Newton iteration budget (default 100)")
-    p.add_argument("--normalization", choices=["fix_inertia_one", "fix_a_one"],
+    p.add_argument("--normalization", choices=NORMALIZATIONS,
                    default="fix_inertia_one",
                    help="scale gauge (default fix_inertia_one)")
 
@@ -234,9 +235,8 @@ def _cmd_solve(args) -> tuple:
     elif args.ansatz == "kite":
         report = solve_kite(m, opts)
     else:
-        square = unit_inertia_sq([2.0, 1.0, 1.0, 1.0, 1.0, 2.0], m)
-        if opts.normalization == "fix_a_one":
-            square = square / square[0]  # the seed on the gauge a = 1
+        square = gauged_sq([2.0, 1.0, 1.0, 1.0, 1.0, 2.0], m,
+                           opts.normalization)
         report = newton_solve(seed_state(square, m), m, opts)
     config = report.config.to_json_dict()
     if args.format == "json":

@@ -59,7 +59,8 @@ class MassVector:
 
     @property
     def inertia_weights(self) -> np.ndarray:
-        """The weights m_i m_j / m' of sq_inertia, in PAIRS order."""
+        """The weights m_i m_j / m' of the moment of inertia
+        (1/m') sum m_i m_j r_ij^2, in PAIRS order."""
         return self.pair_weights / self.mprime
 
 
@@ -316,18 +317,6 @@ def cc_residuals(st: DziobekState, m: MassVector) -> np.ndarray:
     x = np.array([*st.sq, st.nu, st.xi], dtype=float)[:, None]
     areas = np.array(st.areas, dtype=float)[:, None]
     return pair_residual_rows(x, areas, 1.0 / m.pair_weights)[:, 0]
-
-
-def sq_inertia(sq: Sequence[float], m: MassVector) -> float:
-    """Moment of inertia (1/m') sum m_i m_j r_ij^2 of six squared
-    distances."""
-    return float(np.asarray(sq, dtype=float) @ m.inertia_weights)
-
-
-def unit_inertia_sq(sq: Sequence[float], m: MassVector) -> np.ndarray:
-    """Six squared distances dilated to moment of inertia one."""
-    sq = np.asarray(sq, dtype=float)
-    return sq / sq_inertia(sq, m)
 
 
 def t_values(sq: Sequence[float], areas: Iterable[float]) -> np.ndarray:

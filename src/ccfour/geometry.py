@@ -126,30 +126,28 @@ def _check_convex(convex: bool) -> None:
         raise NotConvex("diagonals q1-q2 and q3-q4 do not properly intersect")
 
 
-def _nondegenerate(mags: np.ndarray, scale_sq: np.ndarray) -> np.ndarray:
-    return mags.min(axis=-1) >= AREA_TOL * scale_sq
-
-
 def oriented_areas_many(points: np.ndarray, scale_sq: np.ndarray):
-    """Signed (-, -, +, +) areas of (n, 4, 2) points, and the mask of rows
-    that oriented_areas accepts (no degenerate sub-triangle, convex);
-    scale_sq is the rows' mean squared distance."""
+    """Signed (-, -, +, +) areas of (n, 4, 2) points, and the masks of the
+    rows with no degenerate sub-triangle and of the convex rows; scale_sq
+    is the rows' mean squared distance."""
     mags, convex = _sub_triangles(points)
-    ok = _nondegenerate(mags, scale_sq) & convex
-    return mags * np.array([-1.0, -1.0, 1.0, 1.0]), ok
+    proper = mags.min(axis=-1) >= AREA_TOL * scale_sq
+    return mags * np.array([-1.0, -1.0, 1.0, 1.0]), proper, convex
 
 
 def oriented_areas(p: PlanarConfig) -> OrientedAreas:
-    """Signed sub-triangle areas with the convention (-, -, +, +).
+    """Signed sub-triangle areas with the convention (-, -, +, +), the one
+    row of oriented_areas_many; raises Degenerate, then NotConvex.
 
     |Delta_i| is the area of the triangle on the three vertices other than i.
     """
-    mags, convex = _sub_triangles(p.points)
-    scale_sq = scale_sq_many(squared_distances_many(p.points))
-    if not _nondegenerate(mags, scale_sq):
+    sq = squared_distances_many(p.points[None])
+    areas, proper, convex = oriented_areas_many(p.points[None],
+                                                scale_sq_many(sq))
+    if not proper[0]:
         raise Degenerate("a sub-triangle has numerically zero area")
-    _check_convex(convex)
-    return OrientedAreas(-mags[0], -mags[1], mags[2], mags[3])
+    _check_convex(convex[0])
+    return OrientedAreas(*areas[0])
 
 
 def squared_distances_many(points: np.ndarray) -> np.ndarray:
@@ -188,19 +186,11 @@ def _placed(tri: np.ndarray) -> np.ndarray:
     return pts.reshape(r12.shape + (4, 2))
 
 
-def trilaterated_areas_many(sq: np.ndarray):
-    """Oriented (-, -, +, +) areas of (n, 6) squared distances placed as
-    _placed places them (f is not used), and the mask of the rows that
-    _trilateration accepts whose diagonal q3-q4 crosses the open segment
-    q1-q2.  The (n, 4) areas are a view of trilaterated_area_rows' rows."""
-    valid, tri = trilaterated_area_rows(sq.T)
-    return valid, tri[5:].T
-
-
 def trilaterated_area_rows(sq: np.ndarray):
-    """trilaterated_areas_many in row layout: the mask of the (6, n) rows
-    a..f and their (9, n) trilateration, the rows r12, x3, x4, y3 and y4m
-    that _placed places, then the areas (tri[5:]).
+    """The mask of the (6, n) rows a..f that _trilateration accepts and
+    whose diagonal q3-q4 crosses the open segment q1-q2 (f is not used),
+    and their (9, n) trilateration: the rows r12, x3, x4, y3 and y4m that
+    _placed places, then the oriented (-, -, +, +) areas (tri[5:]).
 
     This is the geometry of every Newton iterate, so it works on the
     trilateration coordinates directly rather than on (n, 4, 2) points,
@@ -311,8 +301,8 @@ def realize_convex_many(sq: np.ndarray, m: MassVector, tri: np.ndarray):
     the tests.  Call under np.errstate."""
     pts = _recenter(_placed(tri), m)
     centered, apart, scale_sq = _config_checks(pts, m)
-    areas, areas_ok = oriented_areas_many(pts, scale_sq)
-    ok = planar_many(sq) & centered & apart.all(axis=-1) & areas_ok
+    areas, proper, convex = oriented_areas_many(pts, scale_sq)
+    ok = planar_many(sq) & centered & apart.all(axis=-1) & proper & convex
     return pts, areas, ok
 
 
@@ -342,15 +332,15 @@ class CanonicalFrame:
         return np.array([self.u, self.v, self.t, self.s, self.theta])
 
     def reconstruct(self, m: MassVector) -> PlanarConfig:
-        return PlanarConfig.from_points(frame_points_many(self.as_vector()),
-                                        m)
+        """The one row of reconstruct_many."""
+        return PlanarConfig(reconstruct_many(self.as_vector(), m), m)
 
     def to_json_dict(self) -> dict:
         return asdict(self)
 
 
-def frame_points_many(frames: np.ndarray) -> np.ndarray:
-    """Uncentered points of (..., 5) frame rows (u, v, t, s, theta)."""
+def reconstruct_many(frames: np.ndarray, m: MassVector) -> np.ndarray:
+    """Points of (..., 5) frame rows (u, v, t, s, theta), recentered."""
     u, v, t, s, theta = (frames[..., k] for k in range(5))
     ct, st = np.cos(theta), np.sin(theta)
     pts = np.zeros(frames.shape[:-1] + (4, 2))
@@ -360,13 +350,7 @@ def frame_points_many(frames: np.ndarray) -> np.ndarray:
     pts[..., 2, 1] = t * st
     pts[..., 3, 0] = -s * ct
     pts[..., 3, 1] = -s * st
-    return pts
-
-
-def reconstruct_many(frames: np.ndarray, m: MassVector) -> np.ndarray:
-    """Points of (..., 5) frame rows, recentered as CanonicalFrame.reconstruct
-    does."""
-    return _recenter(frame_points_many(frames), m)
+    return _recenter(pts, m)
 
 
 def unit_inertia_many(frames: np.ndarray, m: MassVector):

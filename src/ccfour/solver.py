@@ -18,13 +18,13 @@ from .dziobek import (PAIR_I, PAIR_J, DziobekState, MassVector,
                       OrientedAreas, SquaredDistances, cayley_gradient_rows,
                       cayley_many, classify_symmetry, dilate_state,
                       pair_jacobian_rows, pair_residual_rows, psi_prime,
-                      psi_prime_many, sq_inertia, unit_inertia_sq)
+                      psi_prime_many)
 from .errors import (DomainError, LeftConvexRegion, NoConvergence,
                      SingularJacobian)
 from .geometry import (AREA_DERIVATIVE_MOVES, PlanarConfig, newtonian_oracle,
                        realize, realize_convex_many,
                        trilaterated_area_derivative_rows,
-                       trilaterated_area_rows, trilaterated_areas_many)
+                       trilaterated_area_rows)
 
 # batch status codes
 RUNNING = 0
@@ -49,6 +49,23 @@ _MAX_BACKTRACKS = 40
 # one core of a 2-vCPU machine), at tracemalloc peaks of 5.3, 5.3, 5.3, 6.2
 # and 10.3 MB; up to 1,024 rows the line search sets the peak.
 _BLOCK = 1024
+# the scale gauges, each a linear condition sq . w = 1 on the squared
+# distances; gauge_weights gives w
+NORMALIZATIONS = ("fix_inertia_one", "fix_a_one")
+
+
+def gauge_weights(m: MassVector, normalization: str) -> np.ndarray:
+    """The weights w of the gauge sq . w = 1: m_i m_j / m', whose sum over
+    the pairs is the moment of inertia, or the unit vector along a."""
+    return (m.inertia_weights if normalization == "fix_inertia_one"
+            else np.eye(6)[0])
+
+
+def gauged_sq(sq: Sequence[float], m: MassVector,
+              normalization: str) -> np.ndarray:
+    """Six squared distances dilated onto the gauge sq . w = 1."""
+    sq = np.asarray(sq, dtype=float)
+    return sq / (sq @ gauge_weights(m, normalization))
 
 
 @dataclass(frozen=True)
@@ -63,7 +80,7 @@ class SolveOptions:
         if not (isinstance(self.max_iterations, numbers.Integral)
                 and self.max_iterations >= 1):
             raise ValueError("max_iterations must be an integer of at least 1")
-        if self.normalization not in ("fix_inertia_one", "fix_a_one"):
+        if self.normalization not in NORMALIZATIONS:
             raise ValueError(f"unknown normalization {self.normalization!r}")
 
 
@@ -105,10 +122,8 @@ class Residuals:
     def __init__(self, m: MassVector, normalization: str,
                  embed: Sequence[int] | None = None):
         self.inv_mm = 1.0 / m.pair_weights
-        # the normalization residual is sq @ gauge - 1
-        self.gauge = (m.inertia_weights
-                      if normalization == "fix_inertia_one"
-                      else np.eye(6)[0])
+        # the normalization residual is sq . gauge - 1
+        self.gauge = gauge_weights(m, normalization)
         self.embed = self.reduced = None
         if embed is not None:
             self.embed = np.asarray(embed)
@@ -117,7 +132,7 @@ class Residuals:
         # identically zero, as the boundary test takes them (a reduced
         # column moves an area if one of its full columns does), the
         # reduced columns that move a squared distance, and the areas with
-        # a derivative that is
+        # a derivative that is identically zero along some reduced column
         moves = self._fold(AREA_DERIVATIVE_MOVES.astype(float)) > 0
         self.sq_cols = np.arange(moves.shape[1])
         self._moving = np.nonzero(moves)
@@ -412,8 +427,7 @@ def seed_state(sq: Sequence[float], m: MassVector) -> DziobekState:
     uses f, and the multipliers from a least-squares fit.
     """
     x = seed_vector(sq, m)
-    _, areas = trilaterated_areas_many(x[None, :6])
-    return _state(x, areas[0])
+    return _state(x, trilaterated_area_rows(x[:6, None])[1][5:, 0])
 
 
 def seed_vectors(sq: np.ndarray, m: MassVector) -> np.ndarray:
@@ -421,7 +435,8 @@ def seed_vectors(sq: np.ndarray, m: MassVector) -> np.ndarray:
     multipliers fitted by least squares to the six c.c. equations at the
     trilaterated areas.  Rows that do not trilaterate to a convex
     quadrilateral get NaN multipliers."""
-    valid, areas = trilaterated_areas_many(sq)
+    valid, tri = trilaterated_area_rows(sq.T)
+    areas = tri[5:].T
     inv_mm = 1.0 / m.pair_weights
     # extreme mass ratios overflow the sums; such a row gets nu = 0 (where
     # denom is not a positive number) or a non-finite fit, and no warning
@@ -538,10 +553,11 @@ _KITE_EMBED = (0, 1, 2, 1, 2, 3, 4, 5)
 
 
 def _kite_seed_vectors(m: MassVector) -> np.ndarray:
-    """Deterministic family of symmetric seeds, inertia-normalized, as full
-    vectors (a..f, nu, xi)."""
-    sq = [unit_inertia_sq([4.0, 1.0 + t * t, 1.0 + s * s,
-                           1.0 + t * t, 1.0 + s * s, (t + s) ** 2], m)
+    """Deterministic family of symmetric seeds as full vectors (a..f, nu,
+    xi), on the inertia gauge whatever the solve's gauge."""
+    sq = [gauged_sq([4.0, 1.0 + t * t, 1.0 + s * s,
+                     1.0 + t * t, 1.0 + s * s, (t + s) ** 2], m,
+                    "fix_inertia_one")
           for t in (0.6, 1.0, 1.6) for s in (0.6, 1.0, 1.6)]
     return seed_vectors(np.array(sq), m)
 
@@ -653,11 +669,8 @@ def solve_rhombus(alpha: float,
     xi = psi_prime(4.0) - nu * x * x
     areas = OrientedAreas(-x, -x, x, x)
     state = DziobekState(sq=sq, areas=areas, nu=nu, xi=xi)
-    if opts.normalization == "fix_inertia_one":
-        k = 1.0 / math.sqrt(sq_inertia(sq, m))
-    else:
-        k = 0.5  # a = 4 k^2 = 1
-    state = dilate_state(state, k)
+    gauge = np.asarray(sq) @ gauge_weights(m, opts.normalization)
+    state = dilate_state(state, 1.0 / math.sqrt(gauge))
     return SolveReport(state=state, iterations=0,
                        final_residual=0.0, converged=True,
                        symmetry=classify_symmetry(state).label,

@@ -13,7 +13,7 @@ import numpy as np
 from .dziobek import (DziobekState, MassVector, balanced_residuals,
                       chord_value, psi_prime, sign_det)
 from .census import census
-from .geometry import PlanarConfig, newtonian_oracle
+from .geometry import newtonian_oracle
 from .solver import rhombus_ratio
 
 DEFAULT_SEED = 1405
@@ -33,16 +33,6 @@ class CheckResult:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
-
-
-def potential(p: PlanarConfig, m: MassVector) -> float:
-    q = p.points
-    w = m.masses
-    total = 0.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            total += w[i] * w[j] / float(np.linalg.norm(q[i] - q[j]))
-    return total
 
 
 def check_lemma1_nu_positive(

@@ -37,6 +37,18 @@ def unit_square_config(masses: MassVector | None = None) -> PlanarConfig:
     return PlanarConfig.from_points(pts, masses)
 
 
+def potential(p: PlanarConfig, m: MassVector) -> float:
+    """The Newtonian potential U = sum m_i m_j / r_ij, the reference of the
+    acceptance check lambda I + U = 0."""
+    q = p.points
+    w = m.masses
+    total = 0.0
+    for i in range(4):
+        for j in range(i + 1, 4):
+            total += w[i] * w[j] / float(np.linalg.norm(q[i] - q[j]))
+    return total
+
+
 def trilaterate(sq: np.ndarray):
     """Points of (n, 6) squared distances alone (f is not used), placed by
     geometry._trilateration and _placed, and the mask of rows with
@@ -55,7 +67,7 @@ def realize_many(sq: np.ndarray, m: MassVector):
         pts, ok = trilaterate(sq)
         pts = _recenter(pts, m)
         centered, apart, _ = _config_checks(pts, m)
-        areas, areas_ok = oriented_areas_many(
+        areas, proper, convex = oriented_areas_many(
             pts, scale_sq_many(squared_distances_many(pts)))
-    ok &= planar_many(sq) & centered & apart.all(axis=-1) & areas_ok
+    ok &= planar_many(sq) & centered & apart.all(axis=-1) & proper & convex
     return pts, areas, ok

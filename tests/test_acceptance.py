@@ -18,8 +18,7 @@ from ccfour import (MassVector, balanced_residuals, cayley_gradient,
                     q_residuals, realize, scaling_transform, seed_state,
                     sign_det, solve_kite, squared_distances, t_values)
 from ccfour.jsonio import dumps
-from ccfour.verifier import potential
-from conftest import random_convex_config
+from conftest import potential, random_convex_config
 
 RESOLUTION = 8
 

@@ -11,7 +11,7 @@ from ccfour import (CCFourError, Degenerate, DziobekState, MassVector,
 from ccfour.census import DEDUPE_TOL, MAX_RESOLUTION, _dedupe, _seed_vectors
 from ccfour.dziobek import cayley_many, scale_sq_many
 from ccfour.geometry import (_sub_triangles, canonicalize_many,
-                             frame_points_many, squared_distances_many)
+                             reconstruct_many, squared_distances_many)
 from ccfour.solver import (_KITE_EMBED, CONVERGED, LEFT_CONVEX,
                            NEAR_BOUNDARY, NO_CONVERGENCE, REJECTED, Residuals,
                            SolveOptions, solve_batch)
@@ -79,7 +79,7 @@ def test_seed_grid_has_every_lattice_point(resolution):
 
 def test_seed_lattice_is_far_from_degenerate():
     rows = np.array([f.as_vector() for f in seed_grid(8)])
-    pts = frame_points_many(rows)
+    pts = reconstruct_many(rows, MassVector(alpha=1.0, beta=1.0))
     ratio = (_sub_triangles(pts)[0].min(axis=1)
              / scale_sq_many(squared_distances_many(pts)))
     assert ratio.min() >= 0.0397

@@ -12,7 +12,8 @@ from ccfour import (CollisionError, Degenerate, MassVector, NotConvex,
 from ccfour.dziobek import PAIRS, scale_sq_many
 from ccfour.geometry import _sub_triangles as sub_triangles
 from ccfour.geometry import (canonicalize_many, newtonian_oracle_many,
-                             realize_convex_many, squared_distances_many,
+                             oriented_areas_many, realize_convex_many,
+                             reconstruct_many, squared_distances_many,
                              trilaterated_area_rows)
 from conftest import random_convex_config, realize_many, unit_square_config
 
@@ -59,9 +60,9 @@ def test_oriented_areas_collinear_degenerate():
 
 
 def test_oriented_areas_makes_one_sub_triangle_pass(monkeypatch):
-    """oriented_areas takes its magnitudes and its convexity from one
-    _sub_triangles pass, and a degenerate quadrilateral that is also not
-    convex raises Degenerate."""
+    """oriented_areas is the one row of oriented_areas_many, one
+    _sub_triangles pass on a batch of one, and a degenerate quadrilateral
+    that is also not convex raises Degenerate."""
     calls = []
 
     def counted(points):
@@ -73,7 +74,7 @@ def test_oriented_areas_makes_one_sub_triangle_pass(monkeypatch):
     assert not sub_triangles(p.points)[1]
     monkeypatch.setattr("ccfour.geometry._sub_triangles", counted)
     oriented_areas(unit_square_config())
-    assert calls == [(4, 2)]
+    assert calls == [(1, 4, 2)]
     with pytest.raises(Degenerate):
         oriented_areas(p)
     assert len(calls) == 2
@@ -278,12 +279,19 @@ def test_canonicalize_many_equals_canonicalize_bitwise(rng):
     for m in (EQUAL, MassVector(alpha=0.5, beta=0.8)):
         configs = [rotated(random_convex_config(rng, m),
                            rng.uniform(0, 2 * math.pi)) for _ in range(200)]
-        frames, ok = canonicalize_many(
-            np.stack([p.points for p in configs]), m)
-        assert ok.all()
-        for p, row in zip(configs, frames):
+        pts = np.stack([p.points for p in configs])
+        frames, ok = canonicalize_many(pts, m)
+        areas, proper, convex = oriented_areas_many(
+            pts, scale_sq_many(squared_distances_many(pts)))
+        assert ok.all() and proper.all() and convex.all()
+        # the one-row calls oriented_areas and CanonicalFrame.reconstruct
+        rebuilt = reconstruct_many(frames, m)
+        for p, row, signed, q in zip(configs, frames, areas, rebuilt):
             assert tuple(row) == reference_frame(p.points, m)
-            assert tuple(canonicalize(p).as_vector()) == tuple(row)
+            frame = canonicalize(p)
+            assert tuple(frame.as_vector()) == tuple(row)
+            assert np.array(oriented_areas(p)).tobytes() == signed.tobytes()
+            assert frame.reconstruct(m).points.tobytes() == q.tobytes()
 
 
 def test_realize_many_equals_realize_bitwise(rng):

@@ -7,9 +7,8 @@ from pathlib import Path
 import ccfour
 
 ALLOWED_PRIVATE_IMPORTS = set()
-# public functions with no caller in the package: potential serves the
-# acceptance check lambda I + U = 0
-UNCALLED_PUBLIC_FUNCTIONS = {("verifier", "potential")}
+# public functions with no caller in the package
+UNCALLED_PUBLIC_FUNCTIONS = set()
 
 
 def private_imports(source: str, module: str) -> set:
@@ -80,6 +79,21 @@ def uncalled_public_functions(sources: dict) -> set:
                 elif isinstance(node, ast.Attribute) and node.attr != own:
                     named.add(node.attr)
     return {(module, name) for module, name in defined if name not in named}
+
+
+def unused_imports(source: str) -> set:
+    """The names that a source's imports bind and that its code never
+    names, alone or as the root of an attribute; "import a.b" binds a."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0]
+                      for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    return bound - {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)}
 
 
 def scipy_imports(source: str) -> set:
@@ -162,6 +176,23 @@ def test_every_public_function_has_a_caller_in_the_package():
     beside the one the package runs."""
     found = uncalled_public_functions(package_sources())
     assert found == UNCALLED_PUBLIC_FUNCTIONS, found
+
+
+def test_unused_import_detection():
+    source = ("from __future__ import annotations\n"
+              "import numpy as np, os.path\n"
+              "from .dziobek import PAIRS, cayley as cay, psi\n"
+              "def f(x: PAIRS):\n    import math\n"
+              "    return np.pi, os.sep, cay\n")
+    assert unused_imports(source) == {"psi", "math"}
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    """Only the package's "__init__" imports names to export them."""
+    found = {module: unused_imports(source)
+             for module, source in package_sources().items()
+             if module != "__init__"}
+    assert not any(found.values()), found
 
 
 def test_scipy_import_detection():

@@ -14,19 +14,20 @@ from ccfour import (CanonicalFrame, DomainError, DziobekState,
                     solve_rhombus, squared_distances, sweep)
 from ccfour.dziobek import (_FACE_PARTNERS, PAIR_I, PAIR_J, cayley_many,
                             pair_residual_rows, psi_double_prime_many,
-                            psi_prime_many, unit_inertia_sq)
+                            psi_prime_many)
 from ccfour.census import _seed_vectors, seed_grid
 from ccfour.cli import parse_grid
 from ccfour.geometry import (AREA_DERIVATIVE_MOVES,
                              trilaterated_area_derivative_rows,
-                             trilaterated_area_rows, trilaterated_areas_many)
+                             trilaterated_area_rows)
 from ccfour.solver import (_AREA_ORDER, _BLOCK, _BOUNDARY_PROBE,
                            _KITE_EMBED, _MAX_BACKTRACKS, CONVERGED,
                            LEFT_CONVEX, NEAR_BOUNDARY, NO_CONVERGENCE,
                            SINGULAR, Residuals, SweepCell, _backtrack,
                            _brentq, _kite_seed_vectors, _newton_batch,
                            _norm2, _norm_inf, _polish, _rhombus_equation,
-                           _solve_linear, seed_vector, seed_vectors)
+                           _solve_linear, gauged_sq, seed_vector,
+                           seed_vectors)
 from conftest import random_convex_config, trilaterate
 
 EQUAL = MassVector(alpha=1.0, beta=1.0)
@@ -275,7 +276,7 @@ def test_cc_residuals_are_the_newton_pair_rows(rng):
     rows of Newton's residual are one computation."""
     m = MassVector(alpha=0.4, beta=1.3)
     x = seed_vectors(np.array([random_sq(rng, m) for _ in range(5)]), m)
-    _, areas = trilaterated_areas_many(x[:, :6])
+    areas = trilaterated_area_rows(x[:, :6].T)[1][5:].T
     batched = pair_residual_rows(x.T, areas.T, 1.0 / m.pair_weights).T
     newton, valid, _ = Residuals(m, "fix_inertia_one")(x)
     assert valid.all()
@@ -458,7 +459,8 @@ def residuals_of_every_row(fun, x):
     columns, then NaN on the rows outside the convex region."""
     xf = x if fun.embed is None else x[:, fun.embed]
     sq = xf[:, :6]
-    valid, areas = trilaterated_areas_many(sq)
+    valid, tri = trilaterated_area_rows(sq.T)
+    areas = tri[5:].T
     with np.errstate(all="ignore"):
         res = np.empty((x.shape[0], 8))
         res[:, :6] = (psi_prime_many(sq)
@@ -478,9 +480,9 @@ def kite_lattice(m):
     """Kite seeds from near the axis to far from it, whose iterates reach
     the boundaries y3 = 0 and y4 = 0."""
     g = np.geomspace(0.05, 5.0, 8)
-    sq = np.array([unit_inertia_sq([1.0, 0.25 + t * t, 0.25 + s * s,
-                                    0.25 + t * t, 0.25 + s * s, (t + s) ** 2],
-                                   m) for t in g for s in g])
+    sq = np.array([gauged_sq([1.0, 0.25 + t * t, 0.25 + s * s,
+                              0.25 + t * t, 0.25 + s * s, (t + s) ** 2],
+                             m, "fix_inertia_one") for t in g for s in g])
     return to_kite(seed_vectors(sq, m))
 
 
@@ -1056,7 +1058,7 @@ def dense_fold(fun, a):
 def dense_linearize(fun, x):
     """Reference for Residuals.linearize on (n, k) rows."""
     xf = x if fun.embed is None else x[:, fun.embed]
-    _, areas = trilaterated_areas_many(xf[:, :6])
+    areas = trilaterated_area_rows(xf[:, :6].T)[1][5:].T
     d_areas = dense_area_derivatives(xf[:, :6])
     # the derivatives the boundary test skips are +-0 on every row
     assert not d_areas[:, ~AREA_DERIVATIVE_MOVES].any()
@@ -1173,10 +1175,10 @@ def on_the_area_threshold(fun, x, k, j):
     """|Delta_k| == _AREA_ORDER[k] h_j |dDelta_k / dx_j| at row x, in the
     24-entry form of dense_linearize."""
     xf = x if fun.embed is None else x[fun.embed]
-    _, areas = trilaterated_areas_many(xf[None, :6])
+    area = trilaterated_area_rows(xf[:6, None])[1][5 + k, 0]
     d = dense_fold(fun, dense_area_derivatives(xf[None, :6]))[0, k, j]
     h = _BOUNDARY_PROBE * max(1.0, abs(x[j]))
-    return abs(areas[0, k]) == (_AREA_ORDER[k] * h) * abs(d)
+    return abs(area) == (_AREA_ORDER[k] * h) * abs(d)
 
 
 @pytest.mark.parametrize("normalization", ["fix_inertia_one", "fix_a_one"])
@@ -1198,9 +1200,9 @@ def test_linearize_is_the_dense_reference_on_every_census_call(
         assert fun.calls > 1 and fun.rows > x0.shape[0]
         assert checked == newton_rows(Residuals(m, normalization, **kw),
                                       x0, opts)
-    zero_areas = trilaterated_areas_many(
-        np.array(SUBNORMAL_UNITS) * 5e-324)[1] == 0
-    assert zero_areas.any(axis=1).all()
+    zero_areas = trilaterated_area_rows(
+        np.array(SUBNORMAL_UNITS).T * 5e-324)[1][5:] == 0
+    assert zero_areas.any(axis=0).all()
     edges = [ReferenceChecked(m, normalization),
              ReferenceChecked(m, normalization, **kite)]
     for fun, (x, want_near) in zip(edges, boundary_edge_rows()):

@@ -11,8 +11,8 @@ from ccfour import (CollisionError, DziobekState, MassVector, OrientedAreas,
                     newtonian_oracle, psi_prime, realize,
                     run_theorem1_suite, run_theorem2_suite, solve_kite,
                     solve_rhombus)
-from ccfour.verifier import (lemma4_product_chain_violation, potential)
-from conftest import unit_square_config
+from ccfour.verifier import lemma4_product_chain_violation
+from conftest import potential, unit_square_config
 
 EQUAL = MassVector(alpha=1.0, beta=1.0)
 
