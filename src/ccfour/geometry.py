@@ -141,9 +141,9 @@ def oriented_areas(p: PlanarConfig) -> OrientedAreas:
 
     |Delta_i| is the area of the triangle on the three vertices other than i.
     """
-    sq = squared_distances_many(p.points[None])
-    areas, proper, convex = oriented_areas_many(p.points[None],
-                                                scale_sq_many(sq))
+    pts = p.points[None]
+    areas, proper, convex = oriented_areas_many(
+        pts, scale_sq_many(squared_distances_many(pts)))
     if not proper[0]:
         raise Degenerate("a sub-triangle has numerically zero area")
     _check_convex(convex[0])

@@ -669,8 +669,8 @@ def solve_rhombus(alpha: float,
     xi = psi_prime(4.0) - nu * x * x
     areas = OrientedAreas(-x, -x, x, x)
     state = DziobekState(sq=sq, areas=areas, nu=nu, xi=xi)
-    gauge = np.asarray(sq) @ gauge_weights(m, opts.normalization)
-    state = dilate_state(state, 1.0 / math.sqrt(gauge))
+    w = gauge_weights(m, opts.normalization)
+    state = dilate_state(state, 1.0 / math.sqrt(np.asarray(sq) @ w))
     return SolveReport(state=state, iterations=0,
                        final_residual=0.0, converged=True,
                        symmetry=classify_symmetry(state).label,
