@@ -12,8 +12,8 @@ from . import __version__
 from .census import MAX_RESOLUTION, census
 from .dziobek import MassVector, SquaredDistances
 from .errors import CCFourError
-from .geometry import canonicalize, newtonian_oracle, realize
-from .jsonio import csv_lines, dumps, format_float
+from .geometry import PlanarConfig, canonicalize, newtonian_oracle, realize
+from .jsonio import csv_text, dumps
 from .solver import (NORMALIZATIONS, SolveOptions, SweepCell, gauged_sq,
                      newton_solve, seed_state, solve_kite, solve_rhombus,
                      sweep)
@@ -21,9 +21,6 @@ from .verifier import (DEFAULT_SEED, check_lemma1_nu_positive,
                        check_lemma2_albouy, check_lemma3_sign,
                        check_lemma4_orderings, check_theorem_identities,
                        run_theorem1_suite, run_theorem2_suite)
-
-SWEEP_COLUMNS = ["alpha", "beta", "a", "b", "c", "d", "e", "f", "nu", "xi",
-                 "lambda_cc", "symmetry", "iterations", "residual"]
 
 
 def positive_float(text: str) -> float:
@@ -67,12 +64,13 @@ def parse_grid(text: str) -> list[float]:
         start, stop, step = (positive_float(p) for p in parts)
         if stop < start:
             raise argparse.ArgumentTypeError(f"bad grid range {text!r}")
-        steps = (stop - start) / step  # may be inf
-        if round(min(steps, MAX_GRID_VALUES)) >= MAX_GRID_VALUES:
+        # the steps that stay within stop, up to rounding; may be inf
+        steps = (stop - start) / step + 1e-9
+        if steps >= MAX_GRID_VALUES:
             raise argparse.ArgumentTypeError(
                 f"grid {text!r} has {steps + 1:.0f} values, more than "
                 f"{MAX_GRID_VALUES}")
-        values = [start + k * step for k in range(round(steps) + 1)]
+        values = [start + k * step for k in range(math.floor(steps) + 1)]
     else:
         values = [positive_float(p) for p in text.split(",") if p]
     if not values:
@@ -189,26 +187,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def plot_csv(payload: dict) -> str:
-    """Plot-ready CSV: canonical vertex coordinates and/or sweep curves."""
-    lines: list[str] = []
-    kind = payload["kind"]
-    if kind in ("solve", "census"):
-        lines.append("# columns: class,vertex,x,y,mass")
-        lines.append("class,vertex,x,y,mass")
-        for ci, entry in enumerate(payload["configs"]):
-            masses = entry["masses"]
-            for vi, (px, py) in enumerate(entry["points"]):
-                lines.append(",".join([
-                    str(ci), str(vi + 1), format_float(px),
-                    format_float(py), format_float(masses[vi])]))
-    elif kind == "sweep":
-        lines.append("# columns: alpha,beta,u,v,t,s,theta "
-                     "(canonical frame shape parameters per grid cell)")
-        lines.append("alpha,beta,u,v,t,s,theta")
-        for row in payload["frames"]:
-            lines.append(",".join(format_float(x) for x in row))
-    return "\n".join(lines) + "\n"
+def configs_csv(configs: list[PlanarConfig]) -> str:
+    """Plot-ready CSV of the vertices of each configuration."""
+    rows = [{"class": k, "vertex": i + 1, "x": x, "y": y, "mass": mass}
+            for k, config in enumerate(configs)
+            for i, ((x, y), mass) in enumerate(zip(config.points.tolist(),
+                                                   config.masses.masses))]
+    return ("# columns: class,vertex,x,y,mass\n"
+            + csv_text(["class", "vertex", "x", "y", "mass"], rows))
+
+
+def frames_csv(frames: list[list[float]]) -> str:
+    """Plot-ready CSV of (alpha, beta, u, v, t, s, theta) rows: the
+    canonical frame of each grid cell."""
+    columns = ["alpha", "beta", "u", "v", "t", "s", "theta"]
+    return ("# columns: alpha,beta,u,v,t,s,theta (canonical frame shape "
+            "parameters per grid cell)\n"
+            + csv_text(columns, [dict(zip(columns, row)) for row in frames]))
 
 
 def _solver_config(args) -> dict:
@@ -238,7 +233,6 @@ def _cmd_solve(args) -> tuple:
         square = gauged_sq([2.0, 1.0, 1.0, 1.0, 1.0, 2.0], m,
                            opts.normalization)
         report = newton_solve(seed_state(square, m), m, opts)
-    config = report.config.to_json_dict()
     if args.format == "json":
         lam, resid = newtonian_oracle(report.config, m)
         text = dumps({
@@ -248,19 +242,19 @@ def _cmd_solve(args) -> tuple:
             "report": report.to_json_dict(),
             "lambda_cc": lam,
             "oracle_residual": resid,
-            "points": config["points"],
+            "points": report.config.to_json_dict()["points"],
         })
     else:
         row = SweepCell(args.alpha, args.beta, report).to_row()
-        text = "\n".join(csv_lines(SWEEP_COLUMNS, [row])) + "\n"
-    return 0, text, {"kind": "solve", "configs": [config]}
+        text = csv_text(list(row), [row])
+    return 0, text, configs_csv([report.config]) if args.plot_data else None
 
 
 def _cmd_sweep(args) -> tuple:
     cells = sweep(args.alpha_grid, args.beta_grid, _opts(args))
     rows = [cell.to_row() for cell in cells]
     if args.format == "csv":
-        text = "\n".join(csv_lines(SWEEP_COLUMNS, rows)) + "\n"
+        text = csv_text(list(rows[0]), rows)
     else:
         doc = {
             "command": "sweep",
@@ -270,13 +264,11 @@ def _cmd_sweep(args) -> tuple:
             "rows": rows,
         }
         text = dumps(doc)
-    payload = None
-    if args.plot_data:
-        frames = [[cell.alpha, cell.beta,
-                   *canonicalize(cell.report.config).as_vector().tolist()]
-                  for cell in cells if cell.report is not None]
-        payload = {"kind": "sweep", "frames": frames}
-    return 0, text, payload
+    plot = (frames_csv([[cell.alpha, cell.beta,
+                         *canonicalize(cell.report.config).as_vector()]
+                        for cell in cells if cell.report is not None])
+            if args.plot_data else None)
+    return 0, text, plot
 
 
 def _cmd_census(args) -> tuple:
@@ -303,12 +295,10 @@ def _cmd_census(args) -> tuple:
             row.update(dict(zip("abcdef", cls.state.sq)))
             row.update({"nu": cls.state.nu, "xi": cls.state.xi})
             rows.append(row)
-        text = "\n".join(csv_lines(columns, rows)) + "\n"
-    payload = None
-    if args.plot_data:
-        configs = [cls.config.to_json_dict() for cls in report.classes]
-        payload = {"kind": "census", "configs": configs}
-    return 0, text, payload
+        text = csv_text(columns, rows)
+    plot = (configs_csv([cls.config for cls in report.classes])
+            if args.plot_data else None)
+    return 0, text, plot
 
 
 def _cmd_verify(args) -> tuple:
@@ -350,13 +340,12 @@ def _cmd_realize(args) -> tuple:
                    "beta": args.beta},
         **config.to_json_dict(),
     }
-    return 0, dumps(doc), {"kind": "solve",
-                           "configs": [config.to_json_dict()]}
+    return 0, dumps(doc), configs_csv([config]) if args.plot_data else None
 
 
 def main(argv=None) -> int:
     """Run one command.  Each handler gives its exit status, its document
-    and the payload of its plot-ready CSV, and main writes them."""
+    and, under --plot-data, its plot-ready CSV, and main writes them."""
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {
@@ -379,11 +368,11 @@ def main(argv=None) -> int:
                    else files.enter_context(open(args.output, "w")))
             plot = (files.enter_context(open(plot_path, "w"))
                     if plot_path else None)
-            code, text, payload = handlers[args.command](args)
+            code, text, plot_text = handlers[args.command](args)
             if plot is not None:
                 # written out before the document, so that an io error
                 # leaves no document on stdout
-                plot.write(plot_csv(payload))
+                plot.write(plot_text)
                 plot.flush()
             out.write(text)
             return code

@@ -25,7 +25,7 @@ class NotRealizable(CCFourError):
     """The six squared distances violate a triangle inequality."""
 
 
-class CollisionError(CCFourError):
+class CollisionError(CCFourError, ValueError):
     """Two bodies coincide (or nearly so)."""
 
 

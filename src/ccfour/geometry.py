@@ -43,7 +43,7 @@ class PlanarConfig:
             raise ValueError("weighted centroid is not at the origin")
         if not apart.all():
             i, j = PAIRS[int(np.argmin(apart))]
-            raise ValueError(f"points {i + 1} and {j + 1} coincide")
+            raise CollisionError(f"points {i + 1} and {j + 1} coincide")
 
     @classmethod
     def trusted(cls, points: np.ndarray, masses: MassVector) -> "PlanarConfig":
@@ -194,20 +194,20 @@ def trilaterated_area_rows(sq: np.ndarray):
 
     This is the geometry of every Newton iterate, so it works on the
     trilateration coordinates directly rather than on (n, 4, 2) points,
-    and trilaterated_area_derivative_rows takes it as it is.
+    and trilaterated_area_derivative_rows takes it as it is.  Call under
+    np.errstate.
     """
     tri = np.empty((9,) + sq.shape[1:])
-    with np.errstate(all="ignore"):
-        valid = _trilateration(sq, tri)
-        r12, (x3, x4), (y3, y4m) = tri[0], tri[1:3], tri[3:5]
-        xc = x3 + (x4 - x3) * y3 / (y3 + y4m)
-        valid &= (xc > 0) & (xc < r12)
-        # -mag1 and -mag2; (-0.5) t is -(0.5 t) to the bit
-        np.multiply(-0.5, np.abs((x3 - r12) * -y4m - y3 * (x4 - r12)),
-                    out=tri[5])
-        np.multiply(-0.5, np.abs(x3 * -y4m - y3 * x4), out=tri[6])
-        # mag3 = r12 y4m / 2 and mag4 = r12 y3 / 2
-        np.multiply(0.5 * r12, tri[4:2:-1], out=tri[7:])
+    valid = _trilateration(sq, tri)
+    r12, (x3, x4), (y3, y4m) = tri[0], tri[1:3], tri[3:5]
+    xc = x3 + (x4 - x3) * y3 / (y3 + y4m)
+    valid &= (xc > 0) & (xc < r12)
+    # -mag1 and -mag2; (-0.5) t is -(0.5 t) to the bit
+    np.multiply(-0.5, np.abs((x3 - r12) * -y4m - y3 * (x4 - r12)),
+                out=tri[5])
+    np.multiply(-0.5, np.abs(x3 * -y4m - y3 * x4), out=tri[6])
+    # mag3 = r12 y4m / 2 and mag4 = r12 y3 / 2
+    np.multiply(0.5 * r12, tri[4:2:-1], out=tri[7:])
     return valid, tri
 
 
@@ -244,50 +244,52 @@ def trilaterated_area_derivative_rows(tri: np.ndarray) -> np.ndarray:
     along d and e where -y3 / (2 r12) or -y4m / (2 r12) underflows to -0.
     The identically zero ones are left as allocated, and the rows of
     Delta_1 = -mag1 and Delta_2 = -mag2 are negated whole, so their f
-    column is -0, as along the full unit vector.
+    column is -0, as along the full unit vector.  Call under np.errstate.
     """
     r12, x, y = tri[0], tri[1:3], tri[3:5]
-    with np.errstate(all="ignore"):
-        half = 0.5 / r12  # dr12/da
-        dx = np.empty((3,) + x.shape)
-        np.subtract(half, (x / r12) * half, out=dx[0])
-        dx[1] = half
-        dx[2] = -half
-        dy = (_DY_CONST - x * dx) / y
-        # mag4 and mag3 along a, (b, c) and (d, e); r12 moves with a alone
-        dr12_y = np.zeros(dy.shape)
-        np.multiply(half, y, out=dr12_y[0])
-        dmag43 = 0.5 * (dr12_y + r12 * dy)
-        # mag2 along (b, c) and (d, e), then along a
-        dmag2 = 0.5 * (dx[1:] * y[::-1] + x[::-1] * dy[1:])
-        t, u = dx[0] * y[::-1], x * dy[0, ::-1]
-        d = np.zeros((4, 6) + r12.shape)
-        d[1, 0] = 0.5 * (t[0] + u[0] + t[1] + u[1])
-        d[1, 1:5] = dmag2.reshape((4,) + r12.shape)
-        d[3, _MAG4_COLS] = dmag43[:, 0]
-        d[2, _MAG3_COLS] = dmag43[:, 1]
-        np.subtract(d[2] + d[3], d[1], out=d[0])
-        np.negative(d[:2], out=d[:2])
+    half = 0.5 / r12  # dr12/da
+    dx = np.empty((3,) + x.shape)
+    np.subtract(half, (x / r12) * half, out=dx[0])
+    dx[1] = half
+    dx[2] = -half
+    dy = (_DY_CONST - x * dx) / y
+    # mag4 and mag3 along a, (b, c) and (d, e); r12 moves with a alone
+    dr12_y = np.zeros(dy.shape)
+    np.multiply(half, y, out=dr12_y[0])
+    dmag43 = 0.5 * (dr12_y + r12 * dy)
+    # mag2 along (b, c) and (d, e), then along a
+    dmag2 = 0.5 * (dx[1:] * y[::-1] + x[::-1] * dy[1:])
+    t, u = dx[0] * y[::-1], x * dy[0, ::-1]
+    d = np.zeros((4, 6) + r12.shape)
+    d[1, 0] = 0.5 * (t[0] + u[0] + t[1] + u[1])
+    d[1, 1:5] = dmag2.reshape((4,) + r12.shape)
+    d[3, _MAG4_COLS] = dmag43[:, 0]
+    d[2, _MAG3_COLS] = dmag43[:, 1]
+    np.subtract(d[2] + d[3], d[1], out=d[0])
+    np.negative(d[:2], out=d[:2])
     return d
 
 
 def realize(sq: Sequence[float], m: MassVector) -> PlanarConfig:
     """Inverse of squared_distances, up to congruence.
 
-    Checks planarity via the Cayley determinant before trilaterating, and
-    recenters on the weighted centroid.
+    Checks planarity via the Cayley determinant before trilaterating, puts
+    q4 on the side of q1-q2 whose r34^2 is nearer f, and recenters on the
+    weighted centroid.
     """
     sqt = SquaredDistances(*sq)
-    if not planar_many(sqt)[0]:
-        with np.errstate(all="ignore"):
-            s_val = cayley(sqt)
-        raise NotPlanar("squared distances do not embed in the plane "
-                        f"(Cayley determinant {s_val:.3e})")
-    if min(sqt) <= 0:
-        raise NotRealizable("squared distances must be positive")
     tri = np.empty(5)
     with np.errstate(all="ignore"):
+        if not planar_many(sqt)[0]:
+            raise NotPlanar("squared distances do not embed in the plane "
+                            f"(Cayley determinant {cayley(sqt):.3e})")
+        if min(sqt) <= 0:
+            raise NotRealizable("squared distances must be positive")
         ok = _trilateration(np.asarray(sqt, dtype=float), tri)
+        dx2 = (tri[1] - tri[2]) ** 2
+        if abs(dx2 + (tri[3] - tri[4]) ** 2 - sqt.f) < abs(
+                dx2 + (tri[3] + tri[4]) ** 2 - sqt.f):
+            tri[4] = -tri[4]  # q4 on q3's side
     if not ok:
         raise NotRealizable("a face triangle inequality is violated")
     return PlanarConfig.from_points(_placed(tri), m)
@@ -323,8 +325,9 @@ class CanonicalFrame:
     theta: float
 
     def __post_init__(self):
-        if min(self.u, self.v, self.t, self.s) <= 0:
-            raise ValueError("frame radii must be positive")
+        if not all(0.0 < r < math.inf
+                   for r in (self.u, self.v, self.t, self.s)):
+            raise ValueError("frame radii must be positive and finite")
         if not 0.0 < self.theta < math.pi:
             raise ValueError("theta must lie in (0, pi)")
 

@@ -36,33 +36,25 @@ def _write(obj, out: list[str], level: int) -> None:
         out.append(format_float(obj))
     elif isinstance(obj, str):
         out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif isinstance(obj, dict):
+    elif isinstance(obj, (dict, list, tuple)):
+        brackets = "{}" if isinstance(obj, dict) else "[]"
         if not obj:
-            out.append("{}")
+            out.append(brackets)
             return
-        out.append("{\n")
-        for k, (key, val) in enumerate(obj.items()):
-            out.append(f'{pad}"{key}": ')
+        out.append(brackets[0] + "\n")
+        items = obj.items() if brackets == "{}" else enumerate(obj)
+        for k, (key, val) in enumerate(items):
+            out.append(f'{pad}"{key}": ' if brackets == "{}" else pad)
             _write(val, out, level + 1)
             out.append(",\n" if k < len(obj) - 1 else "\n")
-        out.append(closing + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not len(obj):
-            out.append("[]")
-            return
-        out.append("[\n")
-        for k, val in enumerate(obj):
-            out.append(pad)
-            _write(val, out, level + 1)
-            out.append(",\n" if k < len(obj) - 1 else "\n")
-        out.append(closing + "]")
+        out.append(closing + brackets[1])
     else:
         # numpy scalars and other float-likes
         out.append(format_float(float(obj)))
 
 
-def csv_lines(columns: Sequence[str], rows: Iterable[dict]) -> list[str]:
-    """CSV body with '.' decimals, ',' separators and LF endings."""
+def csv_text(columns: Sequence[str], rows: Iterable[dict]) -> str:
+    """CSV with '.' decimals, ',' separators and LF endings."""
     lines = [",".join(columns)]
     for row in rows:
         cells = []
@@ -73,4 +65,4 @@ def csv_lines(columns: Sequence[str], rows: Iterable[dict]) -> list[str]:
             else:
                 cells.append(str(val))
         lines.append(",".join(cells))
-    return lines
+    return "\n".join(lines) + "\n"

@@ -54,9 +54,15 @@ _BLOCK = 1024
 NORMALIZATIONS = ("fix_inertia_one", "fix_a_one")
 
 
+def _check_normalization(normalization: str) -> None:
+    if normalization not in NORMALIZATIONS:
+        raise ValueError(f"unknown normalization {normalization!r}")
+
+
 def gauge_weights(m: MassVector, normalization: str) -> np.ndarray:
     """The weights w of the gauge sq . w = 1: m_i m_j / m', whose sum over
     the pairs is the moment of inertia, or the unit vector along a."""
+    _check_normalization(normalization)
     return (m.inertia_weights if normalization == "fix_inertia_one"
             else np.eye(6)[0])
 
@@ -80,8 +86,7 @@ class SolveOptions:
         if not (isinstance(self.max_iterations, numbers.Integral)
                 and self.max_iterations >= 1):
             raise ValueError("max_iterations must be an integer of at least 1")
-        if self.normalization not in NORMALIZATIONS:
-            raise ValueError(f"unknown normalization {self.normalization!r}")
+        _check_normalization(self.normalization)
 
 
 @dataclass(frozen=True)
@@ -148,7 +153,8 @@ class Residuals:
         """(residuals, valid, tri) of (n, k) vectors: invalid rows are NaN,
         and only the valid rows are evaluated past their areas; tri is the
         (9, n) trilaterated_area_rows of every row, for linearize.  The
-        residuals are C-ordered: a row's 8-wide sums do not depend on n."""
+        residuals are C-ordered: a row's 8-wide sums do not depend on n.
+        Call under np.errstate."""
         xr = self._rows(x)
         valid, tri = trilaterated_area_rows(xr[:6])
         areas = tri[5:]
@@ -157,15 +163,14 @@ class Residuals:
         if not whole:
             xr = np.compress(valid, xr, axis=1)
             areas = np.compress(valid, areas, axis=1)
-        with np.errstate(all="ignore"):
-            res = np.empty((8, xr.shape[1]))
-            res[:6] = pair_residual_rows(xr, areas, self.inv_mm)
-            # cayley_many takes (rows, 6), as the bench counts its rows
-            res[6] = cayley_many(xr[:6].T) / 32.0
-            # numpy sums the six rows of a (6, n) array left to right,
-            # whatever n, so a row's bits do not depend on its batch as
-            # they do in a matrix-vector product
-            res[7] = (xr[:6] * self.gauge[:, None]).sum(axis=0) - 1.0
+        res = np.empty((8, xr.shape[1]))
+        res[:6] = pair_residual_rows(xr, areas, self.inv_mm)
+        # cayley_many takes (rows, 6), as the bench counts its rows
+        res[6] = cayley_many(xr[:6].T) / 32.0
+        # numpy sums the six rows of a (6, n) array left to right, whatever
+        # n, so a row's bits do not depend on its batch as they do in a
+        # matrix-vector product
+        res[7] = (xr[:6] * self.gauge[:, None]).sum(axis=0) - 1.0
         if self.reduced is not None:
             res = res[self.reduced]
         if whole:
@@ -186,29 +191,29 @@ class Residuals:
         area; inside the region h_j is infinite only where x_j is, and
         x_j <= h_j marks the row.  jac is the exact (n - near.sum(), k, k)
         Jacobian at the other rows, in order, assembled as (8, 8, n) rows
-        and transposed once, C-ordered for the batched solve."""
+        and transposed once, C-ordered for the batched solve.  Call under
+        np.errstate."""
         xr = self._rows(x)
         areas = tri[5:]
         d_areas = trilaterated_area_derivative_rows(tri)
         xs = xr[:6] if self.embed is None else x.T[self.sq_cols]
         h = _BOUNDARY_PROBE * np.maximum(1.0, np.abs(xs))
         ks, js = self._moving
-        with np.errstate(all="ignore"):
-            reach = ((_AREA_ORDER[ks, None] * h[js])
-                     * np.abs(self._fold(d_areas)[ks, js]))
-            near = ((xs <= h).any(axis=0)
-                    | (np.abs(areas)[ks] <= reach).any(axis=0)
-                    | (areas[self._zero_tested] == 0).any(axis=0))
-            if np.count_nonzero(near):
-                keep = ~near
-                xr = np.compress(keep, xr, axis=1)
-                areas = np.compress(keep, areas, axis=1)
-                d_areas = d_areas[:, :, keep]
-            jac = np.empty((8, 8, xr.shape[1]))
-            pair_jacobian_rows(xr, areas, d_areas, self.inv_mm, out=jac[:6])
-            jac[6, :6] = cayley_gradient_rows(xr[:6]) / 32.0
-            jac[7, :6] = self.gauge[:, None]
-            jac[6:, 6:] = 0.0
+        reach = ((_AREA_ORDER[ks, None] * h[js])
+                 * np.abs(self._fold(d_areas)[ks, js]))
+        near = ((xs <= h).any(axis=0)
+                | (np.abs(areas)[ks] <= reach).any(axis=0)
+                | (areas[self._zero_tested] == 0).any(axis=0))
+        if np.count_nonzero(near):
+            keep = ~near
+            xr = np.compress(keep, xr, axis=1)
+            areas = np.compress(keep, areas, axis=1)
+            d_areas = d_areas[:, :, keep]
+        jac = np.empty((8, 8, xr.shape[1]))
+        pair_jacobian_rows(xr, areas, d_areas, self.inv_mm, out=jac[:6])
+        jac[6, :6] = cayley_gradient_rows(xr[:6]) / 32.0
+        jac[7, :6] = self.gauge[:, None]
+        jac[6:, 6:] = 0.0
         if self.reduced is not None:
             jac = jac[self.reduced]
         return np.ascontiguousarray(self._fold(jac).transpose(2, 0, 1)), near
@@ -354,60 +359,59 @@ def _newton_batch(fun, x0: np.ndarray, opts: SolveOptions):
     the batch steps, the line search's arrays are taken whole.  A row's
     result depends neither on its batch mates nor on its block.  Returns
     (x, status, iterations, final inf-norm residual, tri), tri the (9, n)
-    trilaterated_area_rows of each row's final x.
+    trilaterated_area_rows of each row's final x.  Call under np.errstate:
+    rows that leave the convex region are NaN.
     """
     x = np.array(x0, dtype=float)
     n = x.shape[0]
     status = np.full(n, RUNNING, dtype=int)
     iters = np.zeros(n, dtype=int)
     tol = opts.residual_tol
-    # for the whole run: its NaN rows would make the norm helpers warn
-    with np.errstate(all="ignore"):
-        res, valid, tri = fun(x)
-        norm_inf, norm2 = _norm_inf(res), _norm2(res)
-        status[~valid] = LEFT_CONVEX
-        status[valid & (norm_inf < tol)] = CONVERGED
-        for it in range(1, opts.max_iterations + 1):
-            act = np.flatnonzero(status == RUNNING)
-            if act.size == 0:
-                break
-            ids, steps = [], []
-            for lo in range(0, act.size, _BLOCK):
-                block = act[lo:lo + _BLOCK]
-                jac, near = fun.linearize(x[block], tri[:, block])
-                if np.count_nonzero(near):
-                    status[block[near]] = NEAR_BOUNDARY
-                    block = block[~near]
-                dx, singular = _solve_linear(jac, -res[block])
-                del jac  # free the Jacobians before the next block
-                if np.count_nonzero(singular):
-                    status[block[singular]] = SINGULAR
-                    block, dx = block[~singular], dx[~singular]
-                ids.append(block)
-                steps.append(dx)
-            ids, dx = ((ids[0], steps[0]) if len(ids) == 1
-                       else (np.concatenate(ids), np.concatenate(steps)))
-            if ids.size == 0:
-                continue
-            accepted, x_new, res_new, norm_new, last_invalid, tri_new = (
-                _backtrack(fun, x[ids], dx, norm2[ids], n))
-            if np.count_nonzero(accepted) < ids.size:
-                stuck = ~accepted
-                status[ids[stuck]] = np.where(last_invalid[stuck],
-                                              LEFT_CONVEX, NO_CONVERGENCE)
-                ids, x_new, res_new, norm_new, tri_new = (
-                    ids[accepted], x_new[accepted], res_new[accepted],
-                    norm_new[accepted], tri_new[:, accepted])
-            if ids.size == n:  # the whole batch stepped: take its arrays
-                x, res, norm2, tri = x_new, res_new, norm_new, tri_new
-            else:
-                x[ids] = x_new
-                res[ids] = res_new
-                norm2[ids] = norm_new
-                tri[:, ids] = tri_new
-            norm_inf[ids] = moved_inf = _norm_inf(res_new)
-            iters[ids] = it
-            status[ids[moved_inf < tol]] = CONVERGED
+    res, valid, tri = fun(x)
+    norm_inf, norm2 = _norm_inf(res), _norm2(res)
+    status[~valid] = LEFT_CONVEX
+    status[valid & (norm_inf < tol)] = CONVERGED
+    for it in range(1, opts.max_iterations + 1):
+        act = np.flatnonzero(status == RUNNING)
+        if act.size == 0:
+            break
+        ids, steps = [], []
+        for lo in range(0, act.size, _BLOCK):
+            block = act[lo:lo + _BLOCK]
+            jac, near = fun.linearize(x[block], tri[:, block])
+            if np.count_nonzero(near):
+                status[block[near]] = NEAR_BOUNDARY
+                block = block[~near]
+            dx, singular = _solve_linear(jac, -res[block])
+            del jac  # free the Jacobians before the next block
+            if np.count_nonzero(singular):
+                status[block[singular]] = SINGULAR
+                block, dx = block[~singular], dx[~singular]
+            ids.append(block)
+            steps.append(dx)
+        ids, dx = ((ids[0], steps[0]) if len(ids) == 1
+                   else (np.concatenate(ids), np.concatenate(steps)))
+        if ids.size == 0:
+            continue
+        accepted, x_new, res_new, norm_new, last_invalid, tri_new = (
+            _backtrack(fun, x[ids], dx, norm2[ids], n))
+        if np.count_nonzero(accepted) < ids.size:
+            stuck = ~accepted
+            status[ids[stuck]] = np.where(last_invalid[stuck],
+                                          LEFT_CONVEX, NO_CONVERGENCE)
+            ids, x_new, res_new, norm_new, tri_new = (
+                ids[accepted], x_new[accepted], res_new[accepted],
+                norm_new[accepted], tri_new[:, accepted])
+        if ids.size == n:  # the whole batch stepped: take its arrays
+            x, res, norm2, tri = x_new, res_new, norm_new, tri_new
+        else:
+            x[ids] = x_new
+            res[ids] = res_new
+            norm2[ids] = norm_new
+            tri[:, ids] = tri_new
+        norm_inf[ids] = moved_inf = _norm_inf(res_new)
+        iters[ids] = it
+        status[ids[moved_inf < tol]] = CONVERGED
     status[status == RUNNING] = NO_CONVERGENCE
     return x, status, iters, norm_inf, tri
 
@@ -435,12 +439,12 @@ def seed_vectors(sq: np.ndarray, m: MassVector) -> np.ndarray:
     multipliers fitted by least squares to the six c.c. equations at the
     trilaterated areas.  Rows that do not trilaterate to a convex
     quadrilateral get NaN multipliers."""
-    valid, tri = trilaterated_area_rows(sq.T)
-    areas = tri[5:].T
     inv_mm = 1.0 / m.pair_weights
     # extreme mass ratios overflow the sums; such a row gets nu = 0 (where
     # denom is not a positive number) or a non-finite fit, and no warning
     with np.errstate(all="ignore"):
+        valid, tri = trilaterated_area_rows(sq.T)
+        areas = tri[5:].T
         g = inv_mm * areas[:, PAIR_I] * areas[:, PAIR_J]
         y = psi_prime_many(sq)
         n = 6.0
@@ -501,13 +505,13 @@ def solve_batch(fun: Residuals, x0: np.ndarray, m: MassVector,
     full vectors, which fun.embed gives for a reduced system, and on
     Newton's trilateration of them).  The converged rows that fail it end
     REJECTED."""
-    x, status, iters, norm, tri = _newton_batch(fun, x0, opts)
-    if fun.embed is not None:
-        x = x[:, fun.embed]
-    conv = np.flatnonzero(status == CONVERGED)
-    # a converged row that realize rejects may have areas that overflow;
-    # they fail the test and must not warn
+    # Newton's NaN rows, and the areas of a converged row that realize
+    # rejects, which may overflow, must not warn
     with np.errstate(all="ignore"):
+        x, status, iters, norm, tri = _newton_batch(fun, x0, opts)
+        if fun.embed is not None:
+            x = x[:, fun.embed]
+        conv = np.flatnonzero(status == CONVERGED)
         points, areas, ok = realize_convex_many(x[conv, :6], m, tri[:5, conv])
     ok &= x[conv, 6] > 0
     status[conv[~ok]] = REJECTED

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 import ccfour
 from ccfour.census import MAX_RESOLUTION
-from ccfour.cli import (MAX_GRID_VALUES, build_parser, main, parse_grid,
-                        parse_sq, plot_csv, positive_float)
+from ccfour.cli import (MAX_GRID_VALUES, build_parser, configs_csv, main,
+                        parse_grid, parse_sq, positive_float)
 from ccfour.solver import CONVERGED
 
 
@@ -44,6 +44,10 @@ def test_positive_float_validator():
 def test_parse_grid_forms():
     assert parse_grid("0.5,1.0,2.0") == [0.5, 1.0, 2.0]
     assert parse_grid("0.2:0.6:0.2") == pytest.approx([0.2, 0.4, 0.6])
+    # a range keeps the values within stop, up to rounding
+    assert parse_grid("0.1:1.0:0.25") == pytest.approx([0.1, 0.35, 0.6, 0.85])
+    assert len(parse_grid("0.2:1.0:0.2")) == 5
+    assert len(parse_grid("0.2:2.0:0.2")) == 10
     import argparse
     for bad in ("0.5:0.1:0.2", "1:2", "0,-1", "nan", "0.5,inf",
                 "0.1:inf:0.1", "0.1:1:nan", "0.1:1:0", ","):
@@ -123,9 +127,11 @@ def test_verify_plot_data_is_a_usage_error(capsys, tmp_path):
     ["census", "--alpha", "1e-200", "--beta", "1e-200"],
     ["solve", "--alpha", "1e100", "--beta", "1e100", "--ansatz", "rhombus"],
     ["solve", "--alpha", "1e150", "--beta", "1e150", "--ansatz", "rhombus"],
+    ["realize", "--sq", "1,1e-30,1.25,1,1.25,1.25", "--alpha", "1", "--beta",
+     "1"],
 ], ids=["realize-overflow", "solve-mass-overflow", "census-mass-underflow",
         "solve-rhombus-dilation-overflow-1e100",
-        "solve-rhombus-dilation-overflow-1e150"])
+        "solve-rhombus-dilation-overflow-1e150", "realize-coincident-points"])
 def test_domain_and_planarity_errors_exit_1_with_one_line(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -359,7 +365,9 @@ def test_census_warns_only_without_a_class(capsys, tmp_path, alpha, classes):
 
 
 def test_grid_of_a_million_values_parses():
-    assert len(parse_grid("0.1:1:9.00001e-7")) == MAX_GRID_VALUES
+    assert len(parse_grid("0.1:1:9.000005e-7")) == MAX_GRID_VALUES
+    # its last value would pass stop
+    assert len(parse_grid("0.1:1:9.00001e-7")) == MAX_GRID_VALUES - 1
     import argparse
     with pytest.raises(argparse.ArgumentTypeError):
         parse_grid("0.1:1:9e-7")
@@ -642,8 +650,9 @@ def test_output_digest_families_run_through_the_cli():
     status, csv = digest.plot(["realize", "--sq", "2,1,1,1,1,2", "--alpha",
                                "1", "--beta", "1"])
     assert status == 0
-    assert csv.decode() == plot_csv({"kind": "solve", "configs": [
-        json.loads(out)]})
+    doc = json.loads(out)
+    assert csv.decode() == configs_csv([ccfour.PlanarConfig(
+        np.array(doc["points"]), ccfour.MassVector(*doc["masses"][2:]))])
     csv_job = next(jobs[0] for name, _, jobs in digest.families()
                    if name == "csv and realize")
     status, out, err = digest.run(csv_job)

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccfour import (CollisionError, Degenerate, MassVector, NotConvex,
-                    NotPlanar, PlanarConfig, canonicalize, congruent,
-                    newtonian_oracle, oriented_areas, realize,
+from ccfour import (CanonicalFrame, CollisionError, Degenerate, MassVector,
+                    NotConvex, NotPlanar, PlanarConfig, canonicalize,
+                    congruent, newtonian_oracle, oriented_areas, realize,
                     squared_distances)
 from ccfour.dziobek import PAIRS, scale_sq_many
 from ccfour.geometry import _sub_triangles as sub_triangles
+from ccfour.geometry import _valid_frames as valid_frames
 from ccfour.geometry import (canonicalize_many, newtonian_oracle_many,
                              oriented_areas_many, realize_convex_many,
                              reconstruct_many, squared_distances_many,
@@ -35,9 +36,25 @@ def test_planar_config_rejects_offset_centroid():
 
 
 def test_planar_config_rejects_coincident_points():
+    """A collision, which is also a ValueError."""
     pts = [[-1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]
-    with pytest.raises(ValueError, match="coincide"):
+    with pytest.raises(CollisionError, match="^points 1 and 4 coincide$"):
         PlanarConfig.from_points(pts, EQUAL)
+    assert issubclass(CollisionError, ValueError)
+
+
+@pytest.mark.parametrize("row", [
+    (1.0, 1.0, 1.0, 1.0, 1.0), (math.nan, 1.0, 1.0, 1.0, 1.0),
+    (math.inf, 1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, -math.inf, 1.0),
+    (1.0, 0.0, 1.0, 1.0, 1.0), (1.0, 1.0, -2.0, 1.0, 1.0),
+    (1.0, 1.0, 1.0, 1.0, 0.0), (1.0, 1.0, 1.0, 1.0, math.pi),
+    (1.0, 1.0, 1.0, 1.0, math.nan), (1.0, 1.0, 1.0, 1.0, math.inf)])
+def test_canonical_frame_accepts_the_rows_valid_frames_accepts(row):
+    if valid_frames(np.array(row)):
+        CanonicalFrame(*row)
+    else:
+        with pytest.raises(ValueError):
+            CanonicalFrame(*row)
 
 
 def test_oriented_areas_square():

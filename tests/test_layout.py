@@ -9,6 +9,13 @@ import ccfour
 ALLOWED_PRIVATE_IMPORTS = set()
 # public functions with no caller in the package
 UNCALLED_PUBLIC_FUNCTIONS = set()
+# the entry points that set the numpy error state, once each; the kernels
+# they call run under it
+ERRSTATE_ENTRY_POINTS = [
+    ("dziobek", "MassVector.__post_init__"), ("dziobek", "planar_many"),
+    ("geometry", "canonicalize_many"), ("geometry", "newtonian_oracle_many"),
+    ("geometry", "realize"), ("solver", "seed_vectors"),
+    ("solver", "solve_batch")]
 
 
 def private_imports(source: str, module: str) -> set:
@@ -94,6 +101,27 @@ def unused_imports(source: str) -> set:
             bound |= {alias.asname or alias.name for alias in node.names}
     return bound - {node.id for node in ast.walk(tree)
                     if isinstance(node, ast.Name)}
+
+
+def errstate_sites(source: str, module: str) -> list:
+    """(module, qualified name of the enclosing function or class) of each
+    call of errstate, as np.errstate or a bare name; a decorator counts in
+    the function it decorates."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = [*scope, node.name]
+        if isinstance(node, ast.Call) and "errstate" in (
+                getattr(node.func, "attr", None),
+                getattr(node.func, "id", None)):
+            found.append((module, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
 
 
 def scipy_imports(source: str) -> set:
@@ -209,3 +237,27 @@ def test_no_module_imports_scipy():
     found = {path.name: scipy_imports(path.read_text())
              for path in sorted(Path(ccfour.__file__).parent.rglob("*.py"))}
     assert not any(found.values()), found
+
+
+def test_errstate_site_detection():
+    source = ("import numpy as np\n"
+              "from numpy import errstate\n"
+              "with np.errstate(all='ignore'):\n    pass\n"
+              "class C:\n"
+              "    def f(self):\n"
+              "        with np.errstate(over='ignore'), errstate():\n"
+              "            return np.seterr()\n"
+              "@np.errstate(all='ignore')\n"
+              "def g():\n"
+              "    def h():\n        return errstate(all='ignore')\n")
+    assert sorted(errstate_sites(source, "m")) == [
+        ("m", ""), ("m", "C.f"), ("m", "C.f"), ("m", "g"), ("m", "g.h")]
+
+
+def test_only_the_entry_points_set_the_error_state():
+    """np.errstate costs about a microsecond to enter and leave, and changes
+    only whether numpy reports a floating-point error, so it is set once
+    per entry point and not again in the kernels under it."""
+    found = [site for module, source in package_sources().items()
+             for site in errstate_sites(source, module)]
+    assert sorted(found) == sorted(ERRSTATE_ENTRY_POINTS), found

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccfour import (CanonicalFrame, DziobekState, MassVector, cc_residuals,
-                    congruent, dilate_state, oriented_areas, psi_prime,
-                    realize, scaling_transform, squared_distances)
+from ccfour import (CanonicalFrame, DziobekState, MassVector, PlanarConfig,
+                    cc_residuals, congruent, dilate_state, oriented_areas,
+                    psi_prime, realize, scaling_transform, squared_distances)
 from ccfour.dziobek import PAIRS
 
 # hypothesis reports a failing example through libcst, whose import warns
@@ -52,13 +52,21 @@ def residual_scale(state, m):
 
 @no_libcst_warning
 @derandomized
-@given(frame=frames, m=masses)
-def test_realize_inverts_squared_distances(frame, m):
+@given(frame=frames, m=masses, reflect=st.booleans())
+def test_realize_inverts_squared_distances(frame, m, reflect):
+    """realize gives back the squared distances of the frame's
+    quadrilateral, and of it with q4 reflected across q1-q2, where q3 and
+    q4 lie on one side of q1-q2."""
     p = frame.reconstruct(m)
+    if reflect:
+        q = p.points.copy()
+        q[3, 1] = 2.0 * q[0, 1] - q[3, 1]  # q1 and q2 share their y
+        p = PlanarConfig.from_points(q, m)
     sq = squared_distances(p)
     back = realize(sq, m)
     assert np.allclose(squared_distances(back), sq, rtol=1e-10)
-    assert congruent(back, p)
+    if not reflect:
+        assert congruent(back, p)
 
 
 @no_libcst_warning

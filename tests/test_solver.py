@@ -26,8 +26,8 @@ from ccfour.solver import (_AREA_ORDER, _BLOCK, _BOUNDARY_PROBE,
                            SINGULAR, Residuals, SweepCell, _backtrack,
                            _brentq, _kite_seed_vectors, _newton_batch,
                            _norm2, _norm_inf, _polish, _rhombus_equation,
-                           _solve_linear, gauged_sq, seed_vector,
-                           seed_vectors)
+                           _solve_linear, gauge_weights, gauged_sq,
+                           seed_vector, seed_vectors)
 from conftest import random_convex_config, trilaterate
 
 EQUAL = MassVector(alpha=1.0, beta=1.0)
@@ -59,8 +59,10 @@ def test_solve_options_validation():
     for bad in (0, 2.5, 8.0, "8"):
         with pytest.raises(ValueError, match="max_iterations"):
             SolveOptions(max_iterations=bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown normalization 'fix_b_two'$"):
         SolveOptions(normalization="fix_b_two")
+    with pytest.raises(ValueError, match="^unknown normalization 'fix_b_two'$"):
+        gauge_weights(EQUAL, "fix_b_two")
     assert SolveOptions(max_iterations=np.int64(5)).max_iterations == 5
 
 
@@ -1200,24 +1202,28 @@ def test_linearize_is_the_dense_reference_on_every_census_call(
         assert fun.calls > 1 and fun.rows > x0.shape[0]
         assert checked == newton_rows(Residuals(m, normalization, **kw),
                                       x0, opts)
-    zero_areas = trilaterated_area_rows(
-        np.array(SUBNORMAL_UNITS).T * 5e-324)[1][5:] == 0
-    assert zero_areas.any(axis=0).all()
     edges = [ReferenceChecked(m, normalization),
              ReferenceChecked(m, normalization, **kite)]
-    for fun, (x, want_near) in zip(edges, boundary_edge_rows()):
-        assert fun(x)[1].all()
-        assert linearized(fun, x)[1].tolist() == want_near
-    for row, k, j in ON_THE_AREA_THRESHOLD:
-        x = np.array([float.fromhex(v) for v in row.split()])
-        assert on_the_area_threshold(edges[x.size == 6], x, k, j)
-    # inside the region a zero area is caught by its moving derivatives;
-    # with those NaN, the 24-entry form still marks Delta_2 = -0 through
-    # the zero derivative along f: |-0| <= (c h_f) |-0| = 0
-    monkeypatch.setattr("ccfour.solver.trilaterated_area_derivative_rows",
-                        zero_delta_2_with_nan_moving_derivatives)
-    for fun, (x, _) in zip(edges, boundary_edge_rows()):
-        assert Residuals.linearize(fun, x, fresh_tri(fun, x))[1].all()
+    # the kernels run under their caller's error state
+    with np.errstate(all="ignore"):
+        zero_areas = trilaterated_area_rows(
+            np.array(SUBNORMAL_UNITS).T * 5e-324)[1][5:] == 0
+        assert zero_areas.any(axis=0).all()
+        for fun, (x, want_near) in zip(edges, boundary_edge_rows()):
+            assert fun(x)[1].all()
+            assert linearized(fun, x)[1].tolist() == want_near
+        for row, k, j in ON_THE_AREA_THRESHOLD:
+            x = np.array([float.fromhex(v) for v in row.split()])
+            assert on_the_area_threshold(edges[x.size == 6], x, k, j)
+        # inside the region a zero area is caught by its moving
+        # derivatives; with those NaN, the 24-entry form still marks
+        # Delta_2 = -0 through the zero derivative along f:
+        # |-0| <= (c h_f) |-0| = 0
+        monkeypatch.setattr(
+            "ccfour.solver.trilaterated_area_derivative_rows",
+            zero_delta_2_with_nan_moving_derivatives)
+        for fun, (x, _) in zip(edges, boundary_edge_rows()):
+            assert Residuals.linearize(fun, x, fresh_tri(fun, x))[1].all()
 
 
 class CarriedChecked(Residuals):
@@ -1292,11 +1298,13 @@ def test_linearize_is_the_dense_reference_over_scales(
                    for q in quads]) * scale
     x = seed_vectors(sq, m)
     full = ReferenceChecked(m, normalization)
-    x = x[full(x)[1]]
-    linearized(full, x)
     kite = ReferenceChecked(m, normalization, embed=_KITE_EMBED)
-    xk = to_kite(x)
-    linearized(kite, xk[kite(xk)[1]])
+    # the kernels run under their caller's error state
+    with np.errstate(all="ignore"):
+        x = x[full(x)[1]]
+        linearized(full, x)
+        xk = to_kite(x)
+        linearized(kite, xk[kite(xk)[1]])
 
 
 def test_every_residual_call_counts_its_rows_in_cayley_many(monkeypatch):
