@@ -206,12 +206,16 @@ def frames_csv(frames: list[list[float]]) -> str:
             + csv_text(columns, [dict(zip(columns, row)) for row in frames]))
 
 
-def _solver_config(args) -> dict:
-    return {
-        "tol": args.tol,
-        "max_iterations": args.max_iterations,
-        "normalization": args.normalization,
-    }
+# the flags that say where and how to write a document, not what it holds
+_OUTPUT_FLAGS = ("command", "output", "format", "plot_data")
+
+
+def _document(args, **body) -> str:
+    """The JSON document of a command: its name, then as its config every
+    parsed flag but the output ones, in parser order, then body."""
+    config = {flag: value for flag, value in vars(args).items()
+              if flag not in _OUTPUT_FLAGS}
+    return dumps({"command": args.command, "config": config, **body})
 
 
 def _opts(args) -> SolveOptions:
@@ -235,15 +239,9 @@ def _cmd_solve(args) -> tuple:
         report = newton_solve(seed_state(square, m), m, opts)
     if args.format == "json":
         lam, resid = newtonian_oracle(report.config, m)
-        text = dumps({
-            "command": "solve",
-            "config": {"alpha": args.alpha, "beta": args.beta,
-                       "ansatz": args.ansatz, **_solver_config(args)},
-            "report": report.to_json_dict(),
-            "lambda_cc": lam,
-            "oracle_residual": resid,
-            "points": report.config.to_json_dict()["points"],
-        })
+        text = _document(args, report=report.to_json_dict(), lambda_cc=lam,
+                         oracle_residual=resid,
+                         points=report.config.to_json_dict()["points"])
     else:
         row = SweepCell(args.alpha, args.beta, report).to_row()
         text = csv_text(list(row), [row])
@@ -256,14 +254,7 @@ def _cmd_sweep(args) -> tuple:
     if args.format == "csv":
         text = csv_text(list(rows[0]), rows)
     else:
-        doc = {
-            "command": "sweep",
-            "config": {"alpha_grid": list(args.alpha_grid),
-                       "beta_grid": list(args.beta_grid),
-                       **_solver_config(args)},
-            "rows": rows,
-        }
-        text = dumps(doc)
+        text = _document(args, rows=rows)
     plot = (frames_csv([[cell.alpha, cell.beta,
                          *canonicalize(cell.report.config).as_vector()]
                         for cell in cells if cell.report is not None])
@@ -277,14 +268,8 @@ def _cmd_census(args) -> tuple:
     if not report.classes:
         sys.stderr.write(f"warning: no seed converged to a convex central "
                          f"configuration within --tol {args.tol:g}\n")
-    doc = {
-        "command": "census",
-        "config": {"alpha": args.alpha, "beta": args.beta,
-                   "resolution": args.resolution, **_solver_config(args)},
-        **report.to_json_dict(),
-    }
     if args.format == "json":
-        text = dumps(doc)
+        text = _document(args, **report.to_json_dict())
     else:
         columns = ["class", "symmetry", "basin", "a", "b", "c", "d", "e", "f",
                    "nu", "xi"]
@@ -302,45 +287,34 @@ def _cmd_census(args) -> tuple:
 
 
 def _cmd_verify(args) -> tuple:
+    # solved states feed the state-dependent lemma checks
+    masses = [MassVector(alpha=alpha, beta=beta)
+              for alpha, beta in ((1.0, 1.0), (0.5, 0.8), (0.7, 0.7))]
+    pairs = [(solve_kite(m).state, m) for m in masses]
     results = [
         check_lemma3_sign(args.trials, args.rng_seed),
-        check_lemma4_orderings(args.trials, args.rng_seed),
+        check_lemma4_orderings(args.trials, args.rng_seed, pairs),
+        check_lemma1_nu_positive([st for st, _ in pairs]),
+        check_lemma2_albouy(pairs),
+        *(check_theorem_identities(st, m) for st, m in pairs),
     ]
-    # solved states feed the state-dependent lemma checks
-    pairs = []
-    for alpha, beta in ((1.0, 1.0), (0.5, 0.8), (0.7, 0.7)):
-        m = MassVector(alpha=alpha, beta=beta)
-        pairs.append((solve_kite(m).state, m))
-    results.append(check_lemma1_nu_positive([st for st, _ in pairs]))
-    results.append(check_lemma2_albouy(pairs))
-    for st, m in pairs:
-        results.append(check_theorem_identities(st, m))
     if args.theorem1_grid:
         results.append(run_theorem1_suite(args.theorem1_grid,
                                           args.resolution))
     if args.theorem2_grid:
         results.append(run_theorem2_suite(args.theorem2_grid,
                                           args.resolution))
-    doc = {
-        "command": "verify",
-        "config": {"trials": args.trials, "rng_seed": args.rng_seed,
-                   "resolution": args.resolution},
-        "all_passed": all(r.passed for r in results),
-        "checks": [r.to_json_dict() for r in results],
-    }
-    return 0 if doc["all_passed"] else 1, dumps(doc), None
+    passed = all(r.passed for r in results)
+    return 0 if passed else 1, _document(
+        args, all_passed=passed,
+        checks=[r.to_json_dict() for r in results]), None
 
 
 def _cmd_realize(args) -> tuple:
     m = MassVector(alpha=args.alpha, beta=args.beta)
     config = realize(args.sq, m)
-    doc = {
-        "command": "realize",
-        "config": {"sq": list(args.sq), "alpha": args.alpha,
-                   "beta": args.beta},
-        **config.to_json_dict(),
-    }
-    return 0, dumps(doc), configs_csv([config]) if args.plot_data else None
+    text = _document(args, **config.to_json_dict())
+    return 0, text, configs_csv([config]) if args.plot_data else None
 
 
 def main(argv=None) -> int:

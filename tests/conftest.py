@@ -2,12 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 from ccfour import CanonicalFrame, MassVector, PlanarConfig
 from ccfour.dziobek import planar_many, scale_sq_many
 from ccfour.geometry import (_config_checks, _placed, _recenter,
                              _trilateration, oriented_areas_many,
                              squared_distances_many)
+
+
+def derandomized(max_examples: int) -> settings:
+    """Hypothesis settings of every drawn test: the same examples on each
+    run, no deadline, and no shrinking, so that a failing example is
+    reported as drawn rather than after minutes of shrinking."""
+    return settings(derandomize=True, deadline=None,
+                    max_examples=max_examples,
+                    phases=[p for p in Phase if p is not Phase.shrink])
 
 
 @pytest.fixture

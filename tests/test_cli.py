@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib.util
 import io
@@ -10,14 +11,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import ccfour
 from ccfour.census import MAX_RESOLUTION
 from ccfour.cli import (MAX_GRID_VALUES, build_parser, configs_csv, main,
                         parse_grid, parse_sq, positive_float)
-from ccfour.solver import CONVERGED
+from ccfour.solver import CONVERGED, SolveOptions
+from ccfour.verifier import DEFAULT_SEED
+from conftest import derandomized
 
 
 def run_json(capsys, argv):
@@ -35,7 +38,6 @@ def test_version(capsys):
 
 def test_positive_float_validator():
     assert positive_float("1.5") == 1.5
-    import argparse
     for bad in ("0", "-2", "abc", "inf", "nan", "1e999"):
         with pytest.raises(argparse.ArgumentTypeError):
             positive_float(bad)
@@ -48,7 +50,6 @@ def test_parse_grid_forms():
     assert parse_grid("0.1:1.0:0.25") == pytest.approx([0.1, 0.35, 0.6, 0.85])
     assert len(parse_grid("0.2:1.0:0.2")) == 5
     assert len(parse_grid("0.2:2.0:0.2")) == 10
-    import argparse
     for bad in ("0.5:0.1:0.2", "1:2", "0,-1", "nan", "0.5,inf",
                 "0.1:inf:0.1", "0.1:1:nan", "0.1:1:0", ","):
         with pytest.raises(argparse.ArgumentTypeError):
@@ -58,7 +59,6 @@ def test_parse_grid_forms():
 def test_parse_sq_validator():
     sq = parse_sq("2,1,1,1,1,2")
     assert tuple(sq) == (2, 1, 1, 1, 1, 2)
-    import argparse
     with pytest.raises(argparse.ArgumentTypeError):
         parse_sq("1,2,3")
     for bad in ("1,1,1,1,1,-1", "2,1,1,1,1,inf", "2,1,1,1,1,nan"):
@@ -233,7 +233,7 @@ POWERS_OF_TEN = st.integers(-300, 300).map(lambda k: f"1e{k}")
 # hypothesis reports a failing example through libcst, whose import warns
 @pytest.mark.filterwarnings(
     "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
-@settings(derandomize=True, deadline=None, max_examples=60)
+@derandomized(60)
 @given(command=st.sampled_from(["kite", "full", "rhombus", "realize"]),
        alpha=POWERS_OF_TEN, beta=POWERS_OF_TEN)
 def test_extreme_masses_exit_cleanly(command, alpha, beta):
@@ -288,7 +288,7 @@ SQS = with_refused(
 # hypothesis reports a failing example through libcst, whose import warns
 @pytest.mark.filterwarnings(
     "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
-@settings(derandomize=True, deadline=None, max_examples=150)
+@derandomized(150)
 @given(command=st.sampled_from(["kite", "full", "sweep", "census",
                                 "realize"]),
        tol=TOLS, max_iterations=MAX_ITERATIONS,
@@ -368,7 +368,6 @@ def test_grid_of_a_million_values_parses():
     assert len(parse_grid("0.1:1:9.000005e-7")) == MAX_GRID_VALUES
     # its last value would pass stop
     assert len(parse_grid("0.1:1:9.00001e-7")) == MAX_GRID_VALUES - 1
-    import argparse
     with pytest.raises(argparse.ArgumentTypeError):
         parse_grid("0.1:1:9e-7")
 
@@ -575,6 +574,9 @@ def test_verify_passes(capsys):
                                   "--resolution", "4"])
     assert code == 0
     assert doc["all_passed"] is True
+    assert doc["config"] == {"trials": 100, "rng_seed": DEFAULT_SEED,
+                             "resolution": 4, "theorem1_grid": None,
+                             "theorem2_grid": [0.8, 1.2]}
     names = [c["name"] for c in doc["checks"]]
     assert "lemma3_sign" in names
     assert "theorem2_unique_rhombus" in names
@@ -587,6 +589,40 @@ def test_verify_theorem1_grid(capsys):
     assert code == 0
     names = [c["name"] for c in doc["checks"]]
     assert "theorem1_unique_kite" in names
+
+
+def subparsers():
+    """The parser of each command, by name."""
+    parser = build_parser()
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+@pytest.mark.parametrize("argv", [
+    *(argv for argv, _ in COMPUTING_COMMANDS.values()),
+    ["verify", "--trials", "1"],
+    ["realize", "--sq", "2,1,1,1,1,2", "--alpha", "1", "--beta", "1"],
+], ids=lambda argv: argv[0])
+def test_config_echoes_every_flag_but_the_output_ones(capsys, argv):
+    """A document's config holds every flag of its command, in parser
+    order, but the four that say where and how to write it."""
+    command = argv[0]
+    flags = [action.dest for action in subparsers()[command]._actions
+             if action.dest not in ("help", "output", "format", "plot_data")]
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    assert doc["command"] == command
+    assert list(doc["config"]) == flags
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "census"])
+def test_solver_flags_default_to_the_solve_options(command):
+    parser = subparsers()[command]
+    defaults = SolveOptions()
+    assert (parser.get_default("tol"), parser.get_default("max_iterations"),
+            parser.get_default("normalization")) == (
+        defaults.residual_tol, defaults.max_iterations,
+        defaults.normalization)
 
 
 def test_realize_json(capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from ccfour import (CanonicalFrame, CollisionError, Degenerate, MassVector,
@@ -16,7 +16,8 @@ from ccfour.geometry import (canonicalize_many, newtonian_oracle_many,
                              oriented_areas_many, realize_convex_many,
                              reconstruct_many, squared_distances_many,
                              trilaterated_area_rows)
-from conftest import random_convex_config, realize_many, unit_square_config
+from conftest import (derandomized, random_convex_config, realize_many,
+                      unit_square_config)
 
 EQUAL = MassVector(alpha=1.0, beta=1.0)
 
@@ -157,7 +158,7 @@ EDGE_COORDINATES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.nan,
 
 @pytest.mark.filterwarnings(
     "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
-@settings(derandomize=True, deadline=None, max_examples=200)
+@derandomized(200)
 @given(shape=st.sampled_from([(), (1,), (7,), (3, 5)]),
        seed=st.integers(0, 2 ** 32 - 1), low=st.integers(-150, 150),
        span=st.integers(0, 300), edge_frac=st.sampled_from([0.0, 0.1, 1.0]))

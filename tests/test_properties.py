@@ -5,18 +5,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from ccfour import (CanonicalFrame, DziobekState, MassVector, PlanarConfig,
                     cc_residuals, congruent, dilate_state, oriented_areas,
                     psi_prime, realize, scaling_transform, squared_distances)
 from ccfour.dziobek import PAIRS
+from conftest import derandomized
 
 # hypothesis reports a failing example through libcst, whose import warns
 no_libcst_warning = pytest.mark.filterwarnings(
     "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
-derandomized = settings(derandomize=True, deadline=None, max_examples=100)
 
 
 def log_uniform(low, high):
@@ -51,7 +51,7 @@ def residual_scale(state, m):
 
 
 @no_libcst_warning
-@derandomized
+@derandomized(100)
 @given(frame=frames, m=masses, reflect=st.booleans())
 def test_realize_inverts_squared_distances(frame, m, reflect):
     """realize gives back the squared distances of the frame's
@@ -70,7 +70,7 @@ def test_realize_inverts_squared_distances(frame, m, reflect):
 
 
 @no_libcst_warning
-@derandomized
+@derandomized(100)
 @given(frame=frames, m=masses, nu_xi=multipliers, k=log_uniform(1e-3, 1e3))
 def test_dilation_scales_the_residuals_by_k_to_the_minus_3(frame, m, nu_xi,
                                                            k):
@@ -87,7 +87,7 @@ def test_dilation_scales_the_residuals_by_k_to_the_minus_3(frame, m, nu_xi,
 
 
 @no_libcst_warning
-@derandomized
+@derandomized(100)
 @given(frame=frames, m=masses, nu_xi=multipliers, eta=log_uniform(1e-3, 1e3))
 def test_mass_scaling_scales_the_residuals_by_eta(frame, m, nu_xi, eta):
     """Masses over eta and lengths times eta**(-1/3) multiply the residuals

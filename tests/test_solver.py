@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from ccfour import (CanonicalFrame, DomainError, DziobekState,
@@ -28,7 +28,7 @@ from ccfour.solver import (_AREA_ORDER, _BLOCK, _BOUNDARY_PROBE,
                            _norm2, _norm_inf, _polish, _rhombus_equation,
                            _solve_linear, gauge_weights, gauged_sq,
                            seed_vector, seed_vectors)
-from conftest import random_convex_config, trilaterate
+from conftest import derandomized, random_convex_config, trilaterate
 
 EQUAL = MassVector(alpha=1.0, beta=1.0)
 
@@ -646,7 +646,7 @@ EDGE_ENTRIES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
 
 @pytest.mark.filterwarnings(
     "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
-@settings(derandomize=True, deadline=None, max_examples=200)
+@derandomized(200)
 @given(n=st.sampled_from([0, 1, 7, 4096]), k=st.sampled_from([6, 8]),
        seed=st.integers(0, 2 ** 32 - 1),
        edge_frac=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
@@ -1272,7 +1272,7 @@ def log_uniform(low, high):
 
 @pytest.mark.filterwarnings(
     "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
-@settings(derandomize=True, deadline=None, max_examples=100)
+@derandomized(100)
 @given(u=log_uniform(0.2, 5.0), v=log_uniform(0.2, 5.0),
        t=log_uniform(0.2, 5.0), s=log_uniform(0.2, 5.0),
        theta=st.floats(0.2 * math.pi, 0.8 * math.pi),

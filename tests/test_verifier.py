@@ -1,16 +1,20 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from ccfour import (CollisionError, DziobekState, MassVector, OrientedAreas,
-                    PlanarConfig, SquaredDistances,
-                    balanced_residuals, check_lemma1_nu_positive,
+from ccfour import (CollisionError, DziobekState, LeftConvexRegion,
+                    MassVector, OrientedAreas, PlanarConfig,
+                    SingularJacobian, SquaredDistances, SymmetryLabel,
+                    balanced_residuals, census, check_lemma1_nu_positive,
                     check_lemma2_albouy, check_lemma3_sign,
                     check_lemma4_orderings, check_theorem_identities,
-                    newtonian_oracle, psi_prime, realize,
+                    newton_solve, newtonian_oracle, psi_prime, realize,
                     run_theorem1_suite, run_theorem2_suite, solve_kite,
                     solve_rhombus)
+from ccfour import cli, verifier
 from ccfour.verifier import lemma4_product_chain_violation
 from conftest import potential, unit_square_config
 
@@ -182,3 +186,121 @@ def test_check_result_json():
     d = result.to_json_dict()
     assert set(d) == {"name", "passed", "worst_violation", "witnesses",
                       "details"}
+
+
+def test_lemma4_distance_chain_flags_a_case_a_state():
+    """A state whose areas order as case (a), strictly, is checked against
+    that case's distance chain: here d = 4 exceeds a = 3."""
+    st = DziobekState(sq=SquaredDistances(3, 2, 1, 4, 2.5, 3.5),
+                      areas=OrientedAreas(-2, -1, 1, 2.0001), nu=1.0, xi=0.0)
+    result = check_lemma4_orderings(trials=10, rng_seed=3,
+                                    states=[(st, EQUAL)])
+    assert not result.passed
+    assert result.details["distance_chain_states_checked"] == 1
+    assert result.details["distance_chain_vacuous"] is False
+    assert result.witnesses == [{"case": "a", "distance_chain": True,
+                                 "state": st.to_json_dict(),
+                                 "violation": 1}]
+    assert result.worst_violation == 1
+
+
+def test_theorem_identities_flag_a_state_off_the_kite():
+    m = MassVector(alpha=0.5, beta=0.8)
+    st = solve_kite(m).state
+    sq = list(st.sq)
+    sq[1] *= 1.01
+    result = check_theorem_identities(
+        dataclasses.replace(st, sq=SquaredDistances(*sq)), m)
+    assert not result.passed
+    assert "rearranged_residuals" in result.witnesses[0]
+    assert result.worst_violation > 1e-3
+
+
+def test_newton_solve_raises_when_the_iterate_leaves_the_convex_region():
+    m = MassVector(alpha=0.5, beta=0.8)
+    st = solve_kite(m).state
+    seed = dataclasses.replace(st, sq=SquaredDistances(1, 1, 1, 4, 1, 1))
+    with pytest.raises(LeftConvexRegion,
+                       match="^iterate left the convex region$"):
+        newton_solve(seed, m)
+
+
+def test_newton_solve_raises_on_a_singular_jacobian():
+    m = MassVector(alpha=0.5, beta=0.8)
+    seed = dataclasses.replace(solve_kite(m).state, nu=math.nan)
+    with pytest.raises(SingularJacobian):
+        newton_solve(seed, m)
+
+
+@pytest.fixture(scope="module")
+def suite_reports():
+    """The resolution-4 census at each theorem's point, (0.5, 0.8) and
+    (0.7, 0.7): one kite and one rhombus class."""
+    return {point: census(MassVector(*point), 4)
+            for point in ((0.5, 0.8), (0.7, 0.7))}
+
+
+def theorem1_doctorings(cls):
+    """Each witness key of the theorem 1 suite and census classes that
+    give it."""
+    areas = list(cls.state.areas)
+    areas[0] *= 1.01
+    return {
+        "classes": [cls, cls],
+        "label": [dataclasses.replace(
+            cls, symmetry=SymmetryLabel("asymmetric"))],
+        "delta1_minus_delta2": [dataclasses.replace(cls, state=(
+            dataclasses.replace(cls.state, areas=OrientedAreas(*areas))))],
+        # a square is a central configuration only at equal masses
+        "oracle_residual": [dataclasses.replace(cls, config=(
+            unit_square_config(MassVector(alpha=0.5, beta=0.8))))],
+    }
+
+
+def theorem2_doctorings(cls):
+    """Each witness key of the theorem 2 suite and census classes that
+    give it."""
+    sq = list(cls.state.sq)
+    sq[1] *= 1.01
+    return {
+        "classes": [cls, cls],
+        "label": [dataclasses.replace(
+            cls, symmetry=SymmetryLabel("kite_axis_34"))],
+        "side_gap": [dataclasses.replace(cls, state=(
+            dataclasses.replace(cls.state, sq=SquaredDistances(*sq))))],
+        "ratio": [dataclasses.replace(cls, frame=(
+            dataclasses.replace(cls.frame, t=cls.frame.t * 1.01)))],
+    }
+
+
+@pytest.mark.parametrize("suite, point, doctorings, grid", [
+    (run_theorem1_suite, (0.5, 0.8), theorem1_doctorings, [(0.5, 0.8)]),
+    (run_theorem2_suite, (0.7, 0.7), theorem2_doctorings, [0.7]),
+], ids=["theorem1", "theorem2"])
+def test_theorem_suites_report_each_witness(monkeypatch, suite_reports,
+                                            suite, point, doctorings, grid):
+    """Each suite, given a census with two classes, a wrong label or a
+    class that breaks one of its tests, fails with that witness only."""
+    report = suite_reports[point]
+    assert suite(grid, resolution=4).passed
+    for key, classes in doctorings(report.classes[0]).items():
+        bad = dataclasses.replace(report, classes=classes)
+        monkeypatch.setattr(verifier, "census", lambda m, resolution: bad)
+        result = suite(grid, resolution=4)
+        assert not result.passed, key
+        assert [key in w for w in result.witnesses] == [True], key
+
+
+def test_verify_exits_1_with_a_theorem_witness(monkeypatch, capsys,
+                                               suite_reports):
+    report = suite_reports[(0.5, 0.8)]
+    bad = dataclasses.replace(report, classes=report.classes * 2)
+    monkeypatch.setattr(verifier, "census", lambda m, resolution: bad)
+    code = cli.main(["verify", "--trials", "10", "--theorem1-grid",
+                     "0.5,0.8"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert doc["all_passed"] is False
+    check = doc["checks"][-1]
+    assert (check["name"], check["passed"]) == ("theorem1_unique_kite", False)
+    assert check["witnesses"] == [{"alpha": 0.5, "beta": 0.8, "classes": 2}]
