@@ -208,16 +208,19 @@ def cayley(sq: Sequence[float]) -> float:
     return float(cayley_many(np.asarray(sq, dtype=float)[None, :])[0])
 
 
-def planar_many(sq: np.ndarray) -> np.ndarray:
+def planar_many(sq: np.ndarray,
+                cayley: np.ndarray | None = None) -> np.ndarray:
     """True where rows of (n, 6) squared distances are finite and embed in
     the plane, |S| <= PLANARITY_TOL * scale_sq**3.  S has degree 3 in the
     squared distances, so the test is scale-invariant.  It is taken as
     |S| / scale_sq / scale_sq <= PLANARITY_TOL * scale_sq, so nothing
-    overflows, and a non-finite S fails it."""
+    overflows, and a non-finite S fails it.  cayley, where given, is S:
+    cayley_many(sq) to the bit, as the caller has it."""
     sq = np.atleast_2d(np.asarray(sq, dtype=float))
     with np.errstate(all="ignore"):
         scale = np.abs(scale_sq_many(sq))
-        ratio = np.abs(cayley_many(sq)) / scale / scale
+        s = cayley_many(sq) if cayley is None else cayley
+        ratio = np.abs(s) / scale / scale
         return (np.isfinite(sq).all(axis=1) & np.isfinite(scale)
                 & (ratio <= PLANARITY_TOL * scale))
 

@@ -180,10 +180,10 @@ def _trilateration(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _placed(tri: np.ndarray) -> np.ndarray:
     """(..., 4, 2) points of the trilateration rows r12, x3, x4, y3, y4m."""
-    r12, x3, x4, y3, y4m = tri[:5]
-    zero = np.zeros_like(r12)
-    pts = np.stack([zero, zero, r12, zero, x3, y3, x4, -y4m], axis=-1)
-    return pts.reshape(r12.shape + (4, 2))
+    pts = np.zeros(tri.shape[1:] + (4, 2))
+    pts[..., 1, 0], pts[..., 2, 0], pts[..., 3, 0] = tri[:3]
+    pts[..., 2, 1], pts[..., 3, 1] = tri[3], -tri[4]
+    return pts
 
 
 def trilaterated_area_rows(sq: np.ndarray):
@@ -295,16 +295,19 @@ def realize(sq: Sequence[float], m: MassVector) -> PlanarConfig:
     return PlanarConfig.from_points(_placed(tri), m)
 
 
-def realize_convex_many(sq: np.ndarray, m: MassVector, tri: np.ndarray):
+def realize_convex_many(sq: np.ndarray, m: MassVector, tri: np.ndarray,
+                        cayley: np.ndarray | None = None):
     """The (n, 4, 2) recentered points, (n, 4) oriented areas and mask of
     the rows that realize and oriented_areas accept, of (n, 6) squared
     distances placed from tri, their (5, n) trilateration as
-    trilaterated_area_rows gives it; one squared-distance pass serves all
+    trilaterated_area_rows gives it, and with their Cayley determinants
+    where given (see planar_many); one squared-distance pass serves all
     the tests.  Call under np.errstate."""
     pts = _recenter(_placed(tri), m)
     centered, apart, scale_sq = _config_checks(pts, m)
     areas, proper, convex = oriented_areas_many(pts, scale_sq)
-    ok = planar_many(sq) & centered & apart.all(axis=-1) & proper & convex
+    ok = (planar_many(sq, cayley) & centered & apart.all(axis=-1) & proper
+          & convex)
     return pts, areas, ok
 
 

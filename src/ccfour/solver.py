@@ -7,6 +7,7 @@ census grids run at numpy speed; the public solvers wrap batches of size 1.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -129,19 +130,9 @@ class Residuals:
         self.inv_mm = 1.0 / m.pair_weights
         # the normalization residual is sq . gauge - 1
         self.gauge = gauge_weights(m, normalization)
-        self.embed = self.reduced = None
-        if embed is not None:
-            self.embed = np.asarray(embed)
-            self.reduced = np.unique(self.embed, return_index=True)[1]
-        # the (area, reduced column) pairs whose derivative is not
-        # identically zero, as the boundary test takes them (a reduced
-        # column moves an area if one of its full columns does), the
-        # reduced columns that move a squared distance, and the areas with
-        # a derivative that is identically zero along some reduced column
-        moves = self._fold(AREA_DERIVATIVE_MOVES.astype(float)) > 0
-        self.sq_cols = np.arange(moves.shape[1])
-        self._moving = np.nonzero(moves)
-        self._zero_tested = np.flatnonzero(~moves.all(axis=1))
+        (self.embed, self.reduced, self.sq_cols, self._ks, self._js,
+         self._order, self._zero_tested) = _plans(
+             None if embed is None else tuple(embed))
 
     def _rows(self, x: np.ndarray) -> np.ndarray:
         """The (8, n) C-ordered rows of the unreduced unknowns of x."""
@@ -149,14 +140,14 @@ class Residuals:
             return np.ascontiguousarray(x.T)
         return x.T[self.embed]
 
-    def __call__(self, x: np.ndarray):
+    def __call__(self, x: np.ndarray, seed: tuple | None = None):
         """(residuals, valid, tri) of (n, k) vectors: invalid rows are NaN,
         and only the valid rows are evaluated past their areas; tri is the
-        (9, n) trilaterated_area_rows of every row, for linearize.  The
-        residuals are C-ordered: a row's 8-wide sums do not depend on n.
-        Call under np.errstate."""
+        (9, n) trilaterated_area_rows of every row, for linearize, or the
+        seed's (valid, tri) where given.  The residuals are C-ordered: a
+        row's 8-wide sums do not depend on n.  Call under np.errstate."""
         xr = self._rows(x)
-        valid, tri = trilaterated_area_rows(xr[:6])
+        valid, tri = seed or trilaterated_area_rows(xr[:6])
         areas = tri[5:]
         # no copies where every row is valid, as in most one-row calls
         whole = np.count_nonzero(valid) == valid.size
@@ -198,9 +189,9 @@ class Residuals:
         d_areas = trilaterated_area_derivative_rows(tri)
         xs = xr[:6] if self.embed is None else x.T[self.sq_cols]
         h = _BOUNDARY_PROBE * np.maximum(1.0, np.abs(xs))
-        ks, js = self._moving
-        reach = ((_AREA_ORDER[ks, None] * h[js])
-                 * np.abs(self._fold(d_areas)[ks, js]))
+        ks, js = self._ks, self._js
+        reach = ((self._order * h[js])
+                 * np.abs(_fold(d_areas, self.embed)[ks, js]))
         near = ((xs <= h).any(axis=0)
                 | (np.abs(areas)[ks] <= reach).any(axis=0)
                 | (areas[self._zero_tested] == 0).any(axis=0))
@@ -216,17 +207,40 @@ class Residuals:
         jac[6:, 6:] = 0.0
         if self.reduced is not None:
             jac = jac[self.reduced]
-        return np.ascontiguousarray(self._fold(jac).transpose(2, 0, 1)), near
+        jac = _fold(jac, self.embed)
+        return np.ascontiguousarray(jac.transpose(2, 0, 1)), near
 
-    def _fold(self, a: np.ndarray) -> np.ndarray:
-        """Sum the columns (axis 1) of full unknowns into those of reduced
-        ones, each from zero (0.0 + -0.0 is 0.0) in column order."""
-        if self.embed is None:
-            return a
-        cols = self.embed[:a.shape[1]]
-        folded = np.zeros((a.shape[0], cols.max() + 1, *a.shape[2:]))
-        np.add.at(folded, (slice(None), cols), a)
-        return folded
+
+def _fold(a: np.ndarray, embed: np.ndarray | None) -> np.ndarray:
+    """Sum the columns (axis 1) of full unknowns into those of reduced
+    ones, each from zero (0.0 + -0.0 is 0.0) in column order."""
+    if embed is None:
+        return a
+    cols = embed[:a.shape[1]]
+    folded = np.zeros((a.shape[0], cols.max() + 1, *a.shape[2:]))
+    np.add.at(folded, (slice(None), cols), a)
+    return folded
+
+
+@functools.cache
+def _plans(embed: tuple[int, ...] | None):
+    """Residuals' index plans of an embed, built once: embed, reduced, the
+    reduced columns that move a squared distance, the (area, reduced column)
+    pairs whose derivative is not identically zero (a reduced column moves
+    an area if one of its full columns does) and their _AREA_ORDER, and the
+    areas with an identically zero derivative along some reduced column.
+    Every Residuals of the embed shares them, so they are read-only."""
+    reduced = None
+    if embed is not None:
+        embed = np.asarray(embed)
+        reduced = np.unique(embed, return_index=True)[1]
+    moves = _fold(AREA_DERIVATIVE_MOVES.astype(float), embed) > 0
+    ks, js = np.nonzero(moves)
+    plans = (embed, reduced, np.arange(moves.shape[1]), ks, js,
+             _AREA_ORDER[ks, None], np.flatnonzero(~moves.all(axis=1)))
+    for a in plans[2:] if embed is None else plans:
+        a.flags.writeable = False
+    return plans
 
 
 def _norm2(r: np.ndarray) -> np.ndarray:
@@ -303,15 +317,10 @@ def _backtrack(fun, x: np.ndarray, dx: np.ndarray, base2: np.ndarray,
     the convex region, and the (9, n) trilateration columns of the rows
     that took a step, picked from the residual calls.  Where every row
     takes lam = 1 in a first call of one lam, that call's arrays are
-    returned as they are.  Call under np.errstate.  ROADMAP.md lists the
-    schedules measured and not adopted.
+    returned as they are, and nothing else is allocated.  Call under
+    np.errstate.  ROADMAP.md lists the schedules measured and not adopted.
     """
     n, k = x.shape
-    accepted = np.zeros(n, dtype=bool)
-    last_invalid = np.zeros(n, dtype=bool)
-    x_new = x.copy()
-    res_new = np.full((n, k), np.nan)  # the Newton system is square
-    norm_new = np.full(n, np.nan)
     rem = np.arange(n)  # the rows left, whose x, dx and base2 are carried
     tried = 0
     while rem.size and tried < _MAX_BACKTRACKS:
@@ -326,6 +335,11 @@ def _backtrack(fun, x: np.ndarray, dx: np.ndarray, base2: np.ndarray,
         if not tried:
             if c == 1 and np.count_nonzero(hit) == n:
                 return hit, xt, rt, nt2, ~hit, tt
+            accepted = np.zeros(n, dtype=bool)
+            last_invalid = np.zeros(n, dtype=bool)
+            x_new = x.copy()
+            res_new = np.full((n, k), np.nan)  # the Newton system is square
+            norm_new = np.full(n, np.nan)
             tri_new = np.empty((tt.shape[0], n))
         pick = np.flatnonzero(hit)
         if c > 1:  # the first lam each row takes
@@ -344,7 +358,8 @@ def _backtrack(fun, x: np.ndarray, dx: np.ndarray, base2: np.ndarray,
     return accepted, x_new, res_new, norm_new, last_invalid, tri_new
 
 
-def _newton_batch(fun, x0: np.ndarray, opts: SolveOptions):
+def _newton_batch(fun, x0: np.ndarray, opts: SolveOptions,
+                  seed: tuple | None = None):
     """Damped Newton with the exact Jacobian and halving backtracking on the
     residual 2-norm.
 
@@ -355,19 +370,21 @@ def _newton_batch(fun, x0: np.ndarray, opts: SolveOptions):
     before the next block is linearized.  The line search then takes the
     whole batch; none of its calls has more rows than the first residual
     evaluation.  Each iterate's trilateration is carried from the residual
-    call that gave it to the next linearization, and where every row of
-    the batch steps, the line search's arrays are taken whole.  A row's
-    result depends neither on its batch mates nor on its block.  Returns
-    (x, status, iterations, final inf-norm residual, tri), tri the (9, n)
-    trilaterated_area_rows of each row's final x.  Call under np.errstate:
-    rows that leave the convex region are NaN.
+    call that gave it (or from the seed, see solve_batch) to the next
+    linearization; where every row of the batch steps, the line search's
+    arrays are taken whole, and a block or step of every row takes views.
+    A row's result depends neither on its batch mates nor on its block.
+    Returns (x, status, iterations, final inf-norm residual, tri, res), tri
+    the (9, n) trilaterated_area_rows and res the residuals of each row's
+    final x.  Call under np.errstate: rows that leave the convex region
+    are NaN.
     """
     x = np.array(x0, dtype=float)
     n = x.shape[0]
     status = np.full(n, RUNNING, dtype=int)
     iters = np.zeros(n, dtype=int)
     tol = opts.residual_tol
-    res, valid, tri = fun(x)
+    res, valid, tri = fun(x) if seed is None else fun(x, seed)
     norm_inf, norm2 = _norm_inf(res), _norm2(res)
     status[~valid] = LEFT_CONVEX
     status[valid & (norm_inf < tol)] = CONVERGED
@@ -378,11 +395,12 @@ def _newton_batch(fun, x0: np.ndarray, opts: SolveOptions):
         ids, steps = [], []
         for lo in range(0, act.size, _BLOCK):
             block = act[lo:lo + _BLOCK]
-            jac, near = fun.linearize(x[block], tri[:, block])
+            rows = slice(None) if block.size == n else block
+            jac, near = fun.linearize(x[rows], tri[:, rows])
             if np.count_nonzero(near):
                 status[block[near]] = NEAR_BOUNDARY
-                block = block[~near]
-            dx, singular = _solve_linear(jac, -res[block])
+                block = rows = block[~near]
+            dx, singular = _solve_linear(jac, -res[rows])
             del jac  # free the Jacobians before the next block
             if np.count_nonzero(singular):
                 status[block[singular]] = SINGULAR
@@ -393,8 +411,9 @@ def _newton_batch(fun, x0: np.ndarray, opts: SolveOptions):
                    else (np.concatenate(ids), np.concatenate(steps)))
         if ids.size == 0:
             continue
+        rows = slice(None) if ids.size == n else ids
         accepted, x_new, res_new, norm_new, last_invalid, tri_new = (
-            _backtrack(fun, x[ids], dx, norm2[ids], n))
+            _backtrack(fun, x[rows], dx, norm2[rows], n))
         if np.count_nonzero(accepted) < ids.size:
             stuck = ~accepted
             status[ids[stuck]] = np.where(last_invalid[stuck],
@@ -402,6 +421,7 @@ def _newton_batch(fun, x0: np.ndarray, opts: SolveOptions):
             ids, x_new, res_new, norm_new, tri_new = (
                 ids[accepted], x_new[accepted], res_new[accepted],
                 norm_new[accepted], tri_new[:, accepted])
+        rows = slice(None) if ids.size == n else ids
         if ids.size == n:  # the whole batch stepped: take its arrays
             x, res, norm2, tri = x_new, res_new, norm_new, tri_new
         else:
@@ -409,11 +429,11 @@ def _newton_batch(fun, x0: np.ndarray, opts: SolveOptions):
             res[ids] = res_new
             norm2[ids] = norm_new
             tri[:, ids] = tri_new
-        norm_inf[ids] = moved_inf = _norm_inf(res_new)
-        iters[ids] = it
+        norm_inf[rows] = moved_inf = _norm_inf(res_new)
+        iters[rows] = it
         status[ids[moved_inf < tol]] = CONVERGED
     status[status == RUNNING] = NO_CONVERGENCE
-    return x, status, iters, norm_inf, tri
+    return x, status, iters, norm_inf, tri, res
 
 
 def _state(xf: np.ndarray, areas: Sequence[float]) -> DziobekState:
@@ -430,8 +450,8 @@ def seed_state(sq: Sequence[float], m: MassVector) -> DziobekState:
     generally not planar in f); areas come from trilateration, which never
     uses f, and the multipliers from a least-squares fit.
     """
-    x = seed_vector(sq, m)
-    return _state(x, trilaterated_area_rows(x[:6, None])[1][5:, 0])
+    x, (_, tri) = _seed_vector(sq, m)
+    return _state(x, tri[5:, 0])
 
 
 def seed_vectors(sq: np.ndarray, m: MassVector) -> np.ndarray:
@@ -439,6 +459,11 @@ def seed_vectors(sq: np.ndarray, m: MassVector) -> np.ndarray:
     multipliers fitted by least squares to the six c.c. equations at the
     trilaterated areas.  Rows that do not trilaterate to a convex
     quadrilateral get NaN multipliers."""
+    return _seeded(sq, m)[0]
+
+
+def _seeded(sq: np.ndarray, m: MassVector):
+    """seed_vectors(sq, m) and the trilateration that fitted it: its seed."""
     inv_mm = 1.0 / m.pair_weights
     # extreme mass ratios overflow the sums; such a row gets nu = 0 (where
     # denom is not a positive number) or a non-finite fit, and no warning
@@ -457,17 +482,21 @@ def seed_vectors(sq: np.ndarray, m: MassVector) -> np.ndarray:
         xi = (sy - nu * sg) / n
     multipliers = np.stack([nu, xi], axis=1)
     multipliers[~valid] = np.nan
-    return np.concatenate([sq, multipliers], axis=1)
+    return np.concatenate([sq, multipliers], axis=1), valid, tri
 
 
-def seed_vector(sq: Sequence[float], m: MassVector) -> np.ndarray:
-    """Full unknown vector (a..f, nu, xi) from squared distances alone;
-    raises LeftConvexRegion where seed_vectors gives NaN multipliers."""
-    x = seed_vectors(np.asarray(sq, dtype=float)[None, :], m)[0]
-    if np.isnan(x[6]):
+def _seed_vector(sq: Sequence[float], m: MassVector,
+                 multipliers: tuple[float, float] | None = None):
+    """The full unknown vector (a..f, nu, xi) of squared distances, with
+    multipliers fitted or given, and its seed for _polish; raises
+    LeftConvexRegion where sq does not trilaterate or nu is NaN."""
+    x, valid, tri = _seeded(np.asarray(sq, dtype=float)[None, :], m)
+    if multipliers is not None:
+        x[0, 6:] = multipliers
+    if not valid[0] or np.isnan(x[0, 6]):
         raise LeftConvexRegion("seed does not trilaterate to a convex "
                                "quadrilateral")
-    return x
+    return x[0], (valid, tri)
 
 
 @dataclass(frozen=True)
@@ -498,33 +527,42 @@ class BatchResult:
 
 
 def solve_batch(fun: Residuals, x0: np.ndarray, m: MassVector,
-                opts: SolveOptions) -> BatchResult:
+                opts: SolveOptions, seed: tuple | None = None) -> BatchResult:
     """Newton from every row of x0, then the one test of which converged
     rows are convex central configurations: nu > 0, and realize and
     oriented_areas accept the squared distances (realize_convex_many on the
     full vectors, which fun.embed gives for a reduced system, and on
-    Newton's trilateration of them).  The converged rows that fail it end
-    REJECTED."""
+    Newton's trilateration and Cayley determinants S of them: 32 times the
+    residual S / 32 is S to the bit unless that is subnormal).  The
+    converged rows that fail it end REJECTED.  seed is the mask and
+    trilateration of x0's squared distances that _seeded fitted x0 from,
+    where given: Newton takes (and updates) them."""
     # Newton's NaN rows, and the areas of a converged row that realize
     # rejects, which may overflow, must not warn
     with np.errstate(all="ignore"):
-        x, status, iters, norm, tri = _newton_batch(fun, x0, opts)
+        x, status, iters, norm, tri, res = _newton_batch(fun, x0, opts, seed)
         if fun.embed is not None:
             x = x[:, fun.embed]
         conv = np.flatnonzero(status == CONVERGED)
-        points, areas, ok = realize_convex_many(x[conv, :6], m, tri[:5, conv])
-    ok &= x[conv, 6] > 0
+        rows = slice(None) if conv.size == x.shape[0] else conv
+        col = 6 if fun.reduced is None else list(fun.reduced).index(6)
+        s32 = res[rows, col]  # S / 32, and 32 s32 is S where s32 is normal
+        exact = np.abs(s32).min(initial=1.0) >= 2.0 ** -1022
+        points, areas, ok = realize_convex_many(
+            x[rows, :6], m, tri[:5, rows], 32.0 * s32 if exact else None)
+    ok &= x[rows, 6] > 0
     status[conv[~ok]] = REJECTED
     return BatchResult(x=x, status=status, iterations=iters, residual=norm,
                        accepted=conv[ok], points=points[ok], areas=areas[ok],
                        masses=m)
 
 
-def _polish(x0: np.ndarray, m: MassVector, opts: SolveOptions) -> SolveReport:
-    """Full Newton from one start vector (a..f, nu, xi); raises unless it
-    converges to a convex central configuration."""
+def _polish(x0: np.ndarray, m: MassVector, opts: SolveOptions,
+            seed: tuple | None = None) -> SolveReport:
+    """Full Newton from one start vector (a..f, nu, xi), and its seed where
+    given; raises unless it converges to a convex central configuration."""
     batch = solve_batch(Residuals(m, opts.normalization), x0[None, :], m,
-                        opts)
+                        opts, seed)
     status = batch.status[0]
     if status == LEFT_CONVEX:
         raise LeftConvexRegion("iterate left the convex region")
@@ -547,36 +585,43 @@ def newton_solve(seed: DziobekState, m: MassVector,
                  opts: SolveOptions = SolveOptions()) -> SolveReport:
     """Damped Newton on (a..f, nu, xi) with the six c.c. equations, S = 0
     and the chosen normalization; areas recomputed from trilateration at
-    every iterate."""
-    return _polish(np.array([*seed.sq, seed.nu, seed.xi], dtype=float),
-                   m, opts)
+    every iterate.  A seed with a multiplier that is not finite raises
+    DomainError, and one that does not trilaterate LeftConvexRegion."""
+    if not (math.isfinite(seed.nu) and math.isfinite(seed.xi)):
+        raise DomainError("seed multipliers nu and xi must be finite")
+    x0, start = _seed_vector(seed.sq, m, (seed.nu, seed.xi))
+    return _polish(x0, m, opts, start)
 
 
 # (a, b, c, f, nu, xi) -> (a, b, c, d=b, e=c, f, nu, xi)
 _KITE_EMBED = (0, 1, 2, 1, 2, 3, 4, 5)
 
 
-def _kite_seed_vectors(m: MassVector) -> np.ndarray:
-    """Deterministic family of symmetric seeds as full vectors (a..f, nu,
-    xi), on the inertia gauge whatever the solve's gauge."""
+def _kite_seed_vectors(m: MassVector):
+    """_seeded of a deterministic family of symmetric seeds, full vectors
+    (a..f, nu, xi) on the inertia gauge whatever the solve's gauge."""
     sq = [gauged_sq([4.0, 1.0 + t * t, 1.0 + s * s,
                      1.0 + t * t, 1.0 + s * s, (t + s) ** 2], m,
                     "fix_inertia_one")
           for t in (0.6, 1.0, 1.6) for s in (0.6, 1.0, 1.6)]
-    return seed_vectors(np.array(sq), m)
+    return _seeded(np.array(sq), m)
 
 
 def solve_kite(m: MassVector,
                opts: SolveOptions = SolveOptions()) -> SolveReport:
     """Solve the kite-reduced system (b = d and c = e by construction) from
     nine fixed seeds; report the first that converges to a convex central
-    configuration."""
+    configuration: seed 0 alone, then seeds 1-8 if need be, which as rows
+    do not depend on their batch mates give the report of all nine."""
     fun = Residuals(m, opts.normalization, embed=_KITE_EMBED)
-    batch = solve_batch(fun, _kite_seed_vectors(m)[:, fun.reduced], m, opts)
-    if not batch.accepted.size:
-        raise NoConvergence("no kite seed converged to a convex central "
-                            "configuration")
-    return batch.report(0)
+    x, valid, tri = _kite_seed_vectors(m)
+    for rows in (slice(0, 1), slice(1, None)):
+        batch = solve_batch(fun, x[rows, fun.reduced], m, opts,
+                            (valid[rows], tri[:, rows]))
+        if batch.accepted.size:
+            return batch.report(0)
+    raise NoConvergence("no kite seed converged to a convex central "
+                        "configuration")
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
@@ -726,7 +771,8 @@ def sweep(alpha_grid: Sequence[float], beta_grid: Sequence[float],
                 if prev is None:
                     report = newton_solve(solve_kite(m, opts).state, m, opts)
                 else:
-                    report = _polish(seed_vector(prev.sq, m), m, opts)
+                    x0, seed = _seed_vector(prev.sq, m)
+                    report = _polish(x0, m, opts, seed)
                 cells.append(SweepCell(float(alpha), float(beta), report))
                 prev = report.state
             except (NoConvergence, LeftConvexRegion, SingularJacobian) as exc:

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 from ccfour import (CanonicalFrame, DomainError, DziobekState,
                     LeftConvexRegion, MassVector, NoConvergence,
                     OrientedAreas, SolveOptions, SquaredDistances,
-                    cc_residuals, cayley, newton_solve, newtonian_oracle,
-                    realize, rhombus_ratio, seed_state, solve_kite,
-                    solve_rhombus, squared_distances, sweep)
+                    cc_residuals, cayley, census, newton_solve,
+                    newtonian_oracle, realize, rhombus_ratio, seed_state,
+                    solve_kite, solve_rhombus, squared_distances, sweep)
 from ccfour.dziobek import (_FACE_PARTNERS, PAIR_I, PAIR_J, cayley_many,
                             pair_residual_rows, psi_double_prime_many,
                             psi_prime_many)
@@ -23,11 +24,12 @@ from ccfour.geometry import (AREA_DERIVATIVE_MOVES,
 from ccfour.solver import (_AREA_ORDER, _BLOCK, _BOUNDARY_PROBE,
                            _KITE_EMBED, _MAX_BACKTRACKS, CONVERGED,
                            LEFT_CONVEX, NEAR_BOUNDARY, NO_CONVERGENCE,
-                           SINGULAR, Residuals, SweepCell, _backtrack,
-                           _brentq, _kite_seed_vectors, _newton_batch,
-                           _norm2, _norm_inf, _polish, _rhombus_equation,
+                           REJECTED, SINGULAR, Residuals, SweepCell,
+                           _backtrack, _brentq, _kite_seed_vectors,
+                           _newton_batch, _norm2, _norm_inf, _plans,
+                           _polish, _rhombus_equation, _seed_vector,
                            _solve_linear, gauge_weights, gauged_sq,
-                           seed_vector, seed_vectors)
+                           seed_vectors, solve_batch)
 from conftest import derandomized, random_convex_config, trilaterate
 
 EQUAL = MassVector(alpha=1.0, beta=1.0)
@@ -149,11 +151,11 @@ def test_seed_vectors_mark_rows_outside_the_convex_region():
     assert np.isnan(rows[1, 6:]).all()
     assert rows[1, :6].tolist() == list(bad)
     with pytest.raises(LeftConvexRegion):
-        seed_vector(bad, EQUAL)
+        _seed_vector(bad, EQUAL)
 
 
 def test_seed_vector_fits_multipliers():
-    x = seed_vector((1, 0.5, 0.5, 0.5, 0.5, 1), EQUAL)
+    x, _ = _seed_vector((1, 0.5, 0.5, 0.5, 0.5, 1), EQUAL)
     st = seed_state((1, 0.5, 0.5, 0.5, 0.5, 1), EQUAL)
     assert np.max(np.abs(cc_residuals(st, EQUAL))) < 1e-12
     assert x[6] == pytest.approx(st.nu)
@@ -270,7 +272,7 @@ def test_seed_vector_is_a_row_of_seed_vectors(rng):
     rows = seed_vectors(sq, m)
     assert rows.shape == (7, 8)
     for k in range(7):
-        assert seed_vector(sq[k], m).tolist() == rows[k].tolist()
+        assert _seed_vector(sq[k], m)[0].tolist() == rows[k].tolist()
 
 
 def test_cc_residuals_are_the_newton_pair_rows(rng):
@@ -365,6 +367,80 @@ def test_sweep_rejects_bad_grids():
         sweep([0.5, -0.1], [1.0])
 
 
+def report_bits(report):
+    """A report's JSON fields, its floats as hex, and its points' bytes."""
+    doc = report.to_json_dict()
+    state = doc.pop("state")
+    return (bits(doc), [bits(dict(enumerate(v))) if isinstance(v, list)
+                        else v.hex() for v in state.values()],
+            report.config.points.tobytes())
+
+
+@pytest.mark.parametrize("alpha, beta, tol", [
+    (0.2, 0.2, 1e-12), (0.4, 1.6, 1e-12), (1.0, 2.0, 1e-12),
+    (0.6, 0.6, 1e-12), (3.0, 3.0, 1e-12), (0.1, 0.3, 1e-5),
+    (0.5, 0.8, 1e-5)])
+def test_solve_kite_is_the_first_accepted_row_of_the_nine_seeds(
+        monkeypatch, alpha, beta, tol):
+    """solve_kite solves seed 0 alone, and seeds 1-8 in one batch only
+    where seed 0 is not accepted; its report is bitwise that of the first
+    accepted row of the nine seeds in one batch, as solve_batch gives it
+    without their trilateration.  At acceptance points under the default
+    tolerance seed 0 is accepted; at tol 1e-5, at (0.1, 0.3) and (0.5,
+    0.8), it converges but ends REJECTED, so the second batch runs."""
+    m = MassVector(alpha=alpha, beta=beta)
+    opts = SolveOptions(residual_tol=tol)
+    fun = Residuals(m, opts.normalization, embed=_KITE_EMBED)
+    nine = solve_batch(fun, _kite_seed_vectors(m)[0][:, fun.reduced], m,
+                       opts)
+    assert nine.status[0] == (CONVERGED if tol == 1e-12 else REJECTED)
+    batches = []
+
+    def recorded(fun, x0, *args):
+        batches.append(x0.shape[0])
+        return solve_batch(fun, x0, *args)
+
+    monkeypatch.setattr("ccfour.solver.solve_batch", recorded)
+    report = solve_kite(m, opts)
+    assert batches == ([1] if tol == 1e-12 else [1, 8])
+    assert report_bits(report) == report_bits(nine.report(0))
+
+
+def test_each_seed_of_a_sweep_cell_is_trilaterated_once(monkeypatch):
+    """The rows of each trilaterated_area_rows call of a two-cell sweep row
+    and of a resolution-2 census.  The sweep's first cell fits the nine
+    kite seeds (one call of 9 rows), solves seed 0 from that trilateration
+    in 5 line-search calls, and polishes the kite with the full system
+    from one trilateration of its state, converged at iteration 0; the
+    warm-started cell fits its seed (one call) and takes 4 line-search
+    calls.  The census's 16 seeds reach Newton as vectors through
+    census._seed_vectors, so they are trilaterated to fit them and again
+    in Newton's first evaluation.  The cells of a 20-cell sweep row are
+    bitwise those of a fresh _polish of each neighbour's seed vector,
+    which trilaterates the seed in Newton again."""
+    calls = []
+
+    def counted(sq):
+        calls.append(sq.shape[1])
+        return trilaterated_area_rows(sq)
+
+    monkeypatch.setattr("ccfour.solver.trilaterated_area_rows", counted)
+    cells = sweep([0.5], [0.8, 0.9])
+    assert [c.report.iterations for c in cells] == [0, 4]
+    assert calls == [9] + [1] * 5 + [1] + [1] + [1] * 4
+    calls.clear()
+    census(MassVector(alpha=0.5, beta=0.8), 2)
+    assert calls[:2] == [16, 16]
+    assert (len(calls), sum(calls)) == (214, 3111)
+    monkeypatch.undo()
+    opts = SolveOptions()
+    cells = sweep([0.5], [round(0.1 * k, 1) for k in range(1, 21)], opts)
+    for prev, cell in zip(cells, cells[1:]):
+        m = MassVector(alpha=cell.alpha, beta=cell.beta)
+        x0 = seed_vectors(np.asarray(prev.report.state.sq)[None, :], m)[0]
+        assert report_bits(cell.report) == report_bits(_polish(x0, m, opts))
+
+
 def central_jacobian(fun, x, h_rel=1e-6):
     """Central differences of fun's residuals, one column at a time."""
     jac = np.empty(x.shape + (x.shape[1],))
@@ -413,7 +489,7 @@ def test_exact_jacobian_of_the_kite_system(normalization):
     m = MassVector(alpha=0.5, beta=0.8)
     fun = Residuals(m, normalization, embed=_KITE_EMBED)
     assert_jacobian_matches_central_differences(
-        fun, to_kite(_kite_seed_vectors(m)))
+        fun, to_kite(_kite_seed_vectors(m)[0]))
 
 
 UNKNOWNS = ("a", "b", "c", "d", "e", "f", "nu", "xi")
@@ -682,7 +758,7 @@ def test_nan_multiplier_seed_never_converges():
     res, valid, _ = fun(x0)
     assert valid.all() and (np.abs(res[:, 6:]) < 1e-12).all()
     x0[:, 6] = math.nan
-    x, status, iters, norm, _ = _newton_batch(fun, x0, SolveOptions())
+    x, status, iters, norm, *_ = _newton_batch(fun, x0, SolveOptions())
     assert (status == SINGULAR).all() and (iters == 0).all()
     assert np.isnan(norm).all()
 
@@ -731,7 +807,7 @@ def test_solve_linear_is_each_row_solved_alone():
 def newton_rows(fun, x0, opts):
     """Final vector, status, iterations and residual of each row of
     _newton_batch, as bytes so that equality is bitwise."""
-    x, status, iters, norm, _ = _newton_batch(fun, x0, opts)
+    x, status, iters, norm, *_ = _newton_batch(fun, x0, opts)
     return [(x[i].tobytes(), status[i], iters[i], norm[i].tobytes())
             for i in range(x0.shape[0])]
 
@@ -747,7 +823,7 @@ def test_each_row_of_newton_is_the_row_solved_alone(normalization):
     kite_fun = Residuals(m, normalization, embed=_KITE_EMBED)
     for fun, x0, sample in [
             (Residuals(m, normalization), census_seeds, range(0, 4096, 64)),
-            (kite_fun, to_kite(_kite_seed_vectors(m)), range(9))]:
+            (kite_fun, to_kite(_kite_seed_vectors(m)[0]), range(9))]:
         batched = newton_rows(fun, x0, opts)
         for i in sample:
             assert newton_rows(fun, x0[i:i + 1], opts) == [batched[i]], i
@@ -866,8 +942,8 @@ def test_newton_statuses_of_exhausted_and_singular_rows():
     jac = np.array([-np.eye(2), np.full((2, 2), np.nan), -np.eye(2),
                     np.zeros((2, 2)), np.eye(2)])
     near = np.array([False, True, False, False, False])
-    _, status, iters, _, _ = _newton_batch(Steered(jac, near), x0,
-                                           SolveOptions(max_iterations=1))
+    _, status, iters, *_ = _newton_batch(Steered(jac, near), x0,
+                                         SolveOptions(max_iterations=1))
     assert status.tolist() == [NO_CONVERGENCE, NEAR_BOUNDARY, LEFT_CONVEX,
                                SINGULAR, CONVERGED]
     assert iters.tolist() == [0, 0, 0, 0, 1]
@@ -890,7 +966,7 @@ def near_boundary_vector(m, area, gap):
     pts = np.array([(0.0, 0.0), (1.0, 0.0), *NEAR_AREA_ZERO[area](gap)])
     sq = [float(((pts[i] - pts[j]) ** 2).sum()) for i, j in
           ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
-    return seed_vector(sq, m)
+    return _seed_vector(sq, m)[0]
 
 
 def test_row_within_the_boundary_probe_is_near_boundary():
@@ -900,7 +976,7 @@ def test_row_within_the_boundary_probe_is_near_boundary():
                   near_boundary_vector(m, 1, 1e-2)])
     assert fun(x)[1].all()
     assert linearized(fun, x)[1].tolist() == [True, False]
-    _, status, _, _, _ = _newton_batch(fun, x[:1], SolveOptions())
+    _, status, *_ = _newton_batch(fun, x[:1], SolveOptions())
     assert status.tolist() == [NEAR_BOUNDARY]
     with pytest.raises(LeftConvexRegion):
         _polish(x[0], m, SolveOptions())
@@ -940,7 +1016,7 @@ def test_boundary_test_matches_the_probe_on_every_census_iterate():
     m = MassVector(alpha=0.5, beta=0.8)
     fun = ProbeChecked(m, "fix_inertia_one")
     x0 = _seed_vectors(seed_grid(6, m), m)
-    _, status, _, _, _ = _newton_batch(fun, x0, SolveOptions())
+    _, status, *_ = _newton_batch(fun, x0, SolveOptions())
     assert fun.marked == (status == NEAR_BOUNDARY).sum() > 0
     assert fun.rows > x0.shape[0]
 
@@ -952,7 +1028,7 @@ def test_boundary_test_matches_the_probe_on_every_kite_iterate():
     x0 = kite_lattice(m)
     for normalization in ("fix_inertia_one", "fix_a_one"):
         fun = ProbeChecked(m, normalization, embed=_KITE_EMBED)
-        _, status, _, _, _ = _newton_batch(fun, x0, SolveOptions())
+        _, status, *_ = _newton_batch(fun, x0, SolveOptions())
         assert fun.marked == (status == NEAR_BOUNDARY).sum() > 0
 
 
@@ -986,11 +1062,15 @@ def test_boundary_test_matches_the_probe_across_each_area_threshold(area):
 @pytest.mark.parametrize("area", [1, 2, 3, 4])
 def test_area_orders_are_pinned_by_the_probe(monkeypatch, area):
     """Halving Delta_3's or Delta_4's order of 2, or doubling Delta_1's or
-    Delta_2's order of 1, moves the mask off the probe's."""
+    Delta_2's order of 1, moves the mask off the probe's.  Residuals takes
+    the orders from its cached index plans, so the plans are built afresh
+    under the patched orders."""
     m = MassVector(alpha=0.5, beta=0.8)
     order = _AREA_ORDER.copy()
     order[area - 1] = 3.0 - order[area - 1]
     monkeypatch.setattr("ccfour.solver._AREA_ORDER", order)
+    monkeypatch.setattr("ccfour.solver._plans",
+                        functools.cache(_plans.__wrapped__))
     for fun, x in rows_across_the_threshold(m, area):
         assert (linearized(fun, x)[1]
                 != probed_near_boundary(fun, x)).any()
@@ -1196,7 +1276,7 @@ def test_linearize_is_the_dense_reference_on_every_census_call(
     opts = SolveOptions(normalization=normalization)
     kite = dict(embed=_KITE_EMBED)
     for kw, x0 in [({}, _seed_vectors(seed_grid(8, m), m)),
-                   (kite, to_kite(_kite_seed_vectors(m)))]:
+                   (kite, to_kite(_kite_seed_vectors(m)[0]))]:
         fun = ReferenceChecked(m, normalization, **kw)
         checked = newton_rows(fun, x0, opts)
         assert fun.calls > 1 and fun.rows > x0.shape[0]
@@ -1258,7 +1338,7 @@ def test_linearize_of_the_carried_trilateration_is_from_scratch(
     opts = SolveOptions(normalization=normalization)
     kite = dict(embed=_KITE_EMBED)
     for kw, x0 in [({}, _seed_vectors(seed_grid(8, m), m)),
-                   (kite, to_kite(_kite_seed_vectors(m))),
+                   (kite, to_kite(_kite_seed_vectors(m)[0])),
                    (kite, kite_lattice(m))]:
         fun = CarriedChecked(m, normalization, **kw)
         assert newton_rows(fun, x0, opts) == newton_rows(

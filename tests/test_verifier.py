@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ccfour import (CollisionError, DziobekState, LeftConvexRegion,
-                    MassVector, OrientedAreas, PlanarConfig,
+from ccfour import (CollisionError, DomainError, DziobekState,
+                    LeftConvexRegion, MassVector, OrientedAreas, PlanarConfig,
                     SingularJacobian, SquaredDistances, SymmetryLabel,
                     balanced_residuals, census, check_lemma1_nu_positive,
                     check_lemma2_albouy, check_lemma3_sign,
@@ -216,18 +216,46 @@ def test_theorem_identities_flag_a_state_off_the_kite():
     assert result.worst_violation > 1e-3
 
 
-def test_newton_solve_raises_when_the_iterate_leaves_the_convex_region():
+def test_newton_solve_raises_on_a_seed_that_does_not_trilaterate():
     m = MassVector(alpha=0.5, beta=0.8)
     st = solve_kite(m).state
     seed = dataclasses.replace(st, sq=SquaredDistances(1, 1, 1, 4, 1, 1))
+    with pytest.raises(LeftConvexRegion, match="^seed does not trilaterate "
+                       "to a convex quadrilateral$"):
+        newton_solve(seed, m)
+
+
+def test_newton_solve_raises_when_the_iterate_leaves_the_convex_region(
+        monkeypatch):
+    """The unit square with the (0.5, 0.8) kite's multipliers converges,
+    but its full first step leaves the convex region, so with one trial
+    a step the iterate leaves it."""
+    m = MassVector(alpha=0.5, beta=0.8)
+    st = solve_kite(m).state
+    seed = dataclasses.replace(st, sq=SquaredDistances(2, 1, 1, 1, 1, 2))
+    assert newton_solve(seed, m).converged
+    monkeypatch.setattr("ccfour.solver._MAX_BACKTRACKS", 1)
     with pytest.raises(LeftConvexRegion,
                        match="^iterate left the convex region$"):
         newton_solve(seed, m)
 
 
-def test_newton_solve_raises_on_a_singular_jacobian():
+@pytest.mark.parametrize("field, value", [("nu", math.nan), ("xi", math.inf),
+                                          ("nu", -math.inf)])
+def test_newton_solve_refuses_a_multiplier_that_is_not_finite(field, value):
     m = MassVector(alpha=0.5, beta=0.8)
-    seed = dataclasses.replace(solve_kite(m).state, nu=math.nan)
+    seed = dataclasses.replace(solve_kite(m).state, **{field: value})
+    with pytest.raises(DomainError, match="must be finite"):
+        newton_solve(seed, m)
+
+
+def test_newton_solve_raises_on_a_singular_jacobian(monkeypatch):
+    """A linear solve that gives no finite correction, here every one."""
+    m = MassVector(alpha=0.5, beta=0.8)
+    st = solve_kite(m).state
+    seed = dataclasses.replace(st, xi=st.xi * 1.01)
+    monkeypatch.setattr("ccfour.solver._solve_linear", lambda jac, rhs: (
+        np.full_like(rhs, np.nan), np.ones(rhs.shape[0], dtype=bool)))
     with pytest.raises(SingularJacobian):
         newton_solve(seed, m)
 

@@ -148,15 +148,17 @@ def newton(job):
 
 def newton_kite(job):
     """The same bytes on solve_kite's nine seeds of the kite-reduced
-    system at (alpha, beta) under one normalization."""
+    system at (alpha, beta) under one normalization, in one batch that
+    takes their trilateration, as solve_kite does."""
     alpha, beta, norm = job
     m = MassVector(alpha=alpha, beta=beta)
     fun = Residuals(m, norm, embed=_KITE_EMBED)
-    return batch_bytes(fun, _kite_seed_vectors(m)[:, fun.reduced], m, norm)
+    x, valid, tri = _kite_seed_vectors(m)
+    return batch_bytes(fun, x[:, fun.reduced], m, norm, (valid, tri))
 
 
-def batch_bytes(fun, x0, m, norm):
-    batch = solve_batch(fun, x0, m, SolveOptions(normalization=norm))
+def batch_bytes(fun, x0, m, norm, seed=None):
+    batch = solve_batch(fun, x0, m, SolveOptions(normalization=norm), seed)
     return tuple(a.tobytes() for a in (batch.status, batch.iterations,
                                        batch.x, batch.residual))
 
