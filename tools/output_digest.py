@@ -26,7 +26,8 @@ the sweep JSON on the grid of bench/run.py's sweep workload (alpha =
 iterations, final vector and final residual of every census seed of
 those 80 censuses, under both normalizations, and `newton kite`: the
 same of `solve_kite`'s nine seeds on the kite-reduced system at the 80
-points.  A run takes about 3 min on a 2-vCPU machine.
+points, in one batch that takes their trilateration as `solve_kite`
+does.  A run takes about 3 min on a 2-vCPU machine.
 """
 
 import contextlib
