@@ -97,9 +97,9 @@ class CensusReport:
         }
 
 
-def _seed_vectors(frames: Sequence[CanonicalFrame],
-                  m: MassVector) -> np.ndarray:
-    """Newton start vectors (a..f, nu, xi) of unit-inertia frames."""
+def _seed_vectors(frames: Sequence[CanonicalFrame], m: MassVector) -> tuple:
+    """The seed_vectors record of unit-inertia frames: their Newton start
+    vectors (a..f, nu, xi) and the trilateration that fitted them."""
     rows = np.array([(f.u, f.v, f.t, f.s, f.theta) for f in frames])
     return seed_vectors(squared_distances_many(reconstruct_many(rows, m)), m)
 
@@ -123,8 +123,8 @@ def census(m: MassVector, resolution: int = 8,
     """Polish every seed, keep those solve_batch accepts as convex central
     configurations and canonicalize_many accepts, and group them by
     canonical-frame distance (dedupe tolerance 1e-6)."""
-    x0 = _seed_vectors(seed_grid(resolution, m), m)
-    batch = solve_batch(Residuals(m, opts.normalization), x0, m, opts)
+    seeds = _seed_vectors(seed_grid(resolution, m), m)
+    batch = solve_batch(Residuals(m, opts.normalization), seeds, m, opts)
     frames, ok = canonicalize_many(batch.points, m)
     keep = np.flatnonzero(ok)
     classes = []
@@ -139,5 +139,5 @@ def census(m: MassVector, resolution: int = 8,
                                    basin=int(members.size), config=config))
     classes.sort(key=lambda c: -c.basin)
     return CensusReport(masses=m, classes=classes,
-                        seeds_total=x0.shape[0],
+                        seeds_total=batch.x.shape[0],
                         seeds_converged=int(keep.size))

@@ -358,10 +358,9 @@ def _backtrack(fun, x: np.ndarray, dx: np.ndarray, base2: np.ndarray,
     return accepted, x_new, res_new, norm_new, last_invalid, tri_new
 
 
-def _newton_batch(fun, x0: np.ndarray, opts: SolveOptions,
-                  seed: tuple | None = None):
-    """Damped Newton with the exact Jacobian and halving backtracking on the
-    residual 2-norm.
+def _newton_batch(fun, seeds: tuple, opts: SolveOptions):
+    """Damped Newton from the record (x0, valid, tri) of seed_vectors, with
+    the exact Jacobian and halving backtracking on the residual 2-norm.
 
     Each iteration first retires the rows within the boundary probe of the
     convex region's edge as NEAR_BOUNDARY; SINGULAR marks rows whose linear
@@ -369,22 +368,24 @@ def _newton_batch(fun, x0: np.ndarray, opts: SolveOptions,
     of at most _BLOCK = 1,024 rows, and a block's Jacobians are freed
     before the next block is linearized.  The line search then takes the
     whole batch; none of its calls has more rows than the first residual
-    evaluation.  Each iterate's trilateration is carried from the residual
-    call that gave it (or from the seed, see solve_batch) to the next
-    linearization; where every row of the batch steps, the line search's
-    arrays are taken whole, and a block or step of every row takes views.
-    A row's result depends neither on its batch mates nor on its block.
+    evaluation.  Each iterate's trilateration is carried from the record
+    (whose tri Newton updates in place) or the residual call that gave it
+    to the next linearization; where every row of the batch steps, the
+    line search's arrays are taken whole, and a block or step of every
+    row takes views.  A row's result depends neither on its batch mates
+    nor on its block.
     Returns (x, status, iterations, final inf-norm residual, tri, res), tri
     the (9, n) trilaterated_area_rows and res the residuals of each row's
     final x.  Call under np.errstate: rows that leave the convex region
     are NaN.
     """
+    x0, valid, tri = seeds
     x = np.array(x0, dtype=float)
     n = x.shape[0]
     status = np.full(n, RUNNING, dtype=int)
     iters = np.zeros(n, dtype=int)
     tol = opts.residual_tol
-    res, valid, tri = fun(x) if seed is None else fun(x, seed)
+    res, valid, tri = fun(x, (valid, tri))
     norm_inf, norm2 = _norm_inf(res), _norm2(res)
     status[~valid] = LEFT_CONVEX
     status[valid & (norm_inf < tol)] = CONVERGED
@@ -450,20 +451,16 @@ def seed_state(sq: Sequence[float], m: MassVector) -> DziobekState:
     generally not planar in f); areas come from trilateration, which never
     uses f, and the multipliers from a least-squares fit.
     """
-    x, (_, tri) = _seed_vector(sq, m)
-    return _state(x, tri[5:, 0])
+    x, _, tri = _seed_vector(sq, m)
+    return _state(x[0], tri[5:, 0])
 
 
-def seed_vectors(sq: np.ndarray, m: MassVector) -> np.ndarray:
-    """Unknown vectors (a..f, nu, xi) of (n, 6) squared distances, with the
+def seed_vectors(sq: np.ndarray, m: MassVector) -> tuple:
+    """The record (x, valid, tri) that Newton starts from, of (n, 6)
+    squared distances: x the unknown vectors (a..f, nu, xi), with the
     multipliers fitted by least squares to the six c.c. equations at the
-    trilaterated areas.  Rows that do not trilaterate to a convex
-    quadrilateral get NaN multipliers."""
-    return _seeded(sq, m)[0]
-
-
-def _seeded(sq: np.ndarray, m: MassVector):
-    """seed_vectors(sq, m) and the trilateration that fitted it: its seed."""
+    areas of (valid, tri), the trilaterated_area_rows of sq.  Rows that do
+    not trilaterate to a convex quadrilateral get NaN multipliers."""
     inv_mm = 1.0 / m.pair_weights
     # extreme mass ratios overflow the sums; such a row gets nu = 0 (where
     # denom is not a positive number) or a non-finite fit, and no warning
@@ -486,17 +483,17 @@ def _seeded(sq: np.ndarray, m: MassVector):
 
 
 def _seed_vector(sq: Sequence[float], m: MassVector,
-                 multipliers: tuple[float, float] | None = None):
-    """The full unknown vector (a..f, nu, xi) of squared distances, with
-    multipliers fitted or given, and its seed for _polish; raises
-    LeftConvexRegion where sq does not trilaterate or nu is NaN."""
-    x, valid, tri = _seeded(np.asarray(sq, dtype=float)[None, :], m)
+                 multipliers: tuple[float, float] | None = None) -> tuple:
+    """The one-row seed_vectors record of squared distances, with the
+    multipliers fitted or given; raises LeftConvexRegion where sq does not
+    trilaterate or nu is NaN."""
+    seed = x, valid, _ = seed_vectors(np.asarray(sq, dtype=float)[None], m)
     if multipliers is not None:
         x[0, 6:] = multipliers
     if not valid[0] or np.isnan(x[0, 6]):
         raise LeftConvexRegion("seed does not trilaterate to a convex "
                                "quadrilateral")
-    return x[0], (valid, tri)
+    return seed
 
 
 @dataclass(frozen=True)
@@ -526,28 +523,28 @@ class BatchResult:
                                                        self.masses))
 
 
-def solve_batch(fun: Residuals, x0: np.ndarray, m: MassVector,
-                opts: SolveOptions, seed: tuple | None = None) -> BatchResult:
-    """Newton from every row of x0, then the one test of which converged
-    rows are convex central configurations: nu > 0, and realize and
-    oriented_areas accept the squared distances (realize_convex_many on the
-    full vectors, which fun.embed gives for a reduced system, and on
+def solve_batch(fun: Residuals, seeds: tuple, m: MassVector,
+                opts: SolveOptions) -> BatchResult:
+    """Newton from every row of the record (x0, valid, tri) of
+    seed_vectors, x0 in fun's unknowns, then the one test of which
+    converged rows are convex central configurations: nu > 0, and realize
+    and oriented_areas accept the squared distances (realize_convex_many on
+    the full vectors, which fun.embed gives for a reduced system, and on
     Newton's trilateration and Cayley determinants S of them: 32 times the
-    residual S / 32 is S to the bit unless that is subnormal).  The
-    converged rows that fail it end REJECTED.  seed is the mask and
-    trilateration of x0's squared distances that _seeded fitted x0 from,
-    where given: Newton takes (and updates) them."""
+    residual S / 32 is S to the bit where that is normal; where it is +-0,
+    |S| <= 2**-1070, which planar_many reads as 0 at any mean squared
+    distance above 1e-104).  The converged rows that fail it end REJECTED."""
     # Newton's NaN rows, and the areas of a converged row that realize
     # rejects, which may overflow, must not warn
     with np.errstate(all="ignore"):
-        x, status, iters, norm, tri, res = _newton_batch(fun, x0, opts, seed)
+        x, status, iters, norm, tri, res = _newton_batch(fun, seeds, opts)
         if fun.embed is not None:
             x = x[:, fun.embed]
         conv = np.flatnonzero(status == CONVERGED)
         rows = slice(None) if conv.size == x.shape[0] else conv
         col = 6 if fun.reduced is None else list(fun.reduced).index(6)
-        s32 = res[rows, col]  # S / 32, and 32 s32 is S where s32 is normal
-        exact = np.abs(s32).min(initial=1.0) >= 2.0 ** -1022
+        s32 = res[rows, col]  # S / 32; a subnormal one takes S afresh
+        exact = not ((s32 != 0) & (np.abs(s32) < 2.0 ** -1022)).any()
         points, areas, ok = realize_convex_many(
             x[rows, :6], m, tri[:5, rows], 32.0 * s32 if exact else None)
     ok &= x[rows, 6] > 0
@@ -557,12 +554,10 @@ def solve_batch(fun: Residuals, x0: np.ndarray, m: MassVector,
                        masses=m)
 
 
-def _polish(x0: np.ndarray, m: MassVector, opts: SolveOptions,
-            seed: tuple | None = None) -> SolveReport:
-    """Full Newton from one start vector (a..f, nu, xi), and its seed where
-    given; raises unless it converges to a convex central configuration."""
-    batch = solve_batch(Residuals(m, opts.normalization), x0[None, :], m,
-                        opts, seed)
+def _polish(seed: tuple, m: MassVector, opts: SolveOptions) -> SolveReport:
+    """Full Newton from the one-row record of a start vector (a..f, nu,
+    xi); raises unless it converges to a convex central configuration."""
+    batch = solve_batch(Residuals(m, opts.normalization), seed, m, opts)
     status = batch.status[0]
     if status == LEFT_CONVEX:
         raise LeftConvexRegion("iterate left the convex region")
@@ -589,8 +584,7 @@ def newton_solve(seed: DziobekState, m: MassVector,
     DomainError, and one that does not trilaterate LeftConvexRegion."""
     if not (math.isfinite(seed.nu) and math.isfinite(seed.xi)):
         raise DomainError("seed multipliers nu and xi must be finite")
-    x0, start = _seed_vector(seed.sq, m, (seed.nu, seed.xi))
-    return _polish(x0, m, opts, start)
+    return _polish(_seed_vector(seed.sq, m, (seed.nu, seed.xi)), m, opts)
 
 
 # (a, b, c, f, nu, xi) -> (a, b, c, d=b, e=c, f, nu, xi)
@@ -598,13 +592,13 @@ _KITE_EMBED = (0, 1, 2, 1, 2, 3, 4, 5)
 
 
 def _kite_seed_vectors(m: MassVector):
-    """_seeded of a deterministic family of symmetric seeds, full vectors
-    (a..f, nu, xi) on the inertia gauge whatever the solve's gauge."""
+    """seed_vectors of a deterministic family of symmetric seeds, full
+    vectors (a..f, nu, xi) on the inertia gauge whatever the solve's gauge."""
     sq = [gauged_sq([4.0, 1.0 + t * t, 1.0 + s * s,
                      1.0 + t * t, 1.0 + s * s, (t + s) ** 2], m,
                     "fix_inertia_one")
           for t in (0.6, 1.0, 1.6) for s in (0.6, 1.0, 1.6)]
-    return _seeded(np.array(sq), m)
+    return seed_vectors(np.array(sq), m)
 
 
 def solve_kite(m: MassVector,
@@ -616,8 +610,8 @@ def solve_kite(m: MassVector,
     fun = Residuals(m, opts.normalization, embed=_KITE_EMBED)
     x, valid, tri = _kite_seed_vectors(m)
     for rows in (slice(0, 1), slice(1, None)):
-        batch = solve_batch(fun, x[rows, fun.reduced], m, opts,
-                            (valid[rows], tri[:, rows]))
+        batch = solve_batch(fun, (x[rows, fun.reduced], valid[rows],
+                                  tri[:, rows]), m, opts)
         if batch.accepted.size:
             return batch.report(0)
     raise NoConvergence("no kite seed converged to a convex central "
@@ -771,8 +765,7 @@ def sweep(alpha_grid: Sequence[float], beta_grid: Sequence[float],
                 if prev is None:
                     report = newton_solve(solve_kite(m, opts).state, m, opts)
                 else:
-                    x0, seed = _seed_vector(prev.sq, m)
-                    report = _polish(x0, m, opts, seed)
+                    report = _polish(_seed_vector(prev.sq, m), m, opts)
                 cells.append(SweepCell(float(alpha), float(beta), report))
                 prev = report.state
             except (NoConvergence, LeftConvexRegion, SingularJacobian) as exc:

@@ -8,7 +8,7 @@ from ccfour import CanonicalFrame, MassVector, PlanarConfig
 from ccfour.dziobek import planar_many, scale_sq_many
 from ccfour.geometry import (_config_checks, _placed, _recenter,
                              _trilateration, oriented_areas_many,
-                             squared_distances_many)
+                             squared_distances_many, trilaterated_area_rows)
 
 
 def derandomized(max_examples: int) -> settings:
@@ -67,6 +67,16 @@ def trilaterate(sq: np.ndarray):
     with np.errstate(all="ignore"):
         ok = _trilateration(sq.T, tri)
     return _placed(tri), ok
+
+
+def seed_record(fun, x: np.ndarray) -> tuple:
+    """The record (x, valid, tri) that Newton starts from, of hand-built
+    (n, k) starts of the residual map fun: the trilaterated_area_rows of
+    their squared distances, embedded in full vectors through fun.embed,
+    under the error state of seed_vectors."""
+    xf = x if fun.embed is None else x[:, fun.embed]
+    with np.errstate(all="ignore"):
+        return (x, *trilaterated_area_rows(xf[:, :6].T))
 
 
 def realize_many(sq: np.ndarray, m: MassVector):

@@ -15,7 +15,7 @@ from ccfour.geometry import (_sub_triangles, canonicalize_many,
 from ccfour.solver import (_KITE_EMBED, CONVERGED, LEFT_CONVEX,
                            NEAR_BOUNDARY, NO_CONVERGENCE, REJECTED, Residuals,
                            SolveOptions, solve_batch)
-from conftest import random_convex_config, realize_many
+from conftest import random_convex_config, realize_many, seed_record
 
 # smallest sub-triangle area over mean squared distance that a seed frame
 # must clear; the lattice clears it by a factor of 40
@@ -203,7 +203,7 @@ def test_seed_lattice_matches_per_frame_recipe_bitwise(resolution, masses):
     expected = reference_seed_grid(resolution, m)
     frames = seed_grid(resolution, m)
     assert [(f.u, f.v, f.t, f.s, f.theta) for f in frames] == expected
-    x0 = _seed_vectors(frames, m)
+    x0 = _seed_vectors(frames, m)[0]
     assert x0[:, :6].tolist() == [reference_seed_sq(f, m) for f in expected]
 
 
@@ -254,7 +254,8 @@ def test_accept_keeps_exactly_the_rows_scalar_postprocessing_keeps(rng):
             areas.append(tuple(row_areas))
             frames.append(tuple(frame.as_vector()))
     assert {NotPlanar, NotConvex, Degenerate, NotRealizable} <= errors
-    batch = solve_batch(Residuals(m, "fix_inertia_one"), x, m, AT_START)
+    fun = Residuals(m, "fix_inertia_one")
+    batch = solve_batch(fun, seed_record(fun, x), m, AT_START)
     assert batch.accepted.tolist() == expected
     assert batch.x[batch.accepted].tolist() == x[expected].tolist()
     assert batch.points.tolist() == configs
@@ -274,7 +275,7 @@ def test_accept_through_the_kite_embedding():
     nonplanar[3] *= 1.01
     x = np.array([nonplanar, [*reduced[:4], -good.nu, good.xi], reduced])
     fun = Residuals(m, "fix_inertia_one", embed=_KITE_EMBED)
-    batch = solve_batch(fun, x, m, AT_START)
+    batch = solve_batch(fun, seed_record(fun, x), m, AT_START)
     assert batch.status.tolist() == [REJECTED, REJECTED, CONVERGED]
     assert batch.accepted.tolist() == [2]
     full = x[2, list(_KITE_EMBED)]
@@ -326,6 +327,32 @@ def test_census_pinned_counts_at_kite_masses(monkeypatch):
     codes, counts = np.unique(batch.status, return_counts=True)
     assert dict(zip(codes.tolist(), counts.tolist())) == {
         CONVERGED: 2710, NEAR_BOUNDARY: 1361, NO_CONVERGENCE: 25}
+
+
+def test_census_acceptance_takes_every_cayley_determinant_from_newton(
+        monkeypatch):
+    """A resolution-8 census at (0.5, 0.8): 205 of its 2,710 converged
+    rows end with S / 32 exactly +-0, and none with a subnormal one, so
+    the acceptance pass takes S from Newton's last residual on every row
+    and dziobek.cayley_many, which planar_many calls for S otherwise,
+    runs no time."""
+    calls = []
+
+    def counted(sq):
+        calls.append(len(sq))
+        return cayley_many(sq)
+
+    m = MassVector(alpha=0.5, beta=0.8)
+    fun = Residuals(m, "fix_inertia_one")
+    batch = solve_batch(fun, _seed_vectors(seed_grid(8, m), m), m,
+                        SolveOptions())
+    x = batch.x[batch.status == CONVERGED]
+    s32 = fun(x)[0][:, 6]
+    assert (x.shape[0], np.count_nonzero(s32 == 0)) == (2710, 205)
+    assert (np.abs(s32[s32 != 0]) >= 2.0 ** -1022).all()
+    monkeypatch.setattr("ccfour.dziobek.cayley_many", counted)
+    assert census(m, resolution=8).seeds_converged == 2710
+    assert calls == []
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-8])

@@ -14,7 +14,7 @@ UNCALLED_PUBLIC_FUNCTIONS = set()
 ERRSTATE_ENTRY_POINTS = [
     ("dziobek", "MassVector.__post_init__"), ("dziobek", "planar_many"),
     ("geometry", "canonicalize_many"), ("geometry", "newtonian_oracle_many"),
-    ("geometry", "realize"), ("solver", "_seeded"),
+    ("geometry", "realize"), ("solver", "seed_vectors"),
     ("solver", "solve_batch")]
 
 

@@ -30,7 +30,8 @@ from ccfour.solver import (_AREA_ORDER, _BLOCK, _BOUNDARY_PROBE,
                            _polish, _rhombus_equation, _seed_vector,
                            _solve_linear, gauge_weights, gauged_sq,
                            seed_vectors, solve_batch)
-from conftest import derandomized, random_convex_config, trilaterate
+from conftest import (derandomized, random_convex_config, seed_record,
+                      trilaterate)
 
 EQUAL = MassVector(alpha=1.0, beta=1.0)
 
@@ -146,7 +147,8 @@ def test_seed_vectors_mark_rows_outside_the_convex_region():
     # r12 = r13 + r23 = 2: the face triangle 1-2-3 is degenerate
     bad = (4.0, 1.0, 1.0, 1.0, 1.0, 0.01)
     good = (1, 0.5, 0.5, 0.5, 0.5, 1)
-    rows = seed_vectors(np.array([good, bad]), EQUAL)
+    rows, valid, _ = seed_vectors(np.array([good, bad]), EQUAL)
+    assert valid.tolist() == [True, False]
     assert np.isfinite(rows[0]).all()
     assert np.isnan(rows[1, 6:]).all()
     assert rows[1, :6].tolist() == list(bad)
@@ -155,7 +157,7 @@ def test_seed_vectors_mark_rows_outside_the_convex_region():
 
 
 def test_seed_vector_fits_multipliers():
-    x, _ = _seed_vector((1, 0.5, 0.5, 0.5, 0.5, 1), EQUAL)
+    x = _seed_vector((1, 0.5, 0.5, 0.5, 0.5, 1), EQUAL)[0][0]
     st = seed_state((1, 0.5, 0.5, 0.5, 0.5, 1), EQUAL)
     assert np.max(np.abs(cc_residuals(st, EQUAL))) < 1e-12
     assert x[6] == pytest.approx(st.nu)
@@ -269,17 +271,19 @@ def random_sq(rng, m):
 def test_seed_vector_is_a_row_of_seed_vectors(rng):
     m = MassVector(alpha=0.5, beta=0.8)
     sq = np.array([random_sq(rng, m) for _ in range(7)])
-    rows = seed_vectors(sq, m)
-    assert rows.shape == (7, 8)
+    rows, valid, tri = seed_vectors(sq, m)
+    assert rows.shape == (7, 8) and valid.all()
     for k in range(7):
-        assert _seed_vector(sq[k], m)[0].tolist() == rows[k].tolist()
+        x, _, tri_k = _seed_vector(sq[k], m)
+        assert x[0].tolist() == rows[k].tolist()
+        assert tri_k[:, 0].tobytes() == tri[:, k].tobytes()
 
 
 def test_cc_residuals_are_the_newton_pair_rows(rng):
     """Scalar cc_residuals, the batched pair equations and the first six
     rows of Newton's residual are one computation."""
     m = MassVector(alpha=0.4, beta=1.3)
-    x = seed_vectors(np.array([random_sq(rng, m) for _ in range(5)]), m)
+    x = seed_vectors(np.array([random_sq(rng, m) for _ in range(5)]), m)[0]
     areas = trilaterated_area_rows(x[:, :6].T)[1][5:].T
     batched = pair_residual_rows(x.T, areas.T, 1.0 / m.pair_weights).T
     newton, valid, _ = Residuals(m, "fix_inertia_one")(x)
@@ -385,20 +389,20 @@ def test_solve_kite_is_the_first_accepted_row_of_the_nine_seeds(
     """solve_kite solves seed 0 alone, and seeds 1-8 in one batch only
     where seed 0 is not accepted; its report is bitwise that of the first
     accepted row of the nine seeds in one batch, as solve_batch gives it
-    without their trilateration.  At acceptance points under the default
+    from their trilateration afresh.  At acceptance points under the default
     tolerance seed 0 is accepted; at tol 1e-5, at (0.1, 0.3) and (0.5,
     0.8), it converges but ends REJECTED, so the second batch runs."""
     m = MassVector(alpha=alpha, beta=beta)
     opts = SolveOptions(residual_tol=tol)
     fun = Residuals(m, opts.normalization, embed=_KITE_EMBED)
-    nine = solve_batch(fun, _kite_seed_vectors(m)[0][:, fun.reduced], m,
-                       opts)
+    nine = solve_batch(
+        fun, seed_record(fun, to_kite(_kite_seed_vectors(m)[0])), m, opts)
     assert nine.status[0] == (CONVERGED if tol == 1e-12 else REJECTED)
     batches = []
 
-    def recorded(fun, x0, *args):
-        batches.append(x0.shape[0])
-        return solve_batch(fun, x0, *args)
+    def recorded(fun, seeds, *args):
+        batches.append(seeds[0].shape[0])
+        return solve_batch(fun, seeds, *args)
 
     monkeypatch.setattr("ccfour.solver.solve_batch", recorded)
     report = solve_kite(m, opts)
@@ -406,39 +410,61 @@ def test_solve_kite_is_the_first_accepted_row_of_the_nine_seeds(
     assert report_bits(report) == report_bits(nine.report(0))
 
 
-def test_each_seed_of_a_sweep_cell_is_trilaterated_once(monkeypatch):
+def row_bytes(sq):
+    """The rows of (6, n) squared distances, as a set of bytes."""
+    return {row.tobytes() for row in np.ascontiguousarray(sq.T)}
+
+
+def test_each_seed_of_a_sweep_cell_and_a_census_is_trilaterated_once(
+        monkeypatch):
     """The rows of each trilaterated_area_rows call of a two-cell sweep row
     and of a resolution-2 census.  The sweep's first cell fits the nine
     kite seeds (one call of 9 rows), solves seed 0 from that trilateration
     in 5 line-search calls, and polishes the kite with the full system
     from one trilateration of its state, converged at iteration 0; the
     warm-started cell fits its seed (one call) and takes 4 line-search
-    calls.  The census's 16 seeds reach Newton as vectors through
-    census._seed_vectors, so they are trilaterated to fit them and again
-    in Newton's first evaluation.  The cells of a 20-cell sweep row are
-    bitwise those of a fresh _polish of each neighbour's seed vector,
-    which trilaterates the seed in Newton again."""
-    calls = []
+    calls.  The census's 16 seeds reach Newton with the trilateration
+    that fitted them, so they are in the first call only.  The cells of
+    a 20-cell sweep row are bitwise those of _polish from a fresh
+    trilateration of each neighbour's seed vector; and the residuals of
+    the census seeds under both gauges, and of the nine kite seeds through
+    the kite embedding, from their fit's trilateration are bitwise those
+    from a fresh one."""
+    m = MassVector(alpha=0.5, beta=0.8)
+    seeds = _seed_vectors(seed_grid(2, m), m)[0][:, :6].T
+    seen = []
 
     def counted(sq):
-        calls.append(sq.shape[1])
+        seen.append(sq.copy())
         return trilaterated_area_rows(sq)
 
     monkeypatch.setattr("ccfour.solver.trilaterated_area_rows", counted)
     cells = sweep([0.5], [0.8, 0.9])
     assert [c.report.iterations for c in cells] == [0, 4]
-    assert calls == [9] + [1] * 5 + [1] + [1] + [1] * 4
-    calls.clear()
-    census(MassVector(alpha=0.5, beta=0.8), 2)
-    assert calls[:2] == [16, 16]
-    assert (len(calls), sum(calls)) == (214, 3111)
+    assert [sq.shape[1] for sq in seen] == [9] + [1] * 5 + [1] + [1] + [1] * 4
+    seen.clear()
+    census(m, 2)
+    assert row_bytes(seen[0]) == row_bytes(seeds)
+    assert not any(row_bytes(seeds) & row_bytes(sq) for sq in seen[1:])
+    assert (len(seen), sum(sq.shape[1] for sq in seen)) == (213, 3095)
     monkeypatch.undo()
     opts = SolveOptions()
     cells = sweep([0.5], [round(0.1 * k, 1) for k in range(1, 21)], opts)
     for prev, cell in zip(cells, cells[1:]):
         m = MassVector(alpha=cell.alpha, beta=cell.beta)
         x0 = seed_vectors(np.asarray(prev.report.state.sq)[None, :], m)[0]
-        assert report_bits(cell.report) == report_bits(_polish(x0, m, opts))
+        fresh = seed_record(Residuals(m, opts.normalization), x0)
+        assert report_bits(cell.report) == report_bits(_polish(fresh, m, opts))
+    m = MassVector(alpha=0.5, beta=0.8)
+    x, valid, tri = _kite_seed_vectors(m)
+    for normalization in ("fix_inertia_one", "fix_a_one"):
+        kite = Residuals(m, normalization, embed=_KITE_EMBED)
+        for fun, (x0, *seed) in [
+                (Residuals(m, normalization),
+                 _seed_vectors(seed_grid(8, m), m)),
+                (kite, (x[:, kite.reduced], valid, tri))]:
+            for got, want in zip(fun(x0, seed), fun(x0)):
+                assert got.tobytes() == want.tobytes()
 
 
 def central_jacobian(fun, x, h_rel=1e-6):
@@ -453,16 +479,10 @@ def central_jacobian(fun, x, h_rel=1e-6):
     return jac
 
 
-def fresh_tri(fun, x):
-    """The (9, n) trilateration of (n, k) rows, taken as a residual call of
-    fun takes it."""
-    xf = x if fun.embed is None else x[:, fun.embed]
-    return trilaterated_area_rows(xf[:, :6].T)[1]
-
-
 def linearized(fun, x):
-    """fun.linearize of (n, k) rows, from their fresh_tri."""
-    return fun.linearize(x, fresh_tri(fun, x))
+    """fun.linearize of (n, k) rows, from the trilateration of their
+    seed_record."""
+    return fun.linearize(x, seed_record(fun, x)[2])
 
 
 def assert_jacobian_matches_central_differences(fun, x):
@@ -478,7 +498,8 @@ def assert_jacobian_matches_central_differences(fun, x):
 @pytest.mark.parametrize("normalization", ["fix_inertia_one", "fix_a_one"])
 def test_exact_jacobian_of_the_full_system(rng, normalization):
     m = MassVector(alpha=0.4, beta=1.3)
-    x = seed_vectors(np.array([random_sq(rng, m) for _ in range(20)]), m)
+    x = seed_vectors(np.array([random_sq(rng, m) for _ in range(20)]),
+                     m)[0]
     x[:, 6:] *= rng.uniform(0.5, 2.0, size=(20, 2))  # off the fitted values
     fun = Residuals(m, normalization)
     assert_jacobian_matches_central_differences(fun, x)
@@ -561,7 +582,7 @@ def kite_lattice(m):
     sq = np.array([gauged_sq([1.0, 0.25 + t * t, 0.25 + s * s,
                               0.25 + t * t, 0.25 + s * s, (t + s) ** 2],
                              m, "fix_inertia_one") for t in g for s in g])
-    return to_kite(seed_vectors(sq, m))
+    return to_kite(seed_vectors(sq, m)[0])
 
 
 def first_newton_trials(fun, x0):
@@ -580,7 +601,8 @@ def systems_and_trials(m, normalization):
     kite_lattice, each with its first Newton trial points."""
     full = Residuals(m, normalization)
     kite = Residuals(m, normalization, embed=_KITE_EMBED)
-    yield full, first_newton_trials(full, _seed_vectors(seed_grid(6, m), m))
+    yield full, first_newton_trials(full,
+                                    _seed_vectors(seed_grid(6, m), m)[0])
     yield kite, first_newton_trials(kite, kite_lattice(m))
 
 
@@ -640,7 +662,7 @@ class Halfplane:
     """Residual x with the region x[1] < 1 as the convex region, and x.T
     in place of the trilateration that Newton carries."""
 
-    def __call__(self, x):
+    def __call__(self, x, seed=None):
         valid = x[:, 1] < 1.0
         res = x.copy()
         res[~valid] = np.nan
@@ -754,11 +776,12 @@ def test_nan_multiplier_seed_never_converges():
     iteration 0; each ends SINGULAR, with residual NaN."""
     m = MassVector(alpha=0.5, beta=0.8)
     fun = Residuals(m, "fix_inertia_one")
-    x0 = _seed_vectors(seed_grid(2, m), m)
-    res, valid, _ = fun(x0)
+    x0, valid, tri = _seed_vectors(seed_grid(2, m), m)
+    res, valid, _ = fun(x0, (valid, tri))
     assert valid.all() and (np.abs(res[:, 6:]) < 1e-12).all()
     x0[:, 6] = math.nan
-    x, status, iters, norm, *_ = _newton_batch(fun, x0, SolveOptions())
+    x, status, iters, norm, *_ = _newton_batch(fun, (x0, valid, tri),
+                                               SolveOptions())
     assert (status == SINGULAR).all() and (iters == 0).all()
     assert np.isnan(norm).all()
 
@@ -784,7 +807,7 @@ def test_solve_linear_is_each_row_solved_alone():
     without one are singular."""
     m = MassVector(alpha=0.5, beta=0.8)
     fun = Residuals(m, "fix_inertia_one")
-    x = _seed_vectors(seed_grid(4, m), m)
+    x = _seed_vectors(seed_grid(4, m), m)[0]
     res, valid, _ = fun(x)
     jac, near = linearized(fun, x[valid])
     rhs = -res[valid][~near]
@@ -806,8 +829,10 @@ def test_solve_linear_is_each_row_solved_alone():
 
 def newton_rows(fun, x0, opts):
     """Final vector, status, iterations and residual of each row of
-    _newton_batch, as bytes so that equality is bitwise."""
-    x, status, iters, norm, *_ = _newton_batch(fun, x0, opts)
+    _newton_batch from their seed_record, as bytes so that equality is
+    bitwise."""
+    x, status, iters, norm, *_ = _newton_batch(fun, seed_record(fun, x0),
+                                               opts)
     return [(x[i].tobytes(), status[i], iters[i], norm[i].tobytes())
             for i in range(x0.shape[0])]
 
@@ -819,7 +844,7 @@ def test_each_row_of_newton_is_the_row_solved_alone(normalization):
     and inside its batch."""
     m = MassVector(alpha=0.5, beta=0.8)
     opts = SolveOptions(normalization=normalization)
-    census_seeds = _seed_vectors(seed_grid(8, m), m)
+    census_seeds = _seed_vectors(seed_grid(8, m), m)[0]
     kite_fun = Residuals(m, normalization, embed=_KITE_EMBED)
     for fun, x0, sample in [
             (Residuals(m, normalization), census_seeds, range(0, 4096, 64)),
@@ -834,9 +859,9 @@ class CountedCalls(Residuals):
 
     calls = 0
 
-    def __call__(self, x):
+    def __call__(self, x, seed=None):
         self.calls += 1
-        return super().__call__(x)
+        return super().__call__(x, seed)
 
 
 def test_rows_of_whole_and_backtracking_batches_are_the_rows_alone():
@@ -850,8 +875,8 @@ def test_rows_of_whole_and_backtracking_batches_are_the_rows_alone():
     kite = np.array([*KITE_SQ_05_08, KITE_NU_05_08, KITE_XI_05_08])
     rng = np.random.default_rng(3)
     moved = seed_vectors(kite[:6] * (1 + 1e-2 * rng.uniform(-1, 1, (4, 6))),
-                         m)
-    seeds = _seed_vectors(seed_grid(8, m), m)[[485, 194]]
+                         m)[0]
+    seeds = _seed_vectors(seed_grid(8, m), m)[0][[485, 194]]
     whole = CountedCalls(m, "fix_inertia_one")
     rows = newton_rows(whole, moved, opts)
     assert [(status, iters) for _, status, iters, _ in rows] == \
@@ -880,7 +905,7 @@ def test_newton_linearizes_at_most_a_block_of_rows(monkeypatch):
 
     m = MassVector(alpha=0.5, beta=0.8)
     fun = Residuals(m, "fix_inertia_one")
-    x0 = _seed_vectors(seed_grid(8, m), m)
+    x0 = _seed_vectors(seed_grid(8, m), m)[0]
     monkeypatch.setattr(Residuals, "linearize", counted)
     blocked = newton_rows(fun, x0, SolveOptions())
     assert max(rows) == _BLOCK
@@ -896,7 +921,7 @@ def test_newton_rows_of_two_blocks_are_the_rows_solved_alone():
     m = MassVector(alpha=0.5, beta=0.8)
     fun = Residuals(m, "fix_inertia_one")
     opts = SolveOptions()
-    x0 = _seed_vectors(seed_grid(8, m), m)
+    x0 = _seed_vectors(seed_grid(8, m), m)[0]
     x0 = x0[np.linspace(0, x0.shape[0] - 1, _BLOCK + 1).round().astype(int)]
     batched = newton_rows(fun, x0, opts)
     for i in [0, _BLOCK - 1, _BLOCK, *range(1, _BLOCK, 8)]:
@@ -908,10 +933,10 @@ def test_newton_peak_memory_is_bounded_by_the_block():
     census: 5.3 MB in blocks of 1,024 rows, 10.3 MB in one block."""
     m = MassVector(alpha=0.5, beta=0.8)
     fun = Residuals(m, "fix_inertia_one")
-    x0 = _seed_vectors(seed_grid(8, m), m)
+    seeds = _seed_vectors(seed_grid(8, m), m)
     tracemalloc.start()
     try:
-        _newton_batch(fun, x0, SolveOptions())
+        _newton_batch(fun, seeds, SolveOptions())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -942,7 +967,8 @@ def test_newton_statuses_of_exhausted_and_singular_rows():
     jac = np.array([-np.eye(2), np.full((2, 2), np.nan), -np.eye(2),
                     np.zeros((2, 2)), np.eye(2)])
     near = np.array([False, True, False, False, False])
-    _, status, iters, *_ = _newton_batch(Steered(jac, near), x0,
+    fun = Steered(jac, near)
+    _, status, iters, *_ = _newton_batch(fun, (x0, *fun(x0)[1:]),
                                          SolveOptions(max_iterations=1))
     assert status.tolist() == [NO_CONVERGENCE, NEAR_BOUNDARY, LEFT_CONVEX,
                                SINGULAR, CONVERGED]
@@ -966,7 +992,7 @@ def near_boundary_vector(m, area, gap):
     pts = np.array([(0.0, 0.0), (1.0, 0.0), *NEAR_AREA_ZERO[area](gap)])
     sq = [float(((pts[i] - pts[j]) ** 2).sum()) for i, j in
           ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
-    return _seed_vector(sq, m)[0]
+    return _seed_vector(sq, m)[0][0]
 
 
 def test_row_within_the_boundary_probe_is_near_boundary():
@@ -976,10 +1002,11 @@ def test_row_within_the_boundary_probe_is_near_boundary():
                   near_boundary_vector(m, 1, 1e-2)])
     assert fun(x)[1].all()
     assert linearized(fun, x)[1].tolist() == [True, False]
-    _, status, *_ = _newton_batch(fun, x[:1], SolveOptions())
+    _, status, *_ = _newton_batch(fun, seed_record(fun, x[:1]),
+                                  SolveOptions())
     assert status.tolist() == [NEAR_BOUNDARY]
     with pytest.raises(LeftConvexRegion):
-        _polish(x[0], m, SolveOptions())
+        _polish(seed_record(fun, x[:1]), m, SolveOptions())
 
 
 def probed_near_boundary(fun, x):
@@ -1015,10 +1042,10 @@ class ProbeChecked(Residuals):
 def test_boundary_test_matches_the_probe_on_every_census_iterate():
     m = MassVector(alpha=0.5, beta=0.8)
     fun = ProbeChecked(m, "fix_inertia_one")
-    x0 = _seed_vectors(seed_grid(6, m), m)
-    _, status, *_ = _newton_batch(fun, x0, SolveOptions())
+    seeds = _seed_vectors(seed_grid(6, m), m)
+    _, status, *_ = _newton_batch(fun, seeds, SolveOptions())
     assert fun.marked == (status == NEAR_BOUNDARY).sum() > 0
-    assert fun.rows > x0.shape[0]
+    assert fun.rows > seeds[0].shape[0]
 
 
 def test_boundary_test_matches_the_probe_on_every_kite_iterate():
@@ -1028,7 +1055,8 @@ def test_boundary_test_matches_the_probe_on_every_kite_iterate():
     x0 = kite_lattice(m)
     for normalization in ("fix_inertia_one", "fix_a_one"):
         fun = ProbeChecked(m, normalization, embed=_KITE_EMBED)
-        _, status, *_ = _newton_batch(fun, x0, SolveOptions())
+        _, status, *_ = _newton_batch(fun, seed_record(fun, x0),
+                                      SolveOptions())
         assert fun.marked == (status == NEAR_BOUNDARY).sum() > 0
 
 
@@ -1174,8 +1202,8 @@ class ReferenceChecked(Residuals):
 
     calls = rows = 0
 
-    def __call__(self, x):
-        res, valid, tri = super().__call__(x)
+    def __call__(self, x, seed=None):
+        res, valid, tri = super().__call__(x, seed)
         want, want_valid = residuals_of_every_row(self, x)
         assert valid.tolist() == want_valid.tolist()
         assert res.flags.c_contiguous
@@ -1275,7 +1303,7 @@ def test_linearize_is_the_dense_reference_on_every_census_call(
     m = MassVector(alpha=0.5, beta=0.8)
     opts = SolveOptions(normalization=normalization)
     kite = dict(embed=_KITE_EMBED)
-    for kw, x0 in [({}, _seed_vectors(seed_grid(8, m), m)),
+    for kw, x0 in [({}, _seed_vectors(seed_grid(8, m), m)[0]),
                    (kite, to_kite(_kite_seed_vectors(m)[0]))]:
         fun = ReferenceChecked(m, normalization, **kw)
         checked = newton_rows(fun, x0, opts)
@@ -1303,7 +1331,7 @@ def test_linearize_is_the_dense_reference_on_every_census_call(
             "ccfour.solver.trilaterated_area_derivative_rows",
             zero_delta_2_with_nan_moving_derivatives)
         for fun, (x, _) in zip(edges, boundary_edge_rows()):
-            assert Residuals.linearize(fun, x, fresh_tri(fun, x))[1].all()
+            assert Residuals.linearize(fun, x, seed_record(fun, x)[2])[1].all()
 
 
 class CarriedChecked(Residuals):
@@ -1316,7 +1344,7 @@ class CarriedChecked(Residuals):
 
     def linearize(self, x, tri):
         jac, near = super().linearize(x, tri)
-        fresh = fresh_tri(self, x)
+        fresh = seed_record(self, x)[2]
         assert_bitwise(tri, fresh)
         scratch, scratch_near = super().linearize(x, fresh)
         assert near.tolist() == scratch_near.tolist()
@@ -1337,7 +1365,7 @@ def test_linearize_of_the_carried_trilateration_is_from_scratch(
     m = MassVector(alpha=0.5, beta=0.8)
     opts = SolveOptions(normalization=normalization)
     kite = dict(embed=_KITE_EMBED)
-    for kw, x0 in [({}, _seed_vectors(seed_grid(8, m), m)),
+    for kw, x0 in [({}, _seed_vectors(seed_grid(8, m), m)[0]),
                    (kite, to_kite(_kite_seed_vectors(m)[0])),
                    (kite, kite_lattice(m))]:
         fun = CarriedChecked(m, normalization, **kw)
@@ -1376,7 +1404,7 @@ def test_linearize_is_the_dense_reference_over_scales(
     sq = np.array([[float(((q[i] - q[j]) ** 2).sum()) for i, j in
                     ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
                    for q in quads]) * scale
-    x = seed_vectors(sq, m)
+    x = seed_vectors(sq, m)[0]
     full = ReferenceChecked(m, normalization)
     kite = ReferenceChecked(m, normalization, embed=_KITE_EMBED)
     # the kernels run under their caller's error state
@@ -1401,8 +1429,8 @@ def test_every_residual_call_counts_its_rows_in_cayley_many(monkeypatch):
     class Counted(Residuals):
         valid_rows = []
 
-        def __call__(self, x):
-            res, valid, tri = super().__call__(x)
+        def __call__(self, x, seed=None):
+            res, valid, tri = super().__call__(x, seed)
             self.valid_rows.append(np.count_nonzero(valid))
             return res, valid, tri
 
@@ -1416,11 +1444,11 @@ def test_every_residual_call_counts_its_rows_in_cayley_many(monkeypatch):
         monkeypatch.undo()
         assert shapes == [(np.count_nonzero(valid), 6)]
     monkeypatch.setattr("ccfour.solver.cayley_many", recorded)
-    for kw, x0 in [({}, _seed_vectors(seed_grid(4, m), m)),
+    for kw, x0 in [({}, _seed_vectors(seed_grid(4, m), m)[0]),
                    (dict(embed=_KITE_EMBED),
                     kite_lattice(m))]:
         shapes.clear()
         fun = Counted(m, "fix_inertia_one", **kw)
         fun.valid_rows = []
-        _newton_batch(fun, x0, SolveOptions())
+        _newton_batch(fun, seed_record(fun, x0), SolveOptions())
         assert shapes == [(rows, 6) for rows in fun.valid_rows]

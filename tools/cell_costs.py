@@ -6,7 +6,10 @@ With no argument this times the ccfour of the checkout it sits in; given
 checkouts, it times each one's own `src/` and prints one column per
 checkout, so one command gives a before and after table.  The cell is the
 one `sweep` polishes at masses (1, 1, 0.5, 0.9) from its accepted
-neighbour at beta = 0.8, a one-row Newton run of four iterations.
+neighbour at beta = 0.8, a one-row Newton run of four iterations.  The
+calls take the seed record (x, valid, tri) of `solver.seed_vectors`, so
+this times checkouts whose `seed_vectors` returns that record; earlier
+ones returned the vectors alone.
 
 Each checkout runs in a child process pinned to one core (the same core
 for all), and the children take turns call by call, so that the drift of
@@ -43,13 +46,13 @@ def calls() -> dict:
     prev = solver.solve_kite(MassVector(alpha=ALPHA, beta=BETA_PREV)).state
     m = MassVector(alpha=ALPHA, beta=BETA)
     sq = np.asarray(prev.sq)[None, :]
-    x0 = solver.seed_vectors(sq, m)
+    seeds = x0, _, _ = solver.seed_vectors(sq, m)
     fun = solver.Residuals(m, opts.normalization)
     with np.errstate(all="ignore"):
         res, _, tri = fun(x0)
         jac, _ = fun.linearize(x0, tri)
-        x, _, _, _, tri_end = solver._newton_batch(fun, x0, opts)[:5]
-    batch = solver.solve_batch(fun, x0, m, opts)
+        x, _, _, _, tri_end = solver._newton_batch(fun, seeds, opts)[:5]
+    batch = solver.solve_batch(fun, seeds, m, opts)
     report = batch.report(0)
     return {
         "seed_vectors, one row": lambda: solver.seed_vectors(sq, m),
@@ -57,8 +60,8 @@ def calls() -> dict:
         "residual call": lambda: fun(x0),
         "carried linearize": lambda: fun.linearize(x0, tri),
         "_solve_linear": lambda: solver._solve_linear(jac, -res),
-        "_newton_batch": lambda: solver._newton_batch(fun, x0, opts),
-        "solve_batch": lambda: solver.solve_batch(fun, x0, m, opts),
+        "_newton_batch": lambda: solver._newton_batch(fun, seeds, opts),
+        "solve_batch": lambda: solver.solve_batch(fun, seeds, m, opts),
         "realize_convex_many":
             lambda: realize_convex_many(x[:, :6], m, tri_end[:5]),
         "report": lambda: batch.report(0),

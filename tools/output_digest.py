@@ -24,10 +24,11 @@ of `solve` and `realize` on a few points, `sweep bench`:
 the sweep JSON on the grid of bench/run.py's sweep workload (alpha =
 0.1..3.0 by 0.1, beta = 0.1..2.0 by 0.1), `newton`: the status,
 iterations, final vector and final residual of every census seed of
-those 80 censuses, under both normalizations, and `newton kite`: the
-same of `solve_kite`'s nine seeds on the kite-reduced system at the 80
-points, in one batch that takes their trilateration as `solve_kite`
-does.  A run takes about 3 min on a 2-vCPU machine.
+those 80 censuses, under both normalizations, from the seeds' record
+(the vectors and the trilateration that fitted them) as `census` takes
+it, and `newton kite`: the same of `solve_kite`'s nine seeds on the
+kite-reduced system at the 80 points, in one batch from their record, as
+`solve_kite` takes it.  A run takes about 2 min on a 2-vCPU machine.
 """
 
 import contextlib
@@ -139,8 +140,8 @@ def plot(argv):
 
 def newton(job):
     """The bytes of solve_batch's status, iterations, final vectors and
-    final residuals on the seeds of a resolution-8 census at (alpha,
-    beta) under one normalization."""
+    final residuals on the seed record of a resolution-8 census at (alpha,
+    beta) under one normalization, as census takes it."""
     alpha, beta, norm = job
     m = MassVector(alpha=alpha, beta=beta)
     return batch_bytes(Residuals(m, norm), _seed_vectors(seed_grid(8, m), m),
@@ -149,17 +150,17 @@ def newton(job):
 
 def newton_kite(job):
     """The same bytes on solve_kite's nine seeds of the kite-reduced
-    system at (alpha, beta) under one normalization, in one batch that
-    takes their trilateration, as solve_kite does."""
+    system at (alpha, beta) under one normalization, in one batch from
+    their record, as solve_kite takes it."""
     alpha, beta, norm = job
     m = MassVector(alpha=alpha, beta=beta)
     fun = Residuals(m, norm, embed=_KITE_EMBED)
     x, valid, tri = _kite_seed_vectors(m)
-    return batch_bytes(fun, x[:, fun.reduced], m, norm, (valid, tri))
+    return batch_bytes(fun, (x[:, fun.reduced], valid, tri), m, norm)
 
 
-def batch_bytes(fun, x0, m, norm, seed=None):
-    batch = solve_batch(fun, x0, m, SolveOptions(normalization=norm), seed)
+def batch_bytes(fun, seeds, m, norm):
+    batch = solve_batch(fun, seeds, m, SolveOptions(normalization=norm))
     return tuple(a.tobytes() for a in (batch.status, batch.iterations,
                                        batch.x, batch.residual))
 
