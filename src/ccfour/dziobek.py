@@ -353,71 +353,41 @@ def q_residuals(t: Sequence[float], areas: Iterable[float],
 def balanced_residuals(sq: Sequence[float], m: MassVector,
                        form: str = "expanded") -> np.ndarray:
     """Left minus right of the four balanced-configuration identities, with
-    A..F = psi'(a)..psi'(f).
+    A..F = psi'(a)..psi'(f).  All vanish at states with equal t_k.
 
-    form="expanded" is the determinant system as printed (with the corrected
-    third-equation entry a-e-c); "appendix1" and "appendix2" are the two
-    rewritten families.  All vanish at states with equal t_k.
+    form names one of the paper's three written forms: "expanded", the
+    determinant system as printed (with the corrected third-equation entry
+    a-e-c), and "appendix1" and "appendix2", the two rewritten families.
+    They are one polynomial in (a..f, A..F, alpha/delta, beta/delta), as
+    tests/test_proofs.py proves, so every name gives the same array,
+    evaluated as appendix2 writes it.
     """
+    if form not in ("expanded", "appendix1", "appendix2"):
+        raise ValueError(f"unknown form {form!r}")
     a, b, c, d, e, f = sq
     A, B, C, D, E, F = (psi_prime(s) for s in sq)
     al, be = m.alpha / m.delta, m.beta / m.delta
     one = [1.0, 1.0, 1.0]
-
-    if form == "expanded":
-        return np.array([
-            _det3(one, [f - e - d, al * (e - d - f), be * (d - f - e)], [F, E, D])
-            - _det3(one, [a + f, b + e, c + d], [A, B, C]),
-            _det3(one, [f - c - b, be * (b - f - c), al * (c - b - f)], [F, B, C])
-            - _det3(one, [a + f, b + e, c + d], [A, E, D]),
-            _det3(one, [be * (a - e - c), e - c - a, c - a - e], [A, E, C])
-            - al * _det3(one, [a + f, b + e, c + d], [F, B, D]),
-            _det3(one, [al * (a - d - b), b - a - d, d - b - a], [A, B, D])
-            - be * _det3(one, [a + f, b + e, c + d], [F, E, C]),
-        ])
-    if form == "appendix1":
-        return np.array([
-            -(1 - al) * (f - e - d) * (D - E)
-            + (be - al) * (d - f - e) * (F - E)
-            + 2 * al * _det3(one, [f, e, d], [F, E, D])
-            - _det3(one, [a, b, c], [A, B, C])
-            - _det3(one, [f, e, d], [A, B, C]),
-            -(1 - al) * (f - c - b) * (C - B)
-            + (be - al) * (b - f - c) * (C - F)
-            + 2 * al * _det3(one, [f, b, c], [F, B, C])
-            - _det3(one, [a, e, d], [A, E, D])
-            - _det3(one, [f, b, c], [A, E, D]),
-            -(be - 1) * (a - e - c) * (C - E)
-            + 2 * _det3(one, [a, e, c], [A, E, C])
-            - al * _det3(one, [a, e, c], [F, B, D])
-            - al * _det3(one, [f, b, d], [F, B, D]),
-            -(al - 1) * (a - d - b) * (D - B)
-            + 2 * _det3(one, [a, b, d], [A, B, D])
-            - be * _det3(one, [f, e, c], [F, E, C])
-            - be * _det3(one, [a, b, d], [F, E, C]),
-        ])
-    if form == "appendix2":
-        return np.array([
-            (1 + be) * _det3(one, [f, e, d], [F, E, D])
-            - (1 - al) * (F * (d - e) + e * E - d * D)
-            - (be - al) * (D * (e - f) + f * F - e * E)
-            - _det3(one, [a, b, c], [A, B, C])
-            - _det3(one, [f, e, d], [A, B, C]),
-            (be + 1) * _det3(one, [f, b, c], [F, B, C])
-            - (1 - al) * (F * (c - b) + b * B - c * C)
-            - (be - al) * (B * (f - c) + c * C - f * F)
-            - _det3(one, [a, e, d], [A, E, D])
-            - _det3(one, [f, b, c], [A, E, D]),
-            (be + 1) * _det3(one, [a, e, c], [A, E, C])
-            - (be - 1) * (A * (c - e) + e * E - c * C)
-            - al * _det3(one, [a, e, c], [F, B, D])
-            - al * _det3(one, [f, b, d], [F, B, D]),
-            (al + 1) * _det3(one, [a, b, d], [A, B, D])
-            - (al - 1) * (A * (d - b) + b * B - d * D)
-            - be * _det3(one, [f, e, c], [F, E, C])
-            - be * _det3(one, [a, b, d], [F, E, C]),
-        ])
-    raise ValueError(f"unknown form {form!r}")
+    return np.array([
+        (1 + be) * _det3(one, [f, e, d], [F, E, D])
+        - (1 - al) * (F * (d - e) + e * E - d * D)
+        - (be - al) * (D * (e - f) + f * F - e * E)
+        - _det3(one, [a, b, c], [A, B, C])
+        - _det3(one, [f, e, d], [A, B, C]),
+        (be + 1) * _det3(one, [f, b, c], [F, B, C])
+        - (1 - al) * (F * (c - b) + b * B - c * C)
+        - (be - al) * (B * (f - c) + c * C - f * F)
+        - _det3(one, [a, e, d], [A, E, D])
+        - _det3(one, [f, b, c], [A, E, D]),
+        (be + 1) * _det3(one, [a, e, c], [A, E, C])
+        - (be - 1) * (A * (c - e) + e * E - c * C)
+        - al * _det3(one, [a, e, c], [F, B, D])
+        - al * _det3(one, [f, b, d], [F, B, D]),
+        (al + 1) * _det3(one, [a, b, d], [A, B, D])
+        - (al - 1) * (A * (d - b) + b * B - d * D)
+        - be * _det3(one, [f, e, c], [F, E, C])
+        - be * _det3(one, [a, b, d], [F, E, C]),
+    ])
 
 
 def sign_det(u: float, v: float, w: float,

@@ -294,6 +294,14 @@ def test_balanced_residuals_generic_nonzero(rng):
     assert np.max(np.abs(res)) > 1e-6
 
 
+def test_balanced_residuals_forms_are_one_evaluation(rng):
+    sq = squared_distances(random_convex_config(rng))
+    m = MassVector(alpha=0.3, beta=1.7, delta=1.1)
+    first, *rest = (balanced_residuals(sq, m, form=form)
+                    for form in ("expanded", "appendix1", "appendix2"))
+    assert all(r.tobytes() == first.tobytes() for r in rest)
+
+
 def test_balanced_residuals_unknown_form():
     with pytest.raises(ValueError):
         balanced_residuals(SQUARE_SQ, EQUAL, form="nope")

@@ -2,11 +2,17 @@
 
 import ast
 import graphlib
+import tomllib
 from pathlib import Path
 
 import ccfour
 
 ALLOWED_PRIVATE_IMPORTS = set()
+# the packages of the "test" extra, which src/ must not import (each
+# distribution there has its import name)
+TEST_DEPENDENCIES = set(tomllib.loads(
+    (Path(__file__).parents[1] / "pyproject.toml").read_text())
+    ["project"]["optional-dependencies"]["test"])
 # public functions with no caller in the package
 UNCALLED_PUBLIC_FUNCTIONS = set()
 # the entry points that set the numpy error state, once each; the kernels
@@ -124,7 +130,9 @@ def errstate_sites(source: str, module: str) -> list:
     return found
 
 
-def scipy_imports(source: str) -> set:
+def imports_of_test_extra(source: str) -> set:
+    """The modules of the packages in pyproject.toml's "test" extra that a
+    source imports."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -133,7 +141,8 @@ def scipy_imports(source: str) -> set:
             names = [node.module or ""]
         else:
             continue
-        found |= {name for name in names if name.split(".")[0] == "scipy"}
+        found |= {name for name in names
+                  if name.split(".")[0] in TEST_DEPENDENCIES}
     return found
 
 
@@ -223,18 +232,23 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert not any(found.values()), found
 
 
-def test_scipy_import_detection():
+def test_test_dependency_import_detection():
     source = ("import numpy as np, scipy.linalg as sl\n"
               "from .solver import scipy_like\n"
+              "import pytest\n"
+              "from sympy import Matrix\n"
+              "import hypothesis.strategies as st\n"
               "def f():\n    from scipy.optimize import brentq\n"
               "    import scipy\n")
-    assert scipy_imports(source) == {"scipy.linalg", "scipy.optimize",
-                                     "scipy"}
+    assert imports_of_test_extra(source) == {
+        "scipy.linalg", "scipy.optimize", "scipy", "pytest", "sympy",
+        "hypothesis.strategies"}
 
 
-def test_no_module_imports_scipy():
-    """numpy is the only runtime dependency."""
-    found = {path.name: scipy_imports(path.read_text())
+def test_no_module_imports_a_test_dependency():
+    """numpy is the only runtime dependency; the test extra's packages
+    (the proofs' sympy among them) serve the tests alone."""
+    found = {path.name: imports_of_test_extra(path.read_text())
              for path in sorted(Path(ccfour.__file__).parent.rglob("*.py"))}
     assert not any(found.values()), found
 
