@@ -218,13 +218,6 @@ _DY_CONST = np.array([0.0, 0.5, 0.0])[:, None, None]
 # columns of the derivatives of mag4 and mag3 along k = 0, 1, 2
 _MAG4_COLS = np.array([0, 1, 3])
 _MAG3_COLS = np.array([0, 2, 4])
-# True where the derivative of Delta_k along column j of (a..f) is not
-# identically zero: Delta_1 and Delta_2 move with a..e, Delta_3 with a, c
-# and e, Delta_4 with a, b and d
-AREA_DERIVATIVE_MOVES = np.zeros((4, 6), dtype=bool)
-AREA_DERIVATIVE_MOVES[:2, :5] = True
-AREA_DERIVATIVE_MOVES[2, _MAG3_COLS] = True
-AREA_DERIVATIVE_MOVES[3, _MAG4_COLS] = True
 
 
 def trilaterated_area_derivative_rows(tri: np.ndarray) -> np.ndarray:

@@ -7,7 +7,6 @@ census grids run at numpy speed; the public solvers wrap batches of size 1.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -22,9 +21,8 @@ from .dziobek import (PAIR_I, PAIR_J, DziobekState, MassVector,
                       psi_prime_many)
 from .errors import (DomainError, LeftConvexRegion, NoConvergence,
                      SingularJacobian)
-from .geometry import (AREA_DERIVATIVE_MOVES, PlanarConfig, newtonian_oracle,
-                       realize, realize_convex_many,
-                       trilaterated_area_derivative_rows,
+from .geometry import (PlanarConfig, newtonian_oracle, realize,
+                       realize_convex_many, trilaterated_area_derivative_rows,
                        trilaterated_area_rows)
 
 # batch status codes
@@ -130,9 +128,12 @@ class Residuals:
         self.inv_mm = 1.0 / m.pair_weights
         # the normalization residual is sq . gauge - 1
         self.gauge = gauge_weights(m, normalization)
-        (self.embed, self.reduced, self.sq_cols, self._ks, self._js,
-         self._order, self._zero_tested) = _plans(
-             None if embed is None else tuple(embed))
+        self.embed = self.reduced = None
+        if embed is not None:
+            embed = list(embed)
+            self.embed = np.array(embed)
+            self.reduced = np.array([embed.index(c)
+                                     for c in range(max(embed) + 1)])
 
     def _rows(self, x: np.ndarray) -> np.ndarray:
         """The (8, n) C-ordered rows of the unreduced unknowns of x."""
@@ -172,29 +173,22 @@ class Residuals:
 
     def linearize(self, x: np.ndarray, tri: np.ndarray):
         """(jac, near) of (n, k) rows inside the convex region, from their
-        (9, n) trilateration, a residual call's, and the 16 area
-        derivatives that are not identically zero.  near marks the rows
-        within the boundary probe: x_j <= h_j, or |Delta_k| <=
-        _AREA_ORDER[k] h_j |dDelta_k / dx_j| for a reduced unknown j that
-        moves a squared distance, tested on the pairs (k, j) whose
-        derivative is not identically zero.  An identically zero one is
-        exactly +-0, so where h_j is finite it tests Delta_k == 0, once per
-        area; inside the region h_j is infinite only where x_j is, and
-        x_j <= h_j marks the row.  jac is the exact (n - near.sum(), k, k)
-        Jacobian at the other rows, in order, assembled as (8, 8, n) rows
-        and transposed once, C-ordered for the batched solve.  Call under
-        np.errstate."""
+        (9, n) trilateration, a residual call's.  near marks the rows within
+        the boundary probe: x_j <= h_j, or |Delta_k| <= _AREA_ORDER[k] h_j
+        |dDelta_k / dx_j| for an area k and a reduced unknown j that moves
+        a squared distance (every unknown but nu and xi).  jac is the exact
+        (n - near.sum(), k, k) Jacobian at the other rows, in order,
+        assembled as (8, 8, n) rows and transposed once, C-ordered for the
+        batched solve.  Call under np.errstate."""
         xr = self._rows(x)
         areas = tri[5:]
         d_areas = trilaterated_area_derivative_rows(tri)
-        xs = xr[:6] if self.embed is None else x.T[self.sq_cols]
+        xs = np.ascontiguousarray(x.T[:-2])  # C-ordered: tests along n rows
         h = _BOUNDARY_PROBE * np.maximum(1.0, np.abs(xs))
-        ks, js = self._ks, self._js
-        reach = ((self._order * h[js])
-                 * np.abs(_fold(d_areas, self.embed)[ks, js]))
+        reach = ((_AREA_ORDER[:, None, None] * h)
+                 * np.abs(_fold(d_areas, self.embed)))
         near = ((xs <= h).any(axis=0)
-                | (np.abs(areas)[ks] <= reach).any(axis=0)
-                | (areas[self._zero_tested] == 0).any(axis=0))
+                | (np.abs(areas)[:, None] <= reach).any(axis=(0, 1)))
         if np.count_nonzero(near):
             keep = ~near
             xr = np.compress(keep, xr, axis=1)
@@ -220,27 +214,6 @@ def _fold(a: np.ndarray, embed: np.ndarray | None) -> np.ndarray:
     folded = np.zeros((a.shape[0], cols.max() + 1, *a.shape[2:]))
     np.add.at(folded, (slice(None), cols), a)
     return folded
-
-
-@functools.cache
-def _plans(embed: tuple[int, ...] | None):
-    """Residuals' index plans of an embed, built once: embed, reduced, the
-    reduced columns that move a squared distance, the (area, reduced column)
-    pairs whose derivative is not identically zero (a reduced column moves
-    an area if one of its full columns does) and their _AREA_ORDER, and the
-    areas with an identically zero derivative along some reduced column.
-    Every Residuals of the embed shares them, so they are read-only."""
-    reduced = None
-    if embed is not None:
-        embed = np.asarray(embed)
-        reduced = np.unique(embed, return_index=True)[1]
-    moves = _fold(AREA_DERIVATIVE_MOVES.astype(float), embed) > 0
-    ks, js = np.nonzero(moves)
-    plans = (embed, reduced, np.arange(moves.shape[1]), ks, js,
-             _AREA_ORDER[ks, None], np.flatnonzero(~moves.all(axis=1)))
-    for a in plans[2:] if embed is None else plans:
-        a.flags.writeable = False
-    return plans
 
 
 def _norm2(r: np.ndarray) -> np.ndarray:

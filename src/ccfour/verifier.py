@@ -18,7 +18,7 @@ from .solver import rhombus_ratio
 
 DEFAULT_SEED = 1405
 ALBOUY_TOL = 1e-12  # Lemma 2 products and orderings, relative to scale_sq
-TIE_TOL = 1e-12  # Lemma 4: |Delta_1 + Delta_4| taken as a tie
+TIE_TOL = 1e-12  # Lemma 4 ties, relative to max(-Delta_1, Delta_4)
 IDENTITY_TOL = 1e-9  # rearranged balanced identities, relative to scale
 ORACLE_TOL = 1e-8  # Newtonian oracle misfit at census solutions
 
@@ -135,7 +135,8 @@ def lemma4_product_chain_violation(deltas: Sequence[float],
 
     The quadruple is first mapped to the case (a) pattern
     Delta_1 < Delta_2 < 0 < Delta_3 < Delta_4; the chain branches on the
-    sign of Delta_1 + Delta_4 exactly as in the proof's subcases.
+    sign of Delta_1 + Delta_4 exactly as in the proof's subcases, with
+    the ties taken relative to the quadruple's scale max(-Delta_1, Delta_4).
     """
     perm = _CASE_PERMUTATION[case]
     d1, d2, d3, d4 = (deltas[p] for p in perm)
@@ -143,12 +144,13 @@ def lemma4_product_chain_violation(deltas: Sequence[float],
         raise ValueError(f"quadruple does not match case {case!r}")
     p12, p13, p14 = d1 * d2, d1 * d3, d1 * d4
     p23, p24, p34 = d2 * d3, d2 * d4, d3 * d4
-    s = d1 + d4
-    if abs(s) <= TIE_TOL:
+    s, scale = d1 + d4, max(-d1, d4)
+    if abs(s) <= TIE_TOL * scale:
         chain = [p14, p13, p24, p23, 0.0, p12, p34]
         # subcase 1 ties: p13 = p24 and p12 = p34
+        tie = TIE_TOL * scale * scale
         return max(max(chain[k] - chain[k + 1] for k in range(len(chain) - 1)),
-                   abs(p13 - p24) - TIE_TOL, abs(p12 - p34) - TIE_TOL)
+                   abs(p13 - p24) - tie, abs(p12 - p34) - tie)
     if s < 0:
         chain = [p14, p13, p24, p23, 0.0, p12, p34]
     else:

@@ -661,7 +661,7 @@ def test_output_digest_families_run_through_the_cli():
         **{f"solve {a} {n}": 80 for a in ("kite", "full")
            for n in digest.NORMALIZATIONS},
         **{f"solve rhombus {n}": 30 for n in digest.NORMALIZATIONS},
-        "sweep csv": 1, "sweep bench": 1,
+        "sweep csv": 2, "sweep bench": 1,
         # per normalization, census, kite and full at four points and the
         # rhombus at the two equal-mass ones; then the realize jobs
         "csv and realize": 2 * (3 * 4 + 2) + len(digest.REALIZE_SQ),

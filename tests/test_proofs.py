@@ -244,7 +244,9 @@ def test_lemma4_product_chain_violation_is_the_restated_chain(case):
                 (Fraction(1, 4), Fraction(2), Fraction(7, 8)), repeat=3):
             deltas = lemma4_deltas(case, subcase, a, g, h)
             gaps, ties = lemma4_gaps(case, subcase, deltas)
-            want = max(gaps + [abs(tie) - TIE_TOL for tie in ties])
+            low, *_, high = LEMMA4_SUBCASES[subcase](a, g, h)
+            tie_tol = TIE_TOL * max(-low, high) * max(-low, high)
+            want = max(gaps + [abs(tie) - tie_tol for tie in ties])
             got = lemma4_product_chain_violation(deltas, case)
             assert got == want and got <= 0, (subcase, deltas)
     assert lemma4_product_chain_violation(

@@ -1,4 +1,3 @@
-import functools
 import math
 import tracemalloc
 
@@ -18,15 +17,14 @@ from ccfour.dziobek import (_FACE_PARTNERS, PAIR_I, PAIR_J, cayley_many,
                             psi_prime_many)
 from ccfour.census import _seed_vectors, seed_grid
 from ccfour.cli import parse_grid
-from ccfour.geometry import (AREA_DERIVATIVE_MOVES,
-                             trilaterated_area_derivative_rows,
+from ccfour.geometry import (trilaterated_area_derivative_rows,
                              trilaterated_area_rows)
 from ccfour.solver import (_AREA_ORDER, _BLOCK, _BOUNDARY_PROBE,
                            _KITE_EMBED, _MAX_BACKTRACKS, CONVERGED,
                            LEFT_CONVEX, NEAR_BOUNDARY, NO_CONVERGENCE,
                            REJECTED, SINGULAR, Residuals, SweepCell,
                            _backtrack, _brentq, _kite_seed_vectors,
-                           _newton_batch, _norm2, _norm_inf, _plans,
+                           _newton_batch, _norm2, _norm_inf,
                            _polish, _rhombus_equation, _seed_vector,
                            _solve_linear, gauge_weights, gauged_sq,
                            seed_vectors, solve_batch)
@@ -1011,14 +1009,15 @@ def test_row_within_the_boundary_probe_is_near_boundary():
 
 def probed_near_boundary(fun, x):
     """Reference boundary probe: the rows of which one of the copies with
-    one reduced unknown j that moves a squared distance moved by
-    +-_BOUNDARY_PROBE * max(1, |x_j|) leaves the residuals' validity mask."""
+    one reduced unknown j that moves a squared distance (every unknown but
+    nu and xi) moved by +-_BOUNDARY_PROBE * max(1, |x_j|) leaves the
+    residuals' validity mask."""
     n, k = x.shape
-    probes = np.repeat(x[None], 2 * fun.sq_cols.size, axis=0)
-    for p, j in enumerate(fun.sq_cols):
+    probes = np.repeat(x[None], 2 * (k - 2), axis=0)
+    for j in range(k - 2):
         h = _BOUNDARY_PROBE * np.maximum(1.0, np.abs(x[:, j]))
-        probes[2 * p, :, j] += h
-        probes[2 * p + 1, :, j] -= h
+        probes[2 * j, :, j] += h
+        probes[2 * j + 1, :, j] -= h
     return ~fun(probes.reshape(-1, k))[1].reshape(-1, n).all(axis=0)
 
 
@@ -1090,15 +1089,11 @@ def test_boundary_test_matches_the_probe_across_each_area_threshold(area):
 @pytest.mark.parametrize("area", [1, 2, 3, 4])
 def test_area_orders_are_pinned_by_the_probe(monkeypatch, area):
     """Halving Delta_3's or Delta_4's order of 2, or doubling Delta_1's or
-    Delta_2's order of 1, moves the mask off the probe's.  Residuals takes
-    the orders from its cached index plans, so the plans are built afresh
-    under the patched orders."""
+    Delta_2's order of 1, moves the mask off the probe's."""
     m = MassVector(alpha=0.5, beta=0.8)
     order = _AREA_ORDER.copy()
     order[area - 1] = 3.0 - order[area - 1]
     monkeypatch.setattr("ccfour.solver._AREA_ORDER", order)
-    monkeypatch.setattr("ccfour.solver._plans",
-                        functools.cache(_plans.__wrapped__))
     for fun, x in rows_across_the_threshold(m, area):
         assert (linearized(fun, x)[1]
                 != probed_near_boundary(fun, x)).any()
@@ -1108,6 +1103,15 @@ def test_area_orders_are_pinned_by_the_probe(monkeypatch, area):
 # derivative of the areas taken along the full unit vectors of (a..f), the
 # (n, 6, 8) pair Jacobian with its zero columns, and the Cayley gradient
 # summed along (n, 6) rows.
+
+# True where the derivative of Delta_k along column j of (a..f) is not
+# identically zero: Delta_1 and Delta_2 move with a..e, Delta_3 with a, c
+# and e, Delta_4 with a, b and d
+AREA_DERIVATIVE_MOVES = np.zeros((4, 6), dtype=bool)
+AREA_DERIVATIVE_MOVES[:2, :5] = True
+AREA_DERIVATIVE_MOVES[2, [0, 2, 4]] = True
+AREA_DERIVATIVE_MOVES[3, [0, 1, 3]] = True
+
 
 def dense_area_derivatives(sq):
     """(n, 4, 6) derivatives of the trilaterated areas of (n, 6) squared
@@ -1170,13 +1174,14 @@ def dense_linearize(fun, x):
     xf = x if fun.embed is None else x[:, fun.embed]
     areas = trilaterated_area_rows(xf[:, :6].T)[1][5:].T
     d_areas = dense_area_derivatives(xf[:, :6])
-    # the derivatives the boundary test skips are +-0 on every row
+    # the identically zero derivatives are +-0 on every row
     assert not d_areas[:, ~AREA_DERIVATIVE_MOVES].any()
-    xs = x[:, fun.sq_cols]
+    n_sq = x.shape[1] - 2  # the unknowns that move a squared distance
+    xs = x[:, :n_sq]
     h = _BOUNDARY_PROBE * np.maximum(1.0, np.abs(xs))
     with np.errstate(all="ignore"):
         reach = (_AREA_ORDER[:, None] * h[:, None, :]
-                 * np.abs(dense_fold(fun, d_areas)[:, :, fun.sq_cols]))
+                 * np.abs(dense_fold(fun, d_areas)[:, :, :n_sq]))
         near = ((xs <= h).any(axis=1)
                 | (np.abs(areas)[:, :, None] <= reach).any(axis=(1, 2)))
         keep = ~near

@@ -15,7 +15,8 @@ from ccfour import (CollisionError, DomainError, DziobekState,
                     run_theorem1_suite, run_theorem2_suite, solve_kite,
                     solve_rhombus)
 from ccfour import cli, verifier
-from ccfour.verifier import lemma4_product_chain_violation
+from ccfour.verifier import (_CASE_PERMUTATION,
+                             lemma4_product_chain_violation)
 from conftest import potential, unit_square_config
 
 EQUAL = MassVector(alpha=1.0, beta=1.0)
@@ -119,6 +120,30 @@ def test_lemma4_product_chain_case_a():
     assert lemma4_product_chain_violation([-0.7, -0.2, 0.1, 0.8], "a") <= 0
     # tie subcase d1 = -d4, d2 = -d3
     assert lemma4_product_chain_violation([-0.8, -0.3, 0.3, 0.8], "a") <= 0
+
+
+# case-(a) patterns Delta_1 < Delta_2 < 0 < Delta_3 < Delta_4: s > 0 and
+# s < 0 with a chain that holds and one that fails, an exact tie and a
+# tie within TIE_TOL
+LEMMA4_PATTERNS = [(-6.0, -4.0, 3.0, 7.0), (-1.0, -0.4, 0.6, 0.8),
+                   (-1.0, -0.9, 0.1, 0.2), (-0.8, -0.3, 0.3, 0.8),
+                   (-0.8, -0.3, 0.3 + 2.0 ** -45, 0.8 - 2.0 ** -44)]
+
+
+@pytest.mark.parametrize("case", "abcd")
+def test_lemma4_violation_scales_with_the_quadruple(case):
+    """Scaling a quadruple by 2**-43 scales its violation by exactly
+    2**-86, the products' scale, ties included: (-6, -4, 3, 7) 1e-13 is
+    no tie and holds its chain."""
+    for pattern in LEMMA4_PATTERNS + [tuple(1e-13 * d
+                                            for d in LEMMA4_PATTERNS[0])]:
+        deltas = [0.0] * 4
+        for p, d in zip(_CASE_PERMUTATION[case], pattern):
+            deltas[p] = d
+        scaled = [d * 2.0 ** -43 for d in deltas]
+        assert (lemma4_product_chain_violation(scaled, case)
+                == lemma4_product_chain_violation(deltas, case) * 2.0 ** -86)
+    assert lemma4_product_chain_violation(deltas, case) <= 0
 
 
 def test_lemma4_rejects_wrong_case():

@@ -14,7 +14,8 @@ here:
 in each checkout, then `diff` the two files.  The families are the census
 JSON on the 80 acceptance-grid points under both normalizations, `solve`
 JSON for each ansatz and normalization (kite and full on the 80 points,
-rhombus on the 30 equal-mass ones), the sweep CSV, `csv and realize`:
+rhombus on the 30 equal-mass ones), the sweep CSV on README's grid under
+both normalizations, `csv and realize`:
 the census and `solve` CSV (each ansatz) under both normalizations at a
 few points and the `realize` JSON of a few planar distances, `verify`:
 the run that README shows and four `verify --theorem1-grid` runs of one
@@ -79,7 +80,9 @@ def families():
             yield f"solve {ansatz} {norm}", run, [
                 ["solve", *ab, "--ansatz", ansatz, "--normalization", norm]
                 for ab in masses(points)]
-    yield "sweep csv", run, [["sweep", *SWEEP_GRID, "--format", "csv"]]
+    yield "sweep csv", run, [
+        ["sweep", *SWEEP_GRID, *flags, "--format", "csv"]
+        for flags in ([], ["--normalization", "fix_a_one"])]
     csv_jobs = []
     for norm in NORMALIZATIONS:
         flags = ["--normalization", norm, "--format", "csv"]
