@@ -214,8 +214,8 @@ def planar_many(sq: np.ndarray,
     the plane, |S| <= PLANARITY_TOL * scale_sq**3.  S has degree 3 in the
     squared distances, so the test is scale-invariant.  It is taken as
     |S| / scale_sq / scale_sq <= PLANARITY_TOL * scale_sq, so nothing
-    overflows, and a non-finite S fails it.  cayley, where given, is S:
-    cayley_many(sq) to the bit, as the caller has it."""
+    overflows, and a non-finite S fails it.  cayley, where given, is the
+    caller's S, taken in place of cayley_many(sq)."""
     sq = np.atleast_2d(np.asarray(sq, dtype=float))
     with np.errstate(all="ignore"):
         scale = np.abs(scale_sq_many(sq))

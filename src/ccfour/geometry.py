@@ -288,20 +288,16 @@ def realize(sq: Sequence[float], m: MassVector) -> PlanarConfig:
     return PlanarConfig.from_points(_placed(tri), m)
 
 
-def realize_convex_many(sq: np.ndarray, m: MassVector, tri: np.ndarray,
-                        cayley: np.ndarray | None = None):
+def realize_convex_many(tri: np.ndarray, m: MassVector):
     """The (n, 4, 2) recentered points, (n, 4) oriented areas and mask of
-    the rows that realize and oriented_areas accept, of (n, 6) squared
+    the rows that realize and oriented_areas accept, of planar squared
     distances placed from tri, their (5, n) trilateration as
-    trilaterated_area_rows gives it, and with their Cayley determinants
-    where given (see planar_many); one squared-distance pass serves all
-    the tests.  Call under np.errstate."""
+    trilaterated_area_rows gives it; one squared-distance pass serves all
+    the tests.  The caller tests planarity.  Call under np.errstate."""
     pts = _recenter(_placed(tri), m)
     centered, apart, scale_sq = _config_checks(pts, m)
     areas, proper, convex = oriented_areas_many(pts, scale_sq)
-    ok = (planar_many(sq, cayley) & centered & apart.all(axis=-1) & proper
-          & convex)
-    return pts, areas, ok
+    return pts, areas, centered & apart.all(axis=-1) & proper & convex
 
 
 @dataclass(frozen=True)
@@ -445,17 +441,23 @@ def newtonian_oracle_many(points: np.ndarray, m: MassVector):
     least-squares lambda and relative misfit |g - lambda q| / |g|, and the
     (n, 12) mask of the pairs (_ORACLE_I, _ORACLE_J) closer than 1e-9 times
     the RMS mutual distance (a row with such a pair has no meaningful
-    values).  A row with a distance of 2^341 (4.5e102) or more, whose cube
-    may overflow, has NaN values.  A row's bits do not depend on its
-    batch: r^3 is the C library's pow, g_i adds its terms from zero in j
-    order, and norms and dot products are vecdot's."""
+    values).  A row with a distance outside [2^-340, 2^341), where r^3 is
+    not finite and normal, is taken at its points times 2^e, in the unit
+    square, and its g and lambda scaled back by 2^2e and 2^3e.  A row's
+    bits do not depend on its batch: r^3 is the C library's pow, g_i adds
+    its terms from zero in j order, and norms and dot products are vecdot's."""
     n, w = len(points), np.asarray(m.masses)
     with np.errstate(all="ignore"):
         dq = points[:, _ORACLE_J] - points[:, _ORACLE_I]
         r = np.sqrt(np.vecdot(dq, dq))
+        far = ((r < 2.0 ** -340) | (r >= 2.0 ** 341)).any(axis=1)
+        if far.any():
+            e = np.where(far, -np.frexp(np.abs(points).max(axis=(1, 2)))[1], 0)
+            points = np.ldexp(points, e[:, None, None])
+            dq = points[:, _ORACLE_J] - points[:, _ORACLE_I]
+            r = np.sqrt(np.vecdot(dq, dq))
         scale = np.sqrt(scale_sq_many(squared_distances_many(points)))
-        r3 = _libm(math.pow, np.where(r < 2.0 ** 341, r, np.nan),
-                   np.full(r.shape, 3.0))
+        r3 = _libm(math.pow, r, np.full(r.shape, 3.0))
         terms = (w[_ORACLE_J, None] * dq / r3[..., None]).reshape(n, 4, 3, 2)
         g = np.zeros((n, 4, 2))
         for j in range(3):
@@ -468,18 +470,20 @@ def newtonian_oracle_many(points: np.ndarray, m: MassVector):
         misfit, gf = np.ldexp(gf - lam[:, None] * qf, k), np.ldexp(gf, k)
         residual = (np.sqrt(np.vecdot(misfit, misfit))
                     / np.sqrt(np.vecdot(gf, gf)))
+        if far.any():
+            g, lam = np.ldexp(g, 2 * e[:, None, None]), np.ldexp(lam, 3 * e)
     return g, lam, residual, r <= 1e-9 * scale[:, None]
 
 
 def newtonian_oracle(p: PlanarConfig, m: MassVector) -> tuple[float, float]:
     """newtonian_oracle_many's lambda and misfit of one configuration;
     raises CollisionError naming its first close pair, and OverflowError
-    where the misfit is not finite."""
+    where lambda is not finite."""
     _, lam, residual, close = newtonian_oracle_many(p.points[None], m)
     if close.any():
         k = np.argmax(close[0])
         raise CollisionError(f"bodies {_ORACLE_I[k] + 1} and "
                              f"{_ORACLE_J[k] + 1} collide")
-    if not np.isfinite(residual[0]):
-        raise OverflowError("the forces leave the double range at this scale")
+    if not np.isfinite(lam[0]):
+        raise OverflowError("lambda leaves the double range at this scale")
     return float(lam[0]), float(residual[0])

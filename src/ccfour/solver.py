@@ -17,8 +17,8 @@ import numpy as np
 from .dziobek import (PAIR_I, PAIR_J, DziobekState, MassVector,
                       OrientedAreas, SquaredDistances, cayley_gradient_rows,
                       cayley_many, classify_symmetry, dilate_state,
-                      pair_jacobian_rows, pair_residual_rows, psi_prime,
-                      psi_prime_many)
+                      pair_jacobian_rows, pair_residual_rows, planar_many,
+                      psi_prime, psi_prime_many)
 from .errors import (DomainError, LeftConvexRegion, NoConvergence,
                      SingularJacobian)
 from .geometry import (PlanarConfig, newtonian_oracle, realize,
@@ -32,7 +32,7 @@ NO_CONVERGENCE = 2
 LEFT_CONVEX = 3
 SINGULAR = 4
 NEAR_BOUNDARY = 5
-REJECTED = 6  # converged, but not to a convex central configuration
+REJECTED = 6  # converged, but nu <= 0 or not convex: see solve_batch
 
 # A row retires as NEAR_BOUNDARY when moving one squared distance x_j by
 # h_j = _BOUNDARY_PROBE max(1, |x_j|) takes x_j or, to first order, an area
@@ -170,6 +170,14 @@ class Residuals:
         out = np.full((valid.size, res.shape[0]), np.nan)
         out[valid] = res.T
         return out, valid, tri
+
+    def planar(self, x: np.ndarray, res: np.ndarray) -> np.ndarray:
+        """planar_many of the full squared distances of (n, k) rows, with S
+        32 times their residuals' S / 32: S, or within 2**-1070 of it where
+        S / 32 is subnormal or +-0, which can move the decision only below
+        a mean squared distance of about 5e-100.  Call under np.errstate."""
+        col = 6 if self.embed is None else self.embed[6]  # S's row is nu's
+        return planar_many(self._rows(x)[:6].T, 32.0 * res[:, col])
 
     def linearize(self, x: np.ndarray, tri: np.ndarray):
         """(jac, near) of (n, k) rows inside the convex region, from their
@@ -347,10 +355,10 @@ def _newton_batch(fun, seeds: tuple, opts: SolveOptions):
     line search's arrays are taken whole, and a block or step of every
     row takes views.  A row's result depends neither on its batch mates
     nor on its block.
-    Returns (x, status, iterations, final inf-norm residual, tri, res), tri
-    the (9, n) trilaterated_area_rows and res the residuals of each row's
-    final x.  Call under np.errstate: rows that leave the convex region
-    are NaN.
+    A row converges where its inf-norm residual is below the tolerance
+    and fun.planar, run on those rows alone, accepts it.  Returns (x,
+    status, iterations, final inf-norm residual, tri of each final x).
+    Call under np.errstate: rows that leave the convex region are NaN.
     """
     x0, valid, tri = seeds
     x = np.array(x0, dtype=float)
@@ -361,10 +369,13 @@ def _newton_batch(fun, seeds: tuple, opts: SolveOptions):
     res, valid, tri = fun(x, (valid, tri))
     norm_inf, norm2 = _norm_inf(res), _norm2(res)
     status[~valid] = LEFT_CONVEX
-    status[valid & (norm_inf < tol)] = CONVERGED
-    for it in range(1, opts.max_iterations + 1):
+    ids, moved_inf = np.flatnonzero(valid), norm_inf[valid]
+    for it in range(1, opts.max_iterations + 2):
+        under = ids[moved_inf < tol]  # of the rows just evaluated
+        if under.size:
+            status[under[fun.planar(x[under], res[under])]] = CONVERGED
         act = np.flatnonzero(status == RUNNING)
-        if act.size == 0:
+        if act.size == 0 or it > opts.max_iterations:
             break
         ids, steps = [], []
         for lo in range(0, act.size, _BLOCK):
@@ -383,8 +394,8 @@ def _newton_batch(fun, seeds: tuple, opts: SolveOptions):
             steps.append(dx)
         ids, dx = ((ids[0], steps[0]) if len(ids) == 1
                    else (np.concatenate(ids), np.concatenate(steps)))
-        if ids.size == 0:
-            continue
+        if ids.size == 0:  # every active row retired
+            break
         rows = slice(None) if ids.size == n else ids
         accepted, x_new, res_new, norm_new, last_invalid, tri_new = (
             _backtrack(fun, x[rows], dx, norm2[rows], n))
@@ -405,9 +416,8 @@ def _newton_batch(fun, seeds: tuple, opts: SolveOptions):
             tri[:, ids] = tri_new
         norm_inf[rows] = moved_inf = _norm_inf(res_new)
         iters[rows] = it
-        status[ids[moved_inf < tol]] = CONVERGED
     status[status == RUNNING] = NO_CONVERGENCE
-    return x, status, iters, norm_inf, tri, res
+    return x, status, iters, norm_inf, tri
 
 
 def _state(xf: np.ndarray, areas: Sequence[float]) -> DziobekState:
@@ -498,28 +508,19 @@ class BatchResult:
 
 def solve_batch(fun: Residuals, seeds: tuple, m: MassVector,
                 opts: SolveOptions) -> BatchResult:
-    """Newton from every row of the record (x0, valid, tri) of
-    seed_vectors, x0 in fun's unknowns, then the one test of which
-    converged rows are convex central configurations: nu > 0, and realize
-    and oriented_areas accept the squared distances (realize_convex_many on
-    the full vectors, which fun.embed gives for a reduced system, and on
-    Newton's trilateration and Cayley determinants S of them: 32 times the
-    residual S / 32 is S to the bit where that is normal; where it is +-0,
-    |S| <= 2**-1070, which planar_many reads as 0 at any mean squared
-    distance above 1e-104).  The converged rows that fail it end REJECTED."""
+    """Newton from every row of the record (x0, valid, tri) of seed_vectors,
+    x0 in fun's unknowns, then the one test of which converged rows, planar
+    by Newton's test, are convex central configurations (nu > 0, and
+    realize_convex_many accepts their trilateration); others end REJECTED."""
     # Newton's NaN rows, and the areas of a converged row that realize
     # rejects, which may overflow, must not warn
     with np.errstate(all="ignore"):
-        x, status, iters, norm, tri, res = _newton_batch(fun, seeds, opts)
+        x, status, iters, norm, tri = _newton_batch(fun, seeds, opts)
         if fun.embed is not None:
             x = x[:, fun.embed]
         conv = np.flatnonzero(status == CONVERGED)
         rows = slice(None) if conv.size == x.shape[0] else conv
-        col = 6 if fun.reduced is None else list(fun.reduced).index(6)
-        s32 = res[rows, col]  # S / 32; a subnormal one takes S afresh
-        exact = not ((s32 != 0) & (np.abs(s32) < 2.0 ** -1022)).any()
-        points, areas, ok = realize_convex_many(
-            x[rows, :6], m, tri[:5, rows], 32.0 * s32 if exact else None)
+        points, areas, ok = realize_convex_many(tri[:5, rows], m)
     ok &= x[rows, 6] > 0
     status[conv[~ok]] = REJECTED
     return BatchResult(x=x, status=status, iterations=iters, residual=norm,

@@ -145,17 +145,13 @@ def lemma4_product_chain_violation(deltas: Sequence[float],
     p12, p13, p14 = d1 * d2, d1 * d3, d1 * d4
     p23, p24, p34 = d2 * d3, d2 * d4, d3 * d4
     s, scale = d1 + d4, max(-d1, d4)
-    if abs(s) <= TIE_TOL * scale:
-        chain = [p14, p13, p24, p23, 0.0, p12, p34]
-        # subcase 1 ties: p13 = p24 and p12 = p34
+    chain = ([p14, p24, p13, p23, 0.0, p12] if s > TIE_TOL * scale
+             else [p14, p13, p24, p23, 0.0, p12, p34])
+    worst = max(chain[k] - chain[k + 1] for k in range(len(chain) - 1))
+    if abs(s) <= TIE_TOL * scale:  # subcase 1 ties: p13 = p24, p12 = p34
         tie = TIE_TOL * scale * scale
-        return max(max(chain[k] - chain[k + 1] for k in range(len(chain) - 1)),
-                   abs(p13 - p24) - tie, abs(p12 - p34) - tie)
-    if s < 0:
-        chain = [p14, p13, p24, p23, 0.0, p12, p34]
-    else:
-        chain = [p14, p24, p13, p23, 0.0, p12]
-    return max(chain[k] - chain[k + 1] for k in range(len(chain) - 1))
+        worst = max(worst, abs(p13 - p24) - tie, abs(p12 - p34) - tie)
+    return worst
 
 
 _DISTANCE_CHAINS = {
@@ -169,12 +165,9 @@ _DISTANCE_CHAINS = {
 
 def _distance_chain_violation(sq, case: str) -> float:
     vals = dict(zip("abcdef", sq))
-    low, mid, pivot, high = _DISTANCE_CHAINS[case]
-    lo = vals[low[0]]
-    mid_vals = [vals[k] for k in mid]
-    pv = vals[pivot[0]]
-    hi_vals = [vals[k] for k in high]
-    return max(lo - min(mid_vals), max(mid_vals) - pv, pv - min(hi_vals))
+    (lo,), mid, (pv,), high = ([vals[k] for k in group]
+                               for group in _DISTANCE_CHAINS[case])
+    return max(lo - min(mid), max(mid) - pv, pv - min(high))
 
 
 def _case_of(deltas) -> str | None:
@@ -284,8 +277,7 @@ def run_theorem1_suite(mass_grid: Sequence[tuple[float, float]],
         if cls.symmetry.label not in kite_labels:
             witnesses.append({**point, "label": cls.symmetry.label})
         st = cls.state
-        scale_sq = st.sq.scale_sq
-        delta_gap = abs(st.areas[0] - st.areas[1]) / scale_sq
+        delta_gap = abs(st.areas[0] - st.areas[1]) / st.sq.scale_sq
         worst = max(worst, delta_gap)
         if delta_gap > 1e-8:
             witnesses.append({**point, "delta1_minus_delta2": delta_gap})

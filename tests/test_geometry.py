@@ -16,6 +16,7 @@ from ccfour.geometry import (canonicalize_many, newtonian_oracle_many,
                              oriented_areas_many, realize_convex_many,
                              reconstruct_many, squared_distances_many,
                              trilaterated_area_rows)
+from ccfour.solver import Residuals
 from conftest import (derandomized, random_convex_config, realize_many,
                       unit_square_config)
 
@@ -215,14 +216,20 @@ def test_realize_planarity_is_scale_invariant(rng):
                                 (2, 1, 1, 1, 1, 1e300),
                                 (math.inf, 1, 1, 1, 1, 2)])
 def test_realize_rejects_nonfinite_and_overflowing_distances(sq):
+    """realize refuses them, and so does the batch path: the residual
+    call's trilateration, Newton's planarity test and
+    realize_convex_many."""
     with pytest.raises(NotPlanar):
         realize(sq, EQUAL)
-    rows = np.array([sq, (2, 1, 1, 1, 1, 2)], dtype=float)
+    rows = np.array([(*sq, 1.0, -1.0), (2, 1, 1, 1, 1, 2, 1.0, -1.0)],
+                    dtype=float)
+    fun = Residuals(EQUAL, "fix_inertia_one")
     with np.errstate(all="ignore"):
-        valid, tri = trilaterated_area_rows(rows.T)
-        _, _, ok = realize_convex_many(rows, EQUAL, tri[:5])
-    assert (valid & ok).tolist() == [False, True]
-    assert realize_many(rows, EQUAL)[2].tolist() == [False, True]
+        res, valid, tri = fun(rows)
+        planar = fun.planar(rows, res)
+        _, _, ok = realize_convex_many(tri[:5], EQUAL)
+    assert (valid & planar & ok).tolist() == [False, True]
+    assert realize_many(rows[:, :6], EQUAL)[2].tolist() == [False, True]
 
 
 def test_realize_round_trip(rng):
@@ -320,7 +327,7 @@ def test_realize_many_equals_realize_bitwise(rng):
     assert ok.all()
     valid, tri = trilaterated_area_rows(sq.T)
     with np.errstate(all="ignore"):
-        once = realize_convex_many(sq, m, tri[:5])
+        once = realize_convex_many(tri[:5], m)
     assert valid.all() and once[2].all()
     assert once[0].tobytes() == points.tobytes()
     assert once[1].tobytes() == areas.tobytes()
@@ -401,23 +408,31 @@ def test_newtonian_oracle_collision_is_one_line():
     assert (lam[0], residual[0]) == reference_oracle(square, EQUAL)[1:]
 
 
-def test_newtonian_oracle_far_row_is_nan_alone():
-    """A row with a distance of 2^341 or more, whose cube may overflow, has
-    NaN values in a batch and leaves the other rows as the scalar loop
-    gives them; newtonian_oracle raises OverflowError on it, as the scalar
-    loop's float power does, and on a row whose cubes underflow."""
+def test_newtonian_oracle_rescales_far_and_near_rows_alone():
+    """Rows whose cubes of distances overflow (x 1e103) or underflow
+    (x 1e-110) are rescaled by a power of two: their misfit stays finite
+    and at the unscaled level, g and lambda are the unscaled ones times
+    the scale's powers -2 and -3, and the other rows keep the scalar
+    loop's bits, which overflows on the far row.  newtonian_oracle raises
+    OverflowError only where lambda, about 2.7e330 at x 1e-110, is not
+    finite."""
     square = unit_square_config().points
-    points = np.stack([square, square * 1e103, square * 1e-3])
+    factors = [1.0, 1e103, 1e-3, 1e-110]
+    points = np.stack([square * f for f in factors])
     g, lam, residual, collided = newtonian_oracle_many(points, EQUAL)
     assert not collided.any()
-    assert np.isnan(g[1]).all() and np.isnan([lam[1], residual[1]]).all()
     for k in (0, 2):
         want_g, *want = reference_oracle(points[k], EQUAL)
         assert g[k].tobytes() == want_g.tobytes()
         assert [lam[k], residual[k]] == want
     with pytest.raises(OverflowError):
         reference_oracle(points[1], EQUAL)
-    for factor in (1e103, 1e-110):
-        p = PlanarConfig(square * factor, EQUAL)
-        with pytest.raises(OverflowError, match="^the forces leave"):
-            newtonian_oracle(p, EQUAL)
+    assert (residual < 1e-15).all()
+    for k in (1, 3):
+        assert g[k] / factors[k] ** -2 == pytest.approx(g[0], rel=1e-13)
+    assert lam[1] / 1e-309 == pytest.approx(lam[0], rel=1e-12)
+    assert lam[3] == -math.inf
+    far = newtonian_oracle(PlanarConfig(points[1], EQUAL), EQUAL)
+    assert far == (lam[1], residual[1])
+    with pytest.raises(OverflowError, match="^lambda leaves"):
+        newtonian_oracle(PlanarConfig(points[3], EQUAL), EQUAL)

@@ -387,15 +387,18 @@ def test_solve_kite_is_the_first_accepted_row_of_the_nine_seeds(
     """solve_kite solves seed 0 alone, and seeds 1-8 in one batch only
     where seed 0 is not accepted; its report is bitwise that of the first
     accepted row of the nine seeds in one batch, as solve_batch gives it
-    from their trilateration afresh.  At acceptance points under the default
-    tolerance seed 0 is accepted; at tol 1e-5, at (0.1, 0.3) and (0.5,
-    0.8), it converges but ends REJECTED, so the second batch runs."""
+    from their trilateration afresh.  Seed 0 is accepted at every point;
+    at tol 1e-5, at (0.1, 0.3) and (0.5, 0.8), all nine seeds converge,
+    which planar rows alone may do.  With seed 0 marked as one that does
+    not trilaterate, the second batch runs and reports seed 1."""
     m = MassVector(alpha=alpha, beta=beta)
     opts = SolveOptions(residual_tol=tol)
     fun = Residuals(m, opts.normalization, embed=_KITE_EMBED)
-    nine = solve_batch(
-        fun, seed_record(fun, to_kite(_kite_seed_vectors(m)[0])), m, opts)
-    assert nine.status[0] == (CONVERGED if tol == 1e-12 else REJECTED)
+    x = _kite_seed_vectors(m)[0]
+    nine = solve_batch(fun, seed_record(fun, to_kite(x)), m, opts)
+    assert nine.status[0] == CONVERGED
+    if tol == 1e-5:
+        assert (nine.status == CONVERGED).all()
     batches = []
 
     def recorded(fun, seeds, *args):
@@ -403,9 +406,21 @@ def test_solve_kite_is_the_first_accepted_row_of_the_nine_seeds(
         return solve_batch(fun, seeds, *args)
 
     monkeypatch.setattr("ccfour.solver.solve_batch", recorded)
-    report = solve_kite(m, opts)
-    assert batches == ([1] if tol == 1e-12 else [1, 8])
-    assert report_bits(report) == report_bits(nine.report(0))
+    assert report_bits(solve_kite(m, opts)) == report_bits(nine.report(0))
+    assert batches == [1]
+
+    def spoilt(m):
+        """The nine seeds' record, seed 0 marked as not trilaterating."""
+        _, valid, tri = seed_record(fun, to_kite(x))
+        valid[0] = False
+        return x, valid, tri
+
+    _, valid, tri = spoilt(m)
+    nine = solve_batch(fun, (to_kite(x), valid, tri), m, opts)
+    assert nine.status[0] == LEFT_CONVEX and nine.accepted[0] == 1
+    monkeypatch.setattr("ccfour.solver._kite_seed_vectors", spoilt)
+    assert report_bits(solve_kite(m, opts)) == report_bits(nine.report(0))
+    assert batches == [1, 1, 8]
 
 
 def row_bytes(sq):
@@ -665,6 +680,10 @@ class Halfplane:
         res = x.copy()
         res[~valid] = np.nan
         return res, valid, x.T.copy()
+
+    def planar(self, x, res):
+        """Newton's planarity test: every row passes."""
+        return np.ones(x.shape[0], dtype=bool)
 
 
 def sequential_backtrack(fun, x, dx, base2):
@@ -971,6 +990,37 @@ def test_newton_statuses_of_exhausted_and_singular_rows():
     assert status.tolist() == [NO_CONVERGENCE, NEAR_BOUNDARY, LEFT_CONVEX,
                                SINGULAR, CONVERGED]
     assert iters.tolist() == [0, 0, 0, 0, 1]
+
+
+class Offplane(Steered):
+    """Steered whose planarity test passes only the rows with x[0] = 0,
+    and records the rows it is given."""
+
+    def __init__(self, jac, near):
+        super().__init__(jac, near)
+        self.tested = []
+
+    def planar(self, x, res):
+        self.tested.append(x.tolist())
+        return x[:, 0] == 0.0
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e300])
+def test_newton_stops_only_on_planar_rows(tol):
+    """+I takes both rows to 0 in one step.  Below the tolerance, a row
+    with x[0] = 0 converges where it starts, and one with x[0] = 1 steps
+    on; the planarity test sees only the rows below the tolerance."""
+    x0 = np.array([(0.0, 0.5), (1.0, 0.5)])
+    fun = Offplane(np.array([np.eye(2)] * 2), np.zeros(2, dtype=bool))
+    _, status, iters, *_ = _newton_batch(fun, (x0, *fun(x0)[1:]),
+                                         SolveOptions(residual_tol=tol))
+    assert status.tolist() == [CONVERGED, CONVERGED]
+    if tol == 1e300:
+        assert iters.tolist() == [0, 1]
+        assert fun.tested == [x0.tolist(), [[0.0, 0.0]]]
+    else:
+        assert iters.tolist() == [1, 1]
+        assert fun.tested == [[[0.0, 0.0], [0.0, 0.0]]]
 
 
 # q3 and q4 of a convex quadrilateral with q1 = (0, 0) and q2 = (1, 0) that

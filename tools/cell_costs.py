@@ -9,7 +9,10 @@ one `sweep` polishes at masses (1, 1, 0.5, 0.9) from its accepted
 neighbour at beta = 0.8, a one-row Newton run of four iterations.  The
 calls take the seed record (x, valid, tri) of `solver.seed_vectors`, so
 this times checkouts whose `seed_vectors` returns that record; earlier
-ones returned the vectors alone.
+ones returned the vectors alone.  In checkouts where the acceptance pass,
+not Newton, tests planarity, `realize_convex_many` includes that test, and
+the planarity row times it alone: `dziobek.planar_many` on Newton's Cayley
+determinant.
 
 Each checkout runs in a child process pinned to one core (the same core
 for all), and the children take turns call by call, so that the drift of
@@ -34,12 +37,12 @@ SWEEP_BETA_GRID = [round(0.1 * k, 1) for k in range(1, 21)]
 
 
 def calls() -> dict:
-    """{label: callable} of each timed call, in table order; only names
-    that every checkout of the package has."""
+    """{label: callable} of each timed call, in table order; the same
+    labels in every checkout of the package."""
     import numpy as np
 
     from ccfour import solver
-    from ccfour.dziobek import MassVector
+    from ccfour.dziobek import MassVector, planar_many
     from ccfour.geometry import realize_convex_many
 
     opts = solver.SolveOptions()
@@ -52,8 +55,16 @@ def calls() -> dict:
         res, _, tri = fun(x0)
         jac, _ = fun.linearize(x0, tri)
         x, _, _, _, tri_end = solver._newton_batch(fun, seeds, opts)[:5]
+        res_end = fun(x)[0]
     batch = solver.solve_batch(fun, seeds, m, opts)
     report = batch.report(0)
+    if hasattr(fun, "planar"):
+        planar = lambda: fun.planar(x, res_end)
+        realize = lambda: realize_convex_many(tri_end[:5], m)
+    else:  # planarity in the acceptance pass
+        planar = lambda: planar_many(x[:, :6], 32.0 * res_end[:, 6])
+        realize = lambda: realize_convex_many(x[:, :6], m, tri_end[:5],
+                                              32.0 * res_end[:, 6])
     return {
         "seed_vectors, one row": lambda: solver.seed_vectors(sq, m),
         "Residuals()": lambda: solver.Residuals(m, opts.normalization),
@@ -62,8 +73,8 @@ def calls() -> dict:
         "_solve_linear": lambda: solver._solve_linear(jac, -res),
         "_newton_batch": lambda: solver._newton_batch(fun, seeds, opts),
         "solve_batch": lambda: solver.solve_batch(fun, seeds, m, opts),
-        "realize_convex_many":
-            lambda: realize_convex_many(x[:, :6], m, tri_end[:5]),
+        "planarity test": planar,
+        "realize_convex_many": realize,
         "report": lambda: batch.report(0),
         "to_row": lambda: solver.SweepCell(ALPHA, BETA, report).to_row(),
         "solve_kite": lambda: solver.solve_kite(m, opts),

@@ -29,7 +29,11 @@ those 80 censuses, under both normalizations, from the seeds' record
 (the vectors and the trilateration that fitted them) as `census` takes
 it, and `newton kite`: the same of `solve_kite`'s nine seeds on the
 kite-reduced system at the 80 points, in one batch from their record, as
-`solve_kite` takes it.  A run takes about 2 min on a 2-vCPU machine.
+`solve_kite` takes it.  Two families run at loose tolerances, where
+Newton's convergence test decides planarity: `census loose`, the census
+JSON at three points with `--tol` 1e-5 and 1e-8, and `sweep loose`, the
+sweep CSV on README's grid with `--tol` 1e-8.  A run takes about 2 min on
+a 2-vCPU machine.
 """
 
 import contextlib
@@ -54,6 +58,9 @@ SWEEP_BETA_GRID = [round(0.1 * k, 1) for k in range(1, 21)]
 THEOREM1_VERIFY = ["0.2,0.4", "0.5,0.8", "0.8,1.2", "0.4,1.6"]
 # README's sweep grid
 SWEEP_GRID = ["--alpha-grid", "0.2:1.0:0.2", "--beta-grid", "0.2:2.0:0.2"]
+# the census points and tolerances of the loose-tolerance family
+LOOSE_POINTS = [(0.5, 0.8), (0.1, 0.3), (1.0, 1.4)]
+LOOSE_TOLS = ["1e-5", "1e-8"]
 # planar squared distances: the unit square, a rhombus and the
 # quadrilateral (0, 0), (3, 0), (1, 2), (2, -1)
 REALIZE_SQ = [("2,1,1,1,1,2", "1,1"), ("4,1.25,1.25,1.25,1.25,1", "0.7,0.7"),
@@ -114,6 +121,11 @@ def families():
         ["solve", *masses([(0.7, 0.7)])[0], "--ansatz", "rhombus"],
         *(["realize", "--sq", sq, *masses([ab.split(",")])[0]]
           for sq, ab in REALIZE_SQ)]
+    yield "census loose", run, [["census", *ab, "--tol", tol]
+                                for tol in LOOSE_TOLS
+                                for ab in masses(LOOSE_POINTS)]
+    yield "sweep loose", run, [["sweep", *SWEEP_GRID, "--tol", "1e-8",
+                                "--format", "csv"]]
     yield "newton", newton, [(a, b, norm) for norm in NORMALIZATIONS
                              for a, b in POINTS]
     yield "newton kite", newton_kite, [(a, b, norm) for norm in NORMALIZATIONS
