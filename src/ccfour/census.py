@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .dziobek import DziobekState, MassVector, SymmetryLabel
 from .geometry import (CanonicalFrame, PlanarConfig, canonicalize_many,
                        reconstruct_many, squared_distances_many,
-                       unit_inertia_many)
+                       unit_inertia_many, valid_frames_many)
 from .solver import Residuals, SolveOptions, seed_vectors, solve_batch
 
 DEDUPE_TOL = 1e-6
@@ -25,8 +25,23 @@ DEDUPE_TOL = 1e-6
 MAX_RESOLUTION = 31
 
 
-def seed_grid(resolution: int,
-              m: MassVector | None = None) -> list[CanonicalFrame]:
+@dataclass(frozen=True, eq=False)
+class SeedGrid(Sequence):
+    """The frames of a seed lattice: a read-only sequence over their (n, 5)
+    rows (u, v, t, s, theta), which builds each frame as it is read."""
+
+    rows: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, k):
+        rows = self.rows[k].tolist()
+        return ([CanonicalFrame(*row) for row in rows]
+                if isinstance(k, slice) else CanonicalFrame(*rows))
+
+
+def seed_grid(resolution: int, m: MassVector | None = None) -> SeedGrid:
     """Deterministic lattice over the convex canonical-frame moduli.
 
     u is gauge-fixed to 1 before the inertia normalization; the remaining
@@ -35,15 +50,9 @@ def seed_grid(resolution: int,
     convex and far from degenerate: over the whole box the smallest
     sub-triangle area is 0.0398 of the mean squared distance, at the mirror
     corners (v, t, s, theta) = (0.5, 2.8, 0.35, 0.3 pi) and
-    (0.5, 0.35, 2.8, 0.7 pi).
+    (0.5, 0.35, 2.8, 0.7 pi).  The rows are built in whole-lattice array
+    passes, and a row that CanonicalFrame rejects raises its ValueError.
     """
-    return [CanonicalFrame(*row)
-            for row in _seed_lattice(resolution, m).tolist()]
-
-
-def _seed_lattice(resolution: int, m: MassVector | None) -> np.ndarray:
-    """The frames of seed_grid as (n, 5) rows (u, v, t, s, theta), in the
-    same order, built in whole-lattice array passes."""
     if not (isinstance(resolution, numbers.Integral)
             and 2 <= resolution <= MAX_RESOLUTION):
         raise ValueError(
@@ -55,8 +64,12 @@ def _seed_lattice(resolution: int, m: MassVector | None) -> np.ndarray:
             np.geomspace(0.35, 2.8, resolution),
             np.linspace(0.3 * math.pi, 0.7 * math.pi, resolution))
     v, t, s, th = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
-    frames = np.stack([np.ones_like(v), v, t, s, th], axis=1)
-    return unit_inertia_many(frames, m)[0]
+    rows = unit_inertia_many(np.stack([np.ones_like(v), v, t, s, th],
+                                      axis=1), m)[0]
+    bad = ~valid_frames_many(rows)
+    if bad.any():
+        CanonicalFrame(*rows[np.argmax(bad)].tolist())  # raises
+    return SeedGrid(rows)
 
 
 @dataclass(frozen=True)
@@ -97,10 +110,8 @@ class CensusReport:
         }
 
 
-def _seed_vectors(frames: Sequence[CanonicalFrame], m: MassVector) -> tuple:
-    """The seed_vectors record of unit-inertia frames: their Newton start
-    vectors (a..f, nu, xi) and the trilateration that fitted them."""
-    rows = np.array([(f.u, f.v, f.t, f.s, f.theta) for f in frames])
+def _seed_vectors(rows: np.ndarray, m: MassVector) -> tuple:
+    """The seed_vectors record of (n, 5) unit-inertia frame rows."""
     return seed_vectors(squared_distances_many(reconstruct_many(rows, m)), m)
 
 
@@ -123,7 +134,7 @@ def census(m: MassVector, resolution: int = 8,
     """Polish every seed, keep those solve_batch accepts as convex central
     configurations and canonicalize_many accepts, and group them by
     canonical-frame distance (dedupe tolerance 1e-6)."""
-    seeds = _seed_vectors(seed_grid(resolution, m), m)
+    seeds = _seed_vectors(seed_grid(resolution, m).rows, m)
     batch = solve_batch(Residuals(m, opts.normalization), seeds, m, opts)
     frames, ok = canonicalize_many(batch.points, m)
     keep = np.flatnonzero(ok)

@@ -251,10 +251,8 @@ def _cmd_solve(args) -> tuple:
 def _cmd_sweep(args) -> tuple:
     cells = sweep(args.alpha_grid, args.beta_grid, _opts(args))
     rows = [cell.to_row() for cell in cells]
-    if args.format == "csv":
-        text = csv_text(list(rows[0]), rows)
-    else:
-        text = _document(args, rows=rows)
+    text = (csv_text(list(rows[0]), rows) if args.format == "csv"
+            else _document(args, rows=rows))
     plot = (frames_csv([[cell.alpha, cell.beta,
                          *canonicalize(cell.report.config).as_vector()]
                         for cell in cells if cell.report is not None])
@@ -273,13 +271,10 @@ def _cmd_census(args) -> tuple:
     else:
         columns = ["class", "symmetry", "basin", "a", "b", "c", "d", "e", "f",
                    "nu", "xi"]
-        rows = []
-        for k, cls in enumerate(report.classes):
-            row = {"class": k, "symmetry": cls.symmetry.label,
-                   "basin": cls.basin}
-            row.update(dict(zip("abcdef", cls.state.sq)))
-            row.update({"nu": cls.state.nu, "xi": cls.state.xi})
-            rows.append(row)
+        rows = [{"class": k, "symmetry": cls.symmetry.label,
+                 "basin": cls.basin, **dict(zip("abcdef", cls.state.sq)),
+                 "nu": cls.state.nu, "xi": cls.state.xi}
+                for k, cls in enumerate(report.classes)]
         text = csv_text(columns, rows)
     plot = (configs_csv([cls.config for cls in report.classes])
             if args.plot_data else None)
@@ -322,13 +317,9 @@ def main(argv=None) -> int:
     and, under --plot-data, its plot-ready CSV, and main writes them."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "solve": _cmd_solve,
-        "sweep": _cmd_sweep,
-        "census": _cmd_census,
-        "verify": _cmd_verify,
-        "realize": _cmd_realize,
-    }
+    handlers = {"solve": _cmd_solve, "sweep": _cmd_sweep,
+                "census": _cmd_census, "verify": _cmd_verify,
+                "realize": _cmd_realize}
     try:
         plot_path = args.plot_data
         if (plot_path and args.output is not None

@@ -24,6 +24,7 @@ from .errors import (CollisionError, Degenerate, NotConvex, NotPlanar,
 COINCIDENCE_TOL = 1e-12
 CENTROID_TOL = 1e-12
 AREA_TOL = 1e-12
+_TINY, _HUGE = np.finfo(float).tiny, 2.0 ** 1020  # normal; six sum finite
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,8 @@ class PlanarConfig:
         if pts.shape != (4, 2):
             raise ValueError(f"points must have shape (4, 2), got {pts.shape}")
         object.__setattr__(self, "points", pts)
-        centered, apart, _ = _config_checks(pts, self.masses)
+        with np.errstate(over="ignore"):  # far rows are checked rescaled
+            centered, apart, _ = _config_checks(pts, self.masses)
         if not centered:
             raise ValueError("weighted centroid is not at the origin")
         if not apart.all():
@@ -92,10 +94,18 @@ def _inertia(points: np.ndarray, masses: MassVector) -> np.ndarray:
 
 def _config_checks(points: np.ndarray, masses: MassVector):
     """PlanarConfig's checks on (..., 4, 2) points: whether the weighted
-    centroid is at the origin, which pairs are apart, and their scale_sq."""
+    centroid is at the origin, which pairs are apart, and their scale_sq.
+    A row with a squared distance outside [_TINY, _HUGE] is checked at its
+    points times 2^e, in the unit square.  Call under np.errstate."""
     sq = squared_distances_many(points)
-    scale_sq = scale_sq_many(sq)
-    scale = np.sqrt(scale_sq)
+    scale_sq = checked = scale_sq_many(sq)
+    if not _TINY <= sq.min(initial=1.0) <= sq.max(initial=1.0) <= _HUGE:
+        far = ~((sq >= _TINY) & (sq <= _HUGE)).all(axis=-1)
+        e = np.where(far, -np.frexp(np.abs(points).max(axis=(-2, -1)))[1], 0)
+        points = np.ldexp(points, e[..., None, None])
+        sq = squared_distances_many(points)
+        checked = scale_sq_many(sq)
+    scale = np.sqrt(checked)
     centered = (np.linalg.norm(_centroid(points, masses), axis=-1)
                <= CENTROID_TOL * np.maximum(scale, 1e-300))
     apart = np.sqrt(sq) > COINCIDENCE_TOL * scale[..., None]
@@ -349,14 +359,13 @@ def reconstruct_many(frames: np.ndarray, m: MassVector) -> np.ndarray:
 
 
 def unit_inertia_many(frames: np.ndarray, m: MassVector):
-    """(..., 5) frame rows dilated to moment of inertia one, and the mask of
-    rows whose reconstruction passes PlanarConfig's checks."""
+    """(..., 5) frame rows dilated to moment of inertia one, and their
+    reconstruction before the dilation."""
     pts = reconstruct_many(frames, m)
-    centered, apart, _ = _config_checks(pts, m)
     k = 1.0 / np.sqrt(_inertia(pts, m))
     out = np.array(frames, dtype=float)
     out[..., :4] *= k[..., None]
-    return out, centered & apart.all(axis=-1)
+    return out, pts
 
 
 def _libm(fn, *args: np.ndarray) -> np.ndarray:
@@ -395,8 +404,8 @@ def _frames_from_points(points: np.ndarray) -> np.ndarray:
                            aligned[..., 2, 0])], axis=-1)
 
 
-def _valid_frames(frames: np.ndarray) -> np.ndarray:
-    """CanonicalFrame's checks on (..., 5) rows, which must also be finite."""
+def valid_frames_many(frames: np.ndarray) -> np.ndarray:
+    """The mask of the (..., 5) rows that pass CanonicalFrame's checks."""
     theta = frames[..., 4]
     return (np.isfinite(frames).all(axis=-1)
             & (frames[..., :4] > 0).all(axis=-1)
@@ -409,9 +418,10 @@ def canonicalize_many(points: np.ndarray, m: MassVector):
     reconstruction passes PlanarConfig's checks."""
     with np.errstate(all="ignore"):
         raw = _frames_from_points(points)
-        frames, ok = unit_inertia_many(raw, m)
-    ok &= (_sub_triangles(points)[1] & _valid_frames(raw)
-           & _valid_frames(frames))
+        frames, pts = unit_inertia_many(raw, m)
+        centered, apart, _ = _config_checks(pts, m)
+    ok = (centered & apart.all(axis=-1) & _sub_triangles(points)[1]
+          & valid_frames_many(raw) & valid_frames_many(frames))
     return frames, ok
 
 

@@ -56,13 +56,7 @@ def _write(obj, out: list[str], level: int) -> None:
 def csv_text(columns: Sequence[str], rows: Iterable[dict]) -> str:
     """CSV with '.' decimals, ',' separators and LF endings."""
     lines = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for col in columns:
-            val = row[col]
-            if isinstance(val, float):
-                cells.append(format_float(val))
-            else:
-                cells.append(str(val))
-        lines.append(",".join(cells))
+    lines += [",".join(format_float(v) if isinstance(v, float) else str(v)
+                       for v in map(row.__getitem__, columns))
+              for row in rows]
     return "\n".join(lines) + "\n"

@@ -185,9 +185,9 @@ class Residuals:
         the boundary probe: x_j <= h_j, or |Delta_k| <= _AREA_ORDER[k] h_j
         |dDelta_k / dx_j| for an area k and a reduced unknown j that moves
         a squared distance (every unknown but nu and xi).  jac is the exact
-        (n - near.sum(), k, k) Jacobian at the other rows, in order,
-        assembled as (8, 8, n) rows and transposed once, C-ordered for the
-        batched solve.  Call under np.errstate."""
+        (n - near.sum(), k, k) Jacobian at the other rows, in order, a view
+        of their (k, k, n) assembly: the batched solve copies each matrix
+        into LAPACK's layout anyway.  Call under np.errstate."""
         xr = self._rows(x)
         areas = tri[5:]
         d_areas = trilaterated_area_derivative_rows(tri)
@@ -209,8 +209,7 @@ class Residuals:
         jac[6:, 6:] = 0.0
         if self.reduced is not None:
             jac = jac[self.reduced]
-        jac = _fold(jac, self.embed)
-        return np.ascontiguousarray(jac.transpose(2, 0, 1)), near
+        return _fold(jac, self.embed).transpose(2, 0, 1), near
 
 
 def _fold(a: np.ndarray, embed: np.ndarray | None) -> np.ndarray:

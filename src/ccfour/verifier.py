@@ -10,8 +10,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dziobek import (DziobekState, MassVector, balanced_residuals,
-                      chord_value, psi_prime, sign_det)
+from .dziobek import (PAIRS, DziobekState, MassVector,
+                      balanced_residuals, chord_value, psi_prime, sign_det)
 from .census import census
 from .geometry import newtonian_oracle
 from .solver import rhombus_ratio
@@ -58,23 +58,21 @@ def check_lemma2_albouy(
         areas = np.asarray(st.areas)
         masses = np.asarray(m.masses)
         scale_sq = st.sq.scale_sq
-        for i in range(4):
-            for j in range(i + 1, 4):
-                d_plain = areas[i] - areas[j]
-                d_scaled = areas[i] / masses[i] - areas[j] / masses[j]
-                prod = d_scaled * d_plain
-                worst = min(worst, prod)
-                if prod < -ALBOUY_TOL * scale_sq ** 2:
-                    witnesses.append({"pair": [i + 1, j + 1],
-                                      "product": prod,
-                                      "state": st.to_json_dict()})
-                # the equivalence: strict orderings must agree in sign
-                if (abs(d_plain) > ALBOUY_TOL * scale_sq
-                        and abs(d_scaled) > ALBOUY_TOL * scale_sq
-                        and d_plain * d_scaled < 0):
-                    witnesses.append({"pair": [i + 1, j + 1],
-                                      "sign_disagreement": True,
-                                      "state": st.to_json_dict()})
+        for i, j in PAIRS:
+            d_plain = areas[i] - areas[j]
+            d_scaled = areas[i] / masses[i] - areas[j] / masses[j]
+            prod = d_scaled * d_plain
+            worst = min(worst, prod)
+            if prod < -ALBOUY_TOL * scale_sq ** 2:
+                witnesses.append({"pair": [i + 1, j + 1], "product": prod,
+                                  "state": st.to_json_dict()})
+            # the equivalence: strict orderings must agree in sign
+            if (abs(d_plain) > ALBOUY_TOL * scale_sq
+                    and abs(d_scaled) > ALBOUY_TOL * scale_sq
+                    and d_plain * d_scaled < 0):
+                witnesses.append({"pair": [i + 1, j + 1],
+                                  "sign_disagreement": True,
+                                  "state": st.to_json_dict()})
     return CheckResult(name="lemma2_albouy", passed=not witnesses,
                        worst_violation=-worst, witnesses=witnesses)
 
@@ -205,10 +203,8 @@ def check_lemma4_orderings(trials: int = 1000,
                 total = -(d1n + d2n)
                 frac = float(rng.uniform(0.05, 0.45))
                 pattern = (d1n, d2n, frac * total, (1 - frac) * total)
-            perm = _CASE_PERMUTATION[case]
-            deltas = [0.0] * 4
-            for slot, p in enumerate(perm):
-                deltas[p] = pattern[slot]
+            # each permutation is its own inverse
+            deltas = [pattern[p] for p in _CASE_PERMUTATION[case]]
             v = lemma4_product_chain_violation(deltas, case)
             worst = max(worst, v)
             if v > 0:
@@ -311,8 +307,7 @@ def run_theorem2_suite(alpha_grid: Sequence[float],
         st = cls.state
         scale = math.sqrt(st.sq.scale_sq)
         r = np.sqrt(np.asarray(st.sq))
-        side_gap = (max(r[1], r[2], r[3], r[4])
-                    - min(r[1], r[2], r[3], r[4])) / scale
+        side_gap = (max(r[1:5]) - min(r[1:5])) / scale
         worst = max(worst, side_gap)
         if side_gap > 1e-9:
             witnesses.append({**point, "side_gap": side_gap})

@@ -1,22 +1,25 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from ccfour import (CCFourError, Degenerate, DziobekState, MassVector,
-                    NotConvex, NotPlanar, NotRealizable, OrientedAreas,
-                    PlanarConfig, SquaredDistances, canonicalize, census,
-                    classify_symmetry, oriented_areas, realize, seed_grid,
-                    solve_kite, squared_distances)
+from ccfour import (CanonicalFrame, CCFourError, Degenerate, DziobekState,
+                    MassVector, NotConvex, NotPlanar, NotRealizable,
+                    OrientedAreas, PlanarConfig, SquaredDistances,
+                    canonicalize, census, classify_symmetry, oriented_areas,
+                    realize, seed_grid, solve_kite, squared_distances)
 from ccfour.census import DEDUPE_TOL, MAX_RESOLUTION, _dedupe, _seed_vectors
 from ccfour.dziobek import cayley_many, planar_many, scale_sq_many
 from ccfour.geometry import (_sub_triangles, canonicalize_many,
                              reconstruct_many, squared_distances_many)
 from ccfour.solver import (_KITE_EMBED, CONVERGED, LEFT_CONVEX,
                            NEAR_BOUNDARY, NO_CONVERGENCE, REJECTED, Residuals,
-                           SolveOptions, solve_batch)
+                           SolveOptions, seed_vectors, solve_batch)
 from conftest import random_convex_config, realize_many, seed_record
 
+# the module, which the package's census function shadows
+CENSUS_MODULE = sys.modules["ccfour.census"]
 # smallest sub-triangle area over mean squared distance that a seed frame
 # must clear; the lattice clears it by a factor of 40
 AREA_MARGIN = 1e-3
@@ -74,7 +77,11 @@ def test_seed_grid_counts_and_margin():
 
 @pytest.mark.parametrize("resolution", [2, 3, 4, 5, 6])
 def test_seed_grid_has_every_lattice_point(resolution):
-    assert len(seed_grid(resolution)) == resolution ** 4
+    grid = seed_grid(resolution)
+    assert len(grid) == len(grid.rows) == resolution ** 4
+    # a sequence of frames, built from the rows as they are read
+    assert grid[-1] == CanonicalFrame(*grid.rows[-1].tolist())
+    assert grid[1:3] == [grid[1], grid[2]] == list(grid)[1:3]
 
 
 def test_seed_lattice_is_far_from_degenerate():
@@ -201,10 +208,68 @@ def reference_seed_sq(frame, m):
 def test_seed_lattice_matches_per_frame_recipe_bitwise(resolution, masses):
     m = MassVector(*masses)
     expected = reference_seed_grid(resolution, m)
-    frames = seed_grid(resolution, m)
-    assert [(f.u, f.v, f.t, f.s, f.theta) for f in frames] == expected
-    x0 = _seed_vectors(frames, m)[0]
+    grid = seed_grid(resolution, m)
+    assert list(map(tuple, grid.rows.tolist())) == expected
+    assert [(f.u, f.v, f.t, f.s, f.theta) for f in grid] == expected
+    x0 = _seed_vectors(grid.rows, m)[0]
     assert x0[:, :6].tolist() == [reference_seed_sq(f, m) for f in expected]
+
+
+@pytest.mark.parametrize("resolution", [2, 5, 8])
+@pytest.mark.parametrize("masses", [(1.0, 1.0), (0.5, 0.8), (0.1, 2.0)])
+def test_census_hands_newton_the_record_of_the_seed_grid_frames(
+        monkeypatch, resolution, masses):
+    """census goes from the lattice rows to the seed record without frame
+    objects; the record is bitwise that of seed_grid's frames, packed into
+    rows and reconstructed."""
+    m = MassVector(*masses)
+    handed = []
+
+    def recording(fun, seeds, m, opts):
+        handed.append(seeds)
+        return solve_batch(fun, seeds, m, opts)
+
+    monkeypatch.setattr(CENSUS_MODULE, "solve_batch", recording)
+    census(m, resolution)
+    rows = np.array([f.as_vector() for f in seed_grid(resolution, m)])
+    want = seed_vectors(squared_distances_many(reconstruct_many(rows, m)), m)
+    (got,) = handed
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_census_builds_one_canonical_frame_per_class(monkeypatch):
+    built = []
+    check = CanonicalFrame.__post_init__
+    monkeypatch.setattr(CanonicalFrame, "__post_init__",
+                        lambda self: built.append(check(self)))
+    report = census(MassVector(alpha=0.5, beta=0.8), resolution=5)
+    assert report.seeds_total == 625
+    assert len(built) == len(report.classes) == 1
+
+
+def test_seed_grid_raises_the_error_of_the_first_invalid_frame(monkeypatch):
+    """A lattice row that CanonicalFrame rejects fails seed_grid and census
+    with CanonicalFrame's own ValueError."""
+    m = MassVector(alpha=0.5, beta=0.8)
+    lattice = seed_grid(2, m).rows
+    for k, value, message in [(2, 0.0, "radii"), (1, math.inf, "radii"),
+                              (4, math.pi, "theta")]:
+        spoilt = lattice.copy()
+        spoilt[[5, 9], k] = value
+
+        def unit_inertia(frames, m):
+            return spoilt, None
+
+        monkeypatch.setattr(CENSUS_MODULE, "unit_inertia_many",
+                            unit_inertia)
+        with pytest.raises(ValueError) as want:
+            CanonicalFrame(*spoilt[5].tolist())
+        assert message in str(want.value)
+        for build in (lambda: seed_grid(2, m), lambda: census(m, 2)):
+            with pytest.raises(ValueError) as got:
+                build()
+            assert str(got.value) == str(want.value)
 
 
 def sq_row(points, m, nu=1.0, xi=-1.0):
@@ -328,7 +393,8 @@ def test_census_pinned_counts_at_kite_masses(monkeypatch):
     assert [(c.symmetry.label, c.basin) for c in report.classes] == \
         [("kite_axis_34", 2710)]
     batch = solve_batch(Residuals(m, "fix_inertia_one"),
-                        _seed_vectors(seed_grid(8, m), m), m, SolveOptions())
+                        _seed_vectors(seed_grid(8, m).rows, m), m,
+                        SolveOptions())
     codes, counts = np.unique(batch.status, return_counts=True)
     assert dict(zip(codes.tolist(), counts.tolist())) == {
         CONVERGED: 2710, NEAR_BOUNDARY: 1361, NO_CONVERGENCE: 25}
@@ -350,7 +416,7 @@ def test_census_acceptance_takes_every_cayley_determinant_from_newton(
 
     m = MassVector(alpha=0.5, beta=0.8)
     fun = Residuals(m, "fix_inertia_one")
-    batch = solve_batch(fun, _seed_vectors(seed_grid(8, m), m), m,
+    batch = solve_batch(fun, _seed_vectors(seed_grid(8, m).rows, m), m,
                         SolveOptions())
     x = batch.x[batch.status == CONVERGED]
     res = fun(x)[0]
@@ -390,7 +456,7 @@ def test_accepted_points_and_areas_are_realize_many_bitwise(tol):
     configuration."""
     m = MassVector(alpha=0.5, beta=0.8)
     batch = solve_batch(Residuals(m, "fix_inertia_one"),
-                        _seed_vectors(seed_grid(8, m), m), m,
+                        _seed_vectors(seed_grid(8, m).rows, m), m,
                         SolveOptions(residual_tol=tol))
     conv = np.flatnonzero(np.isin(batch.status, [CONVERGED, REJECTED]))
     points, areas, ok = realize_many(batch.x[conv, :6], m)

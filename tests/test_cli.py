@@ -661,7 +661,7 @@ def test_output_digest_families_run_through_the_cli():
         **{f"solve rhombus {n}": 30 for n in digest.NORMALIZATIONS},
         "sweep csv": 2, "sweep bench": 1,
         "census loose": len(digest.LOOSE_POINTS) * len(digest.LOOSE_TOLS),
-        "sweep loose": 1,
+        "sweep loose": 1, "census hi-res": len(digest.NORMALIZATIONS),
         # per normalization, census, kite and full at four points and the
         # rhombus at the two equal-mass ones; then the realize jobs
         "csv and realize": 2 * (3 * 4 + 2) + len(digest.REALIZE_SQ),

@@ -11,11 +11,10 @@ from ccfour import (CanonicalFrame, CollisionError, Degenerate, MassVector,
                     squared_distances)
 from ccfour.dziobek import PAIRS, scale_sq_many
 from ccfour.geometry import _sub_triangles as sub_triangles
-from ccfour.geometry import _valid_frames as valid_frames
 from ccfour.geometry import (canonicalize_many, newtonian_oracle_many,
                              oriented_areas_many, realize_convex_many,
                              reconstruct_many, squared_distances_many,
-                             trilaterated_area_rows)
+                             trilaterated_area_rows, valid_frames_many)
 from ccfour.solver import Residuals
 from conftest import (derandomized, random_convex_config, realize_many,
                       unit_square_config)
@@ -45,6 +44,23 @@ def test_planar_config_rejects_coincident_points():
     assert issubclass(CollisionError, ValueError)
 
 
+@pytest.mark.parametrize(
+    "scale", [1e300, 1e-300, 2.0 ** 1020, 5e153, 1e-320])
+def test_planar_config_checks_are_scale_free(scale):
+    """Squared distances that overflow, leave the normal range or add up
+    past the largest float (at 5e153) do not change the checks: the square
+    builds, a collision and an offset centroid are still found, at the
+    scale given."""
+    square = unit_square_config().points * scale
+    assert PlanarConfig.from_points(square, EQUAL).points.tolist() == \
+        square.tolist()
+    pts = np.array([[-1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
+    with pytest.raises(CollisionError, match="^points 1 and 4 coincide$"):
+        PlanarConfig.from_points(pts * scale, EQUAL)
+    with pytest.raises(ValueError, match="centroid"):
+        PlanarConfig(points=square + square[0], masses=EQUAL)
+
+
 @pytest.mark.parametrize("row", [
     (1.0, 1.0, 1.0, 1.0, 1.0), (math.nan, 1.0, 1.0, 1.0, 1.0),
     (math.inf, 1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, -math.inf, 1.0),
@@ -52,7 +68,7 @@ def test_planar_config_rejects_coincident_points():
     (1.0, 1.0, 1.0, 1.0, 0.0), (1.0, 1.0, 1.0, 1.0, math.pi),
     (1.0, 1.0, 1.0, 1.0, math.nan), (1.0, 1.0, 1.0, 1.0, math.inf)])
 def test_canonical_frame_accepts_the_rows_valid_frames_accepts(row):
-    if valid_frames(np.array(row)):
+    if valid_frames_many(np.array(row)):
         CanonicalFrame(*row)
     else:
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ UNCALLED_PUBLIC_FUNCTIONS = set()
 # they call run under it
 ERRSTATE_ENTRY_POINTS = [
     ("dziobek", "MassVector.__post_init__"), ("dziobek", "planar_many"),
+    ("geometry", "PlanarConfig.__post_init__"),
     ("geometry", "canonicalize_many"), ("geometry", "newtonian_oracle_many"),
     ("geometry", "realize"), ("solver", "seed_vectors"),
     ("solver", "solve_batch")]

@@ -444,7 +444,7 @@ def test_each_seed_of_a_sweep_cell_and_a_census_is_trilaterated_once(
     the kite embedding, from their fit's trilateration are bitwise those
     from a fresh one."""
     m = MassVector(alpha=0.5, beta=0.8)
-    seeds = _seed_vectors(seed_grid(2, m), m)[0][:, :6].T
+    seeds = _seed_vectors(seed_grid(2, m).rows, m)[0][:, :6].T
     seen = []
 
     def counted(sq):
@@ -474,7 +474,7 @@ def test_each_seed_of_a_sweep_cell_and_a_census_is_trilaterated_once(
         kite = Residuals(m, normalization, embed=_KITE_EMBED)
         for fun, (x0, *seed) in [
                 (Residuals(m, normalization),
-                 _seed_vectors(seed_grid(8, m), m)),
+                 _seed_vectors(seed_grid(8, m).rows, m)),
                 (kite, (x[:, kite.reduced], valid, tri))]:
             for got, want in zip(fun(x0, seed), fun(x0)):
                 assert got.tobytes() == want.tobytes()
@@ -615,7 +615,7 @@ def systems_and_trials(m, normalization):
     full = Residuals(m, normalization)
     kite = Residuals(m, normalization, embed=_KITE_EMBED)
     yield full, first_newton_trials(full,
-                                    _seed_vectors(seed_grid(6, m), m)[0])
+                                    _seed_vectors(seed_grid(6, m).rows, m)[0])
     yield kite, first_newton_trials(kite, kite_lattice(m))
 
 
@@ -793,7 +793,7 @@ def test_nan_multiplier_seed_never_converges():
     iteration 0; each ends SINGULAR, with residual NaN."""
     m = MassVector(alpha=0.5, beta=0.8)
     fun = Residuals(m, "fix_inertia_one")
-    x0, valid, tri = _seed_vectors(seed_grid(2, m), m)
+    x0, valid, tri = _seed_vectors(seed_grid(2, m).rows, m)
     res, valid, _ = fun(x0, (valid, tri))
     assert valid.all() and (np.abs(res[:, 6:]) < 1e-12).all()
     x0[:, 6] = math.nan
@@ -824,7 +824,7 @@ def test_solve_linear_is_each_row_solved_alone():
     without one are singular."""
     m = MassVector(alpha=0.5, beta=0.8)
     fun = Residuals(m, "fix_inertia_one")
-    x = _seed_vectors(seed_grid(4, m), m)[0]
+    x = _seed_vectors(seed_grid(4, m).rows, m)[0]
     res, valid, _ = fun(x)
     jac, near = linearized(fun, x[valid])
     rhs = -res[valid][~near]
@@ -844,6 +844,34 @@ def test_solve_linear_is_each_row_solved_alone():
         assert dx.tobytes() == want_dx.tobytes()
 
 
+def test_solve_linear_on_the_jacobian_view_is_that_of_a_c_ordered_copy():
+    """linearize returns the (n, k, k) transposed view of its (k, k, n)
+    assembly, and the batched solve copies each matrix into LAPACK's
+    layout, so dx is bitwise that of a C-ordered copy: on the first Newton
+    block of a resolution-8 census, and on the fallback paths of a block
+    with an exactly singular matrix, a NaN Jacobian and an inf
+    right-hand side."""
+    m = MassVector(alpha=0.5, beta=0.8)
+    fun = Residuals(m, "fix_inertia_one")
+    x = _seed_vectors(seed_grid(8, m).rows, m)[0][:_BLOCK]
+    res, valid, _ = fun(x)
+    jac, near = linearized(fun, x[valid])
+    rhs = -res[valid][~near]
+    assert not jac.flags.c_contiguous and jac.shape[0] > 500
+    mixed = jac.transpose(1, 2, 0).copy().transpose(2, 0, 1)
+    mixed[11, 4] = 0.0
+    mixed[3, 2, 5] = math.nan
+    mixed_rhs = rhs.copy()
+    mixed_rhs[7, 1] = math.inf
+    for view, b in [(jac, rhs), (mixed, mixed_rhs)]:
+        assert view.transpose(1, 2, 0).flags.c_contiguous
+        dx, singular = _solve_linear(view, b)
+        want_dx, want_singular = _solve_linear(np.ascontiguousarray(view), b)
+        assert dx.tobytes() == want_dx.tobytes()
+        assert singular.tolist() == want_singular.tolist()
+    assert np.flatnonzero(singular).tolist() == [3, 7, 11]
+
+
 def newton_rows(fun, x0, opts):
     """Final vector, status, iterations and residual of each row of
     _newton_batch from their seed_record, as bytes so that equality is
@@ -861,7 +889,7 @@ def test_each_row_of_newton_is_the_row_solved_alone(normalization):
     and inside its batch."""
     m = MassVector(alpha=0.5, beta=0.8)
     opts = SolveOptions(normalization=normalization)
-    census_seeds = _seed_vectors(seed_grid(8, m), m)[0]
+    census_seeds = _seed_vectors(seed_grid(8, m).rows, m)[0]
     kite_fun = Residuals(m, normalization, embed=_KITE_EMBED)
     for fun, x0, sample in [
             (Residuals(m, normalization), census_seeds, range(0, 4096, 64)),
@@ -893,7 +921,7 @@ def test_rows_of_whole_and_backtracking_batches_are_the_rows_alone():
     rng = np.random.default_rng(3)
     moved = seed_vectors(kite[:6] * (1 + 1e-2 * rng.uniform(-1, 1, (4, 6))),
                          m)[0]
-    seeds = _seed_vectors(seed_grid(8, m), m)[0][[485, 194]]
+    seeds = _seed_vectors(seed_grid(8, m).rows, m)[0][[485, 194]]
     whole = CountedCalls(m, "fix_inertia_one")
     rows = newton_rows(whole, moved, opts)
     assert [(status, iters) for _, status, iters, _ in rows] == \
@@ -922,7 +950,7 @@ def test_newton_linearizes_at_most_a_block_of_rows(monkeypatch):
 
     m = MassVector(alpha=0.5, beta=0.8)
     fun = Residuals(m, "fix_inertia_one")
-    x0 = _seed_vectors(seed_grid(8, m), m)[0]
+    x0 = _seed_vectors(seed_grid(8, m).rows, m)[0]
     monkeypatch.setattr(Residuals, "linearize", counted)
     blocked = newton_rows(fun, x0, SolveOptions())
     assert max(rows) == _BLOCK
@@ -938,7 +966,7 @@ def test_newton_rows_of_two_blocks_are_the_rows_solved_alone():
     m = MassVector(alpha=0.5, beta=0.8)
     fun = Residuals(m, "fix_inertia_one")
     opts = SolveOptions()
-    x0 = _seed_vectors(seed_grid(8, m), m)[0]
+    x0 = _seed_vectors(seed_grid(8, m).rows, m)[0]
     x0 = x0[np.linspace(0, x0.shape[0] - 1, _BLOCK + 1).round().astype(int)]
     batched = newton_rows(fun, x0, opts)
     for i in [0, _BLOCK - 1, _BLOCK, *range(1, _BLOCK, 8)]:
@@ -950,7 +978,7 @@ def test_newton_peak_memory_is_bounded_by_the_block():
     census: 5.3 MB in blocks of 1,024 rows, 10.3 MB in one block."""
     m = MassVector(alpha=0.5, beta=0.8)
     fun = Residuals(m, "fix_inertia_one")
-    seeds = _seed_vectors(seed_grid(8, m), m)
+    seeds = _seed_vectors(seed_grid(8, m).rows, m)
     tracemalloc.start()
     try:
         _newton_batch(fun, seeds, SolveOptions())
@@ -1091,7 +1119,7 @@ class ProbeChecked(Residuals):
 def test_boundary_test_matches_the_probe_on_every_census_iterate():
     m = MassVector(alpha=0.5, beta=0.8)
     fun = ProbeChecked(m, "fix_inertia_one")
-    seeds = _seed_vectors(seed_grid(6, m), m)
+    seeds = _seed_vectors(seed_grid(6, m).rows, m)
     _, status, *_ = _newton_batch(fun, seeds, SolveOptions())
     assert fun.marked == (status == NEAR_BOUNDARY).sum() > 0
     assert fun.rows > seeds[0].shape[0]
@@ -1253,7 +1281,8 @@ def assert_bitwise(got, want):
 class ReferenceChecked(Residuals):
     """Residuals that check every call against the dense reference,
     bitwise: the residuals, C-ordered, with their 8-wide norms as Newton
-    sums them, and linearize's C-ordered Jacobians and boundary mask."""
+    sums them, and linearize's Jacobians, views of C-ordered (k, k, n)
+    arrays, and boundary mask."""
 
     calls = rows = 0
 
@@ -1272,7 +1301,8 @@ class ReferenceChecked(Residuals):
         jac, near = super().linearize(x, tri)
         want, want_near = dense_linearize(self, x)
         assert near.tolist() == want_near.tolist()
-        assert jac.flags.c_contiguous
+        # the (n, k, k) view of a C-ordered (k, k, n) assembly
+        assert jac.transpose(1, 2, 0).flags.c_contiguous
         assert_bitwise(jac, want)
         self.calls += 1
         self.rows += x.shape[0]
@@ -1358,7 +1388,7 @@ def test_linearize_is_the_dense_reference_on_every_census_call(
     m = MassVector(alpha=0.5, beta=0.8)
     opts = SolveOptions(normalization=normalization)
     kite = dict(embed=_KITE_EMBED)
-    for kw, x0 in [({}, _seed_vectors(seed_grid(8, m), m)[0]),
+    for kw, x0 in [({}, _seed_vectors(seed_grid(8, m).rows, m)[0]),
                    (kite, to_kite(_kite_seed_vectors(m)[0]))]:
         fun = ReferenceChecked(m, normalization, **kw)
         checked = newton_rows(fun, x0, opts)
@@ -1420,7 +1450,7 @@ def test_linearize_of_the_carried_trilateration_is_from_scratch(
     m = MassVector(alpha=0.5, beta=0.8)
     opts = SolveOptions(normalization=normalization)
     kite = dict(embed=_KITE_EMBED)
-    for kw, x0 in [({}, _seed_vectors(seed_grid(8, m), m)[0]),
+    for kw, x0 in [({}, _seed_vectors(seed_grid(8, m).rows, m)[0]),
                    (kite, to_kite(_kite_seed_vectors(m)[0])),
                    (kite, kite_lattice(m))]:
         fun = CarriedChecked(m, normalization, **kw)
@@ -1499,7 +1529,7 @@ def test_every_residual_call_counts_its_rows_in_cayley_many(monkeypatch):
         monkeypatch.undo()
         assert shapes == [(np.count_nonzero(valid), 6)]
     monkeypatch.setattr("ccfour.solver.cayley_many", recorded)
-    for kw, x0 in [({}, _seed_vectors(seed_grid(4, m), m)[0]),
+    for kw, x0 in [({}, _seed_vectors(seed_grid(4, m).rows, m)[0]),
                    (dict(embed=_KITE_EMBED),
                     kite_lattice(m))]:
         shapes.clear()

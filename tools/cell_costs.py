@@ -1,4 +1,5 @@
-"""Print what one warm-started sweep cell costs, call by call.
+"""Print what one warm-started sweep cell costs, call by call, and what a
+census's seeds and its first Newton block cost.
 
     python tools/cell_costs.py [CHECKOUT ...]
 
@@ -12,7 +13,10 @@ this times checkouts whose `seed_vectors` returns that record; earlier
 ones returned the vectors alone.  In checkouts where the acceptance pass,
 not Newton, tests planarity, `realize_convex_many` includes that test, and
 the planarity row times it alone: `dziobek.planar_many` on Newton's Cayley
-determinant.
+determinant.  The census rows take the same masses: the seed record of a
+resolution-8 lattice as `census` builds it (from the rows of `seed_grid`,
+or from its frames in checkouts where it returns a list of them), and the
+linearization and linear solve of the record's first `_BLOCK` rows.
 
 Each checkout runs in a child process pinned to one core (the same core
 for all), and the children take turns call by call, so that the drift of
@@ -34,6 +38,7 @@ REPEATS = 5
 ROUNDS = 3
 ALPHA, BETA_PREV, BETA = 0.5, 0.8, 0.9
 SWEEP_BETA_GRID = [round(0.1 * k, 1) for k in range(1, 21)]
+CENSUS_RESOLUTION = 8
 
 
 def calls() -> dict:
@@ -44,6 +49,8 @@ def calls() -> dict:
     from ccfour import solver
     from ccfour.dziobek import MassVector, planar_many
     from ccfour.geometry import realize_convex_many
+
+    census_mod = sys.modules["ccfour.census"]  # ccfour.census is a function
 
     opts = solver.SolveOptions()
     prev = solver.solve_kite(MassVector(alpha=ALPHA, beta=BETA_PREV)).state
@@ -65,7 +72,22 @@ def calls() -> dict:
         planar = lambda: planar_many(x[:, :6], 32.0 * res_end[:, 6])
         realize = lambda: realize_convex_many(x[:, :6], m, tri_end[:5],
                                               32.0 * res_end[:, 6])
+    if hasattr(census_mod.seed_grid(2, m), "rows"):
+        census_seeds = lambda: census_mod._seed_vectors(
+            census_mod.seed_grid(CENSUS_RESOLUTION, m).rows, m)
+    else:  # the census packs seed_grid's frames into rows
+        census_seeds = lambda: census_mod._seed_vectors(
+            census_mod.seed_grid(CENSUS_RESOLUTION, m), m)
+    block = census_seeds()[0][:solver._BLOCK]
+    with np.errstate(all="ignore"):
+        block_res, _, block_tri = fun(block)
+        block_jac, _ = fun.linearize(block, block_tri)
     return {
+        f"census seeds (resolution {CENSUS_RESOLUTION})": census_seeds,
+        f"census linearize ({len(block)} rows)":
+            lambda: fun.linearize(block, block_tri),
+        f"census _solve_linear ({len(block)} rows)":
+            lambda: solver._solve_linear(block_jac, -block_res),
         "seed_vectors, one row": lambda: solver.seed_vectors(sq, m),
         "Residuals()": lambda: solver.Residuals(m, opts.normalization),
         "residual call": lambda: fun(x0),

@@ -32,8 +32,9 @@ kite-reduced system at the 80 points, in one batch from their record, as
 `solve_kite` takes it.  Two families run at loose tolerances, where
 Newton's convergence test decides planarity: `census loose`, the census
 JSON at three points with `--tol` 1e-5 and 1e-8, and `sweep loose`, the
-sweep CSV on README's grid with `--tol` 1e-8.  A run takes about 2 min on
-a 2-vCPU machine.
+sweep CSV on README's grid with `--tol` 1e-8.  `census hi-res` is the
+census JSON at (0.5, 0.8) at resolution 16 under both normalizations.  A
+run takes about 2 min on a 2-vCPU machine.
 """
 
 import contextlib
@@ -61,6 +62,8 @@ SWEEP_GRID = ["--alpha-grid", "0.2:1.0:0.2", "--beta-grid", "0.2:2.0:0.2"]
 # the census points and tolerances of the loose-tolerance family
 LOOSE_POINTS = [(0.5, 0.8), (0.1, 0.3), (1.0, 1.4)]
 LOOSE_TOLS = ["1e-5", "1e-8"]
+# the census point and resolution of the hi-res family
+HI_RES_POINT, HI_RES = (0.5, 0.8), 16
 # planar squared distances: the unit square, a rhombus and the
 # quadrilateral (0, 0), (3, 0), (1, 2), (2, -1)
 REALIZE_SQ = [("2,1,1,1,1,2", "1,1"), ("4,1.25,1.25,1.25,1.25,1", "0.7,0.7"),
@@ -126,6 +129,9 @@ def families():
                                 for ab in masses(LOOSE_POINTS)]
     yield "sweep loose", run, [["sweep", *SWEEP_GRID, "--tol", "1e-8",
                                 "--format", "csv"]]
+    yield "census hi-res", run, [
+        ["census", *masses([HI_RES_POINT])[0], "--resolution",
+         str(HI_RES), "--normalization", norm] for norm in NORMALIZATIONS]
     yield "newton", newton, [(a, b, norm) for norm in NORMALIZATIONS
                              for a, b in POINTS]
     yield "newton kite", newton_kite, [(a, b, norm) for norm in NORMALIZATIONS
@@ -159,8 +165,8 @@ def newton(job):
     beta) under one normalization, as census takes it."""
     alpha, beta, norm = job
     m = MassVector(alpha=alpha, beta=beta)
-    return batch_bytes(Residuals(m, norm), _seed_vectors(seed_grid(8, m), m),
-                       m, norm)
+    return batch_bytes(Residuals(m, norm),
+                       _seed_vectors(seed_grid(8, m).rows, m), m, norm)
 
 
 def newton_kite(job):
