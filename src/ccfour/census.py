@@ -98,7 +98,8 @@ class CensusReport:
 
     @property
     def outside_theorem_hypothesis(self) -> bool:
-        return min(self.masses.alpha, self.masses.beta) > self.masses.delta
+        m = self.masses  # Theorem 2 covers every alpha = beta
+        return m.alpha != m.beta and min(m.alpha, m.beta) > m.delta
 
     def to_json_dict(self) -> dict:
         return {
@@ -143,11 +144,10 @@ def census(m: MassVector, resolution: int = 8,
         first = keep[members[0]]
         report = batch.report(first)
         frame = CanonicalFrame(*frames[first].tolist())
-        # the class's own points: a view would keep the batch's alive
-        config = PlanarConfig.trusted(report.config.points.copy(), m)
         classes.append(CensusClass(frame=frame, state=report.state,
                                    symmetry=SymmetryLabel(report.symmetry),
-                                   basin=int(members.size), config=config))
+                                   basin=int(members.size),
+                                   config=report.config))
     classes.sort(key=lambda c: -c.basin)
     return CensusReport(masses=m, classes=classes,
                         seeds_total=batch.x.shape[0],

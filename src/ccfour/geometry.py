@@ -100,9 +100,8 @@ def _config_checks(points: np.ndarray, masses: MassVector):
     sq = squared_distances_many(points)
     scale_sq = checked = scale_sq_many(sq)
     if not _TINY <= sq.min(initial=1.0) <= sq.max(initial=1.0) <= _HUGE:
-        far = ~((sq >= _TINY) & (sq <= _HUGE)).all(axis=-1)
-        e = np.where(far, -np.frexp(np.abs(points).max(axis=(-2, -1)))[1], 0)
-        points = np.ldexp(points, e[..., None, None])
+        points = _unit_scaled(
+            points, ~((sq >= _TINY) & (sq <= _HUGE)).all(axis=-1))[0]
         sq = squared_distances_many(points)
         checked = scale_sq_many(sq)
     scale = np.sqrt(checked)
@@ -110,6 +109,12 @@ def _config_checks(points: np.ndarray, masses: MassVector):
                <= CENTROID_TOL * np.maximum(scale, 1e-300))
     apart = np.sqrt(sq) > COINCIDENCE_TOL * scale[..., None]
     return centered, apart, scale_sq
+
+
+def _unit_scaled(points: np.ndarray, far: np.ndarray):
+    """Points with each far row times 2^e, in the unit square, and e."""
+    e = np.where(far, -np.frexp(np.abs(points).max(axis=(-2, -1)))[1], 0)
+    return np.ldexp(points, e[..., None, None]), e
 
 
 def _signed_area(p, q, r):
@@ -327,11 +332,9 @@ class CanonicalFrame:
     theta: float
 
     def __post_init__(self):
-        if not all(0.0 < r < math.inf
-                   for r in (self.u, self.v, self.t, self.s)):
-            raise ValueError("frame radii must be positive and finite")
-        if not 0.0 < self.theta < math.pi:
-            raise ValueError("theta must lie in (0, pi)")
+        if not valid_frames_many(self.as_vector()):
+            raise ValueError("frame radii must be positive and finite and "
+                             "theta must lie in (0, pi)")
 
     def as_vector(self) -> np.ndarray:
         return np.array([self.u, self.v, self.t, self.s, self.theta])
@@ -413,23 +416,23 @@ def valid_frames_many(frames: np.ndarray) -> np.ndarray:
 
 
 def canonicalize_many(points: np.ndarray, m: MassVector):
-    """Unit-inertia canonical frames of (n, 4, 2) centered points, and the
-    mask of rows that canonicalize accepts: convex, with a valid frame whose
-    reconstruction passes PlanarConfig's checks."""
+    """Unit-inertia canonical frames of (n, 4, 2) centered convex points,
+    and the mask of rows with a valid frame whose reconstruction passes
+    PlanarConfig's checks."""
     with np.errstate(all="ignore"):
         raw = _frames_from_points(points)
         frames, pts = unit_inertia_many(raw, m)
         centered, apart, _ = _config_checks(pts, m)
-    ok = (centered & apart.all(axis=-1) & _sub_triangles(points)[1]
+    ok = (centered & apart.all(axis=-1)
           & valid_frames_many(raw) & valid_frames_many(frames))
     return frames, ok
 
 
 def canonicalize(p: PlanarConfig) -> CanonicalFrame:
     """Map a convex configuration (1, 2 opposite) to its canonical frame."""
+    _check_convex(_sub_triangles(p.points)[1])
     frames, ok = canonicalize_many(p.points[None], p.masses)
     if not ok[0]:
-        _check_convex(_sub_triangles(p.points)[1])
         raise ValueError("the configuration has no valid canonical frame")
     return CanonicalFrame(*frames[0].tolist())
 
@@ -462,8 +465,7 @@ def newtonian_oracle_many(points: np.ndarray, m: MassVector):
         r = np.sqrt(np.vecdot(dq, dq))
         far = ((r < 2.0 ** -340) | (r >= 2.0 ** 341)).any(axis=1)
         if far.any():
-            e = np.where(far, -np.frexp(np.abs(points).max(axis=(1, 2)))[1], 0)
-            points = np.ldexp(points, e[:, None, None])
+            points, e = _unit_scaled(points, far)
             dq = points[:, _ORACLE_J] - points[:, _ORACLE_I]
             r = np.sqrt(np.vecdot(dq, dq))
         scale = np.sqrt(scale_sq_many(squared_distances_many(points)))

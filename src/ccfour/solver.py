@@ -494,15 +494,16 @@ class BatchResult:
     masses: MassVector
 
     def report(self, k: int) -> SolveReport:
-        """The SolveReport of the k-th accepted seed."""
+        """The SolveReport of the k-th accepted seed; its config owns its
+        points, since a view would keep the batch's alive."""
         seed = self.accepted[k]
         state = _state(self.x[seed], self.areas[k])
         return SolveReport(state=state, iterations=int(self.iterations[seed]),
                            final_residual=float(self.residual[seed]),
                            converged=True,
                            symmetry=classify_symmetry(state).label,
-                           config=PlanarConfig.trusted(self.points[k],
-                                                       self.masses))
+                           config=PlanarConfig.trusted(
+                               self.points[k].copy(), self.masses))
 
 
 def solve_batch(fun: Residuals, seeds: tuple, m: MassVector,

@@ -255,70 +255,66 @@ def check_theorem_identities(st: DziobekState, m: MassVector) -> CheckResult:
                        worst_violation=worst, witnesses=witnesses)
 
 
-def run_theorem1_suite(mass_grid: Sequence[tuple[float, float]],
-                       resolution: int = 8) -> CheckResult:
-    """Census at every grid point: exactly one class, kite-symmetric about
-    the 3-4 axis, Delta_1 = Delta_2, and the Newtonian oracle agrees."""
+def _census_suite(name: str, grid: list, resolution: int, labels: set,
+                  checks) -> CheckResult:
+    """Census at every (point, masses) of the grid: exactly one class,
+    labeled in labels, that passes checks(cls, m), which yields a
+    (violation, failed, witness) triple for each of its tests."""
     witnesses = []
     worst = 0.0
-    kite_labels = {"kite_axis_34", "rhombus", "square"}
-    for alpha, beta in mass_grid:
-        m = MassVector(alpha=float(alpha), beta=float(beta))
+    for point, m in grid:
         report = census(m, resolution)
-        point = {"alpha": alpha, "beta": beta}
         if len(report.classes) != 1:
             witnesses.append({**point, "classes": len(report.classes)})
             continue
         cls = report.classes[0]
-        if cls.symmetry.label not in kite_labels:
+        if cls.symmetry.label not in labels:
             witnesses.append({**point, "label": cls.symmetry.label})
-        st = cls.state
-        delta_gap = abs(st.areas[0] - st.areas[1]) / st.sq.scale_sq
-        worst = max(worst, delta_gap)
-        if delta_gap > 1e-8:
-            witnesses.append({**point, "delta1_minus_delta2": delta_gap})
-        lam, resid = newtonian_oracle(cls.config, m)
-        worst = max(worst, resid)
-        if resid > ORACLE_TOL or lam >= 0:
-            witnesses.append({**point, "oracle_residual": resid,
-                              "lambda_cc": lam})
-    return CheckResult(name="theorem1_unique_kite", passed=not witnesses,
+        for violation, failed, witness in checks(cls, m):
+            worst = max(worst, violation)
+            if failed:
+                witnesses.append({**point, **witness})
+    return CheckResult(name=name, passed=not witnesses,
                        worst_violation=worst, witnesses=witnesses,
-                       details={"points": len(mass_grid),
+                       details={"points": len(grid),
                                 "resolution": resolution})
+
+
+def _kite_checks(cls, m: MassVector):
+    """Theorem 1's tests: Delta_1 = Delta_2, and the Newtonian oracle."""
+    st = cls.state
+    delta_gap = abs(st.areas[0] - st.areas[1]) / st.sq.scale_sq
+    yield delta_gap, delta_gap > 1e-8, {"delta1_minus_delta2": delta_gap}
+    lam, resid = newtonian_oracle(cls.config, m)
+    yield resid, resid > ORACLE_TOL or lam >= 0, {"oracle_residual": resid,
+                                                  "lambda_cc": lam}
+
+
+def _rhombus_checks(cls, m: MassVector):
+    """Theorem 2's tests: four equal sides, and the 1-D rhombus root."""
+    r = np.sqrt(np.asarray(cls.state.sq))
+    side_gap = (max(r[1:5]) - min(r[1:5])) / math.sqrt(cls.state.sq.scale_sq)
+    yield side_gap, side_gap > 1e-9, {"side_gap": side_gap}
+    ratio = cls.frame.t / cls.frame.u
+    ratio_oracle = rhombus_ratio(m.alpha)
+    gap = abs(ratio - ratio_oracle)
+    yield gap, gap > 1e-9, {"ratio": ratio, "ratio_oracle": ratio_oracle}
+
+
+def run_theorem1_suite(mass_grid: Sequence[tuple[float, float]],
+                       resolution: int = 8) -> CheckResult:
+    """Census at every grid point: exactly one class, kite-symmetric about
+    the 3-4 axis, Delta_1 = Delta_2, and the Newtonian oracle agrees."""
+    grid = [({"alpha": a, "beta": b}, MassVector(float(a), float(b)))
+            for a, b in mass_grid]
+    return _census_suite("theorem1_unique_kite", grid, resolution,
+                         {"kite_axis_34", "rhombus", "square"}, _kite_checks)
 
 
 def run_theorem2_suite(alpha_grid: Sequence[float],
                        resolution: int = 8) -> CheckResult:
     """Census with both off-axis masses equal: one rhombus class whose
     diagonal ratio matches the independent 1-D root-find."""
-    witnesses = []
-    worst = 0.0
-    for alpha in alpha_grid:
-        m = MassVector(alpha=float(alpha), beta=float(alpha))
-        report = census(m, resolution)
-        point = {"alpha": alpha}
-        if len(report.classes) != 1:
-            witnesses.append({**point, "classes": len(report.classes)})
-            continue
-        cls = report.classes[0]
-        if cls.symmetry.label not in ("rhombus", "square"):
-            witnesses.append({**point, "label": cls.symmetry.label})
-        st = cls.state
-        scale = math.sqrt(st.sq.scale_sq)
-        r = np.sqrt(np.asarray(st.sq))
-        side_gap = (max(r[1:5]) - min(r[1:5])) / scale
-        worst = max(worst, side_gap)
-        if side_gap > 1e-9:
-            witnesses.append({**point, "side_gap": side_gap})
-        ratio = cls.frame.t / cls.frame.u
-        ratio_oracle = rhombus_ratio(float(alpha))
-        gap = abs(ratio - ratio_oracle)
-        worst = max(worst, gap)
-        if gap > 1e-9:
-            witnesses.append({**point, "ratio": ratio,
-                              "ratio_oracle": ratio_oracle})
-    return CheckResult(name="theorem2_unique_rhombus", passed=not witnesses,
-                       worst_violation=worst, witnesses=witnesses,
-                       details={"points": len(alpha_grid),
-                                "resolution": resolution})
+    grid = [({"alpha": a}, MassVector(float(a), float(a))) for a in alpha_grid]
+    return _census_suite("theorem2_unique_rhombus", grid, resolution,
+                         {"rhombus", "square"}, _rhombus_checks)

@@ -144,6 +144,13 @@ def test_census_outside_hypothesis_flag():
     assert report.outside_theorem_hypothesis
 
 
+def test_census_at_equal_masses_above_delta_is_inside_the_hypothesis():
+    """Theorem 2 covers every alpha = beta, above delta too."""
+    report = census(MassVector(alpha=1.5, beta=1.5), resolution=3)
+    assert [c.symmetry.label for c in report.classes] == ["rhombus"]
+    assert not report.outside_theorem_hypothesis
+
+
 def test_census_deterministic_json():
     from ccfour.jsonio import dumps
 
@@ -151,6 +158,14 @@ def test_census_deterministic_json():
     r1 = dumps(census(m, resolution=4).to_json_dict())
     r2 = dumps(census(m, resolution=4).to_json_dict())
     assert r1 == r2
+
+
+def test_json_writes_infinities_and_float_likes():
+    from ccfour.jsonio import dumps, format_float
+
+    assert format_float(-math.inf) == "-Infinity"
+    assert dumps([np.float32(0.5), math.inf, math.nan]) == (
+        "[\n  0.5,\n  Infinity,\n  NaN\n]\n")
 
 
 def test_census_report_json_shape():
@@ -453,7 +468,7 @@ def test_accepted_points_and_areas_are_realize_many_bitwise(tol):
     and areas are bitwise those of the reference realize_many on the final
     vectors, which accepts every converged row, planarity included, at
     both tolerances, and the checking constructor accepts each reported
-    configuration."""
+    configuration, which holds its own copy of the points."""
     m = MassVector(alpha=0.5, beta=0.8)
     batch = solve_batch(Residuals(m, "fix_inertia_one"),
                         _seed_vectors(seed_grid(8, m).rows, m), m,
@@ -466,5 +481,7 @@ def test_accepted_points_and_areas_are_realize_many_bitwise(tol):
     assert points[ok].tobytes() == batch.points.tobytes()
     assert areas[ok].tobytes() == batch.areas.tobytes()
     for k, pts in enumerate(batch.points):
-        assert np.shares_memory(batch.report(k).config.points, pts)
+        config = batch.report(k).config
+        assert config.points.tobytes() == pts.tobytes()
+        assert not np.shares_memory(config.points, batch.points)
         PlanarConfig(pts, m)

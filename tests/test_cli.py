@@ -665,7 +665,7 @@ def test_output_digest_families_run_through_the_cli():
         # per normalization, census, kite and full at four points and the
         # rhombus at the two equal-mass ones; then the realize jobs
         "csv and realize": 2 * (3 * 4 + 2) + len(digest.REALIZE_SQ),
-        "verify": 1 + len(digest.THEOREM1_VERIFY),
+        "verify": 2 + len(digest.THEOREM1_VERIFY),
         "plot data": 80 + 1 + 4 + 1 + len(digest.REALIZE_SQ), "newton": 160,
         "newton kite": 160}
     assert {name for name, runner in runners.items()
@@ -708,3 +708,10 @@ def test_output_digest_families_run_through_the_cli():
     _, residual = ccfour.newtonian_oracle(ccfour.realize(state.sq, m), m)
     assert (status, check["name"]) == (0, "theorem1_unique_kite")
     assert check["worst_violation"] == residual
+    # the failing verify job hashes each suite's witness of no class
+    status, out, err = digest.run(digest.VERIFY_FAILING)
+    checks = json.loads(out)["checks"][-2:]
+    assert status == 1
+    assert [c["witnesses"] for c in checks] == [
+        [{"alpha": 1e9, "beta": 1e9, "classes": 0}],
+        [{"alpha": 1e9, "classes": 0}]]

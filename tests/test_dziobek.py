@@ -396,6 +396,12 @@ def test_dilate_state_rejects_a_state_out_of_float_range(k):
         dilate_state(square_state(), k)
 
 
+@pytest.mark.parametrize("k", [0.0, -2.5])
+def test_dilate_state_rejects_a_factor_that_is_not_positive(k):
+    with pytest.raises(DomainError, match="must be positive"):
+        dilate_state(square_state(), k)
+
+
 def test_state_derived_quantities():
     st = square_state()
     assert st.lambda_dz == st.nu / 32.0

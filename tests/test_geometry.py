@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ccfour import (CanonicalFrame, CollisionError, Degenerate, MassVector,
-                    NotConvex, NotPlanar, PlanarConfig, canonicalize,
-                    congruent, newtonian_oracle, oriented_areas, realize,
-                    squared_distances)
+                    NotConvex, NotPlanar, NotRealizable, PlanarConfig,
+                    canonicalize, congruent, newtonian_oracle,
+                    oriented_areas, realize, squared_distances)
 from ccfour.dziobek import PAIRS, scale_sq_many
 from ccfour.geometry import _sub_triangles as sub_triangles
 from ccfour.geometry import (canonicalize_many, newtonian_oracle_many,
@@ -42,6 +42,11 @@ def test_planar_config_rejects_coincident_points():
     with pytest.raises(CollisionError, match="^points 1 and 4 coincide$"):
         PlanarConfig.from_points(pts, EQUAL)
     assert issubclass(CollisionError, ValueError)
+
+
+def test_planar_config_rejects_points_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=r"shape \(4, 2\), got \(3, 2\)"):
+        PlanarConfig(points=np.zeros((3, 2)), masses=EQUAL)
 
 
 @pytest.mark.parametrize(
@@ -213,6 +218,12 @@ def test_realize_square():
 def test_realize_tetrahedron_not_planar():
     with pytest.raises(NotPlanar):
         realize((1, 1, 1, 1, 1, 1), EQUAL)
+
+
+def test_realize_rejects_a_zero_distance():
+    """Planar squared distances with r13 = 0: q3 on q1."""
+    with pytest.raises(NotRealizable, match="must be positive"):
+        realize((1, 0, 1, 1, 2, 1), EQUAL)
 
 
 def test_realize_planarity_is_scale_invariant(rng):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from ccfour import (CollisionError, DomainError, DziobekState,
-                    LeftConvexRegion, MassVector, OrientedAreas, PlanarConfig,
-                    SingularJacobian, SquaredDistances, SymmetryLabel,
+                    LeftConvexRegion, MassVector, NoConvergence,
+                    OrientedAreas, PlanarConfig, SingularJacobian,
+                    SolveOptions, SquaredDistances, SymmetryLabel,
                     balanced_residuals, census, check_lemma1_nu_positive,
                     check_lemma2_albouy, check_lemma3_sign,
                     check_lemma4_orderings, check_theorem_identities,
@@ -15,6 +16,8 @@ from ccfour import (CollisionError, DomainError, DziobekState,
                     run_theorem1_suite, run_theorem2_suite, solve_kite,
                     solve_rhombus)
 from ccfour import cli, verifier
+from ccfour.census import _seed_vectors, seed_grid
+from ccfour.solver import REJECTED, Residuals, solve_batch
 from ccfour.verifier import (_CASE_PERMUTATION,
                              lemma4_product_chain_violation)
 from conftest import potential, unit_square_config
@@ -111,6 +114,25 @@ def test_lemma3_deterministic_given_seed():
     r1 = check_lemma3_sign(trials=200, rng_seed=11)
     r2 = check_lemma3_sign(trials=200, rng_seed=11)
     assert r1.worst_violation == r2.worst_violation
+
+
+def test_lemma3_records_a_witness_for_each_failing_clause(monkeypatch):
+    """With the sign of every determinant flipped, each trial fails the
+    chord identity, the two chord sides and the concavity of psi'."""
+    sign_det = verifier.sign_det
+    monkeypatch.setattr(verifier, "sign_det", lambda *a: -sign_det(*a))
+    result = check_lemma3_sign(trials=5, rng_seed=7)
+    assert not result.passed and result.worst_violation > 0
+    assert [w["clause"] for w in result.witnesses] == [1, "2/3", 4] * 5
+
+
+def test_lemma4_records_a_witness_for_each_failing_chain(monkeypatch):
+    monkeypatch.setattr(verifier, "lemma4_product_chain_violation",
+                        lambda deltas, case: 0.5)
+    result = check_lemma4_orderings(trials=3, rng_seed=7)
+    assert not result.passed and result.worst_violation == 0.5
+    assert [w["case"] for w in result.witnesses] == [*"aaabbbcccddd"]
+    assert all(w["violation"] == 0.5 for w in result.witnesses)
 
 
 def test_lemma4_product_chain_case_a():
@@ -283,6 +305,22 @@ def test_newton_solve_raises_on_a_singular_jacobian(monkeypatch):
         np.full_like(rhs, np.nan), np.ones(rhs.shape[0], dtype=bool)))
     with pytest.raises(SingularJacobian):
         newton_solve(seed, m)
+
+
+def test_newton_solve_raises_where_newton_converges_to_negative_nu():
+    """The census seed at (0.4, 0.8) under fix_a_one whose Newton converges
+    with nu = -0.152 ends REJECTED, and newton_solve from it raises."""
+    m = MassVector(alpha=0.4, beta=0.8)
+    opts = SolveOptions(normalization="fix_a_one")
+    x, valid, tri = _seed_vectors(seed_grid(8, m).rows, m)
+    batch = solve_batch(Residuals(m, "fix_a_one"), (x, valid, tri), m, opts)
+    (k,) = np.flatnonzero(batch.status == REJECTED)
+    assert batch.x[k, 6] == pytest.approx(-0.152, abs=5e-4)
+    seed = DziobekState(SquaredDistances(*x[k, :6]),
+                        OrientedAreas(*tri[5:, k]), *x[k, 6:])
+    with pytest.raises(NoConvergence,
+                       match="not a convex central configuration"):
+        newton_solve(seed, m, opts)
 
 
 @pytest.fixture(scope="module")

@@ -18,8 +18,10 @@ rhombus on the 30 equal-mass ones), the sweep CSV on README's grid under
 both normalizations, `csv and realize`:
 the census and `solve` CSV (each ansatz) under both normalizations at a
 few points and the `realize` JSON of a few planar distances, `verify`:
-the run that README shows and four `verify --theorem1-grid` runs of one
-point each, whose Newtonian-oracle residuals reach the JSON, `plot data`: the
+the run that README shows, four `verify --theorem1-grid` runs of one
+point each, whose Newtonian-oracle residuals reach the JSON, and a run at
+alpha = beta = 1e9 that exits 1, where each theorem suite finds no class
+and records that witness, `plot data`: the
 plot CSV of `census` on the 80 points, of `sweep` on README's grid and
 of `solve` and `realize` on a few points, `sweep bench`:
 the sweep JSON on the grid of bench/run.py's sweep workload (alpha =
@@ -57,6 +59,9 @@ THEOREM2_GRID = [round(0.1 * k, 1) for k in range(1, 31)]
 SWEEP_BETA_GRID = [round(0.1 * k, 1) for k in range(1, 21)]
 # verify's theorem 1 points, where the oracle residual exceeds the area gap
 THEOREM1_VERIFY = ["0.2,0.4", "0.5,0.8", "0.8,1.2", "0.4,1.6"]
+# verify's failing run: at these masses neither suite's census finds a class
+VERIFY_FAILING = ["verify", "--trials", "10", "--theorem1-grid", "1e9,1e9",
+                  "--theorem2-grid", "1e9"]
 # README's sweep grid
 SWEEP_GRID = ["--alpha-grid", "0.2:1.0:0.2", "--beta-grid", "0.2:2.0:0.2"]
 # the census points and tolerances of the loose-tolerance family
@@ -114,7 +119,7 @@ def families():
     # suite's worst_violation, so every point's residual is hashed
     yield "verify", run, [["verify", "--theorem2-grid", "0.5,1.0,2.0"],
                           *(["verify", "--trials", "10", "--theorem1-grid",
-                             ab] for ab in THEOREM1_VERIFY)]
+                             ab] for ab in THEOREM1_VERIFY), VERIFY_FAILING]
     yield "plot data", plot, [
         *(["census", *ab] for ab in masses(POINTS)),
         ["sweep", *SWEEP_GRID],
